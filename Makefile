@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet lint lint-suggest lint-sarif lint-budget bench-snapshot bench-diff simdebug chaos bench resume-check daemon-smoke results-drift check clean
+.PHONY: build test race vet lint lint-suggest lint-sarif lint-budget bench-snapshot bench-diff simdebug chaos bench resume-check daemon-smoke results-drift bench-test check clean
 
 build:
 	$(GO) build ./...
@@ -106,6 +106,12 @@ daemon-smoke:
 # WRITE=1 bash scripts/results_drift.sh.
 results-drift:
 	bash scripts/results_drift.sh
+
+# The benchmark (chronobench/) is its own Go module, so the root
+# `go test ./...` skips it. Vet and test it here: a change to the
+# packages it drives (daemon, experiments, engine) must not break it.
+bench-test:
+	cd chronobench && $(GO) vet ./... && $(GO) test -count=1 ./...
 
 check: build vet lint race simdebug
 

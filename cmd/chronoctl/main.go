@@ -1,16 +1,9 @@
 // Command chronoctl mirrors the paper's procfs/sysctl administration
-// surface (§4, Appendix A step 6) and doubles as the client for a
-// running chronod daemon.
-//
-// Without -socket, chronoctl runs its classic local demonstration: it
-// lists, reads, and writes Chrono's runtime parameters against a live
-// in-process simulation, applying the writes mid-run and reporting the
-// throughput effect a real `echo N > /proc/sys/...` would have. Every
-// -set entry is validated *before* the simulation starts: a malformed
-// entry or unknown key exits non-zero immediately, with the parameter
-// table's "did you mean" suggestions.
-//
-// With -socket, chronoctl speaks the chronod JSON protocol:
+// surface (§4, Appendix A step 6) as the client of a running chronod
+// daemon. Parameter writes apply live to a hosted run at its next epoch
+// boundary through -op reconfigure; the daemon validates every key
+// first and answers an unknown one with the parameter table's "did you
+// mean" suggestions.
 //
 //	chronoctl -socket S -op submit -policy Chrono -workload pmbench -secs 120 -wait
 //	chronoctl -socket S -op list
@@ -18,20 +11,20 @@
 //	chronoctl -socket S -op pause -id r0000
 //	chronoctl -socket S -op resume -id r0000
 //	chronoctl -socket S -op reconfigure -id r0000 -policy Memtis -set kernel/numa_tiering=1
+//	chronoctl -socket S -op reconfigure -id r0000 -set chrono/cit_threshold_ms=200
 //	chronoctl -socket S -op cancel -id r0000
 //	chronoctl -socket S -op reload
 //	chronoctl -socket S -op shutdown
 //
-// Local examples:
+// Without -socket, chronoctl only lists the parameter table:
 //
 //	chronoctl -list
-//	chronoctl -set chrono/rate_limit_bps=50000000 -secs 300
-//	chronoctl -set chrono/cit_threshold_ms=200 -set chrono/delta_step=0.25
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -40,8 +33,6 @@ import (
 	"chrono/internal/daemon"
 	"chrono/internal/engine"
 	"chrono/internal/report"
-	"chrono/internal/simclock"
-	"chrono/internal/sysctl"
 	"chrono/internal/workload"
 )
 
@@ -58,12 +49,12 @@ func main() {
 	var sets setFlags
 	var (
 		// Daemon-client surface.
-		socket = flag.String("socket", "", "chronod unix socket; empty runs the local demonstration")
+		socket = flag.String("socket", "", "chronod unix socket; without it only -list is served")
 		op     = flag.String("op", "", "daemon op: ping|submit|status|list|pause|resume|cancel|reconfigure|dump|reload|shutdown")
 		id     = flag.String("id", "", "run id for status/pause/resume/cancel/reconfigure/dump")
 		wait   = flag.Bool("wait", false, "after submit: poll until the run settles and print its final table")
 
-		// Shared simulation shape (submit spec / local demo).
+		// Simulation shape of a submitted run.
 		policy  = flag.String("policy", "", "policy name (submit/reconfigure; empty keeps the default or current)")
 		wl      = flag.String("workload", "pmbench", "workload: pmbench|graph500|kvstore|multitenant")
 		procs   = flag.Int("procs", 0, "process count (pmbench/multitenant)")
@@ -81,9 +72,9 @@ func main() {
 		ppg     = flag.Int64("pages-per-gb", 0, "simulated pages per GB (capacity scale)")
 		faults  = flag.String("faults", "", "fault-injection plan spec")
 
-		list = flag.Bool("list", false, "local: list all parameters with current values")
+		list = flag.Bool("list", false, "list all parameters with their default values")
 	)
-	flag.Var(&sets, "set", "parameter write, key=value (repeatable)")
+	flag.Var(&sets, "set", "parameter write for -op reconfigure, key=value (repeatable)")
 	flag.Parse()
 
 	if *socket != "" {
@@ -99,92 +90,37 @@ func main() {
 			},
 		}))
 	}
-	os.Exit(localMain(sets, *list, *secs, *seed))
+	os.Exit(localMain(os.Stdout, os.Stderr, sets, *list, *seed))
 }
 
-// localMain is the classic in-process demonstration.
-func localMain(sets setFlags, list bool, secs float64, seed uint64) int {
+// localMain serves the one flag that needs no daemon, -list. A -set
+// without -socket is a usage error: parameter writes go to a running
+// simulation through chronod.
+func localMain(stdout, stderr io.Writer, sets setFlags, list bool, seed uint64) int {
+	if len(sets) > 0 {
+		fmt.Fprintln(stderr, "chronoctl: -set writes parameters of a running simulation; "+
+			"use -socket S -op reconfigure -id R -set key=value")
+		return 2
+	}
+	if !list {
+		flag.Usage()
+		return 2
+	}
 	// Build a live system so the parameter table is fully populated.
 	e := engine.New(engine.Config{Seed: seed})
 	w := &workload.Pmbench{Processes: 20, WorkingSetGB: 12, ReadPct: 70, Stride: 2}
 	if err := w.Build(e); err != nil {
-		fmt.Fprintln(os.Stderr, "chronoctl:", err)
+		fmt.Fprintln(stderr, "chronoctl:", err)
 		return 1
 	}
-	ch := core.New(core.Options{})
-	e.AttachPolicy(ch)
-
-	if list {
-		t := report.NewTable("Runtime parameters (sysctl/procfs controllers)",
-			"Path", "Value", "Description")
-		for _, p := range e.Sysctl().All() {
-			t.AddRow(p.Path, p.Get(), p.Description)
-		}
-		t.Fprint(os.Stdout)
-		return 0
+	e.AttachPolicy(core.New(core.Options{}))
+	t := report.NewTable("Runtime parameters (sysctl/procfs controllers)",
+		"Path", "Value", "Description")
+	for _, p := range e.Sysctl().All() {
+		t.AddRow(p.Path, p.Get(), p.Description)
 	}
-	if len(sets) == 0 {
-		flag.Usage()
-		return 2
-	}
-
-	// Validate every write before simulating anything: a typo'd key must
-	// cost an error message and a non-zero exit, not a wasted run.
-	writes, err := validateSets(e.Sysctl(), sets)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "chronoctl:", err)
-		return 1
-	}
-
-	half := simclock.FromSeconds(secs / 2)
-	var beforeThr float64
-	applyFailed := false
-	e.Clock().At(half, func(now simclock.Time) {
-		beforeThr = e.M.Accesses / now.Seconds() / 1e6
-		for _, kv := range writes {
-			if err := e.Sysctl().Set(kv[0], kv[1]); err != nil {
-				// Keys were pre-validated; this is a value the parameter's
-				// own validator rejected.
-				fmt.Fprintln(os.Stderr, "chronoctl:", err)
-				applyFailed = true
-				e.Clock().Stop()
-				return
-			}
-			fmt.Printf("applied %s = %s at t=%.0fs\n", kv[0], kv[1], now.Seconds())
-		}
-	})
-	m := e.Run(simclock.FromSeconds(secs))
-	if applyFailed {
-		return 1
-	}
-
-	afterThr := (m.Accesses - beforeThr*half.Seconds()*1e6) / (secs / 2) / 1e6
-	t := report.NewTable("Effect of parameter writes", "Window", "Throughput (Mop/s)")
-	t.AddRow("before writes (first half)", beforeThr)
-	t.AddRow("after writes (second half)", afterThr)
-	t.Fprint(os.Stdout)
-	fmt.Printf("final CIT threshold: %.1f ms, rate limit: %.1f MB/s\n",
-		ch.ThresholdMS(), ch.RateLimitMBps())
+	t.Fprint(stdout)
 	return 0
-}
-
-// validateSets parses -set entries and checks every key against the
-// live parameter table before anything runs. Unknown keys fail with the
-// table's "did you mean" suggestions; malformed entries fail with the
-// expected syntax. Returns the parsed key/value pairs in entry order.
-func validateSets(tbl *sysctl.Table, entries []string) ([][2]string, error) {
-	writes := make([][2]string, 0, len(entries))
-	for _, kv := range entries {
-		key, val, ok := strings.Cut(kv, "=")
-		if !ok || key == "" {
-			return nil, fmt.Errorf("bad -set %q (want key=value)", kv)
-		}
-		if _, err := tbl.Get(key); err != nil {
-			return nil, err
-		}
-		writes = append(writes, [2]string{key, val})
-	}
-	return writes, nil
 }
 
 // clientArgs carries the daemon-mode invocation.

@@ -1,133 +1,40 @@
 package main
 
 import (
+	"bytes"
 	"strings"
 	"testing"
-
-	"chrono/internal/core"
-	"chrono/internal/engine"
-	"chrono/internal/sysctl"
-	"chrono/internal/workload"
 )
 
-// liveTable builds the same parameter table the chronoctl demo sees: an
-// engine with the Chrono policy attached, so both kernel/* and chrono/*
-// keys are registered.
-func liveTable(t *testing.T) *sysctl.Table {
-	t.Helper()
-	e := engine.New(engine.Config{Seed: 1})
-	w := &workload.Pmbench{Processes: 2, WorkingSetGB: 1, ReadPct: 70, Stride: 2}
-	if err := w.Build(e); err != nil {
-		t.Fatal(err)
+// A -set without -socket is a usage error that names the daemon path,
+// where keys are validated against the live run (see the daemon's
+// TestReconfigureUnknownKeySuggests); nothing is simulated locally.
+func TestSetWithoutSocketPointsAtReconfigure(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	code := localMain(&stdout, &stderr, setFlags{"chrono/cit_threshold_ms=200"}, true, 1)
+	if code != 2 {
+		t.Fatalf("exit %d, want 2", code)
 	}
-	e.AttachPolicy(core.New(core.Options{}))
-	return e.Sysctl()
-}
-
-func TestValidateSets(t *testing.T) {
-	tests := []struct {
-		name    string
-		entries []string
-		want    [][2]string // nil means an error is expected
-		errHas  []string    // substrings the error must contain
-	}{
-		{
-			name:    "single known key",
-			entries: []string{"kernel/numa_tiering=1"},
-			want:    [][2]string{{"kernel/numa_tiering", "1"}},
-		},
-		{
-			name: "multiple known keys keep entry order",
-			entries: []string{
-				"chrono/cit_threshold_ms=200",
-				"kernel/numa_tiering=0",
-			},
-			want: [][2]string{
-				{"chrono/cit_threshold_ms", "200"},
-				{"kernel/numa_tiering", "0"},
-			},
-		},
-		{
-			name:    "value may contain equals sign",
-			entries: []string{"kernel/numa_tiering=1=x"},
-			want:    [][2]string{{"kernel/numa_tiering", "1=x"}},
-		},
-		{
-			name:    "missing equals sign is malformed",
-			entries: []string{"kernel/numa_tiering"},
-			errHas:  []string{"bad -set", "key=value"},
-		},
-		{
-			name:    "empty key is malformed",
-			entries: []string{"=1"},
-			errHas:  []string{"bad -set"},
-		},
-		{
-			name:    "unknown key suggests the nearest parameter",
-			entries: []string{"kernel/numa_teiring=1"},
-			errHas:  []string{"unknown", "did you mean", "kernel/numa_tiering"},
-		},
-		{
-			name:    "typo in chrono namespace suggests",
-			entries: []string{"chrono/cit_treshold_ms=150"},
-			errHas:  []string{"did you mean", "chrono/cit_threshold_ms"},
-		},
-		{
-			name: "first bad entry fails the whole batch",
-			entries: []string{
-				"kernel/numa_tiering=1",
-				"totally/bogus=7",
-			},
-			errHas: []string{"totally/bogus"},
-		},
+	for _, want := range []string{"-socket S", "-op reconfigure"} {
+		if !strings.Contains(stderr.String(), want) {
+			t.Errorf("stderr %q missing %q", stderr.String(), want)
+		}
 	}
-	tbl := liveTable(t)
-	for _, tc := range tests {
-		t.Run(tc.name, func(t *testing.T) {
-			got, err := validateSets(tbl, tc.entries)
-			if tc.want == nil {
-				if err == nil {
-					t.Fatalf("validateSets(%v) = %v, want error", tc.entries, got)
-				}
-				for _, sub := range tc.errHas {
-					if !strings.Contains(err.Error(), sub) {
-						t.Errorf("error %q missing %q", err, sub)
-					}
-				}
-				return
-			}
-			if err != nil {
-				t.Fatalf("validateSets(%v): %v", tc.entries, err)
-			}
-			if len(got) != len(tc.want) {
-				t.Fatalf("got %v, want %v", got, tc.want)
-			}
-			for i := range got {
-				if got[i] != tc.want[i] {
-					t.Errorf("entry %d: got %v, want %v", i, got[i], tc.want[i])
-				}
-			}
-		})
+	if stdout.Len() != 0 {
+		t.Errorf("usage error printed to stdout: %q", stdout.String())
 	}
 }
 
-// Validation must reject the unknown key by name and must not mutate
-// any parameter — it is a pure pre-flight check.
-func TestValidateSetsUnknownKeyIsPure(t *testing.T) {
-	tbl := liveTable(t)
-	before, err := tbl.Get("kernel/numa_tiering")
-	if err != nil {
-		t.Fatal(err)
+// -list prints the full parameter table: kernel/* and, with Chrono
+// attached, chrono/* keys.
+func TestListPrintsParameterTable(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := localMain(&stdout, &stderr, nil, true, 1); code != 0 {
+		t.Fatalf("exit %d: %s", code, stderr.String())
 	}
-	_, verr := validateSets(tbl, []string{"kernel/numa_tiering=1", "nope/nope=2"})
-	if verr == nil || !strings.Contains(verr.Error(), "nope/nope") {
-		t.Fatalf("want unknown-key error naming nope/nope, got %v", verr)
-	}
-	after, err := tbl.Get("kernel/numa_tiering")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if before != after {
-		t.Errorf("validation mutated kernel/numa_tiering: %q -> %q", before, after)
+	for _, want := range []string{"kernel/numa_tiering", "chrono/cit_threshold_ms"} {
+		if !strings.Contains(stdout.String(), want) {
+			t.Errorf("parameter table missing %s:\n%s", want, stdout.String())
+		}
 	}
 }

@@ -5,9 +5,9 @@
 //
 // Robustness is the design driver, not a bolt-on:
 //
-//   - Every run executes through parallel.MapRecover, so a panicking
+//   - Every run executes through the internal/run driver, so a panicking
 //     policy or workload takes down one run, never the daemon.
-//   - The PR 5 stall watchdog guards each run; a hard-stalled run is
+//   - The driver's stall watchdog guards each run; a hard-stalled run is
 //     abandoned, counted (watchdog.NoteAbandoned), and reported.
 //   - Admission is a bounded queue with explicit load-shedding: an
 //     over-capacity submit is rejected with a retry-after hint instead

@@ -22,6 +22,7 @@ import (
 
 	"chrono/internal/checkpoint"
 	"chrono/internal/engine"
+	simrun "chrono/internal/run"
 	"chrono/internal/simclock"
 )
 
@@ -44,11 +45,7 @@ type runRecord struct {
 // recorded beside the state because live reconfiguration can change it
 // mid-run: resuming must attach the policy the snapshot was taken
 // under, not the one the run started with.
-type runCheckpoint struct {
-	Spec   RunSpec             `json:"spec"`
-	Policy string              `json:"policy"`
-	State  *engine.EngineState `json:"state"`
-}
+type runCheckpoint = simrun.Checkpoint[RunSpec]
 
 // run is one hosted simulation. The mutable fields are guarded by mu;
 // the driver goroutine is the only writer while the run executes, but
@@ -70,9 +67,6 @@ type run struct {
 	dropped    int
 	errMsg     string
 	abandonedG bool
-	// resume marks that engine.ckpt holds a usable snapshot, so the next
-	// segment restores instead of starting fresh.
-	resume bool
 	// userCancel distinguishes an explicit cancel from a daemon drain:
 	// both cancel ctx, but only the former is terminal.
 	userCancel bool
@@ -87,6 +81,11 @@ type run struct {
 func (r *run) recordPath() string { return filepath.Join(r.dir, "record.json") }
 func (r *run) ckptPath() string   { return filepath.Join(r.dir, "engine.ckpt") }
 func (r *run) tablePath() string  { return filepath.Join(r.dir, "table.txt") }
+
+// save snapshots the engine, running under polName, to engine.ckpt.
+func (r *run) save(e *engine.Engine, polName string) error {
+	return simrun.Save(r.ckptPath(), e, r.spec, polName)
+}
 
 // persist writes the run's record atomically. Best-effort by design: a
 // failed write costs recovery fidelity, not the in-memory run.
@@ -252,15 +251,13 @@ func (d *Daemon) recover() error {
 			// continue from their snapshot when one exists — the
 			// byte-identical-resume fence — and replay from scratch when
 			// the crash beat the first checkpoint.
-			if _, err := os.Stat(r.ckptPath()); err == nil {
-				r.resume = true
-			}
+			_, serr := os.Stat(r.ckptPath())
 			r.state = StateQueued
 			r.persist()
 			d.queue = append(d.queue, r)
 			d.logf("chronod: recovered run %s (%s/%s), %s",
 				r.id, r.spec.Policy, r.spec.Workload,
-				map[bool]string{true: "resuming from snapshot", false: "replaying from start"}[r.resume])
+				map[bool]string{true: "resuming from snapshot", false: "replaying from start"}[serr == nil])
 		}
 	}
 	return nil
@@ -420,11 +417,6 @@ func (d *Daemon) Resume(id string) Response {
 	st := r.getState()
 	if st != StatePaused && st != StateInterrupted {
 		return Response{Error: fmt.Sprintf("daemon: run %s is %s, not paused", id, st)}
-	}
-	if _, err := os.Stat(r.ckptPath()); err == nil {
-		r.mu.Lock()
-		r.resume = true
-		r.mu.Unlock()
 	}
 	r.setState(StateQueued)
 	r.persist()

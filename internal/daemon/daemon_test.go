@@ -273,6 +273,34 @@ func TestPauseResumeByteIdentical(t *testing.T) {
 	}
 }
 
+// Linux-NB has no policy.Checkpointable state, so its engine cannot be
+// snapshotted: a pause is refused with "cannot pause" and the run goes
+// on to the same table as an unpaused run.
+func TestPauseNotCheckpointableRefused(t *testing.T) {
+	setBuildHook(t, pace(time.Millisecond))
+	d := newTestDaemon(t, t.TempDir(), `{"stall_timeout_s": -1}`)
+	spec := testSpec()
+	spec.Policy = "Linux-NB"
+
+	ref := d.Submit(spec)
+	waitState(t, d, ref.ID, StateDone)
+	refTable := d.Status(ref.ID).Table
+
+	sub := d.Submit(spec)
+	waitRunningWithProgress(t, d, sub.ID)
+	resp := d.Pause(sub.ID)
+	if resp.OK {
+		t.Fatal("pause of a non-checkpointable run must be refused")
+	}
+	if !strings.Contains(resp.Error, "cannot pause") {
+		t.Fatalf("refusal should say the run cannot pause, got %q", resp.Error)
+	}
+	waitState(t, d, sub.ID, StateDone)
+	if got := d.Status(sub.ID).Table; got == "" || got != refTable {
+		t.Fatalf("refused-pause table differs from unpaused run:\n--- ref\n%s\n--- got\n%s", refTable, got)
+	}
+}
+
 // waitRunningWithProgress waits until the run is running with nonzero
 // virtual progress, so a control request lands mid-flight.
 func waitRunningWithProgress(t *testing.T, d *Daemon, id string) {

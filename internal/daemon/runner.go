@@ -9,35 +9,25 @@ package daemon
 // (engine.RestoreSwap) or rolls back to the old one when validation
 // fails — the run itself survives either way.
 //
-// Robustness boundaries per segment:
-//   - the simulation executes through parallel.MapRecover, so a panic
-//     is confined to the run and lands in its record;
-//   - the stall watchdog (internal/watchdog) checkpoints and fails a
-//     run whose virtual time freezes, and abandons — counting and
-//     logging the leak — a goroutine wedged inside a single event;
-//   - the AfterStep hook checkpoints periodically and on drain, so
-//     kill -9 at any moment loses at most one checkpoint interval.
-//
-// Wall-clock use in this file is host-side only (cadence, watchdog),
-// annotated for the detclock linter.
+// Each segment executes through the internal/run driver, which confines
+// panics to the run, checkpoints periodically and on drain (so kill -9
+// at any moment loses at most one checkpoint interval), and fails or
+// abandons a stalled run. This file adds what only chronod needs: the
+// control requests serviced between events and the swap handoff.
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"os"
 	"sort"
-	"sync/atomic"
-	"time"
 
 	"chrono/internal/checkpoint"
 	"chrono/internal/core"
 	"chrono/internal/engine"
 	"chrono/internal/experiments"
-	"chrono/internal/parallel"
 	"chrono/internal/report"
+	simrun "chrono/internal/run"
 	"chrono/internal/simclock"
-	"chrono/internal/watchdog"
 	"chrono/internal/workload"
 )
 
@@ -65,26 +55,11 @@ type ctrlReply struct {
 	dropped int
 }
 
-type segOutcome int
-
-const (
-	segFinished segOutcome = iota
-	segFailed
-	segInterrupted // ctx cancelled: user cancel or daemon drain
-	segPaused
-	segStalled
-	segSwap // snapshot captured for a pending reconfiguration
-)
-
-type segResult struct {
-	outcome   segOutcome
-	errMsg    string
-	abandoned bool
-	metrics   *engine.Metrics
-	// Swap handoff: the epoch-boundary snapshot and the request that
-	// asked for it.
-	snap    *engine.EngineState
-	swapMsg *ctrlMsg
+// swapReq is the handoff of a segment stopped for a reconfiguration:
+// the request and the epoch-boundary snapshot taken for it.
+type swapReq struct {
+	msg  *ctrlMsg
+	snap *engine.EngineState
 }
 
 // drive owns one run from scheduling to a terminal state.
@@ -111,132 +86,111 @@ func (d *Daemon) drive(r *run) {
 		}
 	}
 
-	r.mu.Lock()
-	pol := r.policy
-	resume := r.resume
-	r.mu.Unlock()
-
-	e, w, _, err := d.prepare(r, pol, nil, false)
-	if errors.Is(err, errStaleSnapshot) {
-		// The on-disk snapshot does not overlay a fresh build (version
-		// drift, hand-edited state). Replay from scratch: determinism
-		// means the replay reaches the same end state.
-		d.logf("chronod: run %s snapshot not restorable; replaying from start", r.id)
-		resume = false
-		r.mu.Lock()
-		r.resume = false
-		r.mu.Unlock()
-		e, w, _, err = d.prepare(r, pol, nil, false)
-	}
+	e, w, resumed, err := d.open(r)
 	if err != nil {
 		d.settleFail(r, err.Error(), false)
 		return
 	}
 
 	for {
-		seg := d.execute(r, e, w, resume)
-		switch seg.outcome {
-		case segFinished:
-			d.settleDone(r, e, w, seg.metrics)
+		out, swap := d.execute(r, e, w, resumed)
+		switch out.Outcome {
+		case simrun.Finished:
+			d.settleDone(r, e, w, out.Metrics)
 			return
-		case segFailed:
-			d.settleFail(r, seg.errMsg, false)
+		case simrun.Panicked:
+			d.settleFail(r, fmt.Sprintf("panic: %v\n%s", out.Panic, out.Stack), false)
 			return
-		case segStalled:
-			d.settleFail(r, seg.errMsg, seg.abandoned)
+		case simrun.Stalled, simrun.HardStalled:
+			d.settleFail(r, out.Reason, out.Outcome == simrun.HardStalled)
 			return
-		case segInterrupted:
+		case simrun.Interrupted: // user cancel or daemon drain
 			d.settleInterrupt(r)
 			return
-		case segPaused:
-			// Fresh context and paused state become visible atomically: a
-			// Resume that sees "paused" is guaranteed the new context.
-			r.mu.Lock()
-			r.ctx, r.cancel = context.WithCancel(d.ctx)
-			r.state = StatePaused
-			r.mu.Unlock()
-			d.logf("chronod: run %s paused at %.1fs virtual", r.id, simclock.Duration(r.simNow.Load()).Seconds())
-			return
-		case segSwap:
-			e, w = d.applySwap(r, seg)
+		case simrun.Stopped:
+			if swap == nil {
+				// Paused. Fresh context and paused state become visible
+				// atomically: a Resume that sees "paused" is guaranteed
+				// the new context.
+				r.mu.Lock()
+				r.ctx, r.cancel = context.WithCancel(d.ctx)
+				r.state = StatePaused
+				r.mu.Unlock()
+				d.logf("chronod: run %s paused at %.1fs virtual", r.id, simclock.Duration(r.simNow.Load()).Seconds())
+				return
+			}
+			e, w = d.applySwap(r, swap)
 			if e == nil {
 				// Rollback itself failed; the run is unrecoverable.
 				return
 			}
-			resume = true
+			resumed = true
 		}
 	}
 }
 
-// errStaleSnapshot marks an on-disk snapshot that exists but cannot be
-// restored onto a fresh build; the driver replays from scratch.
-var errStaleSnapshot = errors.New("daemon: snapshot not restorable")
-
-// prepare builds the run's engine under polName and overlays state:
-// from snap when given (live reconfiguration; swap selects RestoreSwap
-// vs Restore), else from the on-disk checkpoint when the run resumes.
-// dropped reports clock events a cross-policy restore could not carry
-// over; the caller charges it to the run only once the whole swap
-// (including its sysctl stage) has succeeded.
-func (d *Daemon) prepare(r *run, polName string, snap *engine.EngineState, swap bool) (_ *engine.Engine, _ workload.Workload, dropped int, _ error) {
+// build makes a fresh engine for the run under polName.
+func (d *Daemon) build(r *run, polName string) (*engine.Engine, workload.Workload, error) {
 	e, w, err := r.spec.buildEngine(polName)
 	if err != nil {
-		return nil, nil, 0, err
+		return nil, nil, err
 	}
 	if h := testBuildHook; h != nil {
 		h(e)
 	}
-	switch {
-	case snap != nil && swap:
-		dropped, err = e.RestoreSwap(snap)
-		if err != nil {
-			return nil, nil, 0, err
+	return e, w, nil
+}
+
+// open builds the engine of the run's first segment, continuing from
+// engine.ckpt when the run has one; resumed reports which.
+func (d *Daemon) open(r *run) (e *engine.Engine, w workload.Workload, resumed bool, err error) {
+	r.mu.Lock()
+	pol := r.policy
+	r.mu.Unlock()
+	e, ck, stale, err := simrun.Open(r.ckptPath(), nil, func(ck *runCheckpoint) (*engine.Engine, error) {
+		p := pol
+		if ck != nil {
+			// The snapshot may have been taken under a later policy (a
+			// live swap before the crash); rebuild under that policy.
+			p = ck.Policy
 		}
-	case snap != nil:
-		if err := e.Restore(snap); err != nil {
-			return nil, nil, 0, err
-		}
-	default:
-		r.mu.Lock()
-		resume := r.resume
-		r.mu.Unlock()
-		if !resume {
-			return e, w, 0, nil
-		}
-		var ck runCheckpoint
-		if err := checkpoint.Load(r.ckptPath(), &ck); err != nil || ck.State == nil {
-			_ = os.Remove(r.ckptPath())
-			return nil, nil, 0, fmt.Errorf("%w: %v", errStaleSnapshot, err)
-		}
-		if ck.Policy != polName {
-			// The snapshot was taken under a later policy (live swap
-			// before the crash); rebuild under that policy instead.
-			return d.prepare(r, ck.Policy, nil, false)
-		}
-		if err := e.Restore(ck.State); err != nil {
-			_ = os.Remove(r.ckptPath())
-			return nil, nil, 0, fmt.Errorf("%w: %v", errStaleSnapshot, err)
-		}
+		var berr error
+		e, w, berr = d.build(r, p)
+		return e, berr
+	})
+	if stale != nil {
+		d.logf("chronod: run %s %v; replaying from start", r.id, stale)
+	}
+	if err != nil {
+		return nil, nil, false, err
+	}
+	if ck != nil {
 		r.mu.Lock()
 		r.policy = ck.Policy
 		r.mu.Unlock()
 	}
-	return e, w, 0, nil
+	return e, w, ck != nil, nil
 }
 
-// saveCkpt snapshots the engine to the run's on-disk checkpoint.
-func (d *Daemon) saveCkpt(r *run, e *engine.Engine, polName string) error {
-	st, err := e.Snapshot()
+// restore builds the run under polName and overlays an in-memory
+// snapshot (live reconfiguration; swap selects RestoreSwap vs Restore).
+// dropped reports clock events a cross-policy restore could not carry
+// over; the caller charges it to the run only once the whole swap
+// (including its sysctl stage) has succeeded.
+func (d *Daemon) restore(r *run, polName string, snap *engine.EngineState, swap bool) (_ *engine.Engine, _ workload.Workload, dropped int, _ error) {
+	e, w, err := d.build(r, polName)
 	if err != nil {
-		return err
+		return nil, nil, 0, err
 	}
-	if err := checkpoint.Save(r.ckptPath(), runCheckpoint{Spec: r.spec, Policy: polName, State: st}); err != nil {
-		return err
+	if swap {
+		dropped, err = e.RestoreSwap(snap)
+	} else {
+		err = e.Restore(snap)
 	}
-	r.mu.Lock()
-	r.resume = true
-	r.mu.Unlock()
-	return nil
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	return e, w, dropped, nil
 }
 
 // nextEpoch is the first multiple of epoch strictly after now — where a
@@ -245,45 +199,25 @@ func nextEpoch(now simclock.Time, epoch simclock.Duration) simclock.Time {
 	return simclock.Time((int64(now)/int64(epoch) + 1) * int64(epoch))
 }
 
-// execute runs one segment to its end. It installs the AfterStep hook
-// (control servicing, periodic checkpoint, drain, stall response),
-// arms the watchdog, and confines the simulation in MapRecover.
-func (d *Daemon) execute(r *run, e *engine.Engine, w workload.Workload, resumed bool) segResult {
+// execute runs one segment to its end through the run driver. The
+// driver owns periodic checkpoints, drain, the stall watchdog and panic
+// confinement; the per-event boundary callback here services control
+// requests and takes the epoch-boundary snapshot of a pending swap. A
+// segment Stopped by the callback is a pause when swap is nil.
+func (d *Daemon) execute(r *run, e *engine.Engine, w workload.Workload, resumed bool) (_ simrun.Result, swap *swapReq) {
 	cfg := d.Config()
-	clock := e.Clock()
 	epoch := e.Config().EpochNS
-	ctx := r.context()
 
 	r.mu.Lock()
 	polName := r.policy
 	r.mu.Unlock()
 
 	var (
-		res         segResult
-		snapBroken  bool
-		interrupted bool
-		stalled     bool
-		paused      bool
-		swapping    bool
-		swapMsg     *ctrlMsg
-		swapAt      simclock.Time
+		paused  bool
+		swapMsg *ctrlMsg
+		swapAt  simclock.Time
 	)
-	var stallReq atomic.Bool
-	var abandoned atomic.Bool
-	r.simNow.Store(int64(clock.Now()))
-	lastSave := time.Now() //chrono:wallclock checkpoint cadence is host-side
-	interval := cfg.checkpointInterval()
-
-	clock.SetAfterStep(func() {
-		if abandoned.Load() {
-			// The driver walked away after a hard stall; park this leaked
-			// run at the next event boundary.
-			clock.Stop()
-			return
-		}
-		now := clock.Now()
-		r.simNow.Store(int64(now))
-
+	boundary := func(now simclock.Time) bool {
 		// Service control requests. One swap may be pending at a time;
 		// everything else answers immediately.
 		for more := true; more; {
@@ -293,13 +227,12 @@ func (d *Daemon) execute(r *run, e *engine.Engine, w workload.Workload, resumed 
 				case OpDump:
 					msg.reply <- ctrlReply{table: renderLiveTable(r, polName, w, e, now)}
 				case OpPause:
-					if err := d.saveCkpt(r, e, polName); err != nil {
+					if err := r.save(e, polName); err != nil {
 						msg.reply <- ctrlReply{err: fmt.Errorf("daemon: cannot pause: %w", err)}
 						break
 					}
 					paused = true
 					msg.reply <- ctrlReply{}
-					clock.Stop()
 				case OpReconfigure:
 					if err := validateSwap(e, polName, msg); err != nil {
 						msg.reply <- ctrlReply{err: err}
@@ -319,117 +252,38 @@ func (d *Daemon) execute(r *run, e *engine.Engine, w workload.Workload, resumed 
 				more = false
 			}
 		}
-
 		if swapMsg != nil && now >= swapAt {
 			st, err := e.Snapshot()
 			if err != nil {
 				swapMsg.reply <- ctrlReply{err: fmt.Errorf("daemon: cannot reconfigure: %w", err)}
 				swapMsg = nil
 			} else {
-				res.snap = st
-				res.swapMsg = swapMsg
-				swapping = true
-				clock.Stop()
-				return
+				swap = &swapReq{msg: swapMsg, snap: st}
+				return true
 			}
 		}
+		return paused
+	}
 
-		switch {
-		case ctx.Err() != nil:
-			_ = d.saveCkpt(r, e, polName) // best-effort resume point
-			interrupted = true
-			clock.Stop()
-		case stallReq.Load():
-			_ = d.saveCkpt(r, e, polName)
-			stalled = true
-			clock.Stop()
-		case !snapBroken && interval > 0:
-			//chrono:wallclock checkpoint cadence is host-side
-			if time.Since(lastSave) >= interval {
-				if err := d.saveCkpt(r, e, polName); err != nil {
-					snapBroken = true
-				}
-				lastSave = time.Now() //chrono:wallclock checkpoint cadence is host-side
-			}
-		}
+	out := simrun.Exec(simrun.Segment{
+		Engine:       e,
+		Resumed:      resumed,
+		Duration:     r.spec.duration(),
+		Ctx:          r.context(),
+		Interval:     cfg.checkpointInterval(),
+		StallTimeout: cfg.stallTimeout(),
+		Save:         func() error { return r.save(e, polName) },
+		Boundary:     boundary,
+		Progress:     &r.simNow,
+		Name: fmt.Sprintf("daemon run %s policy=%s workload=%s seed=%d",
+			r.id, polName, r.spec.Workload, r.spec.Seed),
 	})
-
-	stopWatch := make(chan struct{})
-	defer close(stopWatch)
-	var hardStall chan struct{}
-	if st := cfg.stallTimeout(); st > 0 {
-		hardStall = make(chan struct{})
-		go watchdog.Watch(st, &r.simNow, &stallReq, hardStall, stopWatch)
+	if out.Outcome != simrun.Stopped {
+		// swap belongs to the run goroutine, which an abandoned run
+		// still owns; only a Stopped segment hands it over.
+		return out, nil
 	}
-
-	// The simulation itself, confined: a panic in a policy or workload
-	// becomes an error on this run, never a daemon crash. The channel is
-	// buffered so an abandoned goroutine can still deliver and exit.
-	type runOut struct {
-		ms   []*engine.Metrics
-		errs []error
-	}
-	out := make(chan runOut, 1)
-	//chrono:allow goroscope deliberately abandonable: a hard-stalled run goroutine is parked by the AfterStep hook and its engine discarded (see the hardStall arm below)
-	go func() {
-		ms, errs := parallel.MapRecover(1, []func() (*engine.Metrics, error){
-			func() (*engine.Metrics, error) {
-				if resumed {
-					return e.ResumeRun(), nil
-				}
-				return e.Run(r.spec.duration()), nil
-			},
-		})
-		out <- runOut{ms, errs}
-	}()
-
-	var ms []*engine.Metrics
-	var errs []error
-	select {
-	case ro := <-out:
-		ms, errs = ro.ms, ro.errs
-		clock.SetAfterStep(nil)
-	case <-hardStall:
-		// Wedged inside a single event: no hook, no checkpoint, no way to
-		// preempt. Abandon the goroutine — counted and logged so the debt
-		// is visible — and fail the run from its last snapshot.
-		abandoned.Store(true)
-		watchdog.NoteAbandoned(fmt.Sprintf("daemon run %s policy=%s workload=%s seed=%d",
-			r.id, polName, r.spec.Workload, r.spec.Seed))
-		res.outcome = segStalled
-		res.abandoned = true
-		res.errMsg = fmt.Sprintf("stalled hard: no sim-time progress for %v and the event handler never yielded",
-			2*cfg.stallTimeout())
-		return res
-	}
-
-	if len(errs) > 0 && errs[0] != nil {
-		var pv *parallel.Panic
-		if errors.As(errs[0], &pv) {
-			res.outcome = segFailed
-			res.errMsg = fmt.Sprintf("panic: %v\n%s", pv.Value, pv.Stack)
-			return res
-		}
-		res.outcome = segFailed
-		res.errMsg = errs[0].Error()
-		return res
-	}
-
-	switch {
-	case swapping:
-		res.outcome = segSwap
-	case paused:
-		res.outcome = segPaused
-	case interrupted:
-		res.outcome = segInterrupted
-	case stalled:
-		res.outcome = segStalled
-		res.errMsg = fmt.Sprintf("stalled: no sim-time progress for %v", cfg.stallTimeout())
-	default:
-		res.outcome = segFinished
-		res.metrics = ms[0]
-	}
-	return res
+	return out, swap
 }
 
 // validateSwap pre-flights a reconfiguration before anything stops: the
@@ -473,8 +327,8 @@ func sortedKeys(m map[string]string) []string {
 // policy is rebuilt from the same snapshot and the run continues as if
 // the request never happened. The reply to the waiting client is sent
 // from here either way.
-func (d *Daemon) applySwap(r *run, seg segResult) (*engine.Engine, workload.Workload) {
-	msg, snap := seg.swapMsg, seg.snap
+func (d *Daemon) applySwap(r *run, swap *swapReq) (*engine.Engine, workload.Workload) {
+	msg, snap := swap.msg, swap.snap
 	r.mu.Lock()
 	oldPol := r.policy
 	r.mu.Unlock()
@@ -484,14 +338,14 @@ func (d *Daemon) applySwap(r *run, seg segResult) (*engine.Engine, workload.Work
 	}
 	cross := newPol != oldPol
 
-	e, w, dropped, err := d.prepare(r, newPol, snap, cross)
+	e, w, dropped, err := d.restore(r, newPol, snap, cross)
 	if err == nil {
 		err = applySets(e, msg.set)
 	}
 	if err != nil {
 		// Roll back onto the old policy from the same snapshot. The
 		// snapshot was taken under oldPol, so a plain Restore applies.
-		re, rw, _, rerr := d.prepare(r, oldPol, snap, false)
+		re, rw, _, rerr := d.restore(r, oldPol, snap, false)
 		if rerr != nil {
 			msg.reply <- ctrlReply{err: fmt.Errorf("daemon: swap failed (%v) and rollback failed (%v)", err, rerr)}
 			d.settleFail(r, fmt.Sprintf("reconfiguration rollback failed: %v", rerr), false)
@@ -510,7 +364,7 @@ func (d *Daemon) applySwap(r *run, seg segResult) (*engine.Engine, workload.Work
 	r.persist()
 	// Checkpoint immediately so a crash right after the swap resumes
 	// into the new configuration, not the old one.
-	if err := d.saveCkpt(r, e, newPol); err != nil {
+	if err := r.save(e, newPol); err != nil {
 		d.logf("chronod: run %s post-swap checkpoint failed: %v", r.id, err)
 	}
 	msg.reply <- ctrlReply{dropped: dropped}

@@ -3,43 +3,17 @@ package experiments
 // Durable sweep cells: the experiments-layer half of checkpoint/restore.
 //
 // A sweep cell (one ResilientRun of a (policy, workload) pair) becomes
-// durable when RunOpts.Checkpoint names a directory. While the cell runs,
-// an AfterStep hook snapshots the engine at a wall-clock cadence and
-// writes it — atomically, through internal/checkpoint's envelope — to
-// <dir>/cells/<key>.ckpt, where <key> is a hash of the cell's canonical
-// RunSpec. When the cell finishes, its metrics land in <key>.done and the
-// snapshot is deleted. A later invocation with Resume set short-circuits
-// finished cells from their .done record and continues interrupted cells
-// from their .ckpt via engine.Restore — bit-identical to a run that was
-// never interrupted (the fence in engine/checkpoint_test.go and the
-// kill-and-resume CI job both enforce that).
-//
-// Wall-clock time appears in this file on purpose: checkpoint cadence and
-// stall detection are properties of the *host* execution, not of the
-// simulation, and none of it feeds back into simulation state. Every use
-// is annotated for the detclock linter.
-//
-// The same AfterStep hook implements two more host-side concerns:
-//
-//   - Stall watchdog (internal/watchdog): a goroutine watches the
-//     sim-time watermark the hook publishes. If it stops advancing for
-//     CheckpointOpts.StallTimeout of wall time, the hook is asked to
-//     checkpoint and stop the clock; the cell is recorded as Stalled in
-//     the failure manifest with a resume pointer. A cell stuck *inside*
-//     one event can't run the hook — after a second timeout the watchdog
-//     abandons it (the goroutine leaks, by design: there is no safe way
-//     to preempt it), counts and logs the abandonment through
-//     watchdog.NoteAbandoned, and reports the stall from the last
-//     snapshot with AbandonedGoroutine set.
-//
-//   - Graceful drain: when RunOpts.Ctx is cancelled (SIGINT/SIGTERM in
-//     cmd/reproduce), the hook checkpoints at the next event boundary and
-//     stops; the cell is recorded as Interrupted with a resume pointer,
-//     and ResilientRun does not retry it.
-//
-// Cells that schedule unkeyed clock events (workload drift, RunScored's
-// sampling hook) fail Snapshot; the cell then simply runs to completion
-// without periodic snapshots — graceful degradation, never corruption.
+// durable when RunOpts.Checkpoint names a directory. The cell then runs
+// through the internal/run driver, which snapshots it at a wall-clock
+// cadence, on drain and on stall, to <dir>/cells/<key>.ckpt, where <key>
+// is a hash of the cell's canonical RunSpec. When the cell finishes, its
+// metrics land in <key>.done and the snapshot is deleted. A later
+// invocation with Resume set short-circuits finished cells from their
+// .done record and continues interrupted cells from their .ckpt —
+// bit-identical to a run that was never interrupted (the fence in
+// engine/checkpoint_test.go and the kill-and-resume CI job both enforce
+// that). Which cells cannot be snapshotted, and what happens to them, is
+// stated in the internal/run package doc.
 
 import (
 	"crypto/sha256"
@@ -49,14 +23,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime/debug"
-	"sync/atomic"
 	"time"
 
 	"chrono/internal/checkpoint"
 	"chrono/internal/engine"
-	"chrono/internal/simclock"
-	"chrono/internal/watchdog"
+	"chrono/internal/run"
 	"chrono/internal/workload"
 )
 
@@ -78,23 +49,9 @@ type CheckpointOpts struct {
 	StallTimeout time.Duration
 }
 
-// stallTestHook, when non-nil, substitutes the sim-time progress value
-// the watchdog observes. Tests freeze it to exercise the stall path
-// without building a genuinely wedged simulation.
-var stallTestHook func(simclock.Time) simclock.Time
-
-// errStaleCheckpoint marks a cell snapshot that exists but cannot be
-// restored (corrupt envelope, incompatible version, or state that no
-// longer overlays the freshly built engine). ResilientRun reacts by
-// discarding it and replaying the cell from scratch.
-var errStaleCheckpoint = errors.New("experiments: cell checkpoint not restorable")
-
 // cellCheckpoint is the .ckpt payload: the spec pins what the snapshot
 // belongs to, the state is the full engine capture.
-type cellCheckpoint struct {
-	Spec  RunSpec             `json:"spec"`
-	State *engine.EngineState `json:"state"`
-}
+type cellCheckpoint = run.Checkpoint[RunSpec]
 
 // cellDone is the .done payload for a finished cell.
 type cellDone struct {
@@ -136,22 +93,11 @@ func cellKey(spec RunSpec) string {
 	return hex.EncodeToString(sum[:8])
 }
 
-// durableCell is the per-attempt checkpointing state of one sweep cell.
+// durableCell is the checkpointing identity of one sweep cell.
 type durableCell struct {
 	spec RunSpec
 	opts CheckpointOpts
 	key  string
-
-	// saved reports that at least one snapshot write (or resume load)
-	// succeeded, so ckptPath is a usable resume pointer. Atomic because
-	// the hard-stall path reads it while the run goroutine may still be
-	// writing snapshots.
-	saved atomic.Bool
-
-	// abandoned is set when the watchdog gives up on a hard-stuck cell;
-	// the AfterStep hook of the leaked run goroutine stops the clock (and
-	// stops writing) as soon as it runs again.
-	abandoned atomic.Bool
 }
 
 // newDurableCell returns nil when checkpointing is disabled.
@@ -165,6 +111,15 @@ func newDurableCell(spec RunSpec, o RunOpts) *durableCell {
 func (dc *durableCell) cellDir() string  { return filepath.Join(dc.opts.Dir, "cells") }
 func (dc *durableCell) ckptPath() string { return filepath.Join(dc.cellDir(), dc.key+".ckpt") }
 func (dc *durableCell) donePath() string { return filepath.Join(dc.cellDir(), dc.key+".done") }
+
+// resumePath is the snapshot a run continues from: the .ckpt under
+// Resume, none otherwise (without Resume the directory is write-only).
+func (dc *durableCell) resumePath() string {
+	if !dc.opts.Resume {
+		return ""
+	}
+	return dc.ckptPath()
+}
 
 // finished short-circuits a cell whose .done record exists: the returned
 // Result carries the recorded metrics and no engine (as after Compact).
@@ -208,65 +163,9 @@ func (dc *durableCell) checkSpec(got RunSpec, path string) error {
 	return nil
 }
 
-// tryResume overlays the cell's snapshot, if one exists, onto the freshly
-// built engine. It reports whether the engine now continues mid-run.
-// A snapshot that cannot be restored is deleted and surfaces as
-// errStaleCheckpoint: the engine is in an undefined half-overlaid state,
-// so the caller must rebuild and replay from scratch.
-func (dc *durableCell) tryResume(e *engine.Engine) (bool, error) {
-	if !dc.opts.Resume {
-		return false, nil
-	}
-	var ck cellCheckpoint
-	err := checkpoint.Load(dc.ckptPath(), &ck)
-	switch {
-	case err == nil:
-	case os.IsNotExist(err):
-		return false, nil
-	case errors.Is(err, checkpoint.ErrCorrupt) || errors.Is(err, checkpoint.ErrVersion):
-		_ = os.Remove(dc.ckptPath())
-		return false, fmt.Errorf("%w: %v", errStaleCheckpoint, err)
-	default:
-		return false, err
-	}
-	if err := dc.checkSpec(ck.Spec, dc.ckptPath()); err != nil {
-		return false, err
-	}
-	if ck.State == nil {
-		_ = os.Remove(dc.ckptPath())
-		return false, fmt.Errorf("%w: empty snapshot", errStaleCheckpoint)
-	}
-	if err := e.Restore(ck.State); err != nil {
-		_ = os.Remove(dc.ckptPath())
-		return false, fmt.Errorf("%w: %v", errStaleCheckpoint, err)
-	}
-	dc.saved.Store(true)
-	return true, nil
-}
-
-// resumePtr is the manifest's resume pointer: the snapshot path when one
-// exists, empty otherwise.
-func (dc *durableCell) resumePtr() string {
-	if dc.saved.Load() {
-		return dc.ckptPath()
-	}
-	return ""
-}
-
-// save snapshots the engine and writes the cell's .ckpt atomically.
-func (dc *durableCell) save(e *engine.Engine) error {
-	st, err := e.Snapshot()
-	if err != nil {
-		return err
-	}
-	if err := os.MkdirAll(dc.cellDir(), 0o755); err != nil {
-		return err
-	}
-	if err := checkpoint.Save(dc.ckptPath(), cellCheckpoint{Spec: dc.spec, State: st}); err != nil {
-		return err
-	}
-	dc.saved.Store(true)
-	return nil
+// checkCkpt vets a loaded .ckpt before it is restored.
+func (dc *durableCell) checkCkpt(ck *cellCheckpoint) error {
+	return dc.checkSpec(ck.Spec, dc.ckptPath())
 }
 
 // markDone records the finished cell's metrics and drops its snapshot.
@@ -283,146 +182,36 @@ func (dc *durableCell) markDone(m *engine.Metrics) {
 	_ = os.Remove(dc.ckptPath())
 }
 
-// failure builds the manifest entry for a stalled or drained cell.
-func (dc *durableCell) failure(reason string, stalled, interrupted bool, fired uint64) *FailedRun {
-	return &FailedRun{
-		Spec:        dc.spec,
-		PanicValue:  reason,
-		EventsFired: fired,
-		Stalled:     stalled,
-		Interrupted: interrupted,
-		ResumeCkpt:  dc.resumePtr(),
-	}
-}
-
-// cellOutcome carries the run goroutine's result to the driver.
-type cellOutcome struct {
-	m        *engine.Metrics
-	panicVal any
-	stack    []byte
-}
-
-// run drives one durable attempt: resume if a snapshot exists, execute
-// with the periodic-checkpoint/watchdog/drain hook installed, and settle
-// the outcome. Exactly one of the three returns is meaningful.
-func (dc *durableCell) run(e *engine.Engine, o RunOpts) (*engine.Metrics, *FailedRun, error) {
-	resumed, err := dc.tryResume(e)
-	if err != nil {
-		return nil, nil, err
-	}
-
-	clock := e.Clock()
-	ctx := o.ctx()
-
-	var (
-		snapBroken  bool // Snapshot failed once; the cell is not checkpointable
-		interrupted bool
-		stalled     bool
-	)
-	var progress atomic.Int64 // sim-time watermark the watchdog reads
-	var firedW atomic.Uint64  // event watermark, race-free for the driver
-	var stallReq atomic.Bool  // watchdog → hook: checkpoint and stop now
-	progress.Store(int64(clock.Now()))
-	lastSave := time.Now() //chrono:wallclock checkpoint cadence is host-side
-	clock.SetAfterStep(func() {
-		if dc.abandoned.Load() {
-			// The driver already walked away (hard stall): stop this
-			// leaked run at the next event boundary and touch nothing.
-			clock.Stop()
-			return
-		}
-		now := clock.Now()
-		firedW.Store(clock.Fired())
-		if h := stallTestHook; h != nil {
-			now = h(now)
-		}
-		progress.Store(int64(now))
-		switch {
-		case ctx.Err() != nil:
-			_ = dc.save(e) // best-effort resume point
-			interrupted = true
-			clock.Stop()
-		case stallReq.Load():
-			_ = dc.save(e)
-			stalled = true
-			clock.Stop()
-		case !snapBroken && dc.opts.Interval > 0:
-			//chrono:wallclock checkpoint cadence is host-side
-			if time.Since(lastSave) >= dc.opts.Interval {
-				if serr := dc.save(e); serr != nil {
-					snapBroken = true
-				}
-				lastSave = time.Now() //chrono:wallclock checkpoint cadence is host-side
-			}
-		}
+// run executes one durable attempt on e through the run driver and
+// settles the outcome. Exactly one of the two returns is non-nil.
+func (dc *durableCell) run(e *engine.Engine, resumed bool, o RunOpts) (*engine.Metrics, *FailedRun) {
+	res := run.Exec(run.Segment{
+		Engine:       e,
+		Resumed:      resumed,
+		Duration:     o.Duration,
+		Ctx:          o.ctx(),
+		Interval:     dc.opts.Interval,
+		StallTimeout: dc.opts.StallTimeout,
+		Save:         func() error { return run.Save(dc.ckptPath(), e, dc.spec, "") },
+		Name: fmt.Sprintf("cell %s policy=%s workload=%s seed=%d",
+			dc.spec.Experiment, dc.spec.Policy, dc.spec.Workload, dc.spec.Seed),
 	})
-	// Note: the hook is cleared only on the normal completion path below.
-	// An abandoned (hard-stalled) run keeps it installed — the hook is the
-	// mechanism that parks the leaked goroutine — and the engine itself is
-	// discarded either way.
-
-	// Watchdog: trip stallReq after StallTimeout of frozen sim time, and
-	// declare a hard stall — the hook never got to run — after twice that.
-	stopWatch := make(chan struct{})
-	defer close(stopWatch)
-	var hardStall chan struct{}
-	if dc.opts.StallTimeout > 0 {
-		hardStall = make(chan struct{})
-		go watchdog.Watch(dc.opts.StallTimeout, &progress, &stallReq, hardStall, stopWatch)
+	if res.Outcome == run.Finished {
+		return res.Metrics, nil
 	}
-
-	out := make(chan cellOutcome, 1)
-	//chrono:allow goroscope deliberately abandonable: a hard-stalled run goroutine is parked by the checkpoint hook and the engine discarded (see the hardStall arm below)
-	go func() {
-		defer func() {
-			if v := recover(); v != nil {
-				out <- cellOutcome{panicVal: v, stack: debug.Stack()}
-			}
-		}()
-		if resumed {
-			out <- cellOutcome{m: e.ResumeRun()}
-		} else {
-			out <- cellOutcome{m: e.Run(o.Duration)}
-		}
-	}()
-
-	select {
-	case oc := <-out:
-		clock.SetAfterStep(nil)
-		if oc.panicVal != nil {
-			return nil, &FailedRun{
-				Spec:        dc.spec,
-				PanicValue:  fmt.Sprint(oc.panicVal),
-				Stack:       string(oc.stack),
-				EventsFired: firedW.Load(),
-				ResumeCkpt:  dc.resumePtr(),
-			}, nil
-		}
-		switch {
-		case stalled:
-			return nil, dc.failure(
-				fmt.Sprintf("stalled: no sim-time progress for %v", dc.opts.StallTimeout),
-				true, false, firedW.Load()), nil
-		case interrupted:
-			return nil, dc.failure("interrupted: graceful shutdown requested",
-				false, true, firedW.Load()), nil
-		}
-		return oc.m, nil, nil
-	case <-hardStall:
-		// The run goroutine is wedged inside a single event and cannot be
-		// preempted; abandon it (it parks itself at the next event
-		// boundary, if one ever comes) and report from the last snapshot.
-		// The leak is deliberate but no longer invisible: it is counted
-		// and logged so long-lived processes can see the debt accumulate.
-		dc.abandoned.Store(true)
-		watchdog.NoteAbandoned(fmt.Sprintf("cell %s policy=%s workload=%s seed=%d",
-			dc.spec.Experiment, dc.spec.Policy, dc.spec.Workload, dc.spec.Seed))
-		f := dc.failure(
-			fmt.Sprintf("stalled hard: no sim-time progress for %v and the event handler never yielded",
-				2*dc.opts.StallTimeout),
-			true, false, firedW.Load())
-		f.AbandonedGoroutine = true
-		return nil, f, nil
+	f := &FailedRun{
+		Spec:               dc.spec,
+		PanicValue:         res.Reason,
+		EventsFired:        res.Fired,
+		Stalled:            res.Outcome == run.Stalled || res.Outcome == run.HardStalled,
+		Interrupted:        res.Outcome == run.Interrupted,
+		AbandonedGoroutine: res.Outcome == run.HardStalled,
 	}
+	if res.Outcome == run.Panicked {
+		f.PanicValue, f.Stack = fmt.Sprint(res.Panic), res.Stack
+	}
+	if res.Saved {
+		f.ResumeCkpt = dc.ckptPath()
+	}
+	return nil, f
 }
-

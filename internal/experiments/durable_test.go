@@ -14,6 +14,7 @@ import (
 	"chrono/internal/checkpoint"
 	"chrono/internal/engine"
 	"chrono/internal/faultinject"
+	"chrono/internal/run"
 	"chrono/internal/simclock"
 	"chrono/internal/watchdog"
 	"chrono/internal/workload"
@@ -126,6 +127,71 @@ func TestDurableCellDrainResumesBitIdentical(t *testing.T) {
 	}
 }
 
+// TestDurableCellNotCheckpointable: Linux-NB has no policy.Checkpointable
+// state, so every snapshot of its engine fails. A durable cell still
+// finishes with the metrics of a non-durable run and records .done but
+// never a .ckpt. Drained, it is Interrupted with no resume pointer, and a
+// resume replays it from scratch to the same metrics.
+func TestDurableCellNotCheckpointable(t *testing.T) {
+	const experiment, pol = "durable/nockpt", "Linux-NB"
+	refOpts := durableOpts("")
+	refOpts.Checkpoint = nil
+	ref, failedRef, err := ResilientRun(experiment, pol, mkDurableWorkload, refOpts)
+	if err != nil || failedRef != nil {
+		t.Fatalf("reference run: err=%v failed=%v", err, failedRef)
+	}
+	want := metricsJSON(t, ref)
+
+	// A nanosecond cadence attempts a periodic save at the first event;
+	// it fails and the driver stops trying.
+	dir := t.TempDir()
+	o := durableOpts(dir)
+	o.Checkpoint.Interval = time.Nanosecond
+	res, failed, err := ResilientRun(experiment, pol, mkDurableWorkload, o)
+	if err != nil || failed != nil {
+		t.Fatalf("durable run: err=%v failed=%v", err, failed)
+	}
+	if got := metricsJSON(t, res); got != want {
+		t.Fatal("durable cell metrics diverge from the non-durable run")
+	}
+	spec := specFor(experiment, pol, mkDurableWorkload(), o.withDefaults())
+	base := filepath.Join(dir, "cells", cellKey(spec))
+	if _, serr := os.Stat(base + ".done"); serr != nil {
+		t.Fatalf("finished cell has no .done record: %v", serr)
+	}
+	if _, serr := os.Stat(base + ".ckpt"); !os.IsNotExist(serr) {
+		t.Fatalf("a snapshot of a non-checkpointable cell exists: %v", serr)
+	}
+
+	o = durableOpts(t.TempDir())
+	cctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	o.Ctx = cctx
+	res, failed, err = ResilientRun(experiment, pol, mkDurableWorkload, o)
+	if err != nil || res != nil {
+		t.Fatalf("drained run: err=%v res=%v", err, res)
+	}
+	if failed == nil || !failed.Interrupted {
+		t.Fatalf("drained cell not marked interrupted: %+v", failed)
+	}
+	if failed.ResumeCkpt != "" {
+		t.Fatalf("drained non-checkpointable cell names a resume snapshot %q", failed.ResumeCkpt)
+	}
+
+	o.Ctx = nil
+	o.Checkpoint.Resume = true
+	res, failed, err = ResilientRun(experiment, pol, mkDurableWorkload, o)
+	if err != nil || failed != nil {
+		t.Fatalf("resumed run: err=%v failed=%v", err, failed)
+	}
+	if res.Engine == nil {
+		t.Fatal("resumed run skipped execution")
+	}
+	if got := metricsJSON(t, res); got != want {
+		t.Fatal("replayed cell metrics diverge from the non-durable run")
+	}
+}
+
 // TestDurableCellStaleCheckpointFallsBack: a corrupt snapshot must not
 // poison the cell — it is dropped and the cell replays from scratch.
 func TestDurableCellStaleCheckpointFallsBack(t *testing.T) {
@@ -205,8 +271,8 @@ func TestStallWatchdogFlagsFrozenCell(t *testing.T) {
 	dir := t.TempDir()
 	o := durableOpts(dir)
 	o.Checkpoint.StallTimeout = 25 * time.Millisecond
-	stallTestHook = func(simclock.Time) simclock.Time { return 0 }
-	defer func() { stallTestHook = nil }()
+	run.StallTestHook = func(simclock.Time) simclock.Time { return 0 }
+	defer func() { run.StallTestHook = nil }()
 
 	res, failed, err := ResilientRun("durable/stall", "TPP", mkSlowWorkload, o)
 	if err != nil {
@@ -233,7 +299,7 @@ func TestStallWatchdogFlagsFrozenCell(t *testing.T) {
 	}
 
 	// The pointer must be live: un-freeze and resume to completion.
-	stallTestHook = nil
+	run.StallTestHook = nil
 	o.Checkpoint.Resume = true
 	o.Checkpoint.StallTimeout = 0
 	res2, failed2, err := ResilientRun("durable/stall", "TPP", mkSlowWorkload, o)

@@ -1,13 +1,13 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 	"runtime/debug"
 
 	"chrono/internal/core"
 	"chrono/internal/engine"
 	"chrono/internal/faultinject"
+	"chrono/internal/run"
 	"chrono/internal/units"
 	"chrono/internal/workload"
 )
@@ -86,9 +86,10 @@ func (f *FailedRun) String() string {
 // runAttempt is one guarded execution of a (policy, workload) simulation.
 // It mirrors Run but keeps the engine reachable from the deferred recover
 // so a crash can record the event-count watermark.
-func runAttempt(experiment, polName string, w workload.Workload, o RunOpts) (res *Result, failed *FailedRun, err error) {
+func runAttempt(experiment, polName string, mkWorkload func() workload.Workload, o RunOpts) (res *Result, failed *FailedRun, err error) {
 	// The spec is computed from the fresh (pre-Build) workload so the
 	// durable-cell key is stable across attempts and processes.
+	w := mkWorkload()
 	spec := specFor(experiment, polName, w, o)
 	dc := newDurableCell(spec, o)
 	if dc != nil {
@@ -100,37 +101,50 @@ func runAttempt(experiment, polName string, w workload.Workload, o RunOpts) (res
 			return done, nil, nil
 		}
 	}
-	e := newEngine(o)
+	var e *engine.Engine
 	defer func() {
 		if v := recover(); v != nil {
 			res, err = nil, nil
-			failed = &FailedRun{
-				Spec:        spec,
-				PanicValue:  fmt.Sprint(v),
-				Stack:       string(debug.Stack()),
-				EventsFired: e.Clock().Fired(),
+			failed = &FailedRun{Spec: spec, PanicValue: fmt.Sprint(v), Stack: string(debug.Stack())}
+			if e != nil {
+				failed.EventsFired = e.Clock().Fired()
 			}
 		}
 	}()
-	if berr := w.Build(e); berr != nil {
-		return nil, nil, fmt.Errorf("build %s: %w", w.Name(), berr)
-	}
-	pol, perr := NewPolicy(polName)
-	if perr != nil {
-		return nil, nil, perr
-	}
-	e.AttachPolicy(pol)
-	var m *engine.Metrics
-	if dc != nil {
-		m, failed, err = dc.run(e, o)
-		if err != nil || failed != nil {
-			return nil, failed, err
+	built := false
+	build := func(*cellCheckpoint) (*engine.Engine, error) {
+		if built {
+			w = mkWorkload() // replaying a stale snapshot needs an unbuilt workload
 		}
-	} else {
+		built = true
+		e = newEngine(o)
+		if berr := w.Build(e); berr != nil {
+			return nil, fmt.Errorf("build %s: %w", w.Name(), berr)
+		}
+		pol, perr := NewPolicy(polName)
+		if perr != nil {
+			return nil, perr
+		}
+		e.AttachPolicy(pol)
+		return e, nil
+	}
+	var m *engine.Metrics
+	if dc == nil {
+		if _, err := build(nil); err != nil {
+			return nil, nil, err
+		}
 		m = e.Run(o.Duration)
+	} else {
+		_, ck, _, oerr := run.Open(dc.resumePath(), dc.checkCkpt, build)
+		if oerr != nil {
+			return nil, nil, oerr
+		}
+		if m, failed = dc.run(e, ck != nil, o); failed != nil {
+			return nil, failed, nil
+		}
 	}
 	res = &Result{Policy: polName, Metrics: m, Engine: e, Workload: w}
-	if c, ok := pol.(*core.Chrono); ok {
+	if c, ok := e.Policy().(*core.Chrono); ok {
 		res.Chrono = c
 	}
 	if dc != nil {
@@ -155,18 +169,7 @@ func ResilientRun(experiment, polName string, mkWorkload func() workload.Workloa
 	}
 	var last *FailedRun
 	for a := 1; a <= attempts; a++ {
-		res, failed, err := runAttempt(experiment, polName, mkWorkload(), o)
-		if errors.Is(err, errStaleCheckpoint) {
-			// The cell's snapshot exists but no longer overlays a fresh
-			// build (corrupt file, version bump, changed code). It has
-			// already been deleted; replay the cell from scratch without
-			// burning an attempt.
-			oc := *o.Checkpoint
-			oc.Resume = false
-			o.Checkpoint = &oc
-			a--
-			continue
-		}
+		res, failed, err := runAttempt(experiment, polName, mkWorkload, o)
 		if err != nil {
 			return nil, nil, err
 		}
