@@ -101,8 +101,9 @@ resume-check:
 daemon-smoke:
 	bash scripts/daemon_smoke.sh
 
-# Results-drift guard: regenerate the committed quick-mode table in
-# results/ and byte-diff it. Re-record an intentional change with
+# Results-drift guard: regenerate the committed quick-mode tables in
+# results/ (fig2a; ext+drift) and byte-diff them. Re-record an
+# intentional change with
 # WRITE=1 bash scripts/results_drift.sh.
 results-drift:
 	bash scripts/results_drift.sh

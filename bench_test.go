@@ -643,6 +643,27 @@ func BenchmarkAdversarialOscillation(b *testing.B) {
 	}
 }
 
+// BenchmarkMemtisKmigrated is the adv sweep's most expensive cell type:
+// Memtis bare and guard-wrapped on the rotation scenario, 60 virtual s
+// at the adv engine config (256 pages/GB, 64/192 GB tiers). kmigrated's
+// per-promotion coldest-first demotion on base pages dominates it.
+func BenchmarkMemtisKmigrated(b *testing.B) {
+	for _, pol := range []string{"Memtis", "Memtis+guard"} {
+		b.Run(pol, func(b *testing.B) {
+			var res *experiments.Result
+			for i := 0; i < b.N; i++ {
+				var err error
+				res, err = experiments.Run(pol, &workload.Rotation{},
+					experiments.RunOpts{Seed: 42, Duration: 60 * simclock.Second})
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(res.Metrics.Demotions), "demotions")
+		})
+	}
+}
+
 // BenchmarkDriftAdaptivity measures placement recovery under a moving
 // hotspot (the §3.2.2 adaptivity extension).
 func BenchmarkDriftAdaptivity(b *testing.B) {

@@ -13,7 +13,9 @@
 package memtis
 
 import (
+	"cmp"
 	"encoding/json"
+	"slices"
 	"sort"
 
 	"chrono/internal/mem"
@@ -83,7 +85,26 @@ type Policy struct {
 	// TransientSkips counts hot pages skipped in a kmigrated batch after
 	// repeated transient migration aborts (retried next cycle).
 	TransientSkips int64 //chrono:state TransientSkips
+
+	// Reused buffers, refilled every kmigrated cycle. byProc groups the
+	// resident pages by process; cold holds the current process's cold
+	// fast-tier pages in page order, collected once per pass, and
+	// byCount is its latest coldest-first copy.
+	cold    []coldPage                 //chrono:rebuilt per-pass demotion candidates
+	byCount []coldPage                 //chrono:rebuilt per-pass sort scratch
+	byProc  map[*vm.Process][]*vm.Page //chrono:rebuilt per-cycle grouping
 }
+
+// coldPage is a demotion candidate with the counter it was classified by.
+type coldPage struct {
+	count uint32
+	pg    *vm.Page
+}
+
+// coldestFirst orders candidates by counter. slices.SortFunc with it
+// permutes a list exactly as sort.Slice with the matching less does:
+// both are the stdlib's one generated pdqsort (see TestSortFuncMatchesSortSlice).
+func coldestFirst(a, b coldPage) int { return cmp.Compare(a.count, b.count) }
 
 // New returns a Memtis policy.
 func New(cfg Config) *Policy { return &Policy{cfg: cfg.withDefaults()} }
@@ -168,8 +189,17 @@ func (p *Policy) OnPageFreed(pg *vm.Page) { p.sampler.Clear(pg.ID) }
 
 // kmigrated is the background classification + migration cycle.
 func (p *Policy) kmigrated() {
-	// Group resident pages by process.
-	byProc := make(map[*vm.Process][]*vm.Page)
+	// Group resident pages by process, refilling last cycle's slices;
+	// a process left without pages is dropped, as a fresh map would
+	// not hold it.
+	if p.byProc == nil {
+		p.byProc = make(map[*vm.Process][]*vm.Page)
+	}
+	byProc := p.byProc
+	//chrono:ordered-irrelevant each slice is truncated on its own
+	for proc, pages := range byProc {
+		byProc[proc] = pages[:0]
+	}
 	var totalResident int64
 	for _, pg := range p.k.Pages() {
 		if pg == nil {
@@ -177,6 +207,12 @@ func (p *Policy) kmigrated() {
 		}
 		byProc[pg.Proc] = append(byProc[pg.Proc], pg)
 		totalResident += int64(pg.Size)
+	}
+	//chrono:ordered-irrelevant each entry is tested on its own
+	for proc, pages := range byProc {
+		if len(pages) == 0 {
+			delete(byProc, proc)
+		}
 	}
 	if totalResident == 0 {
 		return
@@ -218,11 +254,19 @@ func (p *Policy) kmigrated() {
 		share := fastCap * resident / totalResident
 		hotBin := hist.HotThresholdBin(share, func(b int) int64 { return binSize[b] })
 
-		// Promote hot slow-tier pages, hottest first.
+		// Promote hot slow-tier pages, hottest first, collecting the cold
+		// fast-tier pages they may displace in the same pass. Counters are
+		// fixed for the whole pass and only hot pages enter the fast tier,
+		// so demoteForSpace need only drop the candidates that left it.
 		var hotSlow []*vm.Page
+		p.cold, p.byCount = p.cold[:0], p.byCount[:0]
 		for _, pg := range pages {
-			if pg.Tier == mem.SlowTier && pebs.BinOf(p.sampler.Counter(pg.ID)) >= hotBin {
+			c := p.sampler.Counter(pg.ID)
+			switch {
+			case pg.Tier == mem.SlowTier && pebs.BinOf(c) >= hotBin:
 				hotSlow = append(hotSlow, pg)
+			case pg.Tier == mem.FastTier && pebs.BinOf(c) < hotBin:
+				p.cold = append(p.cold, coldPage{c, pg})
 			}
 		}
 		sort.Slice(hotSlow, func(i, j int) bool {
@@ -232,7 +276,7 @@ func (p *Policy) kmigrated() {
 			if budget < int(pg.Size) {
 				break
 			}
-			p.demoteForSpace(pages, hotBin, int64(pg.Size))
+			p.demoteForSpace(int64(pg.Size))
 			switch policy.RetryPromote(p.k, pg, 2) {
 			case policy.MigrateOK:
 				budget -= int(pg.Size)
@@ -249,30 +293,30 @@ func (p *Policy) kmigrated() {
 	}
 }
 
-// demoteForSpace demotes warm/cold fast-tier pages of the process when the
-// fast tier lacks headroom for an incoming promotion.
-func (p *Policy) demoteForSpace(pages []*vm.Page, hotBin int, need int64) {
+// demoteForSpace demotes cold fast-tier pages of the process, coldest
+// first, when the fast tier lacks headroom for an incoming promotion.
+func (p *Policy) demoteForSpace(need int64) {
 	node := p.k.Node()
 	if node.Free(mem.FastTier) >= node.Watermarks(mem.FastTier).High+need {
 		return
 	}
-	// Coldest first.
-	var fast []*vm.Page
-	for _, pg := range pages {
-		if pg.Tier == mem.FastTier && pebs.BinOf(p.sampler.Counter(pg.ID)) < hotBin {
-			fast = append(fast, pg)
-		}
+	// Drop the candidates that have left the fast tier, keeping page
+	// order: the rest is the cold fast-tier set a fresh scan would find.
+	p.cold = slices.DeleteFunc(p.cold, func(c coldPage) bool { return c.pg.Tier != mem.FastTier })
+	// Sort a copy, so pdqsort orders equal counters for exactly this
+	// list. If nothing was dropped since the last sort, byCount already
+	// holds that order.
+	if len(p.byCount) != len(p.cold) {
+		p.byCount = append(p.byCount[:0], p.cold...)
+		slices.SortFunc(p.byCount, coldestFirst)
 	}
-	sort.Slice(fast, func(i, j int) bool {
-		return p.sampler.Counter(fast[i].ID) < p.sampler.Counter(fast[j].ID)
-	})
 	var freed int64
-	for _, pg := range fast {
+	for _, c := range p.byCount {
 		if freed >= need {
 			return
 		}
-		if policy.RetryDemote(p.k, pg, 2) == policy.MigrateOK {
-			freed += int64(pg.Size)
+		if policy.RetryDemote(p.k, c.pg, 2) == policy.MigrateOK {
+			freed += int64(c.pg.Size)
 		}
 	}
 }

@@ -43,8 +43,6 @@ func TestBasePageInstability(t *testing.T) {
 	// The share of resident pages whose counter clears the stable-
 	// classification bar (count >= 8, bin#4 of Figure 2b) must be far
 	// larger under huge pages.
-	stableShare := func(w interface{}, pol *memtis.Policy, pages []*struct{}) float64 { return 0 }
-	_ = stableShare
 	share := func(e *engine.Engine, pol *memtis.Policy) float64 {
 		var stable, total float64
 		for _, pg := range e.Pages() {

@@ -2,12 +2,12 @@
 # bench_snapshot.sh — record the tier-1 hot-path benchmark baseline.
 #
 # Runs the tier-1 hot-path benchmarks (simclock event loop, engine
-# epoch, fault path, adversarial oscillation) COUNT times each with
-# -benchmem and writes every
-# sample into a dated JSON snapshot (BENCH_YYYY-MM.json) alongside the
-# toolchain/host metadata needed to interpret it later. The raw `go
-# test` output is benchstat-compatible; the JSON exists so a future
-# regression gate can diff medians without re-parsing bench text.
+# epoch, fault path, adversarial oscillation, Memtis kmigrated) COUNT
+# times each with -benchmem and writes every sample into a dated JSON
+# snapshot (BENCH_YYYY-MM.json) alongside the toolchain/host metadata
+# needed to interpret it later. The raw `go test` output is
+# benchstat-compatible; the JSON exists so a future regression gate can
+# diff medians without re-parsing bench text.
 #
 #   COUNT=10 BENCHTIME=1s scripts/bench_snapshot.sh
 #   OUT=/tmp/after.json scripts/bench_snapshot.sh   # compare runs
@@ -18,7 +18,7 @@ COUNT="${COUNT:-10}"
 BENCHTIME="${BENCHTIME:-1s}"
 STAMP="${STAMP:-$(date +%Y-%m)}"
 OUT="${OUT:-BENCH_${STAMP}.json}"
-BENCHES='BenchmarkSimclockEvents|BenchmarkEngineEpoch|BenchmarkEngineEpochShards8|BenchmarkEngineEpochHighFidelity|BenchmarkFaultPath|BenchmarkAdversarialOscillation'
+BENCHES='BenchmarkSimclockEvents|BenchmarkEngineEpoch|BenchmarkEngineEpochShards8|BenchmarkEngineEpochHighFidelity|BenchmarkFaultPath|BenchmarkAdversarialOscillation|BenchmarkMemtisKmigrated'
 
 raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT

@@ -1,38 +1,55 @@
 #!/usr/bin/env bash
 # results_drift.sh — the results-drift guard.
 #
-# The committed results/quick_fig2a.txt is a quick-mode reproduction of
-# one small table at the default seed. CI regenerates it and requires a
-# byte-for-byte match: any change to the engine, a policy, the RNG
-# discipline, or the table renderer that moves a published number must
-# show up as a reviewable diff to a committed artifact, never as silent
-# drift.
+# The committed results/quick_*.txt files are quick-mode reproductions
+# of small tables at the default seed:
+#   - quick_fig2a.txt: Figure 2a, every standard policy;
+#   - quick_ext_drift.txt: the all-systems extension and the drifting
+#     hotspot, whose Memtis rows move if Memtis' demotion order changes,
+#     down to the order of pages with equal counters.
+# CI regenerates them and requires a byte-for-byte match: any change to
+# the engine, a policy, the RNG discipline, or the table renderer that
+# moves a published number must show up as a reviewable diff to a
+# committed artifact, never as silent drift.
 #
-# After an *intentional* change to the numbers, re-record with:
+# After an *intentional* change to the numbers, re-record both with:
 #
 #   WRITE=1 bash scripts/results_drift.sh
 #
-# and commit the updated file alongside the change that moved it.
+# and commit the updated files alongside the change that moved them.
 set -u
 
-GOLDEN="results/quick_fig2a.txt"
-GEN=(go run ./cmd/reproduce -quick -experiment fig2a -seed 42)
+GOLDENS=(results/quick_fig2a.txt results/quick_ext_drift.txt)
+
+# gen <golden> — regenerate one golden's table on stdout.
+gen() {
+    case "$1" in
+    results/quick_fig2a.txt) go run ./cmd/reproduce -quick -experiment fig2a -seed 42 ;;
+    results/quick_ext_drift.txt) go run ./cmd/reproduce -quick -experiment ext,drift -seed 42 ;;
+    esac
+}
 
 if [ "${WRITE:-0}" = "1" ]; then
-    "${GEN[@]}" >"$GOLDEN" || exit 1
-    echo "results-drift: re-recorded $GOLDEN"
+    for golden in "${GOLDENS[@]}"; do
+        gen "$golden" >"$golden" || exit 1
+        echo "results-drift: re-recorded $golden"
+    done
     exit 0
 fi
 
-[ -f "$GOLDEN" ] || { echo "results-drift: missing $GOLDEN (run WRITE=1 $0)" >&2; exit 1; }
-
 cur="$(mktemp)"
 trap 'rm -f "$cur"' EXIT
-"${GEN[@]}" >"$cur" || { echo "results-drift: reproduction failed" >&2; exit 1; }
-
-if ! diff -u "$GOLDEN" "$cur"; then
-    echo "results-drift: FAIL — regenerated table differs from committed $GOLDEN" >&2
+fail=0
+for golden in "${GOLDENS[@]}"; do
+    [ -f "$golden" ] || { echo "results-drift: missing $golden (run WRITE=1 $0)" >&2; exit 1; }
+    gen "$golden" >"$cur" || { echo "results-drift: reproduction of $golden failed" >&2; exit 1; }
+    if ! diff -u "$golden" "$cur"; then
+        echo "results-drift: FAIL — regenerated table differs from committed $golden" >&2
+        fail=1
+    fi
+done
+if [ "$fail" = 1 ]; then
     echo "results-drift: if the change is intentional, WRITE=1 bash $0 and commit" >&2
     exit 1
 fi
-echo "results-drift: PASS — $GOLDEN matches a fresh quick-mode reproduction"
+echo "results-drift: PASS — ${GOLDENS[*]} match fresh quick-mode reproductions"
