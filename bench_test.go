@@ -421,7 +421,7 @@ func BenchmarkSimclockEvents(b *testing.B) {
 	c := simclock.New()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.At(c.Now()+simclock.Duration(i&1023), func(simclock.Time) {})
+		c.AtKey(c.Now()+simclock.Duration(i&1023), "bench/event", 0, 0, func(simclock.Time) {})
 		if i&1023 == 1023 {
 			c.Run()
 		}
@@ -484,7 +484,7 @@ func BenchmarkFaultPath(b *testing.B) {
 	// real event dispatch: protect, gap draw, schedule, fire.
 	const tickNS = 10 * simclock.Microsecond
 	done := 0
-	e.Clock().Every(tickNS, func(now simclock.Time) {
+	e.Clock().EveryKey("bench/protect", tickNS, func(now simclock.Time) {
 		pg := slow[done%len(slow)]
 		if pg.Flags.Has(vm.FlagProtNone) {
 			e.Unprotect(pg)

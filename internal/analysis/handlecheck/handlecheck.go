@@ -10,7 +10,7 @@
 //   - use-after-Cancel: clock.Cancel(h) followed by a read of h other than
 //     re-Cancel, h.Cancelled(), or reassignment. Passing the stale handle
 //     anywhere else acts on whatever event recycled the slot.
-//   - lost reschedule: h = clock.At(...) while h (by this analysis) still
+//   - lost reschedule: h = clock.AtKey(...) while h (by this analysis) still
 //     holds a live handle from an earlier schedule. The first event keeps
 //     firing but can no longer be cancelled — the engine's idiom is
 //     Cancel-then-reassign (see Engine.Protect).

@@ -14,7 +14,7 @@ func noop(now simclock.Time) {}
 
 // badUseAfterCancel hands a cancelled handle to another owner.
 func badUseAfterCancel(c *simclock.Clock) {
-	h := c.At(10, noop)
+	h := c.AtKey(10, "k", 0, 0, noop)
 	c.Cancel(h)
 	consume(h) // want `h is used after Cancel`
 }
@@ -28,20 +28,20 @@ func badFieldUseAfterCancel(c *simclock.Clock, hd *holder) {
 // badReschedule overwrites a live handle: the first event keeps firing but
 // can no longer be cancelled.
 func badReschedule(c *simclock.Clock) simclock.Handle {
-	h := c.At(10, noop)
-	h = c.At(20, noop) // want `reschedules into h, which still holds a live handle`
+	h := c.AtKey(10, "k", 0, 0, noop)
+	h = c.AtKey(20, "k", 0, 0, noop) // want `reschedules into h, which still holds a live handle`
 	return h
 }
 
 // goodCancelThenReassign is the engine idiom (see Engine.Protect).
 func goodCancelThenReassign(c *simclock.Clock, hd *holder) {
 	c.Cancel(hd.h)
-	hd.h = c.At(30, noop)
+	hd.h = c.AtKey(30, "k", 0, 0, noop)
 }
 
 // goodCancelledQuery may inspect a stale handle.
 func goodCancelledQuery(c *simclock.Clock) bool {
-	h := c.At(10, noop)
+	h := c.AtKey(10, "k", 0, 0, noop)
 	c.Cancel(h)
 	return h.Cancelled()
 }
@@ -49,7 +49,7 @@ func goodCancelledQuery(c *simclock.Clock) bool {
 // goodDoubleCancel is explicitly harmless: cancelling a stale handle is a
 // no-op.
 func goodDoubleCancel(c *simclock.Clock) {
-	h := c.At(10, noop)
+	h := c.AtKey(10, "k", 0, 0, noop)
 	c.Cancel(h)
 	c.Cancel(h)
 }
@@ -57,7 +57,7 @@ func goodDoubleCancel(c *simclock.Clock) {
 // goodBranchReset stays silent when the cancel happened under a condition:
 // the handle's state is unknown afterwards.
 func goodBranchReset(c *simclock.Clock, cond bool) {
-	h := c.At(10, noop)
+	h := c.AtKey(10, "k", 0, 0, noop)
 	if cond {
 		c.Cancel(h)
 	}
@@ -67,13 +67,13 @@ func goodBranchReset(c *simclock.Clock, cond bool) {
 // goodTicker uses the no-argument Ticker.Cancel, which retires the
 // ticker's own handle internally.
 func goodTicker(c *simclock.Clock) {
-	t := c.Every(5, noop)
+	t := c.EveryKey("t", 5, noop)
 	t.Cancel()
 }
 
 // goodAllow documents a deliberate stale-handle use.
 func goodAllow(c *simclock.Clock) {
-	h := c.At(10, noop)
+	h := c.AtKey(10, "k", 0, 0, noop)
 	c.Cancel(h)
 	//chrono:allow handlecheck fixture: handle is only logged, never acted on
 	consume(h)

@@ -25,7 +25,7 @@ const Magic = "chrono-checkpoint"
 // incompatible payload change; Load rejects mismatches with ErrVersion so
 // a resumed run falls back to re-execution instead of misinterpreting old
 // state.
-const Version = 1
+const Version = 2
 
 // Sentinel errors, matched with errors.Is.
 var (

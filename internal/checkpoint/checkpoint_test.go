@@ -2,6 +2,7 @@ package checkpoint
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -95,7 +96,7 @@ func TestLoadRejectsFutureVersion(t *testing.T) {
 		t.Fatal(err)
 	}
 	data, _ := os.ReadFile(path)
-	bumped := strings.Replace(string(data), `"version":1`, `"version":999`, 1)
+	bumped := strings.Replace(string(data), fmt.Sprintf(`"version":%d`, Version), `"version":999`, 1)
 	if bumped == string(data) {
 		t.Fatal("version field not found")
 	}

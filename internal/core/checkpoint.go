@@ -85,7 +85,7 @@ type checkpointState struct {
 	Scan scan.SetState `json:"scan"`
 }
 
-// CheckpointState implements policy.Checkpointable.
+// CheckpointState implements policy.Policy.
 func (c *Chrono) CheckpointState() (any, error) {
 	st := checkpointState{
 		ThresholdMS:     c.thresholdMS,
@@ -141,7 +141,7 @@ func (c *Chrono) CheckpointState() (any, error) {
 	return st, nil
 }
 
-// RestoreCheckpoint implements policy.Checkpointable: overlay a captured
+// RestoreCheckpoint implements policy.Policy: overlay a captured
 // state onto a freshly Attached Chrono built with the same Options.
 func (c *Chrono) RestoreCheckpoint(data []byte) error {
 	var st checkpointState

@@ -245,59 +245,38 @@ func TestCancelQueuedAndRunning(t *testing.T) {
 }
 
 // Pause parks a run mid-flight; resume continues it from its snapshot
-// to a final table byte-identical to an uninterrupted run.
+// to a final table byte-identical to an uninterrupted run, under every
+// policy (Linux-NB's state is its scan-walker positions).
 func TestPauseResumeByteIdentical(t *testing.T) {
-	setBuildHook(t, pace(300*time.Microsecond))
-	d := newTestDaemon(t, t.TempDir(), `{"stall_timeout_s": -1}`)
+	for _, pol := range []string{"TPP", "Linux-NB"} {
+		t.Run(pol, func(t *testing.T) {
+			setBuildHook(t, pace(300*time.Microsecond))
+			d := newTestDaemon(t, t.TempDir(), `{"stall_timeout_s": -1}`)
+			spec := testSpec()
+			spec.Policy = pol
 
-	ref := d.Submit(testSpec())
-	waitState(t, d, ref.ID, StateDone)
-	refTable := d.Status(ref.ID).Table
+			ref := d.Submit(spec)
+			waitState(t, d, ref.ID, StateDone)
+			refTable := d.Status(ref.ID).Table
 
-	sub := d.Submit(testSpec())
-	waitRunningWithProgress(t, d, sub.ID)
-	if resp := d.Pause(sub.ID); !resp.OK {
-		t.Fatalf("pause: %s", resp.Error)
-	}
-	info := waitState(t, d, sub.ID, StatePaused)
-	if info.SimNowS <= 0 || info.SimNowS >= testSpec().DurationS {
-		t.Fatalf("paused at %.3fs, want strictly mid-run", info.SimNowS)
-	}
-	if resp := d.Resume(sub.ID); !resp.OK {
-		t.Fatalf("resume: %s", resp.Error)
-	}
-	waitState(t, d, sub.ID, StateDone)
-	gotTable := d.Status(sub.ID).Table
-	if gotTable == "" || gotTable != refTable {
-		t.Fatalf("paused+resumed table differs from uninterrupted run:\n--- ref\n%s\n--- got\n%s", refTable, gotTable)
-	}
-}
-
-// Linux-NB has no policy.Checkpointable state, so its engine cannot be
-// snapshotted: a pause is refused with "cannot pause" and the run goes
-// on to the same table as an unpaused run.
-func TestPauseNotCheckpointableRefused(t *testing.T) {
-	setBuildHook(t, pace(time.Millisecond))
-	d := newTestDaemon(t, t.TempDir(), `{"stall_timeout_s": -1}`)
-	spec := testSpec()
-	spec.Policy = "Linux-NB"
-
-	ref := d.Submit(spec)
-	waitState(t, d, ref.ID, StateDone)
-	refTable := d.Status(ref.ID).Table
-
-	sub := d.Submit(spec)
-	waitRunningWithProgress(t, d, sub.ID)
-	resp := d.Pause(sub.ID)
-	if resp.OK {
-		t.Fatal("pause of a non-checkpointable run must be refused")
-	}
-	if !strings.Contains(resp.Error, "cannot pause") {
-		t.Fatalf("refusal should say the run cannot pause, got %q", resp.Error)
-	}
-	waitState(t, d, sub.ID, StateDone)
-	if got := d.Status(sub.ID).Table; got == "" || got != refTable {
-		t.Fatalf("refused-pause table differs from unpaused run:\n--- ref\n%s\n--- got\n%s", refTable, got)
+			sub := d.Submit(spec)
+			waitRunningWithProgress(t, d, sub.ID)
+			if resp := d.Pause(sub.ID); !resp.OK {
+				t.Fatalf("pause: %s", resp.Error)
+			}
+			info := waitState(t, d, sub.ID, StatePaused)
+			if info.SimNowS <= 0 || info.SimNowS >= spec.DurationS {
+				t.Fatalf("paused at %.3fs, want strictly mid-run", info.SimNowS)
+			}
+			if resp := d.Resume(sub.ID); !resp.OK {
+				t.Fatalf("resume: %s", resp.Error)
+			}
+			waitState(t, d, sub.ID, StateDone)
+			gotTable := d.Status(sub.ID).Table
+			if gotTable == "" || gotTable != refTable {
+				t.Fatalf("paused+resumed table differs from uninterrupted run:\n--- ref\n%s\n--- got\n%s", refTable, gotTable)
+			}
+		})
 	}
 }
 

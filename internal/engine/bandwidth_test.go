@@ -117,7 +117,7 @@ func TestMigrationTrafficContends(t *testing.T) {
 	e.Run(5 * simclock.Second)
 	before := e.SlowUtilization()
 	// Churn pages back and forth for a while.
-	tk := e.Clock().Every(250*simclock.Millisecond, func(now simclock.Time) {
+	tk := e.Clock().EveryKey("test/churn", 250*simclock.Millisecond, func(now simclock.Time) {
 		moved := 0
 		for _, pg := range e.Pages() {
 			if moved >= 20 {
@@ -157,7 +157,7 @@ func TestKernelTimePenalizesThroughput(t *testing.T) {
 		e.MapAll(BasePages)
 		e.AttachPolicy(&recordingPolicy{})
 		if burnNS > 0 {
-			e.Clock().Every(250*simclock.Millisecond, func(simclock.Time) {
+			e.Clock().EveryKey("test/burn", 250*simclock.Millisecond, func(simclock.Time) {
 				e.ChargeKernel(burnNS)
 			})
 		}
@@ -180,7 +180,7 @@ func TestFaultOverheadFeedsBack(t *testing.T) {
 		e.MapAll(BasePages)
 		e.AttachPolicy(&recordingPolicy{})
 		if protectAll {
-			e.Clock().Every(simclock.Second, func(simclock.Time) {
+			e.Clock().EveryKey("test/protect", simclock.Second, func(simclock.Time) {
 				for _, pg := range e.Pages() {
 					e.Protect(pg)
 				}

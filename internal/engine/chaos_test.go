@@ -22,10 +22,14 @@ type chaosPolicy struct {
 
 func (c *chaosPolicy) Name() string { return "chaos" }
 
+// The chaos fuzzer is never checkpointed: its own stream r is not state.
+func (c *chaosPolicy) CheckpointState() (any, error)  { return nil, nil }
+func (c *chaosPolicy) RestoreCheckpoint([]byte) error { return nil }
+
 func (c *chaosPolicy) Attach(k policy.Kernel) {
 	c.k = k
 	c.r = rng.New(1234)
-	k.Clock().Every(100*simclock.Millisecond, func(now simclock.Time) {
+	k.Clock().EveryKey("chaos/ops", 100*simclock.Millisecond, func(now simclock.Time) {
 		pages := k.Pages()
 		for i := 0; i < 64; i++ {
 			pg := pages[c.r.Intn(len(pages))]

@@ -12,10 +12,12 @@ package engine
 // dynamic state on top of that structure. Static structure (VMAs, access
 // patterns, thread counts, sysctl registrations, closures) is therefore
 // rebuilt by code, not serialized; anything a run mutates is serialized.
-// Workload pattern drift schedules unkeyed tickers, which makes
-// Clock.Snapshot fail — so a snapshot that succeeds implies the fresh
-// Build's patterns still match, and sweeps fall back to replaying the
-// cell from scratch otherwise (graceful degradation, never corruption).
+// Every clock event is keyed and every policy carries checkpoint state,
+// so any run can be snapshotted. The one piece of workload state a run
+// mutates is the access pattern of dynamic workloads (drift, rounds,
+// trace phases, adversarial scenarios); those register the process with
+// EnablePatternRestore and the snapshot carries its pattern verbatim.
+// Static workloads do not register, so their snapshots stay small.
 
 import (
 	"encoding/json"
@@ -25,7 +27,6 @@ import (
 	"chrono/internal/faultinject"
 	"chrono/internal/lru"
 	"chrono/internal/mem"
-	"chrono/internal/policy"
 	"chrono/internal/rng"
 	"chrono/internal/simclock"
 	"chrono/internal/stats"
@@ -97,6 +98,16 @@ type PendingProtRecord struct {
 	DelayNS simclock.Duration `json:"delay_ns"`
 }
 
+// PatternRecord is the access pattern of one process registered with
+// EnablePatternRestore, verbatim: per-base-page weights and read
+// fractions in pattern-index order, and the cached weight sum.
+type PatternRecord struct {
+	PID         int       `json:"pid"`
+	W           []float64 `json:"w"`
+	RF          []float64 `json:"rf"`
+	TotalWeight float64   `json:"total_weight"`
+}
+
 // MetricsState is the serializable form of Metrics (histograms as sparse
 // bucket states).
 type MetricsState struct {
@@ -155,6 +166,9 @@ type EngineState struct {
 	Node  mem.NodeState  `json:"node"`
 	Pages PageTableState `json:"pages"`
 	Procs []ProcRecord   `json:"procs"`
+	// Patterns holds the processes registered with EnablePatternRestore,
+	// in registration order.
+	Patterns []PatternRecord `json:"patterns,omitempty"`
 
 	KLRU [mem.NumTiers]lru.TwoListState `json:"k_lru"`
 
@@ -197,25 +211,18 @@ type EngineState struct {
 	Metrics MetricsState `json:"metrics"`
 
 	// PolicyName guards against restoring into a different policy; Policy
-	// is the attached policy's own Checkpointable state.
+	// is the attached policy's own checkpoint state.
 	PolicyName string          `json:"policy_name"`
 	Policy     json.RawMessage `json:"policy,omitempty"`
 }
 
-// Snapshot captures the engine's complete dynamic state. It fails — and
-// the caller must fall back to replaying from scratch — when the event
-// queue holds events the checkpoint subsystem cannot rebind (unkeyed
-// tickers such as workload drift or harness hooks), or when the attached
-// policy does not implement policy.Checkpointable.
+// Snapshot captures the engine's complete dynamic state. It fails only
+// when the attached policy cannot capture or marshal its own state.
 //
 //chrono:merge gathers every shard's fault state into one canonical list
 func (e *Engine) Snapshot() (*EngineState, error) {
-	clk, err := e.clock.Snapshot()
-	if err != nil {
-		return nil, err
-	}
 	st := &EngineState{
-		Clock:     clk,
+		Clock:     e.clock.Snapshot(),
 		RMaster:   e.rMaster.State(),
 		RFault:    e.rFault.State(),
 		RPolicy:   e.rPolicy.State(),
@@ -305,12 +312,17 @@ func (e *Engine) Snapshot() (*EngineState, error) {
 			ResidentSwap:    ps.residentSwap,
 		})
 	}
+	for _, p := range e.patternRestore {
+		w, rf := p.Pattern()
+		st.Patterns = append(st.Patterns, PatternRecord{
+			PID:         p.PID,
+			W:           append([]float64(nil), w...),
+			RF:          append([]float64(nil), rf...),
+			TotalWeight: p.TotalWeight,
+		})
+	}
 	if e.pol != nil {
-		cp, ok := e.pol.(policy.Checkpointable)
-		if !ok {
-			return nil, fmt.Errorf("engine: policy %s does not support checkpointing", e.pol.Name())
-		}
-		pst, err := cp.CheckpointState()
+		pst, err := e.pol.CheckpointState()
 		if err != nil {
 			return nil, fmt.Errorf("engine: snapshot policy %s: %w", e.pol.Name(), err)
 		}
@@ -446,7 +458,7 @@ func (e *Engine) restore(st *EngineState, swap bool) (dropped int, err error) {
 	if err := e.restoreProcs(st.Procs); err != nil {
 		return 0, err
 	}
-	if err := e.restorePattern(); err != nil {
+	if err := e.restorePatterns(st.Patterns); err != nil {
 		return 0, err
 	}
 	// Scatter the flat pending-fault state back into shard ownership. The
@@ -531,7 +543,7 @@ func (e *Engine) restore(st *EngineState, swap bool) (dropped int, err error) {
 	// discarded: the new policy keeps the state its Attach just built, as
 	// if it had been handed a running system.
 	if !swap && e.pol != nil {
-		if err := e.pol.(policy.Checkpointable).RestoreCheckpoint(st.Policy); err != nil {
+		if err := e.pol.RestoreCheckpoint(st.Policy); err != nil {
 			return 0, fmt.Errorf("engine: restore policy %s: %w", st.PolicyName, err)
 		}
 	}
@@ -671,35 +683,24 @@ func (e *Engine) restorePages(st *PageTableState) error {
 	return nil
 }
 
-// restorePattern writes the restored per-page weights back into the
-// pattern arrays of processes whose workload registered for pattern
-// restore (EnablePatternRestore: dynamic scenarios whose pattern is a
-// pure function of the clock). A fresh Build leaves the pattern at its
-// t=0 phase; the overlaid pageW/pageRF columns carry the snapshot-time
-// phase, so writing them back makes the resumed workload's next tick see
-// exactly the state the live run had. Only base pages are supported —
-// huge-page workloads must not register.
-func (e *Engine) restorePattern() error {
-	for _, p := range e.patternRestore {
-		n := p.PatternLen()
-		for i := 0; i < n; i++ {
-			pg := p.PageAtIndex(i)
-			if pg == nil {
-				continue
-			}
-			if pg.Size != 1 {
-				return fmt.Errorf("engine: restore: pattern restore on huge page (pid %d, vpn %#x)", p.PID, pg.VPN)
-			}
-			if e.pageW[pg.ID] <= 0 {
-				// A zero engine weight is indistinguishable from "never
-				// set" (PageWeight reports weight 0, readFrac 1); scenarios
-				// registering for restore keep every weight positive.
-				return fmt.Errorf("engine: restore: pattern restore with zero weight (pid %d, vpn %#x)", p.PID, pg.VPN)
-			}
-			p.SetPattern(pg.VPN, e.pageW[pg.ID], e.pageRF[pg.ID])
+// restorePatterns overwrites the pattern of every process registered
+// with EnablePatternRestore with its recorded pattern. A fresh Build
+// leaves the pattern at its t=0 phase; the snapshot holds the phase the
+// live run had reached, so the resumed workload's next tick starts from
+// exactly the state the live run had.
+func (e *Engine) restorePatterns(recs []PatternRecord) error {
+	if len(recs) != len(e.patternRestore) {
+		return fmt.Errorf("engine: restore: checkpoint has %d workload patterns, build registered %d",
+			len(recs), len(e.patternRestore))
+	}
+	for i, p := range e.patternRestore {
+		rec := recs[i]
+		if rec.PID != p.PID {
+			return fmt.Errorf("engine: restore: workload pattern %d is pid %d in checkpoint, pid %d in build", i, rec.PID, p.PID)
 		}
-		p.ClearDirty()
-		p.RecomputeTotalWeight()
+		if err := p.RestorePattern(rec.W, rec.RF, rec.TotalWeight); err != nil {
+			return fmt.Errorf("engine: restore: %w", err)
+		}
 	}
 	return nil
 }

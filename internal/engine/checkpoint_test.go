@@ -16,8 +16,13 @@ import (
 	"chrono/internal/core"
 	"chrono/internal/faultinject"
 	"chrono/internal/policy"
+	"chrono/internal/policy/autotiering"
 	"chrono/internal/policy/flexmem"
+	"chrono/internal/policy/hemem"
+	"chrono/internal/policy/linuxnb"
 	"chrono/internal/policy/memtis"
+	"chrono/internal/policy/multiclock"
+	"chrono/internal/policy/telescope"
 	"chrono/internal/policy/tpp"
 	"chrono/internal/simclock"
 	"chrono/internal/vm"
@@ -74,13 +79,11 @@ func finalState(t *testing.T, e *Engine) []byte {
 			ResidentSwap: ps.residentSwap,
 		})
 	}
-	if cp, ok := e.pol.(policy.Checkpointable); ok {
-		pst, err := cp.CheckpointState()
-		if err != nil {
-			t.Fatalf("final policy state: %v", err)
-		}
-		st.Policy = pst
+	pst, err := e.pol.CheckpointState()
+	if err != nil {
+		t.Fatalf("final policy state: %v", err)
 	}
+	st.Policy = pst
 	raw, err := json.Marshal(st)
 	if err != nil {
 		t.Fatal(err)
@@ -88,9 +91,27 @@ func finalState(t *testing.T, e *Engine) []byte {
 	return raw
 }
 
+// fencePolicies is every policy the fence covers: the nine evaluated
+// systems plus Nomad, and the guard-wrapped variants of the adversarial
+// sweep.
+var fencePolicies = []string{
+	"Linux-NB", "AutoTiering", "Multi-Clock", "TPP", "Memtis", "HeMem", "FlexMem", "Telescope", "Chrono",
+	"Nomad", "TPP+guard", "Memtis+guard", "FlexMem+guard", "Chrono+guard",
+}
+
 func newFencePolicy(t *testing.T, name string) (policy.Policy, PageSizeMode) {
 	t.Helper()
 	switch name {
+	case "Linux-NB":
+		return linuxnb.New(linuxnb.Config{}), BasePages
+	case "AutoTiering":
+		return autotiering.New(autotiering.Config{}), BasePages
+	case "Multi-Clock":
+		return multiclock.New(multiclock.Config{}), BasePages
+	case "HeMem":
+		return hemem.New(hemem.Config{}), HugePages
+	case "Telescope":
+		return telescope.New(telescope.Config{}), BasePages
 	case "TPP":
 		return tpp.New(tpp.Config{}), BasePages
 	case "Memtis":
@@ -103,12 +124,16 @@ func newFencePolicy(t *testing.T, name string) (policy.Policy, PageSizeMode) {
 	case "Nomad":
 		return policy.NewNomad(policy.NomadConfig{}), BasePages
 	case "TPP+guard":
-		// The guard wrapper must keep the inner policy's durability class:
-		// guardedCkpt serializes the detector columns alongside TPP's state.
+		// The guard wrapper serializes its detector columns alongside the
+		// inner policy's state.
 		return policy.WithThrashGuard(tpp.New(tpp.Config{}), policy.ThrashConfig{}), BasePages
 	case "Memtis+guard":
 		// Guarded huge-page inner: SplitHuge reconciliation under the wrapper.
 		return policy.WithThrashGuard(memtis.New(memtis.Config{}), policy.ThrashConfig{}), HugePages
+	case "FlexMem+guard":
+		return policy.WithThrashGuard(flexmem.New(flexmem.Config{}), policy.ThrashConfig{}), HugePages
+	case "Chrono+guard":
+		return policy.WithThrashGuard(core.New(core.Options{}), policy.ThrashConfig{}), BasePages
 	}
 	t.Fatalf("unknown fence policy %s", name)
 	return nil, BasePages
@@ -123,7 +148,7 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 		"clean":  {},
 		"faulty": faultinject.Aggressive(),
 	}
-	for _, polName := range []string{"TPP", "Memtis", "FlexMem", "Chrono", "Nomad", "TPP+guard", "Memtis+guard"} {
+	for _, polName := range fencePolicies {
 		for planName, plan := range plans {
 			for _, shards := range []int{1, 8} {
 				t.Run(fmt.Sprintf("%s/%s/shards=%d", polName, planName, shards), func(t *testing.T) {
@@ -228,29 +253,6 @@ func itoa(i int) string {
 func jsonInt(i int) []byte {
 	b, _ := json.Marshal(i)
 	return b
-}
-
-// TestSnapshotFailsOnUnkeyedEvents: an engine with an anonymous harness
-// ticker (e.g. workload drift or RunScored's sampler) must refuse to
-// snapshot instead of producing a checkpoint that cannot resume.
-func TestSnapshotFailsOnUnkeyedEvents(t *testing.T) {
-	pol, mode := newFencePolicy(t, "TPP")
-	e := buildCkptEngine(t, pol, mode, faultinject.Plan{}, 1)
-	e.Clock().Every(simclock.Second, func(now simclock.Time) {})
-	var got error
-	e.Clock().SetAfterStep(func() {
-		if got == nil && e.Clock().Now() >= 2*simclock.Second {
-			_, err := e.Snapshot()
-			if err == nil {
-				t.Fatal("snapshot succeeded with an unkeyed ticker armed")
-			}
-			got = err
-		}
-	})
-	e.Run(5 * simclock.Second)
-	if got == nil {
-		t.Fatal("snapshot never attempted")
-	}
 }
 
 // TestRestoreRejectsMismatch: a checkpoint only restores into an engine

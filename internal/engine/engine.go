@@ -312,12 +312,11 @@ type Engine struct {
 	// stream; it advances only when transactional migration is used.
 	rShadow *rng.Source //chrono:state RShadow
 
-	// patternRestore lists processes whose workload opted into checkpoint
-	// pattern write-back (EnablePatternRestore): Restore copies the
-	// snapshot's per-page weight/read-fraction back into the process
-	// pattern arrays so dynamic (phase-changing) workloads resume
-	// bit-identically.
-	patternRestore []*vm.Process //chrono:rebuilt opt-in registrations, re-made by the workload's Build
+	// patternRestore lists processes whose workload rewrites their access
+	// pattern during the run (EnablePatternRestore). The snapshot carries
+	// their pattern arrays verbatim so dynamic (phase-changing) workloads
+	// resume bit-identically; the registrations are re-made by Build.
+	patternRestore []*vm.Process //chrono:state Patterns
 
 	pol policy.Policy //chrono:state PolicyName,Policy
 
@@ -873,14 +872,12 @@ func (e *Engine) ResidentFast(p *vm.Process) int64 { return e.byPID[p.PID].resid
 // ResidentSlow returns the resident slow-tier base pages of p.
 func (e *Engine) ResidentSlow(p *vm.Process) int64 { return e.byPID[p.PID].residentSlow }
 
-// EnablePatternRestore opts a process's access pattern into checkpoint
-// write-back: Restore copies the snapshot's per-page weight and read
-// fraction back into the process pattern arrays (see restorePattern).
-// Dynamic workloads that rewrite patterns at phase boundaries call this
-// from Build; the contract in exchange is base-page mapping and strictly
-// positive weights everywhere, so the write-back reconstructs the exact
-// pattern the snapshot saw and the resumed run's phase ticks observe the
-// same dirty sets an uninterrupted run would.
+// EnablePatternRestore registers a process whose workload rewrites its
+// access pattern during the run: every Snapshot carries the process's
+// pattern arrays verbatim and Restore writes them back (see
+// restorePatterns). Dynamic workloads call this from Build, in the same
+// order on every Build; static workloads do not, which keeps their
+// snapshots small.
 func (e *Engine) EnablePatternRestore(p *vm.Process) {
 	e.patternRestore = append(e.patternRestore, p)
 }

@@ -455,7 +455,7 @@ func TestSeedChangesResults(t *testing.T) {
 		e.MapAll(BasePages)
 		pol := &promoteOnFault{}
 		e.AttachPolicy(pol)
-		e.Clock().Every(simclock.Second, func(simclock.Time) {
+		e.Clock().EveryKey("test/protect", simclock.Second, func(simclock.Time) {
 			for _, pg := range e.Pages() {
 				if pg.Tier == mem.SlowTier {
 					e.Protect(pg)
@@ -482,7 +482,7 @@ func TestAccessedTestAndClear(t *testing.T) {
 	hot := p.PageAt(start)
 	cold := p.PageAt(start + 50)
 	// Advance virtual time before testing (bits were cleared at map).
-	e.Clock().At(e.Clock().Now()+simclock.Minute, func(simclock.Time) {})
+	e.Clock().AtKey(e.Clock().Now()+simclock.Minute, "test/advance", 0, 0, func(simclock.Time) {})
 	e.Clock().Run()
 	if !e.AccessedTestAndClear(hot) {
 		t.Fatal("hot page accessed bit clear")
@@ -551,8 +551,10 @@ type recordingPolicy struct {
 	onFault func(pg *vm.Page, now simclock.Time)
 }
 
-func (r *recordingPolicy) Name() string         { return "recorder" }
-func (r *recordingPolicy) Attach(policy.Kernel) {}
+func (r *recordingPolicy) Name() string                   { return "recorder" }
+func (r *recordingPolicy) Attach(policy.Kernel)           {}
+func (r *recordingPolicy) CheckpointState() (any, error)  { return nil, nil }
+func (r *recordingPolicy) RestoreCheckpoint([]byte) error { return nil }
 func (r *recordingPolicy) OnFault(pg *vm.Page, now simclock.Time) {
 	if r.onFault != nil {
 		r.onFault(pg, now)
@@ -565,8 +567,10 @@ type promoteOnFault struct {
 	k policy.Kernel
 }
 
-func (p *promoteOnFault) Name() string           { return "mru" }
-func (p *promoteOnFault) Attach(k policy.Kernel) { p.k = k }
+func (p *promoteOnFault) Name() string                   { return "mru" }
+func (p *promoteOnFault) Attach(k policy.Kernel)         { p.k = k }
+func (p *promoteOnFault) CheckpointState() (any, error)  { return nil, nil }
+func (p *promoteOnFault) RestoreCheckpoint([]byte) error { return nil }
 func (p *promoteOnFault) OnFault(pg *vm.Page, now simclock.Time) {
 	if pg.Tier == mem.SlowTier {
 		p.k.Promote(pg)

@@ -12,8 +12,7 @@ package experiments
 // .done record and continues interrupted cells from their .ckpt —
 // bit-identical to a run that was never interrupted (the fence in
 // engine/checkpoint_test.go and the kill-and-resume CI job both enforce
-// that). Which cells cannot be snapshotted, and what happens to them, is
-// stated in the internal/run package doc.
+// that). Every cell can be snapshotted, whatever its policy.
 
 import (
 	"crypto/sha256"

@@ -56,139 +56,97 @@ func metricsJSON(t *testing.T, res *Result) string {
 // TestDurableCellDrainResumesBitIdentical: a cell drained by a cancelled
 // context leaves a resume snapshot; rerunning with Resume continues it to
 // metrics byte-identical to an uninterrupted run, and a third invocation
-// short-circuits from the .done record without building an engine.
+// short-circuits from the .done record without building an engine. Every
+// policy's cell is checkpointable (Linux-NB's state is its scan-walker
+// positions).
 func TestDurableCellDrainResumesBitIdentical(t *testing.T) {
-	// Reference: the same cell, no checkpointing, never interrupted.
-	refOpts := durableOpts("")
-	refOpts.Checkpoint = nil
-	ref, failedRef, err := ResilientRun("durable/drain", "TPP", mkDurableWorkload, refOpts)
-	if err != nil || failedRef != nil {
-		t.Fatalf("reference run: err=%v failed=%v", err, failedRef)
-	}
-	want := metricsJSON(t, ref)
+	for _, pol := range []string{"TPP", "Linux-NB"} {
+		t.Run(pol, func(t *testing.T) {
+			// Reference: the same cell, no checkpointing, never interrupted.
+			refOpts := durableOpts("")
+			refOpts.Checkpoint = nil
+			ref, failedRef, err := ResilientRun("durable/drain", pol, mkDurableWorkload, refOpts)
+			if err != nil || failedRef != nil {
+				t.Fatalf("reference run: err=%v failed=%v", err, failedRef)
+			}
+			want := metricsJSON(t, ref)
 
-	// Drain: a pre-cancelled context stops the cell at the first event
-	// boundary, after writing a snapshot.
-	dir := t.TempDir()
-	o := durableOpts(dir)
-	cctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	o.Ctx = cctx
-	res, failed, err := ResilientRun("durable/drain", "TPP", mkDurableWorkload, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res != nil {
-		t.Fatal("drained cell returned a finished result")
-	}
-	if failed == nil || !failed.Interrupted {
-		t.Fatalf("drained cell not marked interrupted: %+v", failed)
-	}
-	if failed.Stalled {
-		t.Fatal("drained cell marked stalled")
-	}
-	if failed.ResumeCkpt == "" {
-		t.Fatal("drained cell has no resume pointer")
-	}
-	if _, serr := os.Stat(failed.ResumeCkpt); serr != nil {
-		t.Fatalf("resume pointer unusable: %v", serr)
-	}
-	if failed.Attempts != 1 {
-		t.Fatalf("interrupted cell was retried: attempts=%d", failed.Attempts)
-	}
+			// Drain: a pre-cancelled context stops the cell at the first event
+			// boundary, after writing a snapshot.
+			dir := t.TempDir()
+			o := durableOpts(dir)
+			cctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			o.Ctx = cctx
+			res, failed, err := ResilientRun("durable/drain", pol, mkDurableWorkload, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res != nil {
+				t.Fatal("drained cell returned a finished result")
+			}
+			if failed == nil || !failed.Interrupted {
+				t.Fatalf("drained cell not marked interrupted: %+v", failed)
+			}
+			if failed.Stalled {
+				t.Fatal("drained cell marked stalled")
+			}
+			if failed.ResumeCkpt == "" {
+				t.Fatal("drained cell has no resume pointer")
+			}
+			if _, serr := os.Stat(failed.ResumeCkpt); serr != nil {
+				t.Fatalf("resume pointer unusable: %v", serr)
+			}
+			if failed.Attempts != 1 {
+				t.Fatalf("interrupted cell was retried: attempts=%d", failed.Attempts)
+			}
+			// The snapshot restores onto a fresh build, so the resume below
+			// continues from it rather than replaying from scratch.
+			_, ck, stale, err := run.Open(failed.ResumeCkpt, nil, func(*cellCheckpoint) (*engine.Engine, error) {
+				e := newEngine(o.withDefaults())
+				if err := mkDurableWorkload().Build(e); err != nil {
+					return nil, err
+				}
+				p, err := NewPolicy(pol)
+				if err != nil {
+					return nil, err
+				}
+				e.AttachPolicy(p)
+				return e, nil
+			})
+			if err != nil || stale != nil || ck == nil {
+				t.Fatalf("drained snapshot does not restore: err=%v stale=%v", err, stale)
+			}
 
-	// Resume: continues from the snapshot and must finish bit-identical.
-	o.Ctx = nil
-	o.Checkpoint.Resume = true
-	res2, failed2, err := ResilientRun("durable/drain", "TPP", mkDurableWorkload, o)
-	if err != nil || failed2 != nil {
-		t.Fatalf("resumed run: err=%v failed=%v", err, failed2)
-	}
-	if res2.Engine == nil {
-		t.Fatal("resumed run skipped execution (unexpected .done hit)")
-	}
-	if got := metricsJSON(t, res2); got != want {
-		t.Fatal("resumed cell metrics diverge from the uninterrupted run")
-	}
+			// Resume: continues from the snapshot and must finish bit-identical.
+			o.Ctx = nil
+			o.Checkpoint.Resume = true
+			res2, failed2, err := ResilientRun("durable/drain", pol, mkDurableWorkload, o)
+			if err != nil || failed2 != nil {
+				t.Fatalf("resumed run: err=%v failed=%v", err, failed2)
+			}
+			if res2.Engine == nil {
+				t.Fatal("resumed run skipped execution (unexpected .done hit)")
+			}
+			if got := metricsJSON(t, res2); got != want {
+				t.Fatal("resumed cell metrics diverge from the uninterrupted run")
+			}
 
-	// Finished: the third invocation short-circuits from .done.
-	if _, serr := os.Stat(failed.ResumeCkpt); !os.IsNotExist(serr) {
-		t.Fatalf("finished cell kept its snapshot: %v", serr)
-	}
-	res3, failed3, err := ResilientRun("durable/drain", "TPP", mkDurableWorkload, o)
-	if err != nil || failed3 != nil {
-		t.Fatalf("short-circuit run: err=%v failed=%v", err, failed3)
-	}
-	if res3.Engine != nil {
-		t.Fatal("finished cell was re-executed instead of short-circuited")
-	}
-	if got := metricsJSON(t, res3); got != want {
-		t.Fatal("short-circuited cell metrics diverge from the recorded run")
-	}
-}
-
-// TestDurableCellNotCheckpointable: Linux-NB has no policy.Checkpointable
-// state, so every snapshot of its engine fails. A durable cell still
-// finishes with the metrics of a non-durable run and records .done but
-// never a .ckpt. Drained, it is Interrupted with no resume pointer, and a
-// resume replays it from scratch to the same metrics.
-func TestDurableCellNotCheckpointable(t *testing.T) {
-	const experiment, pol = "durable/nockpt", "Linux-NB"
-	refOpts := durableOpts("")
-	refOpts.Checkpoint = nil
-	ref, failedRef, err := ResilientRun(experiment, pol, mkDurableWorkload, refOpts)
-	if err != nil || failedRef != nil {
-		t.Fatalf("reference run: err=%v failed=%v", err, failedRef)
-	}
-	want := metricsJSON(t, ref)
-
-	// A nanosecond cadence attempts a periodic save at the first event;
-	// it fails and the driver stops trying.
-	dir := t.TempDir()
-	o := durableOpts(dir)
-	o.Checkpoint.Interval = time.Nanosecond
-	res, failed, err := ResilientRun(experiment, pol, mkDurableWorkload, o)
-	if err != nil || failed != nil {
-		t.Fatalf("durable run: err=%v failed=%v", err, failed)
-	}
-	if got := metricsJSON(t, res); got != want {
-		t.Fatal("durable cell metrics diverge from the non-durable run")
-	}
-	spec := specFor(experiment, pol, mkDurableWorkload(), o.withDefaults())
-	base := filepath.Join(dir, "cells", cellKey(spec))
-	if _, serr := os.Stat(base + ".done"); serr != nil {
-		t.Fatalf("finished cell has no .done record: %v", serr)
-	}
-	if _, serr := os.Stat(base + ".ckpt"); !os.IsNotExist(serr) {
-		t.Fatalf("a snapshot of a non-checkpointable cell exists: %v", serr)
-	}
-
-	o = durableOpts(t.TempDir())
-	cctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	o.Ctx = cctx
-	res, failed, err = ResilientRun(experiment, pol, mkDurableWorkload, o)
-	if err != nil || res != nil {
-		t.Fatalf("drained run: err=%v res=%v", err, res)
-	}
-	if failed == nil || !failed.Interrupted {
-		t.Fatalf("drained cell not marked interrupted: %+v", failed)
-	}
-	if failed.ResumeCkpt != "" {
-		t.Fatalf("drained non-checkpointable cell names a resume snapshot %q", failed.ResumeCkpt)
-	}
-
-	o.Ctx = nil
-	o.Checkpoint.Resume = true
-	res, failed, err = ResilientRun(experiment, pol, mkDurableWorkload, o)
-	if err != nil || failed != nil {
-		t.Fatalf("resumed run: err=%v failed=%v", err, failed)
-	}
-	if res.Engine == nil {
-		t.Fatal("resumed run skipped execution")
-	}
-	if got := metricsJSON(t, res); got != want {
-		t.Fatal("replayed cell metrics diverge from the non-durable run")
+			// Finished: the third invocation short-circuits from .done.
+			if _, serr := os.Stat(failed.ResumeCkpt); !os.IsNotExist(serr) {
+				t.Fatalf("finished cell kept its snapshot: %v", serr)
+			}
+			res3, failed3, err := ResilientRun("durable/drain", pol, mkDurableWorkload, o)
+			if err != nil || failed3 != nil {
+				t.Fatalf("short-circuit run: err=%v failed=%v", err, failed3)
+			}
+			if res3.Engine != nil {
+				t.Fatal("finished cell was re-executed instead of short-circuited")
+			}
+			if got := metricsJSON(t, res3); got != want {
+				t.Fatal("short-circuited cell metrics diverge from the recorded run")
+			}
+		})
 	}
 }
 

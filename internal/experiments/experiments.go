@@ -85,8 +85,8 @@ type RunOpts struct {
 	// durable.go). Nil disables all of it — the default, zero-cost path.
 	Checkpoint *CheckpointOpts
 	// Ctx, when non-nil, cancels the sweep cooperatively: cells that have
-	// not started are skipped, in-flight checkpointable cells drain to a
-	// resume snapshot, and everything else finishes its current run.
+	// not started are skipped, in-flight durable cells drain to a resume
+	// snapshot, and other cells finish their current run.
 	Ctx context.Context
 }
 
@@ -332,7 +332,7 @@ func RunScored(polName string, w workload.Workload, o RunOpts) (*Result, stats.C
 	}
 	e.AttachPolicy(pol)
 	var acc stats.Classification
-	e.Clock().Every(30*simclock.Second, func(now simclock.Time) {
+	e.Clock().EveryKey("experiments/scored-sample", 30*simclock.Second, func(now simclock.Time) {
 		s := classifySnapshot(e, w)
 		acc.TruePositive += s.TruePositive
 		acc.FalsePositive += s.FalsePositive

@@ -94,7 +94,7 @@ func RunDrift(policies []string, shiftEveryS float64, o RunOpts) ([]*DriftResult
 			}
 			e.AttachPolicy(p)
 			dr := &DriftResult{Policy: pol}
-			e.Clock().Every(10*simclock.Second, func(now simclock.Time) {
+			e.Clock().EveryKey("experiments/drift-sample", 10*simclock.Second, func(now simclock.Time) {
 				cls := classifySnapshot(e, w)
 				dr.FMARSeries.Append(now.Seconds(), cls.Recall())
 			})

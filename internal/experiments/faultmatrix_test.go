@@ -105,7 +105,7 @@ func (w *crashWorkload) Build(e *engine.Engine) error {
 	if err := w.Pmbench.Build(e); err != nil {
 		return err
 	}
-	e.Clock().After(w.at, func(simclock.Time) { panic("injected test crash") })
+	e.Clock().AtKey(e.Clock().Now()+w.at, "test/crash", 0, 0, func(simclock.Time) { panic("injected test crash") })
 	return nil
 }
 

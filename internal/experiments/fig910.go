@@ -69,7 +69,7 @@ func runWithSampler(pol string, w workload.Workload, o RunOpts,
 		return nil, err
 	}
 	e.AttachPolicy(p)
-	e.Clock().Every(10*simclock.Second, func(now simclock.Time) {
+	e.Clock().EveryKey("experiments/fig9-sample", 10*simclock.Second, func(now simclock.Time) {
 		sample(e, r, now)
 	})
 	e.Run(o.Duration)

@@ -5,6 +5,8 @@ package lru
 // serializes as its exact member sequence and restores by rebuilding that
 // sequence verbatim.
 
+import "fmt"
+
 // IDs returns the list's members from MRU (head) to LRU (tail).
 func (s *List) IDs() []int64 {
 	out := make([]int64, 0, s.size)
@@ -66,4 +68,47 @@ func (t *TwoList) SetState(st TwoListState) {
 	for _, id := range st.Inactive {
 		t.Inactive.PushBack(id)
 	}
+}
+
+// MultiClockState is the serializable member order of every CLOCK level,
+// lowest level first.
+type MultiClockState struct {
+	Levels [][]int64 `json:"levels"`
+}
+
+// State captures every level's member order.
+func (m *MultiClock) State() MultiClockState {
+	st := MultiClockState{Levels: make([][]int64, len(m.Levels))}
+	for i, l := range m.Levels {
+		st.Levels[i] = l.IDs()
+	}
+	return st
+}
+
+// SetState rebuilds every level to the captured order, replacing the
+// current content. The level count must match.
+func (m *MultiClock) SetState(st MultiClockState) error {
+	if len(st.Levels) != len(m.Levels) {
+		return fmt.Errorf("lru: restore: %d clock levels recorded, %d built", len(st.Levels), len(m.Levels))
+	}
+	for _, l := range m.Levels {
+		for l.head != nilIdx {
+			m.level[l.head] = -1
+			l.Remove(l.head)
+		}
+	}
+	for li, ids := range st.Levels {
+		for _, id := range ids {
+			if id < 0 {
+				return fmt.Errorf("lru: restore: clock level %d holds page %d", li, id)
+			}
+			m.Grow(int(id) + 1)
+			if m.level[id] != -1 {
+				return fmt.Errorf("lru: restore: page %d on two clock levels", id)
+			}
+			m.Levels[li].PushBack(id)
+			m.level[id] = int8(li)
+		}
+	}
+	return nil
 }

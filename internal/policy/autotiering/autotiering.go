@@ -15,6 +15,7 @@
 package autotiering
 
 import (
+	"encoding/json"
 	"math/bits"
 
 	"chrono/internal/mem"
@@ -63,10 +64,13 @@ func (c Config) withDefaults() Config {
 
 // Policy is the AutoTiering baseline. The page's LAP vector lives in the
 // low byte of pg.Meta.
+//
+//chrono:statesync checkpointState
 type Policy struct {
-	policy.Base
-	cfg Config
-	k   policy.Kernel
+	policy.Base               //chrono:rebuilt stateless method set
+	cfg         Config        //chrono:rebuilt configuration, finalized in New
+	k           policy.Kernel //chrono:rebuilt kernel handle, re-bound by Attach
+	scan        *scan.Set     //chrono:state Scan
 }
 
 // New returns an AutoTiering policy.
@@ -79,13 +83,34 @@ func (p *Policy) Name() string { return "AutoTiering" }
 func (p *Policy) Attach(k policy.Kernel) {
 	p.k = k
 	// The fault-driven scan poisons all pages like NUMA balancing.
-	scan.Start(k, p.cfg.Scan, func(pg *vm.Page, now simclock.Time) {
+	p.scan = scan.Start(k, p.cfg.Scan, func(pg *vm.Page, now simclock.Time) {
 		k.Protect(pg)
 	})
 	// LAP shift + background demotion pass.
-	k.Clock().Every(p.cfg.BackgroundPeriod, func(now simclock.Time) {
+	k.Clock().EveryKey("autotiering/background", p.cfg.BackgroundPeriod, func(now simclock.Time) {
 		p.background()
 	})
+}
+
+// checkpointState is AutoTiering's serializable dynamic state. The LAP
+// vectors live in pg.Meta, which the engine snapshot carries; only the
+// scan-walker positions are AutoTiering's own.
+type checkpointState struct {
+	Scan scan.SetState `json:"scan"`
+}
+
+// CheckpointState implements policy.Policy.
+func (p *Policy) CheckpointState() (any, error) {
+	return checkpointState{Scan: p.scan.State()}, nil
+}
+
+// RestoreCheckpoint implements policy.Policy.
+func (p *Policy) RestoreCheckpoint(data []byte) error {
+	var st checkpointState
+	if err := json.Unmarshal(data, &st); err != nil {
+		return err
+	}
+	return p.scan.SetState(st.Scan)
 }
 
 func lap(pg *vm.Page) uint64       { return pg.Meta & 0xff }

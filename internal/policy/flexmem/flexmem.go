@@ -149,7 +149,7 @@ type checkpointState struct {
 	Scan             scan.SetState     `json:"scan"`
 }
 
-// CheckpointState implements policy.Checkpointable.
+// CheckpointState implements policy.Policy.
 func (p *Policy) CheckpointState() (any, error) {
 	st := checkpointState{
 		Sampler:          p.sampler.State(),
@@ -170,7 +170,7 @@ func (p *Policy) CheckpointState() (any, error) {
 	return st, nil
 }
 
-// RestoreCheckpoint implements policy.Checkpointable.
+// RestoreCheckpoint implements policy.Policy.
 func (p *Policy) RestoreCheckpoint(data []byte) error {
 	var st checkpointState
 	if err := json.Unmarshal(data, &st); err != nil {

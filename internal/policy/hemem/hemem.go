@@ -14,6 +14,7 @@
 package hemem
 
 import (
+	"encoding/json"
 	"sort"
 
 	"chrono/internal/mem"
@@ -67,12 +68,14 @@ func (c Config) withDefaults() Config {
 }
 
 // Policy is the HeMem baseline.
+//
+//chrono:statesync checkpointState
 type Policy struct {
-	policy.Base
-	cfg     Config
-	k       policy.Kernel
-	sampler *pebs.Sampler
-	periods int
+	policy.Base               //chrono:rebuilt stateless method set
+	cfg         Config        //chrono:rebuilt configuration, finalized in Attach
+	k           policy.Kernel //chrono:rebuilt kernel handle, re-bound by Attach
+	sampler     *pebs.Sampler //chrono:state Sampler
+	periods     int           //chrono:state Periods
 }
 
 // New returns a HeMem policy.
@@ -101,16 +104,39 @@ func (p *Policy) Attach(k policy.Kernel) {
 	}
 	p.sampler = pebs.NewSampler(k.RNG(), p.cfg.SampleRate)
 	p.sampler.Grow(len(k.Pages()))
-	k.Clock().Every(p.cfg.SamplePeriod, func(now simclock.Time) {
+	k.Clock().EveryKey("hemem/sample", p.cfg.SamplePeriod, func(now simclock.Time) {
 		k.SamplePEBS(p.sampler, units.SecondsOf(p.cfg.SamplePeriod))
 		p.periods++
 		if p.periods%p.cfg.CoolingPeriods == 0 {
 			p.sampler.Cool()
 		}
 	})
-	k.Clock().Every(p.cfg.MigratePeriod, func(now simclock.Time) {
+	k.Clock().EveryKey("hemem/migrate", p.cfg.MigratePeriod, func(now simclock.Time) {
 		p.migrate()
 	})
+}
+
+// checkpointState is HeMem's serializable dynamic state: the PEBS
+// counters and the sample-period count that paces cooling.
+type checkpointState struct {
+	Sampler pebs.SamplerState `json:"sampler"`
+	Periods int               `json:"periods"`
+}
+
+// CheckpointState implements policy.Policy.
+func (p *Policy) CheckpointState() (any, error) {
+	return checkpointState{Sampler: p.sampler.State(), Periods: p.periods}, nil
+}
+
+// RestoreCheckpoint implements policy.Policy.
+func (p *Policy) RestoreCheckpoint(data []byte) error {
+	var st checkpointState
+	if err := json.Unmarshal(data, &st); err != nil {
+		return err
+	}
+	p.sampler.SetState(st.Sampler)
+	p.periods = st.Periods
+	return nil
 }
 
 // OnPageFreed implements policy.Policy.

@@ -12,6 +12,8 @@
 package linuxnb
 
 import (
+	"encoding/json"
+
 	"chrono/internal/mem"
 	"chrono/internal/policy"
 	"chrono/internal/policy/scan"
@@ -23,22 +25,22 @@ import (
 // numa_balancing_scan_*).
 type Config struct {
 	Scan scan.Config
-	// ScanFastTier controls whether fast-tier pages are also poisoned.
-	// Vanilla balancing scans everything; the fast-tier faults are pure
-	// overhead on a CPU-less slow node. Default true, as in vanilla.
-	ScanFastTier bool
 }
 
-// Policy is the Linux-NB baseline.
+// Policy is the Linux-NB baseline. Vanilla balancing poisons every page,
+// fast-tier ones included: their faults are pure overhead on a CPU-less
+// slow node.
+//
+//chrono:statesync checkpointState
 type Policy struct {
-	policy.Base
-	cfg          Config
-	scanFastTier bool
-	k            policy.Kernel
+	policy.Base               //chrono:rebuilt stateless method set
+	cfg         Config        //chrono:rebuilt configuration, provided at construction
+	k           policy.Kernel //chrono:rebuilt kernel handle, re-bound by Attach
+	scan        *scan.Set     //chrono:state Scan
 }
 
 // New returns a Linux-NB policy with the given config.
-func New(cfg Config) *Policy { return &Policy{cfg: cfg, scanFastTier: true} }
+func New(cfg Config) *Policy { return &Policy{cfg: cfg} }
 
 // Name implements policy.Policy.
 func (p *Policy) Name() string { return "Linux-NB" }
@@ -46,11 +48,29 @@ func (p *Policy) Name() string { return "Linux-NB" }
 // Attach implements policy.Policy: it starts the per-process scan clocks.
 func (p *Policy) Attach(k policy.Kernel) {
 	p.k = k
-	scan.Start(k, p.cfg.Scan, func(pg *vm.Page, now simclock.Time) {
-		if pg.Tier == mem.SlowTier || p.scanFastTier {
-			k.Protect(pg)
-		}
+	p.scan = scan.Start(k, p.cfg.Scan, func(pg *vm.Page, now simclock.Time) {
+		k.Protect(pg)
 	})
+}
+
+// checkpointState is Linux-NB's serializable dynamic state: the
+// scan-walker positions.
+type checkpointState struct {
+	Scan scan.SetState `json:"scan"`
+}
+
+// CheckpointState implements policy.Policy.
+func (p *Policy) CheckpointState() (any, error) {
+	return checkpointState{Scan: p.scan.State()}, nil
+}
+
+// RestoreCheckpoint implements policy.Policy.
+func (p *Policy) RestoreCheckpoint(data []byte) error {
+	var st checkpointState
+	if err := json.Unmarshal(data, &st); err != nil {
+		return err
+	}
+	return p.scan.SetState(st.Scan)
 }
 
 // OnFault implements policy.Policy: MRU promotion — any faulting slow-tier

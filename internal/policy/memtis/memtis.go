@@ -161,7 +161,7 @@ type checkpointState struct {
 	TransientSkips int64             `json:"transient_skips"`
 }
 
-// CheckpointState implements policy.Checkpointable.
+// CheckpointState implements policy.Policy.
 func (p *Policy) CheckpointState() (any, error) {
 	return checkpointState{
 		Sampler:        p.sampler.State(),
@@ -171,7 +171,7 @@ func (p *Policy) CheckpointState() (any, error) {
 	}, nil
 }
 
-// RestoreCheckpoint implements policy.Checkpointable.
+// RestoreCheckpoint implements policy.Policy.
 func (p *Policy) RestoreCheckpoint(data []byte) error {
 	var st checkpointState
 	if err := json.Unmarshal(data, &st); err != nil {

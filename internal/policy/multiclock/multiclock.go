@@ -13,6 +13,9 @@
 package multiclock
 
 import (
+	"encoding/json"
+	"fmt"
+
 	"chrono/internal/lru"
 	"chrono/internal/mem"
 	"chrono/internal/policy"
@@ -36,11 +39,13 @@ type Config struct {
 }
 
 // Policy is the Multi-Clock baseline.
+//
+//chrono:statesync checkpointState
 type Policy struct {
-	policy.Base
-	cfg    Config
-	k      policy.Kernel
-	clocks [mem.NumTiers]*lru.MultiClock
+	policy.Base                               //chrono:rebuilt stateless method set
+	cfg         Config                        //chrono:rebuilt configuration, finalized in Attach
+	k           policy.Kernel                 //chrono:rebuilt kernel handle, re-bound by Attach
+	clocks      [mem.NumTiers]*lru.MultiClock //chrono:state Clocks
 }
 
 // New returns a Multi-Clock policy.
@@ -82,7 +87,37 @@ func (p *Policy) Attach(k policy.Kernel) {
 			p.clocks[pg.Tier].Add(pg.ID, 0)
 		}
 	}
-	k.Clock().Every(p.cfg.ScanPeriod, func(now simclock.Time) { p.pass() })
+	k.Clock().EveryKey("multiclock/pass", p.cfg.ScanPeriod, func(now simclock.Time) { p.pass() })
+}
+
+// checkpointState is Multi-Clock's serializable dynamic state: each
+// tier's CLOCK level lists in member order. The accessed bits they are
+// driven by live in the engine's page table.
+type checkpointState struct {
+	Clocks [mem.NumTiers]lru.MultiClockState `json:"clocks"`
+}
+
+// CheckpointState implements policy.Policy.
+func (p *Policy) CheckpointState() (any, error) {
+	var st checkpointState
+	for t, c := range p.clocks {
+		st.Clocks[t] = c.State()
+	}
+	return st, nil
+}
+
+// RestoreCheckpoint implements policy.Policy.
+func (p *Policy) RestoreCheckpoint(data []byte) error {
+	var st checkpointState
+	if err := json.Unmarshal(data, &st); err != nil {
+		return err
+	}
+	for t, c := range p.clocks {
+		if err := c.SetState(st.Clocks[t]); err != nil {
+			return fmt.Errorf("multiclock: tier %d: %w", t, err)
+		}
+	}
+	return nil
 }
 
 // OnPageMapped implements policy.Policy.

@@ -157,12 +157,12 @@ type nomadState struct {
 	Cursor int64 `json:"cursor"`
 }
 
-// CheckpointState implements Checkpointable.
+// CheckpointState implements Policy.
 func (p *Nomad) CheckpointState() (any, error) {
 	return nomadState{Cursor: p.cursor}, nil
 }
 
-// RestoreCheckpoint implements Checkpointable.
+// RestoreCheckpoint implements Policy.
 func (p *Nomad) RestoreCheckpoint(data []byte) error {
 	var st nomadState
 	if err := json.Unmarshal(data, &st); err != nil {

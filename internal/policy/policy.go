@@ -10,6 +10,10 @@
 // and charging the kernel CPU time its bookkeeping would cost. The true
 // per-page access rates that drive the simulation are deliberately not
 // reachable through the Kernel interface.
+//
+// Every policy is checkpointable: its mutable state round-trips through
+// CheckpointState/RestoreCheckpoint and its clock events are keyed, so
+// any run can be snapshotted, resumed and live-reconfigured.
 package policy
 
 import (
@@ -163,8 +167,10 @@ type Policy interface {
 	// Name identifies the policy in reports ("Chrono", "TPP", ...).
 	Name() string
 	// Attach wires the policy to the kernel; the policy schedules its
-	// periodic work (scans, cooling, tuning) on k.Clock() here. Attach
-	// is called once, after processes are mapped.
+	// periodic work (scans, cooling, tuning) on k.Clock() here, under
+	// checkpoint keys unique to the policy. Attach is called once, after
+	// processes are mapped, and again on the fresh engine a checkpoint
+	// is restored onto.
 	Attach(k Kernel)
 	// OnFault is invoked when an access hits a page this kernel poisoned
 	// (hint faults) — the NUMA-balancing style notification channel.
@@ -178,23 +184,19 @@ type Policy interface {
 	// kernel performed on its own (kswapd demotion, direct reclaim) —
 	// so policies with tier-indexed structures stay consistent.
 	OnMigrated(pg *vm.Page, from, to mem.TierID)
-}
 
-// Checkpointable is implemented by policies whose dynamic state can be
-// serialized into an engine checkpoint and overlaid onto a freshly
-// Attached instance of the same policy with the same configuration.
-//
-// CheckpointState returns a JSON-marshalable value holding every mutable
-// field that influences future decisions (candidate sets, queues,
-// counters, EMA accumulators, scan-walker positions). RestoreCheckpoint
-// receives the marshaled bytes back after Attach has rebuilt the
-// policy's structure and must overlay them without scheduling or
-// cancelling any clock events — pending events are the clock snapshot's
-// job. A policy that does not implement this interface simply makes its
-// runs non-checkpointable; resumable sweeps then fall back to replaying
-// the cell from the start.
-type Checkpointable interface {
+	// CheckpointState returns a JSON-marshalable value holding every
+	// mutable field that influences future decisions (candidate sets,
+	// queues, counters, EMA accumulators, scan-walker positions), so an
+	// engine checkpoint can capture any run.
 	CheckpointState() (any, error)
+	// RestoreCheckpoint receives the marshaled CheckpointState bytes back
+	// after Attach has rebuilt the policy's structure on a fresh engine
+	// with the same configuration, and overlays them without scheduling
+	// or cancelling any clock events — pending events are the clock
+	// snapshot's job. Every periodic event a policy schedules must
+	// therefore be keyed (simclock EveryKey, or AtKey with a BindKey
+	// binder).
 	RestoreCheckpoint(data []byte) error
 }
 

@@ -17,7 +17,8 @@ var _ policy.Kernel = (*engine.Engine)(nil)
 
 // minimal embeds Base and implements only the required methods — the
 // intended authoring pattern for simple policies. It protects every page
-// shortly after the run starts and counts the resulting hint faults.
+// shortly after the run starts and counts the resulting hint faults. Its
+// fault count is test instrumentation, so its checkpoint state is empty.
 type minimal struct {
 	policy.Base
 	attached bool
@@ -28,7 +29,7 @@ func (m *minimal) Name() string { return "minimal" }
 
 func (m *minimal) Attach(k policy.Kernel) {
 	m.attached = true
-	k.Clock().At(simclock.FromSeconds(0.1), func(simclock.Time) {
+	k.Clock().AtKey(simclock.FromSeconds(0.1), "minimal/protect", 0, 0, func(simclock.Time) {
 		for _, pg := range k.Pages() {
 			if pg != nil {
 				k.Protect(pg)
@@ -38,6 +39,10 @@ func (m *minimal) Attach(k policy.Kernel) {
 }
 
 func (m *minimal) OnFault(*vm.Page, simclock.Time) { m.faults++ }
+
+func (m *minimal) CheckpointState() (any, error) { return nil, nil }
+
+func (m *minimal) RestoreCheckpoint([]byte) error { return nil }
 
 var _ policy.Policy = (*minimal)(nil)
 

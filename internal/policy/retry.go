@@ -82,16 +82,15 @@ func scheduleBackoff(k backoffKernel, pg *vm.Page, at simclock.Time, n uint64) {
 	if pg != nil {
 		id = pg.ID
 	}
-	k.Clock().AtArgKey(at, backoffKey, id, func(now simclock.Time, arg any, n uint64) {
+	k.Clock().AtKey(at, backoffKey, id, n, func(now simclock.Time) {
 		base, attempts, from := unpackBackoff(n)
-		pg, _ := arg.(*vm.Page)
 		if pg == nil || pg.Tier != from || pg.Flags.Has(vm.FlagSwapped) {
 			return // already migrated or reclaimed: nothing to retry
 		}
 		if k.TryPromote(pg) == MigrateTransient {
 			PromoteBackoff(k, pg, 2*base, attempts-1)
 		}
-	}, pg, n)
+	})
 }
 
 // RegisterBackoffBinder installs the Restore-time binder that re-creates

@@ -77,7 +77,7 @@ func TestSetPeriod(t *testing.T) {
 		visits++
 	})
 	// Speed the scan up mid-flight.
-	k.Clock().At(simclock.Second, func(simclock.Time) {
+	k.Clock().AtKey(simclock.Second, "test/speedup", 0, 0, func(simclock.Time) {
 		s.SetPeriod(2 * simclock.Second)
 	})
 	k.Clock().RunUntil(10 * simclock.Second)

@@ -17,6 +17,8 @@
 package telescope
 
 import (
+	"encoding/json"
+	"fmt"
 	"sort"
 
 	"chrono/internal/mem"
@@ -74,20 +76,22 @@ type region struct {
 	pages []*vm.Page
 	// open reports whether the profiler has descended into this region.
 	open bool
-	// clearTS is when the region-level accessed view was last cleared.
-	clearTS simclock.Time
 }
 
 // Policy is the Telescope baseline. Leaf heat lives in pg.Meta (low byte:
 // current streak).
+//
+//chrono:statesync checkpointState
 type Policy struct {
-	policy.Base
-	cfg     Config
-	k       policy.Kernel
-	regions []*region
-	cursor  int
+	policy.Base               //chrono:rebuilt stateless method set
+	cfg         Config        //chrono:rebuilt configuration, finalized in Attach
+	k           policy.Kernel //chrono:rebuilt kernel handle, re-bound by Attach
+	// regions' page runs are rebuilt by Attach; their open flags are
+	// state.
+	regions []*region //chrono:state Open
+	cursor  int       //chrono:state Cursor
 	// OpenRegions is exported for tests: the live telescoped set size.
-	OpenRegions int
+	OpenRegions int //chrono:state OpenRegions
 }
 
 // New returns a Telescope policy.
@@ -112,8 +116,49 @@ func (p *Policy) Attach(k policy.Kernel) {
 			p.cfg.ProfileBudget = p.cfg.RegionPages
 		}
 	}
-	k.Clock().Every(p.cfg.Window, func(now simclock.Time) { p.profile(now) })
-	k.Clock().Every(p.cfg.MigratePeriod, func(now simclock.Time) { p.migrate() })
+	k.Clock().EveryKey("telescope/profile", p.cfg.Window, func(now simclock.Time) { p.profile(now) })
+	k.Clock().EveryKey("telescope/migrate", p.cfg.MigratePeriod, func(now simclock.Time) { p.migrate() })
+}
+
+// checkpointState is Telescope's serializable dynamic state: which
+// regions are open (indices in region order), the round-robin cursor and
+// the open-set size. Leaf streaks live in pg.Meta, which the engine
+// snapshot carries.
+type checkpointState struct {
+	Open        []int `json:"open,omitempty"`
+	Cursor      int   `json:"cursor"`
+	OpenRegions int   `json:"open_regions"`
+}
+
+// CheckpointState implements policy.Policy.
+func (p *Policy) CheckpointState() (any, error) {
+	st := checkpointState{Cursor: p.cursor, OpenRegions: p.OpenRegions}
+	for i, r := range p.regions {
+		if r.open {
+			st.Open = append(st.Open, i)
+		}
+	}
+	return st, nil
+}
+
+// RestoreCheckpoint implements policy.Policy.
+func (p *Policy) RestoreCheckpoint(data []byte) error {
+	var st checkpointState
+	if err := json.Unmarshal(data, &st); err != nil {
+		return err
+	}
+	for _, r := range p.regions {
+		r.open = false
+	}
+	for _, i := range st.Open {
+		if i < 0 || i >= len(p.regions) {
+			return fmt.Errorf("telescope: restore: open region %d of %d", i, len(p.regions))
+		}
+		p.regions[i].open = true
+	}
+	p.cursor = st.Cursor
+	p.OpenRegions = st.OpenRegions
+	return nil
 }
 
 // buildRegions groups the resident pages into fixed-size regions in page

@@ -118,21 +118,16 @@ func (c ThrashConfig) BackoffFor(strikes uint8) simclock.Duration {
 }
 
 // WithThrashGuard wraps inner with the anti-thrashing controller. The
-// wrapper is Checkpointable exactly when inner is, so guarded runs keep
-// the same durability class as unguarded ones.
+// wrapper's checkpoint state nests the inner policy's.
 func WithThrashGuard(inner Policy, cfg ThrashConfig) Policy {
-	g := guarded{inner: inner, cfg: cfg}
-	if _, ok := inner.(Checkpointable); ok {
-		return &guardedCkpt{guarded: g}
-	}
-	return &g
+	return &guarded{inner: inner, cfg: cfg}
 }
 
 // guarded is the thrash-guard wrapper policy.
 //
 //chrono:statesync guardState
 type guarded struct {
-	inner    Policy       //chrono:rebuilt wrapped policy, provided at construction
+	inner    Policy       //chrono:state Inner
 	cfg      ThrashConfig //chrono:rebuilt configuration, finalized in Attach
 	k        Kernel       //chrono:rebuilt raw kernel handle, re-bound by Attach
 	allowMax int64        //chrono:rebuilt budget ceiling, derived from fast capacity
@@ -157,13 +152,6 @@ type guarded struct {
 	strikes []uint8 // dense per-page: consecutive bounce count
 	//chrono:state BackoffUntil
 	backoffUntil []simclock.Time // dense per-page: promotion re-admission time
-}
-
-// guardedCkpt is the wrapper used when inner is Checkpointable.
-//
-//chrono:statesync guardedCheckpoint
-type guardedCkpt struct {
-	guarded //chrono:state Guard,Inner
 }
 
 // Name implements Policy.
@@ -379,9 +367,11 @@ func (k *guardTxKernel) PromoteShadowed(pg *vm.Page) MigrateResult {
 // Shadowed implements TransactionalKernel.
 func (k *guardTxKernel) Shadowed(pg *vm.Page) bool { return k.tk.Shadowed(pg) }
 
-// guardState is the guard's serializable dynamic state: the governor
-// accumulators and the dense per-page detector columns.
+// guardState is the guard's serializable dynamic state: the inner
+// policy's own state, the governor accumulators and the dense per-page
+// detector columns.
 type guardState struct {
+	Inner        json.RawMessage `json:"inner,omitempty"`
 	Allow        int64           `json:"allow"`
 	Used         int64           `json:"used"`
 	WinStart     simclock.Time   `json:"win_start"`
@@ -394,15 +384,9 @@ type guardState struct {
 	BackoffUntil []simclock.Time `json:"backoff_until"`
 }
 
-// guardedCheckpoint wraps the inner policy's state with the guard's.
-type guardedCheckpoint struct {
-	Inner json.RawMessage `json:"inner,omitempty"`
-	Guard guardState      `json:"guard"`
-}
-
-// CheckpointState implements Checkpointable.
-func (g *guardedCkpt) CheckpointState() (any, error) {
-	inner, err := g.inner.(Checkpointable).CheckpointState()
+// CheckpointState implements Policy.
+func (g *guarded) CheckpointState() (any, error) {
+	inner, err := g.inner.CheckpointState()
 	if err != nil {
 		return nil, err
 	}
@@ -410,44 +394,42 @@ func (g *guardedCkpt) CheckpointState() (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	return guardedCheckpoint{
-		Inner: raw,
-		Guard: guardState{
-			Allow:       g.allow,
-			Used:        g.used,
-			WinStart:    g.winStart,
-			WinPromotes: g.winPromotes,
-			WinBounces:  g.winBounces,
-			Denied:      g.denied,
-			// append(nil, ...) copies while keeping a nil column nil,
-			// which the bit-identity fence distinguishes from empty.
-			LastPromote:  append([]simclock.Time(nil), g.lastPromote...),
-			LastDemote:   append([]simclock.Time(nil), g.lastDemote...),
-			Strikes:      append([]uint8(nil), g.strikes...),
-			BackoffUntil: append([]simclock.Time(nil), g.backoffUntil...),
-		},
+	return guardState{
+		Inner:       raw,
+		Allow:       g.allow,
+		Used:        g.used,
+		WinStart:    g.winStart,
+		WinPromotes: g.winPromotes,
+		WinBounces:  g.winBounces,
+		Denied:      g.denied,
+		// append(nil, ...) copies while keeping a nil column nil,
+		// which the bit-identity fence distinguishes from empty.
+		LastPromote:  append([]simclock.Time(nil), g.lastPromote...),
+		LastDemote:   append([]simclock.Time(nil), g.lastDemote...),
+		Strikes:      append([]uint8(nil), g.strikes...),
+		BackoffUntil: append([]simclock.Time(nil), g.backoffUntil...),
 	}, nil
 }
 
-// RestoreCheckpoint implements Checkpointable.
-func (g *guardedCkpt) RestoreCheckpoint(data []byte) error {
-	var st guardedCheckpoint
+// RestoreCheckpoint implements Policy.
+func (g *guarded) RestoreCheckpoint(data []byte) error {
+	var st guardState
 	if err := json.Unmarshal(data, &st); err != nil {
 		return err
 	}
-	if err := g.inner.(Checkpointable).RestoreCheckpoint(st.Inner); err != nil {
+	if err := g.inner.RestoreCheckpoint(st.Inner); err != nil {
 		return fmt.Errorf("thrash guard: restore inner %s: %w", g.inner.Name(), err)
 	}
-	g.allow = st.Guard.Allow
-	g.used = st.Guard.Used
-	g.winStart = st.Guard.WinStart
-	g.winPromotes = st.Guard.WinPromotes
-	g.winBounces = st.Guard.WinBounces
-	g.denied = st.Guard.Denied
-	g.lastPromote = st.Guard.LastPromote
-	g.lastDemote = st.Guard.LastDemote
-	g.strikes = st.Guard.Strikes
-	g.backoffUntil = st.Guard.BackoffUntil
+	g.allow = st.Allow
+	g.used = st.Used
+	g.winStart = st.WinStart
+	g.winPromotes = st.WinPromotes
+	g.winBounces = st.WinBounces
+	g.denied = st.Denied
+	g.lastPromote = st.LastPromote
+	g.lastDemote = st.LastDemote
+	g.strikes = st.Strikes
+	g.backoffUntil = st.BackoffUntil
 	// No eager grow(): the arrays must stay byte-identical to the live
 	// run's, which only grows them lazily on the first observed move.
 	return nil

@@ -78,6 +78,8 @@ type nopPolicy struct{ Base }
 func (nopPolicy) Name() string                    { return "nop" }
 func (nopPolicy) Attach(Kernel)                   {}
 func (nopPolicy) OnFault(*vm.Page, simclock.Time) {}
+func (nopPolicy) CheckpointState() (any, error)   { return nil, nil }
+func (nopPolicy) RestoreCheckpoint([]byte) error  { return nil }
 
 // TestGuardDeniesThenReadmits: a ping-ponging page accumulates strikes and
 // is denied while its backoff runs, but once MaxBackoff has elapsed it is

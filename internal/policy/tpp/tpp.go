@@ -85,12 +85,12 @@ type checkpointState struct {
 	Scan scan.SetState `json:"scan"`
 }
 
-// CheckpointState implements policy.Checkpointable.
+// CheckpointState implements policy.Policy.
 func (p *Policy) CheckpointState() (any, error) {
 	return checkpointState{Scan: p.scan.State()}, nil
 }
 
-// RestoreCheckpoint implements policy.Checkpointable.
+// RestoreCheckpoint implements policy.Policy.
 func (p *Policy) RestoreCheckpoint(data []byte) error {
 	var st checkpointState
 	if err := json.Unmarshal(data, &st); err != nil {

@@ -15,25 +15,10 @@
 // build, and replays from scratch when the snapshot cannot be restored;
 // determinism makes both reach the same end state.
 //
-// # When a run cannot be snapshotted
-//
-// engine.Snapshot fails, and the run is never snapshotted, when
-//   - the attached policy does not implement policy.Checkpointable:
-//     Linux-NB, AutoTiering, Multi-Clock, HeMem and Telescope, with or
-//     without +guard (the guard is checkpointable exactly when its inner
-//     policy is). Linux-NB, AutoTiering and Multi-Clock are half of
-//     experiments.StandardPolicies, the policies of the fig6/7/8 sweep;
-//   - the clock queue holds unkeyed events (simclock At/After/Every). Of
-//     the workloads that reach Exec only graph500 schedules them (its
-//     rounds), and only chronod runs it. pmbench drift, trace replay and
-//     the experiment samplers never reach Exec.
-//
-// Such a run finishes with the same metrics as a non-durable one, and
-// nothing reports the failure: the first failed periodic save stops the
-// periodic saves, a drain or stall leaves no snapshot (Result.Saved is
-// false), and a resume replays the run from scratch. chronod refuses its
-// pause ("cannot pause") and reconfigure ("cannot reconfigure") requests
-// and the run continues.
+// Every run can be snapshotted: every clock event is keyed and every
+// policy carries checkpoint state. A save that fails anyway (an I/O
+// error) leaves the run going; a periodic save is retried at the next
+// interval.
 //
 // Wall-clock time in this package is host-side only (checkpoint
 // cadence, stall detection) and never feeds simulation state.
@@ -226,18 +211,15 @@ func Exec(s Segment) Result {
 		fired       atomic.Uint64 // event watermark, race-free for the driver
 		stallReq    atomic.Bool   // watchdog → hook: save and stop now
 		abandoned   atomic.Bool   // driver → leaked hook: stop, touch nothing
-		snapBroken  bool          // a periodic save failed: the run is not checkpointable
 		stopped     bool
 		interrupted bool
 		stalled     bool
 	)
 	saved.Store(s.Resumed)
-	save := func() bool {
-		if s.Save() != nil {
-			return false
+	save := func() {
+		if s.Save() == nil {
+			saved.Store(true)
 		}
-		saved.Store(true)
-		return true
 	}
 	lastSave := time.Now() //chrono:wallclock checkpoint cadence is host-side
 	clock.SetAfterStep(func() {
@@ -266,10 +248,10 @@ func Exec(s Segment) Result {
 			save()
 			stalled = true
 			clock.Stop()
-		case !snapBroken && s.Interval > 0:
+		case s.Interval > 0:
 			//chrono:wallclock checkpoint cadence is host-side
 			if time.Since(lastSave) >= s.Interval {
-				snapBroken = !save()
+				save()
 				lastSave = time.Now() //chrono:wallclock checkpoint cadence is host-side
 			}
 		}

@@ -6,19 +6,14 @@ package simclock
 // simulation.
 //
 // Events are not serialized as callbacks (closures don't round-trip);
-// instead every checkpointable event carries a string key plus an integer
-// payload pair (argI, n). Periodic events round-trip through the ticker
-// registry: a record with Period > 0 re-arms the ticker registered under
-// its key. One-shot events round-trip through binders: Restore hands the
+// instead every event carries a string key plus an integer payload pair
+// (argI, n), so every clock can be snapshotted. Periodic events round-trip
+// through the ticker registry: a record with Period > 0 re-arms the ticker
+// registered under its key. One-shot events round-trip through binders: Restore hands the
 // record to the BindFunc registered for its key, which must re-create the
 // callback from the payload and schedule it (exactly once, same key); the
 // clock patches the recorded sequence number onto whatever the binder
 // schedules, so FIFO order among equal timestamps is preserved.
-//
-// Events scheduled through the unkeyed APIs (At, AtArg, After, Every) are
-// deliberately not serializable: Snapshot returns an error when any are
-// pending. Callers treat that as "this run opted out of checkpointing"
-// and fall back to deterministic re-execution from the start.
 
 import (
 	"fmt"
@@ -47,7 +42,7 @@ type State struct {
 }
 
 // BindFunc re-creates one keyed one-shot event at Restore time. It must
-// schedule exactly one event under the record's key (AtKey/AtArgKey); the
+// schedule exactly one event under the record's key with AtKey; the
 // clock assigns the record's sequence number to it.
 type BindFunc func(rec EventRecord)
 
@@ -60,17 +55,11 @@ func (c *Clock) BindKey(key string, bind BindFunc) {
 	c.binders[key] = bind
 }
 
-// Snapshot serializes the clock's dynamic state. It fails if any pending
-// event was scheduled through an unkeyed API — such events cannot be
-// re-created, so the run as a whole is not checkpointable and must be
-// replayed from the start instead.
-func (c *Clock) Snapshot() (*State, error) {
+// Snapshot serializes the clock's dynamic state.
+func (c *Clock) Snapshot() *State {
 	st := &State{Now: c.now, Seq: c.seq, Fired: c.fired}
 	st.Events = make([]EventRecord, 0, len(c.queue))
 	for _, ev := range c.queue {
-		if ev.key == "" {
-			return nil, fmt.Errorf("simclock: pending event at %v has no checkpoint key (scheduled via At/AtArg/After/Every); use the keyed APIs or replay from the start", ev.at)
-		}
 		rec := EventRecord{At: ev.at, Seq: ev.seq, Key: ev.key, Arg: ev.argI, N: ev.n}
 		if ev.tkr != nil {
 			rec.Period = ev.tkr.period
@@ -84,7 +73,7 @@ func (c *Clock) Snapshot() (*State, error) {
 		}
 		return a.Seq < b.Seq
 	})
-	return st, nil
+	return st
 }
 
 // Restore rebuilds the clock's dynamic state from a Snapshot taken on an

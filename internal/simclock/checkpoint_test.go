@@ -76,11 +76,7 @@ func TestClockCheckpointReplaysIdenticalSequence(t *testing.T) {
 			var prefix int
 			vic.SetAfterStep(func() {
 				if st == nil && vic.Now() >= mid {
-					s, err := vic.Snapshot()
-					if err != nil {
-						t.Fatalf("snapshot: %v", err)
-					}
-					st = s
+					st = vic.Snapshot()
 					prefix = len(vicLog)
 				}
 			})
@@ -120,11 +116,7 @@ func TestClockStateRoundTrips(t *testing.T) {
 	var st *State
 	c.SetAfterStep(func() {
 		if st == nil && c.Now() >= 2*Second {
-			s, err := c.Snapshot()
-			if err != nil {
-				t.Fatalf("snapshot: %v", err)
-			}
-			st = s
+			st = c.Snapshot()
 			c.Stop()
 		}
 	})
@@ -138,29 +130,27 @@ func TestClockStateRoundTrips(t *testing.T) {
 	if err := c2.Restore(st); err != nil {
 		t.Fatalf("restore: %v", err)
 	}
-	st2, err := c2.Snapshot()
-	if err != nil {
-		t.Fatalf("re-snapshot: %v", err)
-	}
+	st2 := c2.Snapshot()
 	if !reflect.DeepEqual(st, st2) {
 		t.Fatalf("state changed across restore:\n got %+v\nwant %+v", st2, st)
 	}
 }
 
-// TestSnapshotRejectsUnkeyedEvents covers each unkeyed scheduling API.
-func TestSnapshotRejectsUnkeyedEvents(t *testing.T) {
+// TestScheduleRejectsEmptyKey: every event carries a checkpoint key, so an
+// event a Snapshot could not rebind cannot be scheduled at all.
+func TestScheduleRejectsEmptyKey(t *testing.T) {
 	cases := map[string]func(c *Clock){
-		"At":    func(c *Clock) { c.At(Second, func(now Time) {}) },
-		"After": func(c *Clock) { c.After(Second, func(now Time) {}) },
-		"Every": func(c *Clock) { c.Every(Second, func(now Time) {}) },
+		"AtKey":    func(c *Clock) { c.AtKey(Second, "", 0, 0, func(now Time) {}) },
+		"EveryKey": func(c *Clock) { c.EveryKey("", Second, func(now Time) {}) },
 	}
 	for name, schedule := range cases {
 		t.Run(name, func(t *testing.T) {
-			c := New()
-			schedule(c)
-			if _, err := c.Snapshot(); err == nil {
-				t.Fatal("snapshot of unkeyed event succeeded")
-			}
+			defer func() {
+				if recover() == nil {
+					t.Fatal("scheduling under an empty key did not panic")
+				}
+			}()
+			schedule(New())
 		})
 	}
 }
@@ -183,7 +173,7 @@ func TestRestoreRejectsUnresolvable(t *testing.T) {
 		t.Fatal("restore with unbound one-shot key succeeded")
 	}
 	// The failed restores must have left the fresh arming intact.
-	if _, err := c.Snapshot(); err != nil {
-		t.Fatalf("clock unusable after failed restore: %v", err)
+	if st := c.Snapshot(); len(st.Events) != 1 || st.Events[0].Key != "known" || st.Events[0].At != Second {
+		t.Fatalf("failed restore disturbed the clock: %+v", st)
 	}
 }

@@ -7,14 +7,15 @@ import (
 )
 
 // A clock dispatches scheduled callbacks in virtual-time order; tickers
-// re-arm themselves, which is how scans and tuning loops are paced.
+// re-arm themselves, which is how scans and tuning loops are paced. Every
+// event carries a checkpoint key, so the clock can always be snapshotted.
 func Example() {
 	c := simclock.New()
 
-	c.At(2*simclock.Second, func(now simclock.Time) {
+	c.AtKey(2*simclock.Second, "example/once", 0, 0, func(now simclock.Time) {
 		fmt.Println("one-shot at", now)
 	})
-	tk := c.Every(simclock.Second, func(now simclock.Time) {
+	tk := c.EveryKey("example/tick", simclock.Second, func(now simclock.Time) {
 		fmt.Println("tick at", now)
 	})
 

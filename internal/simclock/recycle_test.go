@@ -1,18 +1,20 @@
 package simclock
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 )
 
 // The queue recycles event structs through a free list; these tests pin
 // down the hazards that introduces: a Handle held across a recycle must
 // read as cancelled (generation fencing), cancellation must never touch a
-// recycled slot's new occupant, and AtArg must deliver the exact argument
-// pair it was scheduled with.
+// recycled slot's new occupant, and a recycled slot must carry the exact
+// payload of its new event.
 
 func TestHandleStaleAfterFire(t *testing.T) {
 	c := New()
-	h := c.At(10, func(Time) {})
+	h := at(c, 10, func(Time) {})
 	if h.Cancelled() {
 		t.Fatal("fresh handle reads cancelled")
 	}
@@ -23,7 +25,7 @@ func TestHandleStaleAfterFire(t *testing.T) {
 	// The slot is recycled by a new event; the old handle must stay stale
 	// and cancelling through it must not disturb the new occupant.
 	fired := false
-	c.At(20, func(Time) { fired = true })
+	at(c, 20, func(Time) { fired = true })
 	if !h.Cancelled() {
 		t.Fatal("stale handle revived by slot reuse")
 	}
@@ -36,7 +38,7 @@ func TestHandleStaleAfterFire(t *testing.T) {
 
 func TestHandleStaleAfterCancel(t *testing.T) {
 	c := New()
-	h := c.At(10, func(Time) { t.Fatal("cancelled event fired") })
+	h := at(c, 10, func(Time) { t.Fatal("cancelled event fired") })
 	c.Cancel(h)
 	if !h.Cancelled() {
 		t.Fatal("handle live after Cancel")
@@ -44,7 +46,7 @@ func TestHandleStaleAfterCancel(t *testing.T) {
 	// Double-cancel through the stale handle is a no-op even after the
 	// slot is reused.
 	n := 0
-	c.At(5, func(Time) { n++ })
+	at(c, 5, func(Time) { n++ })
 	c.Cancel(h)
 	c.Run()
 	if n != 1 {
@@ -65,13 +67,13 @@ func TestRecyclingPreservesOrdering(t *testing.T) {
 		if rounds < 512 {
 			rounds++
 			// Two live, one cancelled, per round.
-			h := c.After(3, func(Time) { t.Fatal("cancelled event fired") })
-			c.After(2, self)
-			c.After(1, func(now Time) { got = append(got, now) })
+			h := at(c, c.Now()+3, func(Time) { t.Fatal("cancelled event fired") })
+			at(c, c.Now()+2, self)
+			at(c, c.Now()+1, func(now Time) { got = append(got, now) })
 			c.Cancel(h)
 		}
 	}
-	c.At(0, self)
+	at(c, 0, self)
 	c.Run()
 	for i := 1; i < len(got); i++ {
 		if got[i] < got[i-1] {
@@ -83,31 +85,29 @@ func TestRecyclingPreservesOrdering(t *testing.T) {
 	}
 }
 
-func TestAtArgDeliversArgument(t *testing.T) {
+func TestAtKeyRecordsPayload(t *testing.T) {
 	c := New()
-	type payload struct{ id int }
-	p1, p2 := &payload{1}, &payload{2}
-	var gotArg []*payload
-	var gotN []uint64
-	cb := func(now Time, arg any, n uint64) {
-		gotArg = append(gotArg, arg.(*payload))
-		gotN = append(gotN, n)
-	}
-	c.AtArg(10, cb, p1, 7)
-	c.AtArg(20, cb, p2, 8)
+	// Fire one event first so the next schedules reuse a recycled slot.
+	c.AtKey(1, "warm", 5, 6, func(Time) {})
 	c.Run()
-	if len(gotArg) != 2 || gotArg[0] != p1 || gotArg[1] != p2 {
-		t.Fatalf("wrong args delivered: %v", gotArg)
-	}
-	if gotN[0] != 7 || gotN[1] != 8 {
-		t.Fatalf("wrong n delivered: %v", gotN)
+	c.AtKey(20, "b", 2, 8, func(Time) {})
+	c.AtKey(10, "a", 1, 7, func(Time) {})
+	st := c.Snapshot()
+	want := []EventRecord{{At: 10, Seq: 2, Key: "a", Arg: 1, N: 7}, {At: 20, Seq: 1, Key: "b", Arg: 2, N: 8}}
+	if !reflect.DeepEqual(st.Events, want) {
+		t.Fatalf("recorded events %+v, want %+v", st.Events, want)
 	}
 }
 
+// TestAtArgCancel cancels a one-shot that carries an argument payload:
+// it must not fire and must leave no record in the snapshot.
 func TestAtArgCancel(t *testing.T) {
 	c := New()
-	h := c.AtArg(10, func(Time, any, uint64) { t.Fatal("cancelled AtArg event fired") }, nil, 0)
+	h := c.AtKey(10, "arg", 3, 4, func(Time) { t.Fatal("cancelled payload event fired") })
 	c.Cancel(h)
+	if got := c.Snapshot().Events; len(got) != 0 {
+		t.Fatalf("cancelled event still recorded: %+v", got)
+	}
 	c.Run()
 	if !h.Cancelled() {
 		t.Fatal("handle live after Cancel")
@@ -121,8 +121,7 @@ func TestCancelMiddleOfLargeHeap(t *testing.T) {
 	var handles []Handle
 	var got []Time
 	for i := 100; i > 0; i-- {
-		at := Time(i)
-		h := c.At(at, func(now Time) { got = append(got, now) })
+		h := at(c, Time(i), func(now Time) { got = append(got, now) })
 		handles = append(handles, h)
 	}
 	// Cancel every third event.
@@ -146,20 +145,20 @@ func TestCancelMiddleOfLargeHeap(t *testing.T) {
 }
 
 // BenchmarkClockScheduleFire measures the steady-state schedule+fire cycle
-// the fault path pays per protected page: one AtArg schedule and one
-// dispatch against a queue with standing tickers. Allocations per op should
-// be zero once the free list is warm.
+// a one-shot event pays: one AtKey schedule of a long-lived callback and
+// one dispatch against a queue with standing tickers. Allocations per op
+// should be zero once the free list is warm.
 func BenchmarkClockScheduleFire(b *testing.B) {
 	c := New()
-	cb := func(Time, any, uint64) {}
+	cb := func(Time) {}
 	// A handful of standing periodic events so the heap is non-trivial.
 	for i := 0; i < 8; i++ {
-		c.Every(Duration(1000+i), func(Time) {})
+		c.EveryKey(fmt.Sprintf("tick/%d", i), Duration(1000+i), func(Time) {})
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.AtArg(c.Now()+1, cb, nil, uint64(i))
+		c.AtKey(c.Now()+1, "bench", 0, uint64(i), cb)
 		c.Step()
 	}
 }

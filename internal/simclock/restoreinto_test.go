@@ -27,11 +27,7 @@ func TestRestoreIntoSwapsTickerSets(t *testing.T) {
 	var st *State
 	old.SetAfterStep(func() {
 		if st == nil && old.Now() >= Second {
-			s, err := old.Snapshot()
-			if err != nil {
-				t.Fatalf("snapshot: %v", err)
-			}
-			st = s
+			st = old.Snapshot()
 			old.Stop()
 		}
 	})
@@ -101,10 +97,7 @@ func TestRestoreIntoValidationLeavesClockIntact(t *testing.T) {
 	if err == nil {
 		t.Fatal("restore-into with a past event succeeded")
 	}
-	st, err := c.Snapshot()
-	if err != nil {
-		t.Fatalf("clock unusable after failed restore-into: %v", err)
-	}
+	st := c.Snapshot()
 	if len(st.Events) != 1 || st.Events[0].Key != "tick" || st.Events[0].At != Second {
 		t.Fatalf("fresh arming perturbed: %+v", st.Events)
 	}
@@ -118,11 +111,7 @@ func TestRestoreIntoIdenticalConfigDropsNothing(t *testing.T) {
 	var st *State
 	ref.SetAfterStep(func() {
 		if st == nil && ref.Now() >= 2*Second {
-			s, err := ref.Snapshot()
-			if err != nil {
-				t.Fatalf("snapshot: %v", err)
-			}
-			st = s
+			st = ref.Snapshot()
 			ref.Stop()
 		}
 	})
@@ -140,10 +129,7 @@ func TestRestoreIntoIdenticalConfigDropsNothing(t *testing.T) {
 	if dropped != 0 {
 		t.Fatalf("dropped %d events restoring into identical config", dropped)
 	}
-	st2, err := c.Snapshot()
-	if err != nil {
-		t.Fatalf("re-snapshot: %v", err)
-	}
+	st2 := c.Snapshot()
 	if !reflect.DeepEqual(st, st2) {
 		t.Fatalf("state changed across restore-into:\n got %+v\nwant %+v", st2, st)
 	}

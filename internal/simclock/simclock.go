@@ -10,12 +10,15 @@
 // Events scheduled for the same instant fire in scheduling order (FIFO),
 // which keeps simulations deterministic for a fixed seed.
 //
+// Every event is keyed, so a clock can always be checkpointed (see
+// checkpoint.go). There are three ways to schedule: EveryKey arms a
+// periodic ticker, AtKey schedules a one-shot event, and BindKey registers
+// how a Restore re-creates the one-shot events of a key.
+//
 // The queue is allocation-free in steady state: fired and cancelled events
 // return to a free list and are recycled by later schedules. Handles carry
 // a generation counter so a stale handle to a recycled event is correctly
-// reported as cancelled instead of aliasing the new occupant. The hot fault
-// path can use AtArg to schedule a pre-built callback with an argument
-// word, avoiding a closure allocation per scheduled event.
+// reported as cancelled instead of aliasing the new occupant.
 package simclock
 
 import (
@@ -58,25 +61,17 @@ func FromSeconds(s float64) Time { return Time(s * float64(Second)) }
 // EventFunc is a callback fired when the clock reaches its scheduled time.
 type EventFunc func(now Time)
 
-// ArgFunc is a callback fired with the argument pair it was scheduled with.
-// It lets hot paths schedule one long-lived function value plus per-event
-// data instead of allocating a fresh closure per event.
-type ArgFunc func(now Time, arg any, n uint64)
-
-// event is a scheduled callback in the queue. Exactly one of fn/afn is set.
+// event is a scheduled callback in the queue.
 type event struct {
 	at  Time
 	seq uint64 // tie-breaker: FIFO among equal timestamps
 	fn  EventFunc
-	afn ArgFunc
-	arg any
-	n   uint64
-	// key names the event for checkpointing; empty for events scheduled
-	// through the unkeyed APIs (which a Snapshot refuses to serialize).
+	// key names the event for checkpointing.
 	key string
-	// argI is the event's serializable integer payload. It is carried into
-	// EventRecord.Arg verbatim; the callback itself still receives arg/n.
+	// argI and n are the event's serializable payload, carried into
+	// EventRecord.Arg and EventRecord.N verbatim.
 	argI int64
+	n    uint64
 	// tkr points back to the owning Ticker for periodic events, so Snapshot
 	// can record the period and Restore can re-arm through the ticker.
 	tkr *Ticker
@@ -200,8 +195,6 @@ func (c *Clock) release(ev *event) {
 	ev.gen++
 	ev.index = -1
 	ev.fn = nil
-	ev.afn = nil
-	ev.arg = nil
 	ev.key = ""
 	ev.argI = 0
 	ev.n = 0
@@ -330,38 +323,15 @@ func (c *Clock) schedule(t Time, ev *event) Handle {
 	return Handle{ev: ev, gen: ev.gen}
 }
 
-// At schedules fn to run at absolute virtual time t. Scheduling in the past
-// (t < Now) panics: the simulator has no causality violations by design.
-func (c *Clock) At(t Time, fn EventFunc) Handle {
-	ev := c.alloc()
-	ev.fn = fn
-	return c.schedule(t, ev)
-}
-
-// AtArg schedules fn to run at absolute virtual time t with the given
-// argument pair. Unlike At with a capturing closure, AtArg allocates
-// nothing in steady state: callers keep one ArgFunc alive and pass
-// per-event state through arg/n.
-func (c *Clock) AtArg(t Time, fn ArgFunc, arg any, n uint64) Handle {
-	ev := c.alloc()
-	ev.afn = fn
-	ev.arg = arg
-	ev.n = n
-	return c.schedule(t, ev)
-}
-
-// After schedules fn to run d nanoseconds from now.
-func (c *Clock) After(d Duration, fn EventFunc) Handle {
-	if d < 0 {
-		panic(fmt.Sprintf("simclock: negative delay %d", d))
-	}
-	return c.At(c.now+d, fn)
-}
-
 // AtKey schedules fn at absolute time t under a checkpoint key with a
 // serializable integer payload pair. A Snapshot records (key, argI, n); the
 // binder registered for key re-creates the callback from them at Restore.
+// Scheduling in the past (t < Now) panics: the simulator has no causality
+// violations by design.
 func (c *Clock) AtKey(t Time, key string, argI int64, n uint64, fn EventFunc) Handle {
+	if key == "" {
+		panic("simclock: AtKey with empty key")
+	}
 	ev := c.alloc()
 	ev.fn = fn
 	ev.key = key
@@ -370,34 +340,11 @@ func (c *Clock) AtKey(t Time, key string, argI int64, n uint64, fn EventFunc) Ha
 	return c.schedule(t, ev)
 }
 
-// AtArgKey is AtArg under a checkpoint key: fn/arg/n behave exactly as in
-// AtArg (one long-lived ArgFunc, no per-event closure), and argI is the
-// serializable payload a Snapshot records alongside n.
-func (c *Clock) AtArgKey(t Time, key string, argI int64, fn ArgFunc, arg any, n uint64) Handle {
-	ev := c.alloc()
-	ev.afn = fn
-	ev.arg = arg
-	ev.n = n
-	ev.key = key
-	ev.argI = argI
-	return c.schedule(t, ev)
-}
-
-// Every schedules fn to run every period, starting one period from now.
-// The callback may call Clock.Stop or cancel via the returned handle's
-// cancellation to end the series. Period must be positive.
-//
-// Tickers created with Every are unkeyed: a clock with an unkeyed pending
-// event cannot be Snapshot. Long-lived simulation tickers should use
-// EveryKey; Every remains for harness-local instrumentation that opts out
-// of checkpointing.
-func (c *Clock) Every(period Duration, fn EventFunc) *Ticker {
-	return c.newTicker("", period, fn)
-}
-
-// EveryKey is Every under a checkpoint key: the ticker registers itself so
-// a Restore can re-arm its pending event (and restore a Reset period) by
-// key. Keys must be unique per clock.
+// EveryKey schedules fn to run every period, starting one period from
+// now, under a checkpoint key: the ticker registers itself so a Restore
+// can re-arm its pending event (and restore a Reset period) by key. Keys
+// must be unique per clock. The callback may call Clock.Stop or cancel the
+// returned ticker to end the series. Period must be positive.
 func (c *Clock) EveryKey(key string, period Duration, fn EventFunc) *Ticker {
 	if key == "" {
 		panic("simclock: EveryKey with empty key")
@@ -408,15 +355,6 @@ func (c *Clock) EveryKey(key string, period Duration, fn EventFunc) *Ticker {
 		// would make Restore ambiguous.
 		panic(fmt.Sprintf("simclock: duplicate ticker key %q", key))
 	}
-	t := c.newTicker(key, period, fn)
-	if c.tickers == nil {
-		c.tickers = make(map[string]*Ticker)
-	}
-	c.tickers[key] = t
-	return t
-}
-
-func (c *Clock) newTicker(key string, period Duration, fn EventFunc) *Ticker {
 	if period <= 0 {
 		panic(fmt.Sprintf("simclock: non-positive period %d", period))
 	}
@@ -429,27 +367,29 @@ func (c *Clock) newTicker(key string, period Duration, fn EventFunc) *Ticker {
 		if t.cancel {
 			return
 		}
-		t.lastFire = now
 		t.fn(now)
 		if !t.cancel && !t.armed {
 			t.schedule()
 		}
 	}
 	t.schedule()
+	if c.tickers == nil {
+		c.tickers = make(map[string]*Ticker)
+	}
+	c.tickers[key] = t
 	return t
 }
 
 // Ticker re-arms a periodic callback. Cancel stops future firings.
 type Ticker struct {
-	clock    *Clock
-	key      string
-	period   Duration
-	fn       EventFunc
-	tick     EventFunc
-	handle   Handle
-	cancel   bool
-	armed    bool
-	lastFire Time
+	clock  *Clock
+	key    string
+	period Duration
+	fn     EventFunc
+	tick   EventFunc
+	handle Handle
+	cancel bool
+	armed  bool
 }
 
 func (t *Ticker) schedule() {
@@ -528,13 +468,9 @@ func (c *Clock) Step() bool {
 	c.fired++
 	// Capture the callback before recycling the event: the callback itself
 	// may schedule new events and reuse this slot.
-	fn, afn, arg, n := ev.fn, ev.afn, ev.arg, ev.n
+	fn := ev.fn
 	c.release(ev)
-	if afn != nil {
-		afn(c.now, arg, n)
-	} else {
-		fn(c.now)
-	}
+	fn(c.now)
 	return true
 }
 

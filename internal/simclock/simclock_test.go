@@ -5,6 +5,9 @@ import (
 	"testing/quick"
 )
 
+// at schedules a one-shot test event under a fixed checkpoint key.
+func at(c *Clock, t Time, fn EventFunc) Handle { return c.AtKey(t, "test", 0, 0, fn) }
+
 func TestZeroClock(t *testing.T) {
 	c := New()
 	if got := c.Now(); got != 0 {
@@ -21,9 +24,9 @@ func TestZeroClock(t *testing.T) {
 func TestEventOrdering(t *testing.T) {
 	c := New()
 	var fired []int
-	c.At(30, func(Time) { fired = append(fired, 3) })
-	c.At(10, func(Time) { fired = append(fired, 1) })
-	c.At(20, func(Time) { fired = append(fired, 2) })
+	at(c, 30, func(Time) { fired = append(fired, 3) })
+	at(c, 10, func(Time) { fired = append(fired, 1) })
+	at(c, 20, func(Time) { fired = append(fired, 2) })
 	c.Run()
 	if len(fired) != 3 || fired[0] != 1 || fired[1] != 2 || fired[2] != 3 {
 		t.Fatalf("events fired in order %v, want [1 2 3]", fired)
@@ -38,7 +41,7 @@ func TestFIFOAmongEqualTimestamps(t *testing.T) {
 	var fired []int
 	for i := 0; i < 10; i++ {
 		i := i
-		c.At(5, func(Time) { fired = append(fired, i) })
+		at(c, 5, func(Time) { fired = append(fired, i) })
 	}
 	c.Run()
 	for i, v := range fired {
@@ -50,20 +53,20 @@ func TestFIFOAmongEqualTimestamps(t *testing.T) {
 
 func TestAfterSchedulesRelative(t *testing.T) {
 	c := New()
-	var at Time
-	c.At(100, func(now Time) {
-		c.After(50, func(now Time) { at = now })
+	var got Time
+	at(c, 100, func(now Time) {
+		at(c, c.Now()+50, func(now Time) { got = now })
 	})
 	c.Run()
-	if at != 150 {
-		t.Fatalf("After fired at %v, want 150", at)
+	if got != 150 {
+		t.Fatalf("relative event fired at %v, want 150", got)
 	}
 }
 
 func TestCancel(t *testing.T) {
 	c := New()
 	fired := false
-	h := c.At(10, func(Time) { fired = true })
+	h := at(c, 10, func(Time) { fired = true })
 	c.Cancel(h)
 	if !h.Cancelled() {
 		t.Fatal("handle not marked cancelled")
@@ -79,9 +82,9 @@ func TestCancel(t *testing.T) {
 func TestCancelOneOfMany(t *testing.T) {
 	c := New()
 	var fired []int
-	h1 := c.At(10, func(Time) { fired = append(fired, 1) })
-	c.At(20, func(Time) { fired = append(fired, 2) })
-	c.At(30, func(Time) { fired = append(fired, 3) })
+	h1 := at(c, 10, func(Time) { fired = append(fired, 1) })
+	at(c, 20, func(Time) { fired = append(fired, 2) })
+	at(c, 30, func(Time) { fired = append(fired, 3) })
 	c.Cancel(h1)
 	c.Run()
 	if len(fired) != 2 || fired[0] != 2 || fired[1] != 3 {
@@ -91,24 +94,25 @@ func TestCancelOneOfMany(t *testing.T) {
 
 func TestSchedulingInPastPanics(t *testing.T) {
 	c := New()
-	c.At(100, func(Time) {})
+	at(c, 100, func(Time) {})
 	c.Run()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("scheduling in the past did not panic")
 		}
 	}()
-	c.At(50, func(Time) {})
+	at(c, 50, func(Time) {})
 }
 
 func TestNegativeDelayPanics(t *testing.T) {
 	c := New()
+	c.RunUntil(100)
 	defer func() {
 		if recover() == nil {
-			t.Fatal("negative After delay did not panic")
+			t.Fatal("negative delay did not panic")
 		}
 	}()
-	c.After(-1, func(Time) {})
+	at(c, c.Now()-1, func(Time) {})
 }
 
 func TestRunUntilStopsAtDeadline(t *testing.T) {
@@ -116,7 +120,7 @@ func TestRunUntilStopsAtDeadline(t *testing.T) {
 	var fired []Time
 	for i := Time(10); i <= 100; i += 10 {
 		i := i
-		c.At(i, func(now Time) { fired = append(fired, now) })
+		at(c, i, func(now Time) { fired = append(fired, now) })
 	}
 	c.RunUntil(55)
 	if len(fired) != 5 {
@@ -142,7 +146,7 @@ func TestRunUntilAdvancesIdleClock(t *testing.T) {
 func TestTickerFiresPeriodically(t *testing.T) {
 	c := New()
 	var times []Time
-	tk := c.Every(10, func(now Time) {
+	tk := c.EveryKey("tick", 10, func(now Time) {
 		times = append(times, now)
 		if len(times) == 5 {
 			c.Stop()
@@ -164,7 +168,7 @@ func TestTickerCancel(t *testing.T) {
 	c := New()
 	count := 0
 	var tk *Ticker
-	tk = c.Every(10, func(now Time) {
+	tk = c.EveryKey("tick", 10, func(now Time) {
 		count++
 		if count == 3 {
 			tk.Cancel()
@@ -180,7 +184,7 @@ func TestTickerReset(t *testing.T) {
 	c := New()
 	var times []Time
 	var tk *Ticker
-	tk = c.Every(10, func(now Time) {
+	tk = c.EveryKey("tick", 10, func(now Time) {
 		times = append(times, now)
 		if len(times) == 1 {
 			tk.Reset(100)
@@ -199,17 +203,17 @@ func TestNonPositivePeriodPanics(t *testing.T) {
 	c := New()
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Every(0) did not panic")
+			t.Fatal("EveryKey with period 0 did not panic")
 		}
 	}()
-	c.Every(0, func(Time) {})
+	c.EveryKey("tick", 0, func(Time) {})
 }
 
 func TestStopHaltsRun(t *testing.T) {
 	c := New()
 	count := 0
 	for i := Time(1); i <= 100; i++ {
-		c.At(i, func(Time) {
+		at(c, i, func(Time) {
 			count++
 			if count == 10 {
 				c.Stop()
@@ -228,7 +232,7 @@ func TestStopHaltsRun(t *testing.T) {
 func TestFiredCounter(t *testing.T) {
 	c := New()
 	for i := Time(1); i <= 7; i++ {
-		c.At(i, func(Time) {})
+		at(c, i, func(Time) {})
 	}
 	c.Run()
 	if c.Fired() != 7 {
@@ -259,7 +263,7 @@ func TestPropertyMonotonicDispatch(t *testing.T) {
 		var last Time = -1
 		ok := true
 		for _, off := range offsets {
-			c.At(Time(off), func(now Time) {
+			at(c, Time(off), func(now Time) {
 				if now < last {
 					ok = false
 				}
@@ -286,11 +290,11 @@ func TestPropertyNestedScheduling(t *testing.T) {
 			return func(now Time) {
 				seq = append(seq, now)
 				if d > 0 {
-					c.After(Duration(d), nest(d-1))
+					at(c, c.Now()+Duration(d), nest(d-1))
 				}
 			}
 		}
-		c.At(1, nest(depth))
+		at(c, 1, nest(depth))
 		c.Run()
 		for i := 1; i < len(seq); i++ {
 			if seq[i] < seq[i-1] {

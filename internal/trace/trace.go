@@ -155,12 +155,12 @@ func (r *Recorder) Attach(e *engine.Engine, workloadName string) error {
 			return err
 		}
 	}
-	e.Clock().Every(r.PatternEvery, func(now simclock.Time) {
+	e.Clock().EveryKey("trace/pattern", r.PatternEvery, func(now simclock.Time) {
 		for _, p := range e.Processes() {
 			r.capturePattern(e, p, now.Seconds())
 		}
 	})
-	e.Clock().Every(r.SnapshotEvery, func(now simclock.Time) {
+	e.Clock().EveryKey("trace/snapshot", r.SnapshotEvery, func(now simclock.Time) {
 		r.snapshot(e, now)
 	})
 	return nil
@@ -325,21 +325,38 @@ func (r *Replay) Build(e *engine.Engine) error {
 	if err := e.MapAll(engine.BasePages); err != nil {
 		return err
 	}
-	// Phase changes replay at their recorded times.
-	for _, pat := range r.T.Patterns {
-		if pat.AtSec == 0 {
-			continue
-		}
-		pat := pat
-		e.Clock().At(simclock.FromSeconds(pat.AtSec), func(now simclock.Time) {
+	// Phase changes replay at their recorded times, as keyed one-shots
+	// whose payload is the record's index in T.Patterns; checkpoints carry
+	// the patterns they leave.
+	for _, pr := range r.T.Processes {
+		e.EnablePatternRestore(byPID[pr.PID])
+	}
+	phase := func(at simclock.Time, i int64) {
+		e.Clock().AtKey(at, phaseKey, i, 0, func(now simclock.Time) {
+			pat := r.T.Patterns[i]
 			if p := byPID[pat.PID]; p != nil {
 				applyPattern(p, pat)
 				e.FlushPattern(p)
 			}
 		})
 	}
+	e.Clock().BindKey(phaseKey, func(rec simclock.EventRecord) {
+		// An index outside this trace schedules nothing, which fails the
+		// restore instead of the run.
+		if rec.Arg >= 0 && rec.Arg < int64(len(r.T.Patterns)) {
+			phase(rec.At, rec.Arg)
+		}
+	})
+	for i, pat := range r.T.Patterns {
+		if pat.AtSec != 0 {
+			phase(simclock.FromSeconds(pat.AtSec), int64(i))
+		}
+	}
 	return nil
 }
+
+// phaseKey is the checkpoint key of a replay's pending phase changes.
+const phaseKey = "trace/phase"
 
 // HotPage implements workload.Workload: pages whose initial weight is in
 // the top HotFrac of the process.

@@ -267,6 +267,26 @@ func (p *Process) ReadFrac(vpn uint64) float64 {
 	return p.readFrac[i]
 }
 
+// Pattern returns the process's per-base-page weight and read-fraction
+// arrays, in pattern-index order. The slices are owned by the process;
+// callers must copy them to keep a snapshot.
+func (p *Process) Pattern() (weights, readFrac []float64) { return p.weights, p.readFrac }
+
+// RestorePattern overwrites the whole access pattern and TotalWeight
+// verbatim (a checkpoint restore) and empties the dirty list: the engine
+// state restored alongside already reflects the pattern.
+func (p *Process) RestorePattern(weights, readFrac []float64, total float64) error {
+	if len(weights) != len(p.weights) || len(readFrac) != len(p.readFrac) {
+		return fmt.Errorf("vm: restore pattern of pid %d: %d/%d entries recorded, %d built",
+			p.PID, len(weights), len(readFrac), len(p.weights))
+	}
+	copy(p.weights, weights)
+	copy(p.readFrac, readFrac)
+	p.TotalWeight = total
+	p.ClearDirty()
+	return nil
+}
+
 // RecomputeTotalWeight refreshes the cached pattern weight sum.
 func (p *Process) RecomputeTotalWeight() {
 	var sum float64
@@ -286,19 +306,6 @@ func (p *Process) PageAt(vpn uint64) *Page {
 	}
 	return p.pages[i]
 }
-
-// PageAtIndex returns the resident page at a pattern index, or nil. Hot
-// loops that already walk pattern indices (the scan walker, the engine's
-// alias gather) use it to skip the VPN translation entirely.
-func (p *Process) PageAtIndex(i int) *Page {
-	if i < 0 || i >= len(p.pages) {
-		return nil
-	}
-	return p.pages[i]
-}
-
-// PatternLen returns the total pattern-index space (page-table slots).
-func (p *Process) PatternLen() int { return len(p.pages) }
 
 // InsertPage registers a resident page in the process page table. Every
 // covered VPN must lie inside a VMA.

@@ -16,16 +16,14 @@ package workload
 //     (bulk allocation touching cold memory), modelling a co-tenant
 //     batch job that evicts the primary working set.
 //
-// Determinism rules (these make the scenarios checkpointable where the
-// Every-based drift workloads are not):
+// Determinism rules:
 //
 //   - Phase is a pure function of the clock (floor(now/period)), never of
 //     accumulated state; the phase ticker is keyed, so Clock.Snapshot can
 //     rebind it on restore and a resumed run recomputes the same phase.
-//   - Weights are re-asserted wholesale each tick from the phase alone,
-//     and every page keeps a strictly positive weight (epsilon for cold
-//     pages) so the engine's restored pageW column can be written back
-//     into the pattern arrays (engine.EnablePatternRestore).
+//   - Weights are re-asserted wholesale each tick from the phase alone;
+//     checkpoints carry the pattern arrays verbatim
+//     (engine.EnablePatternRestore).
 //   - Per-page read fractions come from a stateless hash on a dedicated
 //     salt — never from the shared workload RNG stream, whose position
 //     existing runs depend on. The Draws counter exposes how many hash
@@ -47,9 +45,8 @@ import (
 // must never share a stream, or adding a scenario would shift fault draws.
 const scenarioSeedSalt = 0xad5e11a5c3a7
 
-// epsilonWeight keeps cold pages at a strictly positive access weight so
-// pattern restore can round-trip them (a zero engine weight is
-// indistinguishable from "never set").
+// epsilonWeight keeps cold pages at a small positive access weight: cold
+// memory is touched rarely, not never.
 const epsilonWeight = 0.01
 
 // advBase carries the pieces common to the three scenarios.

@@ -125,10 +125,15 @@ func (w *Graph500) Build(e *engine.Engine) error {
 	}
 
 	// BFS rounds: jitter the edge-region weights around their base values
-	// as frontiers sweep different graph regions.
+	// as frontiers sweep different graph regions. The jitter comes from the
+	// workload RNG, so the pattern a round leaves is history: checkpoints
+	// carry it verbatim.
 	round := simclock.FromSeconds(w.RoundSeconds)
 	procs := e.Processes()
-	e.Clock().Every(round, func(now simclock.Time) {
+	for _, p := range procs {
+		e.EnablePatternRestore(p)
+	}
+	e.Clock().EveryKey("workload/graph500/round", round, func(now simclock.Time) {
 		for i, p := range procs {
 			base := w.baseWeights[i]
 			start := p.VMAs()[0].Start

@@ -64,9 +64,10 @@ type Pmbench struct {
 	// DriftStepFrac is the per-step centre shift (default 0.25).
 	DriftStepFrac float64
 
-	// centreFrac tracks the live hot-centre position per process for
-	// ground truth under drift.
-	centreFrac []float64
+	// clock is the engine clock under drift: the hot centre is a function
+	// of its phase (see centreAt), so ground truth agrees with the pattern
+	// after a checkpoint restore.
+	clock *simclock.Clock
 	// zipfThresh is the per-process ground-truth hot weight cutoff for
 	// PatternZipf.
 	zipfThresh []float64
@@ -138,7 +139,6 @@ func (w *Pmbench) Build(e *engine.Engine) error {
 			p.SetPattern(start+uint64(j), wt, prf)
 		}
 		e.AddProcess(p, threads)
-		w.centreFrac = append(w.centreFrac, 0.5)
 	}
 	if err := e.MapAll(w.Mode); err != nil {
 		return err
@@ -147,19 +147,35 @@ func (w *Pmbench) Build(e *engine.Engine) error {
 		if w.DriftStepFrac == 0 {
 			w.DriftStepFrac = 0.25
 		}
+		w.clock = e.Clock()
 		procs := e.Processes()
-		e.Clock().Every(simclock.FromSeconds(w.DriftPeriodS), func(now simclock.Time) {
-			for i, p := range procs {
-				w.centreFrac[i] += w.DriftStepFrac
-				for w.centreFrac[i] >= 1 {
-					w.centreFrac[i] -= 1
-				}
-				w.reweight(p, w.centreFrac[i], rf)
+		for _, p := range procs {
+			e.EnablePatternRestore(p)
+		}
+		e.Clock().EveryKey("workload/pmbench/drift", simclock.FromSeconds(w.DriftPeriodS), func(now simclock.Time) {
+			centre := w.centreAt(now)
+			for _, p := range procs {
+				w.reweight(p, centre, rf)
 				e.FlushPattern(p)
 			}
 		})
 	}
 	return nil
+}
+
+// centreAt returns the hot centre (fraction of the address space) at
+// time now. The drift ticker fires at every multiple of the drift period;
+// their float additions are replayed one per tick from 0.5, so the centre
+// depends on the clock alone.
+func (w *Pmbench) centreAt(now simclock.Time) float64 {
+	centre := 0.5
+	for ticks := now / simclock.FromSeconds(w.DriftPeriodS); ticks > 0; ticks-- {
+		centre += w.DriftStepFrac
+		for centre >= 1 {
+			centre -= 1
+		}
+	}
+	return centre
 }
 
 // zipfWeights assigns rank-based Zipf popularity 1/rank^s to the strided
@@ -238,8 +254,8 @@ func (w *Pmbench) HotPage(p *vm.Process, vpn uint64) bool {
 		return false
 	}
 	centre := 0.5
-	if idx := p.PID - 1000; idx >= 0 && idx < len(w.centreFrac) {
-		centre = w.centreFrac[idx]
+	if w.clock != nil {
+		centre = w.centreAt(w.clock.Now())
 	}
 	n := float64(v.Len)
 	d := math.Abs(float64(i) - centre*n)
