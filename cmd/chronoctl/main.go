@@ -29,11 +29,9 @@ import (
 	"strings"
 	"time"
 
-	"chrono/internal/core"
 	"chrono/internal/daemon"
-	"chrono/internal/engine"
+	"chrono/internal/experiments"
 	"chrono/internal/report"
-	"chrono/internal/workload"
 )
 
 // setFlags collects repeated -set key=value arguments.
@@ -107,13 +105,12 @@ func localMain(stdout, stderr io.Writer, sets setFlags, list bool, seed uint64) 
 		return 2
 	}
 	// Build a live system so the parameter table is fully populated.
-	e := engine.New(engine.Config{Seed: seed})
-	w := &workload.Pmbench{Processes: 20, WorkingSetGB: 12, ReadPct: 70, Stride: 2}
-	if err := w.Build(e); err != nil {
+	spec := experiments.SimSpec{Workload: "pmbench", Procs: 20, WSGB: 12, Seed: seed}.WithDefaults()
+	e, _, err := spec.Build(spec.Policy)
+	if err != nil {
 		fmt.Fprintln(stderr, "chronoctl:", err)
 		return 1
 	}
-	e.AttachPolicy(core.New(core.Options{}))
 	t := report.NewTable("Runtime parameters (sysctl/procfs controllers)",
 		"Path", "Value", "Description")
 	for _, p := range e.Sysctl().All() {

@@ -8,6 +8,10 @@
 //	chronosim -policy Memtis -workload kvstore -flavor redis -secs 300 -huge
 //	chronosim -policy Linux-NB -workload graph500 -total 192 -secs 300
 //	chronosim -policy Chrono -workload multitenant -secs 900 -series
+//
+// The flags fill an experiments.SimSpec, the same description chronod
+// accepts: a zero value selects the default, and a spec the shared
+// validator rejects exits with status 2.
 package main
 
 import (
@@ -15,12 +19,8 @@ import (
 	"fmt"
 	"os"
 
-	"chrono/internal/engine"
 	"chrono/internal/experiments"
 	"chrono/internal/report"
-	"chrono/internal/simclock"
-	"chrono/internal/units"
-	"chrono/internal/workload"
 )
 
 func main() {
@@ -45,77 +45,21 @@ func main() {
 	)
 	flag.Parse()
 
-	mode := engine.BasePages
-	if *huge {
-		mode = engine.HugePages
-	}
-
-	var w workload.Workload
-	switch *wl {
-	case "pmbench":
-		w = &workload.Pmbench{
-			Processes: *procs, WorkingSetGB: units.GB(*ws), ReadPct: *readPct,
-			Stride: *stride, Mode: mode,
-		}
-	case "graph500":
-		w = &workload.Graph500{TotalGB: units.GB(*total), Mode: mode}
-	case "kvstore":
-		f := workload.Memcached
-		if *flavor == "redis" {
-			f = workload.Redis
-		}
-		set, get := 1.0, 10.0
-		if *setget == "1:1" {
-			get = 1
-		}
-		w = &workload.KVStore{Flavor: f, StoreGB: 160, SetRatio: set, GetRatio: get, Mode: mode}
-	case "multitenant":
-		w = &workload.MultiTenant{Tenants: *procs}
-	default:
-		fmt.Fprintf(os.Stderr, "chronosim: unknown workload %q\n", *wl)
+	spec := experiments.SimSpec{
+		Policy: *polName, Workload: *wl, Procs: *procs, WSGB: *ws, ReadPct: *readPct,
+		Stride: *stride, TotalGB: *total, Flavor: *flavor, SetGet: *setget, Huge: *huge,
+		Seed: *seed, DurationS: *secs, FastGB: *fastGB, SlowGB: *slowGB, PagesPerGB: *ppg,
+	}.WithDefaults()
+	if err := spec.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "chronosim:", err)
 		os.Exit(2)
 	}
-
-	opts := experiments.RunOpts{
-		Seed:       *seed,
-		Duration:   simclock.FromSeconds(*secs),
-		FastGB:     units.GB(*fastGB),
-		SlowGB:     units.GB(*slowGB),
-		Shards:     *shards,
-		PagesPerGB: *ppg,
-	}
-	res, err := experiments.Run(*polName, w, opts)
+	res, err := run(spec, *shards)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "chronosim:", err)
 		os.Exit(1)
 	}
-
-	m := res.Metrics
-	t := report.NewTable(fmt.Sprintf("%s on %s (%.0fs virtual)", *polName, w.Name(), *secs),
-		"Metric", "Value")
-	t.AddRow("Throughput (Mop/s)", m.Throughput())
-	t.AddRow("FMAR (%)", m.FMAR()*100)
-	t.AddRow("Avg latency (ns)", m.Lat.Mean())
-	t.AddRow("P50 latency (ns)", m.Lat.Percentile(0.5))
-	t.AddRow("P99 latency (ns)", m.Lat.Percentile(0.99))
-	t.AddRow("Kernel time (%)", m.KernelTimeFrac()*100)
-	t.AddRow("Context switches (/s)", m.ContextSwitchRate())
-	t.AddRow("Hint faults", m.Faults)
-	t.AddRow("Promotions (pages)", m.Promotions)
-	t.AddRow("Demotions (pages)", m.Demotions)
-	t.AddRow("Migrated (GB)", m.MigratedBytes/1e9)
-	cls, f1, ppr := experiments.Score(res)
-	t.AddRow("F1-score", f1)
-	t.AddRow("Precision", cls.Precision())
-	t.AddRow("Recall", cls.Recall())
-	t.AddRow("PPR", ppr)
-	if res.Chrono != nil {
-		t.AddRow("CIT threshold (ms)", res.Chrono.ThresholdMS())
-		t.AddRow("Rate limit (MB/s)", res.Chrono.RateLimitMBps())
-		t.AddRow("Thrash events", res.Chrono.ThrashTotal)
-		t.AddRow("DCSC samples", res.Chrono.DCSCSamples)
-	}
-	t.Fprint(os.Stdout)
+	experiments.SummaryTable(res, spec.DurationS).Fprint(os.Stdout)
 
 	if *series {
 		pt := report.NewTable("Final placement per process", "PID", "Name", "DRAM %")
@@ -124,4 +68,18 @@ func main() {
 		}
 		pt.Fprint(os.Stdout)
 	}
+}
+
+// run executes a validated spec over the given number of shards.
+func run(spec experiments.SimSpec, shards int) (*experiments.Result, error) {
+	w, err := spec.NewWorkload()
+	if err != nil {
+		return nil, err
+	}
+	o, err := spec.Opts()
+	if err != nil {
+		return nil, err
+	}
+	o.Shards = shards
+	return experiments.Run(spec.Policy, w, o)
 }

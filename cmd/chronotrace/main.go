@@ -14,12 +14,9 @@ import (
 	"fmt"
 	"os"
 
-	"chrono/internal/core"
 	"chrono/internal/engine"
 	"chrono/internal/experiments"
-	"chrono/internal/simclock"
 	"chrono/internal/trace"
-	"chrono/internal/units"
 	"chrono/internal/workload"
 )
 
@@ -54,32 +51,42 @@ func record(args []string) {
 	ws := fs.Float64("ws", 12, "working set GB per process (pmbench)")
 	fatal(fs.Parse(args))
 
-	var w workload.Workload
-	switch *wl {
-	case "pmbench":
-		w = &workload.Pmbench{Processes: *procs, WorkingSetGB: units.GB(*ws), ReadPct: 70, Stride: 2}
-	case "graph500":
-		w = &workload.Graph500{TotalGB: units.GB(*ws * float64(*procs))}
-	case "kvstore":
-		w = &workload.KVStore{Flavor: workload.Memcached, StoreGB: 160, SetRatio: 1, GetRatio: 10}
-	case "multitenant":
-		w = &workload.MultiTenant{Tenants: *procs}
-	default:
-		fatal(fmt.Errorf("unknown workload %q", *wl))
-	}
-
-	e := engine.New(engine.Config{Seed: *seed})
-	fatal(w.Build(e))
+	spec := experiments.SimSpec{
+		Workload: *wl, Procs: *procs, WSGB: *ws, TotalGB: *ws * float64(*procs),
+		Seed: *seed, DurationS: *secs,
+	}.WithDefaults()
+	fatal(spec.Validate())
+	w, err := spec.NewWorkload()
+	fatal(err)
+	o, err := spec.Opts()
+	fatal(err)
+	pol, err := experiments.NewPolicy(spec.Policy)
+	fatal(err)
 	f, err := os.Create(*out)
 	fatal(err)
 	rec := trace.NewRecorder(f)
-	fatal(rec.Attach(e, w.Name()))
-	e.AttachPolicy(core.New(core.Options{}))
-	m := e.Run(simclock.FromSeconds(*secs))
+	e, err := experiments.Build(pol, recorded{w, rec}, o)
+	fatal(err)
+	m := e.Run(o.Duration)
 	fatal(rec.Flush())
 	fatal(f.Close())
 	fmt.Printf("recorded %s: %.0fs virtual, %.1f Mop/s, FMAR %.1f%%\n",
 		*out, m.Duration.Seconds(), m.Throughput(), m.FMAR()*100)
+}
+
+// recorded attaches the trace recorder as part of the workload build,
+// so its tickers register before the policy's and the trace samples
+// each instant before the policy acts on it.
+type recorded struct {
+	workload.Workload
+	rec *trace.Recorder
+}
+
+func (r recorded) Build(e *engine.Engine) error {
+	if err := r.Workload.Build(e); err != nil {
+		return err
+	}
+	return r.rec.Attach(e, r.Name())
 }
 
 func info(args []string) {
@@ -128,17 +135,19 @@ func replay(args []string) {
 	_ = f.Close() // read-only: close failure is moot
 	fatal(err)
 
-	e := engine.New(engine.Config{
-		Seed:   *seed,
-		FastGB: tr.Header.FastGB, SlowGB: tr.Header.SlowGB,
+	spec := experiments.SimSpec{
+		Policy: *pol, Seed: *seed, DurationS: *secs,
+		FastGB: float64(tr.Header.FastGB), SlowGB: float64(tr.Header.SlowGB),
 		PagesPerGB: tr.Header.PagesPerGB,
-	})
-	rp := &trace.Replay{T: tr}
-	fatal(rp.Build(e))
-	p, err := experiments.NewPolicy(*pol)
+	}.WithDefaults()
+	fatal(spec.Validate())
+	o, err := spec.Opts()
 	fatal(err)
-	e.AttachPolicy(p)
-	m := e.Run(simclock.FromSeconds(*secs))
+	p, err := experiments.NewPolicy(spec.Policy)
+	fatal(err)
+	e, err := experiments.Build(p, &trace.Replay{T: tr}, o)
+	fatal(err)
+	m := e.Run(o.Duration)
 	fmt.Printf("replayed %s under %s: %.1f Mop/s, FMAR %.1f%%, p99 %.0f ns, prom %d\n",
 		*in, *pol, m.Throughput(), m.FMAR()*100, m.Lat.Percentile(0.99), m.Promotions)
 }

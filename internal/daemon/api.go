@@ -30,6 +30,13 @@
 // means a shell script with nc(1) can drive it.
 package daemon
 
+import "chrono/internal/experiments"
+
+// RunSpec is the submit payload: a simulation described by name, with
+// chronosim's flags as fields. It is experiments.SimSpec, so chronod
+// admits exactly the specs chronosim accepts and builds them the same way.
+type RunSpec = experiments.SimSpec
+
 // Op names accepted in Request.Op.
 const (
 	OpPing        = "ping"        // liveness probe

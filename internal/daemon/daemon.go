@@ -243,10 +243,20 @@ func (d *Daemon) recover() error {
 			d.nextID = n + 1
 		}
 		switch rec.State {
-		case StateDone, StateFailed, StateCancelled, StatePaused:
-			// Terminal states are served from the record; paused runs wait
-			// for an explicit resume.
+		case StateDone, StateFailed, StateCancelled:
+			// Terminal states are served from the record.
 		default:
+			// A spec that cannot build would crash every restart's
+			// driver; it fails here instead of being requeued.
+			if err := rec.Spec.WithDefaults().Validate(); err != nil {
+				r.state, r.errMsg = StateFailed, fmt.Sprintf("recovered spec is invalid: %v", err)
+				r.persist()
+				d.logf("chronod: run %s failed: %s", r.id, r.errMsg)
+				continue
+			}
+			if rec.State == StatePaused {
+				continue // parked until an explicit resume
+			}
 			// queued / running / interrupted: requeue. In-flight runs
 			// continue from their snapshot when one exists — the
 			// byte-identical-resume fence — and replay from scratch when
@@ -300,8 +310,8 @@ func (d *Daemon) runDriver(r *run) {
 // back-pressure: rejecting with a retry hint beats queueing without
 // bound and falling over later.
 func (d *Daemon) Submit(spec RunSpec) Response {
-	spec = spec.withDefaults()
-	if err := spec.validate(); err != nil {
+	spec = spec.WithDefaults()
+	if err := spec.Validate(); err != nil {
 		return Response{Error: err.Error()}
 	}
 	d.mu.Lock()

@@ -138,6 +138,58 @@ func TestSubmitValidatesSpec(t *testing.T) {
 	}
 }
 
+// A tier smaller than one page used to be admitted and then panic the
+// driver goroutine in engine construction, killing the daemon. The shared
+// validator now rejects it at submit and the daemon keeps serving.
+func TestSubmitRejectsSubPageTier(t *testing.T) {
+	d := newTestDaemon(t, t.TempDir(), "")
+	resp := d.Submit(RunSpec{Workload: "pmbench", FastGB: 0.001})
+	if resp.OK || !strings.Contains(resp.Error, "smaller than one page") {
+		t.Fatalf("sub-page submit: %+v, want a one-page rejection", resp)
+	}
+	if ping := d.dispatch(Request{Op: OpPing}); !ping.OK {
+		t.Fatalf("ping after rejected submit: %+v", ping)
+	}
+	if len(d.List().Runs) != 0 {
+		t.Fatal("rejected spec entered the registry")
+	}
+}
+
+// A record on disk whose spec cannot build (written before the validator
+// caught it, or edited by hand) settles as failed at startup instead of
+// being requeued into a crash on every restart.
+func TestRecoveryFailsInvalidSpec(t *testing.T) {
+	dir := t.TempDir()
+	bad := RunSpec{Workload: "pmbench", FastGB: 0.001}.WithDefaults()
+	for id, state := range map[string]string{"r0000": StateRunning, "r0001": StatePaused} {
+		runDir := filepath.Join(dir, "runs", id)
+		if err := os.MkdirAll(runDir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		rec := runRecord{ID: id, Spec: bad, State: state, Policy: bad.Policy}
+		if err := checkpoint.Save(filepath.Join(runDir, "record.json"), rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d := newTestDaemon(t, dir, "")
+	for _, id := range []string{"r0000", "r0001"} {
+		info := waitState(t, d, id, StateFailed)
+		if !strings.Contains(info.Error, "smaller than one page") {
+			t.Fatalf("run %s failed with %q, want the validator's message", id, info.Error)
+		}
+		var rec runRecord
+		if err := checkpoint.Load(filepath.Join(dir, "runs", id, "record.json"), &rec); err != nil {
+			t.Fatal(err)
+		}
+		if rec.State != StateFailed {
+			t.Fatalf("run %s persisted as %s, want failed", id, rec.State)
+		}
+	}
+	if ping := d.dispatch(Request{Op: OpPing}); !ping.OK {
+		t.Fatalf("ping after recovery: %+v", ping)
+	}
+}
+
 // Over-capacity submits are shed with an explicit rejection and a
 // deterministic retry-after hint; admitted work is unaffected.
 func TestAdmissionShedsExplicitly(t *testing.T) {

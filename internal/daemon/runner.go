@@ -22,7 +22,6 @@ import (
 	"sort"
 
 	"chrono/internal/checkpoint"
-	"chrono/internal/core"
 	"chrono/internal/engine"
 	"chrono/internal/experiments"
 	"chrono/internal/report"
@@ -131,7 +130,7 @@ func (d *Daemon) drive(r *run) {
 
 // build makes a fresh engine for the run under polName.
 func (d *Daemon) build(r *run, polName string) (*engine.Engine, workload.Workload, error) {
-	e, w, err := r.spec.buildEngine(polName)
+	e, w, err := r.spec.Build(polName)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -268,7 +267,7 @@ func (d *Daemon) execute(r *run, e *engine.Engine, w workload.Workload, resumed 
 	out := simrun.Exec(simrun.Segment{
 		Engine:       e,
 		Resumed:      resumed,
-		Duration:     r.spec.duration(),
+		Duration:     simclock.FromSeconds(r.spec.DurationS),
 		Ctx:          r.context(),
 		Interval:     cfg.checkpointInterval(),
 		StallTimeout: cfg.stallTimeout(),
@@ -405,8 +404,10 @@ func (d *Daemon) settleDone(r *run, e *engine.Engine, w workload.Workload, m *en
 	pol := r.policy
 	r.mu.Unlock()
 	// The table lands on disk before the state flips: a Status that sees
-	// "done" is guaranteed to find the final table.
-	table := renderFinalTable(r.spec, pol, w, e, m)
+	// "done" is guaranteed to find the final table. It is chronosim's
+	// summary, rendered the same whether the run was interrupted and
+	// resumed or ran straight through: the crash-recovery fence diffs it.
+	table := experiments.SummaryTable(experiments.NewResult(pol, e, w, m), r.spec.DurationS).String()
 	_ = checkpoint.WriteFileAtomic(r.tablePath(), []byte(table))
 	_ = os.Remove(r.ckptPath())
 	r.setState(StateDone)
@@ -450,32 +451,6 @@ func firstLine(s string) string {
 	return s
 }
 
-// renderFinalTable is the chronosim metrics table for a finished run —
-// rendered identically whether the run was interrupted and resumed or
-// ran straight through, which is exactly what the byte-identical
-// crash-recovery fence diffs.
-func renderFinalTable(spec RunSpec, polName string, w workload.Workload, e *engine.Engine, m *engine.Metrics) string {
-	t := report.NewTable(fmt.Sprintf("%s on %s (%.0fs virtual)", polName, w.Name(), spec.DurationS),
-		"Metric", "Value")
-	addMetricRows(t, m)
-	res := &experiments.Result{Policy: polName, Metrics: m, Engine: e, Workload: w}
-	if c, ok := e.Policy().(*core.Chrono); ok {
-		res.Chrono = c
-	}
-	cls, f1, ppr := experiments.Score(res)
-	t.AddRow("F1-score", f1)
-	t.AddRow("Precision", cls.Precision())
-	t.AddRow("Recall", cls.Recall())
-	t.AddRow("PPR", ppr)
-	if res.Chrono != nil {
-		t.AddRow("CIT threshold (ms)", res.Chrono.ThresholdMS())
-		t.AddRow("Rate limit (MB/s)", res.Chrono.RateLimitMBps())
-		t.AddRow("Thrash events", res.Chrono.ThrashTotal)
-		t.AddRow("DCSC samples", res.Chrono.DCSCSamples)
-	}
-	return t.String()
-}
-
 // renderLiveTable is the memtierd-style mid-run dump: the same counters
 // over the virtual time elapsed so far. It runs inside the AfterStep
 // hook — the only context where reading the engine mid-run is safe.
@@ -490,22 +465,6 @@ func renderLiveTable(r *run, polName string, w workload.Workload, e *engine.Engi
 	}
 	t := report.NewTable(fmt.Sprintf("%s: %s on %s at %.1fs virtual (live)",
 		r.id, polName, w.Name(), simclock.Duration(now).Seconds()), "Metric", "Value")
-	addMetricRows(t, m)
+	experiments.MetricRows(t, m)
 	return t.String()
-}
-
-// addMetricRows adds the counter/rate rows shared by the live dump and
-// the final table.
-func addMetricRows(t *report.Table, m *engine.Metrics) {
-	t.AddRow("Throughput (Mop/s)", m.Throughput())
-	t.AddRow("FMAR (%)", m.FMAR()*100)
-	t.AddRow("Avg latency (ns)", m.Lat.Mean())
-	t.AddRow("P50 latency (ns)", m.Lat.Percentile(0.5))
-	t.AddRow("P99 latency (ns)", m.Lat.Percentile(0.99))
-	t.AddRow("Kernel time (%)", m.KernelTimeFrac()*100)
-	t.AddRow("Context switches (/s)", m.ContextSwitchRate())
-	t.AddRow("Hint faults", m.Faults)
-	t.AddRow("Promotions (pages)", m.Promotions)
-	t.AddRow("Demotions (pages)", m.Demotions)
-	t.AddRow("Migrated (GB)", m.MigratedBytes/1e9)
 }

@@ -103,16 +103,11 @@ func TestDurableCellDrainResumesBitIdentical(t *testing.T) {
 			// The snapshot restores onto a fresh build, so the resume below
 			// continues from it rather than replaying from scratch.
 			_, ck, stale, err := run.Open(failed.ResumeCkpt, nil, func(*cellCheckpoint) (*engine.Engine, error) {
-				e := newEngine(o.withDefaults())
-				if err := mkDurableWorkload().Build(e); err != nil {
-					return nil, err
-				}
 				p, err := NewPolicy(pol)
 				if err != nil {
 					return nil, err
 				}
-				e.AttachPolicy(p)
-				return e, nil
+				return Build(p, mkDurableWorkload(), o)
 			})
 			if err != nil || stale != nil || ck == nil {
 				t.Fatalf("drained snapshot does not restore: err=%v stale=%v", err, stale)

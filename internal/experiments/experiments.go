@@ -242,24 +242,51 @@ func (r *Result) Compact() {
 	r.Engine = nil
 }
 
-// Run executes one (workload, policy) simulation.
-func Run(polName string, w workload.Workload, o RunOpts) (*Result, error) {
+// Build is the one place a simulation is constructed: a fresh engine
+// from o's engine knobs, w materialized into it, and pol attached. The
+// harness and the chronosim, chronotrace, chronoctl and chronod tools
+// all build through it, so a knob added to RunOpts reaches every run.
+func Build(pol policy.Policy, w workload.Workload, o RunOpts) (*engine.Engine, error) {
 	o = o.withDefaults()
-	e := newEngine(o)
+	e := engine.New(engine.Config{
+		Seed:         o.Seed,
+		PagesPerGB:   o.PagesPerGB,
+		FastGB:       o.FastGB,
+		SlowGB:       o.SlowGB,
+		Faults:       o.Faults,
+		DebugChecks:  o.DebugChecks,
+		Shards:       o.Shards,
+		ShardWorkers: o.ShardWorkers,
+	})
 	if err := w.Build(e); err != nil {
 		return nil, fmt.Errorf("build %s: %w", w.Name(), err)
 	}
+	e.AttachPolicy(pol)
+	return e, nil
+}
+
+// NewResult wraps a finished simulation, exposing the policy as Chrono
+// when it is a Chrono variant.
+func NewResult(polName string, e *engine.Engine, w workload.Workload, m *engine.Metrics) *Result {
+	res := &Result{Policy: polName, Metrics: m, Engine: e, Workload: w}
+	if c, ok := e.Policy().(*core.Chrono); ok {
+		res.Chrono = c
+	}
+	return res
+}
+
+// Run executes one (workload, policy) simulation.
+func Run(polName string, w workload.Workload, o RunOpts) (*Result, error) {
+	o = o.withDefaults()
 	pol, err := NewPolicy(polName)
 	if err != nil {
 		return nil, err
 	}
-	e.AttachPolicy(pol)
-	m := e.Run(o.Duration)
-	res := &Result{Policy: polName, Metrics: m, Engine: e, Workload: w}
-	if c, ok := pol.(*core.Chrono); ok {
-		res.Chrono = c
+	e, err := Build(pol, w, o)
+	if err != nil {
+		return nil, err
 	}
-	return res, nil
+	return NewResult(polName, e, w, e.Run(o.Duration)), nil
 }
 
 // classifySnapshot scores the current placement against the workload's
@@ -306,13 +333,16 @@ func classifySnapshot(e *engine.Engine, w workload.Workload) (cls stats.Classifi
 // (promoted pages / accessed slow-tier pages).
 func Score(res *Result) (cls stats.Classification, f1, ppr float64) {
 	cls = classifySnapshot(res.Engine, res.Workload)
-	f1 = cls.F1()
-	e := res.Engine
-	accessed := e.AccessedSlowPages()
-	if accessed > 0 {
-		ppr = float64(e.UniquePromotedPages()) / float64(accessed)
+	return cls, cls.F1(), promotionRatio(res.Engine)
+}
+
+// promotionRatio is the page promotion ratio of a finished run: promoted
+// pages over accessed slow-tier pages.
+func promotionRatio(e *engine.Engine) float64 {
+	if accessed := e.AccessedSlowPages(); accessed > 0 {
+		return float64(e.UniquePromotedPages()) / float64(accessed)
 	}
-	return cls, f1, ppr
+	return 0
 }
 
 // RunScored runs one simulation and accumulates the classification over
@@ -322,15 +352,14 @@ func Score(res *Result) (cls stats.Classification, f1, ppr float64) {
 // or unstably converging policies score accordingly lower.
 func RunScored(polName string, w workload.Workload, o RunOpts) (*Result, stats.Classification, float64, error) {
 	o = o.withDefaults()
-	e := newEngine(o)
-	if err := w.Build(e); err != nil {
-		return nil, stats.Classification{}, 0, fmt.Errorf("build %s: %w", w.Name(), err)
-	}
 	pol, err := NewPolicy(polName)
 	if err != nil {
 		return nil, stats.Classification{}, 0, err
 	}
-	e.AttachPolicy(pol)
+	e, err := Build(pol, w, o)
+	if err != nil {
+		return nil, stats.Classification{}, 0, err
+	}
 	var acc stats.Classification
 	e.Clock().EveryKey("experiments/scored-sample", 30*simclock.Second, func(now simclock.Time) {
 		s := classifySnapshot(e, w)
@@ -339,14 +368,6 @@ func RunScored(polName string, w workload.Workload, o RunOpts) (*Result, stats.C
 		acc.FalseNegative += s.FalseNegative
 		acc.TrueNegative += s.TrueNegative
 	})
-	m := e.Run(o.Duration)
-	res := &Result{Policy: polName, Metrics: m, Engine: e, Workload: w}
-	if c, ok := pol.(*core.Chrono); ok {
-		res.Chrono = c
-	}
-	var ppr float64
-	if accessed := e.AccessedSlowPages(); accessed > 0 {
-		ppr = float64(e.UniquePromotedPages()) / float64(accessed)
-	}
-	return res, acc, ppr, nil
+	res := NewResult(polName, e, w, e.Run(o.Duration))
+	return res, acc, promotionRatio(e), nil
 }

@@ -84,15 +84,14 @@ func RunDrift(policies []string, shiftEveryS float64, o RunOpts) ([]*DriftResult
 				DriftPeriodS: shiftEveryS,
 				Mode:         DefaultModeFor(pol),
 			}
-			e := newEngine(o)
-			if err := w.Build(e); err != nil {
-				return nil, err
-			}
 			p, err := NewPolicy(pol)
 			if err != nil {
 				return nil, err
 			}
-			e.AttachPolicy(p)
+			e, err := Build(p, w, o)
+			if err != nil {
+				return nil, err
+			}
 			dr := &DriftResult{Policy: pol}
 			e.Clock().EveryKey("experiments/drift-sample", 10*simclock.Second, func(now simclock.Time) {
 				cls := classifySnapshot(e, w)

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math"
 
-	"chrono/internal/engine"
+	"chrono/internal/core"
 	"chrono/internal/parallel"
 	"chrono/internal/report"
 	"chrono/internal/simclock"
@@ -28,53 +28,40 @@ type Fig9Result struct {
 
 // RunFig9 reproduces Figure 9: 50 single-process cgroups with delay-scaled
 // uniform access patterns; the DRAM page percentage of six representative
-// cgroups is sampled over the run. Policies run as independent parallel
-// simulations, assembled in the given order.
+// cgroups is sampled every 10 virtual seconds. Policies run as independent
+// parallel simulations, assembled in the given order.
 func RunFig9(policies []string, o RunOpts) ([]*Fig9Result, error) {
+	if o.Duration == 0 {
+		o.Duration = 1500 * simclock.Second
+	}
 	jobs := make([]func() (*Fig9Result, error), len(policies))
 	for i, pol := range policies {
 		pol := pol
 		jobs[i] = func() (*Fig9Result, error) {
-			w := &workload.MultiTenant{Tenants: 50}
-			o := o
-			if o.Duration == 0 {
-				o.Duration = 1500 * simclock.Second
+			p, err := NewPolicy(pol)
+			if err != nil {
+				return nil, err
 			}
-			return runWithSampler(pol, w, o, func(e *engine.Engine, r *Fig9Result, now simclock.Time) {
+			e, err := Build(p, &workload.MultiTenant{Tenants: 50}, o)
+			if err != nil {
+				return nil, err
+			}
+			r := &Fig9Result{Policy: pol, Series: make(map[int]*stats.Series)}
+			for _, cg := range Fig9Cgroups {
+				r.Series[cg] = &stats.Series{Name: fmt.Sprintf("cgroup-%d", cg)}
+			}
+			sample := func(now simclock.Time) {
 				for _, cg := range Fig9Cgroups {
 					r.Series[cg].Append(now.Seconds(), e.DRAMPagePercent(4000+cg))
 				}
-			})
+			}
+			e.Clock().EveryKey("experiments/fig9-sample", 10*simclock.Second, sample)
+			e.Run(o.Duration)
+			sample(e.Clock().Now())
+			return r, nil
 		}
 	}
 	return parallel.MapCtx(o.ctx(), o.Workers, jobs)
-}
-
-// runWithSampler runs one policy with a 10-second placement sampler.
-func runWithSampler(pol string, w workload.Workload, o RunOpts,
-	sample func(*engine.Engine, *Fig9Result, simclock.Time)) (*Fig9Result, error) {
-	o = o.withDefaults()
-	r := &Fig9Result{Policy: pol, Series: make(map[int]*stats.Series)}
-	for _, cg := range Fig9Cgroups {
-		r.Series[cg] = &stats.Series{Name: fmt.Sprintf("cgroup-%d", cg)}
-	}
-	e := engine.New(engine.Config{
-		Seed: o.Seed, PagesPerGB: o.PagesPerGB, FastGB: o.FastGB, SlowGB: o.SlowGB,
-	})
-	if err := w.Build(e); err != nil {
-		return nil, err
-	}
-	p, err := NewPolicy(pol)
-	if err != nil {
-		return nil, err
-	}
-	e.AttachPolicy(p)
-	e.Clock().EveryKey("experiments/fig9-sample", 10*simclock.Second, func(now simclock.Time) {
-		sample(e, r, now)
-	})
-	e.Run(o.Duration)
-	sample(e, r, e.Clock().Now())
-	return r, nil
 }
 
 // Fig9Tables renders the Figure 9 histories: a final-placement table plus
@@ -134,19 +121,14 @@ func RunFig10a(o RunOpts) (*Fig10a, error) {
 	o = o.withDefaults()
 	const bins = 20
 	w := &workload.Pmbench{Processes: 8, WorkingSetGB: 24, ReadPct: 70, Stride: 1}
-	e := engine.New(engine.Config{
-		Seed: o.Seed, PagesPerGB: o.PagesPerGB, FastGB: o.FastGB, SlowGB: o.SlowGB,
-	})
-	if err := w.Build(e); err != nil {
-		return nil, err
-	}
 	pol, err := NewPolicy("Chrono")
 	if err != nil {
 		return nil, err
 	}
-	ch := pol.(interface {
-		SetCITObserver(func(pg *vm.Page, citMS float64))
-	})
+	e, err := Build(pol, w, o)
+	if err != nil {
+		return nil, err
+	}
 	out := &Fig10a{
 		Position:       make([]float64, bins),
 		AccessPDF:      make([]float64, bins),
@@ -160,7 +142,7 @@ func RunFig10a(o RunOpts) (*Fig10a, error) {
 	target := e.Processes()[0]
 	vma := target.VMAs()[0]
 	scale := e.Config().CostScale
-	ch.SetCITObserver(func(pg *vm.Page, citMS float64) {
+	pol.(*core.Chrono).SetCITObserver(func(pg *vm.Page, citMS float64) {
 		// citMS is already in real per-4KB-page terms.
 		if pg.Proc != target {
 			return
@@ -173,7 +155,6 @@ func RunFig10a(o RunOpts) (*Fig10a, error) {
 		sumSq[b] += citMS * citMS
 		out.Samples[b]++
 	})
-	e.AttachPolicy(pol)
 	e.Run(o.Duration)
 
 	for b := 0; b < bins; b++ {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"runtime/debug"
 
-	"chrono/internal/core"
 	"chrono/internal/engine"
 	"chrono/internal/faultinject"
 	"chrono/internal/run"
@@ -117,16 +116,13 @@ func runAttempt(experiment, polName string, mkWorkload func() workload.Workload,
 			w = mkWorkload() // replaying a stale snapshot needs an unbuilt workload
 		}
 		built = true
-		e = newEngine(o)
-		if berr := w.Build(e); berr != nil {
-			return nil, fmt.Errorf("build %s: %w", w.Name(), berr)
-		}
 		pol, perr := NewPolicy(polName)
 		if perr != nil {
 			return nil, perr
 		}
-		e.AttachPolicy(pol)
-		return e, nil
+		var berr error
+		e, berr = Build(pol, w, o)
+		return e, berr
 	}
 	var m *engine.Metrics
 	if dc == nil {
@@ -143,10 +139,7 @@ func runAttempt(experiment, polName string, mkWorkload func() workload.Workload,
 			return nil, failed, nil
 		}
 	}
-	res = &Result{Policy: polName, Metrics: m, Engine: e, Workload: w}
-	if c, ok := e.Policy().(*core.Chrono); ok {
-		res.Chrono = c
-	}
+	res = NewResult(polName, e, w, m)
 	if dc != nil {
 		dc.markDone(m)
 	}

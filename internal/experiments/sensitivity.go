@@ -75,11 +75,11 @@ func RunSensitivity(title string, mkWorkload func() workload.Workload, o RunOpts
 				if err != nil {
 					return 0, err
 				}
-				res, err := runPolicyInstance(pol, mkWorkload(), o)
+				e, err := Build(pol, mkWorkload(), o)
 				if err != nil {
 					return 0, err
 				}
-				return res.Metrics.Throughput(), nil
+				return e.Run(o.Duration).Throughput(), nil
 			})
 		}
 	}
@@ -99,21 +99,4 @@ func RunSensitivity(title string, mkWorkload func() workload.Workload, o RunOpts
 	}
 	t.Note = "relative performance vs default parameter value (x1)"
 	return t, nil
-}
-
-// runPolicyInstance runs a pre-built policy instance (used by sweeps that
-// need customized constructors).
-func runPolicyInstance(pol policy.Policy, w workload.Workload, o RunOpts) (*Result, error) {
-	o = o.withDefaults()
-	e := newEngine(o)
-	if err := w.Build(e); err != nil {
-		return nil, err
-	}
-	e.AttachPolicy(pol)
-	m := e.Run(o.Duration)
-	res := &Result{Policy: pol.Name(), Metrics: m, Engine: e, Workload: w}
-	if c, ok := pol.(*core.Chrono); ok {
-		res.Chrono = c
-	}
-	return res, nil
 }

@@ -2,26 +2,10 @@ package experiments
 
 import (
 	"chrono/internal/core"
-	"chrono/internal/engine"
 	"chrono/internal/report"
 )
 
-// This file renders the paper's static tables and provides the shared
-// engine constructor.
-
-// newEngine builds an engine from RunOpts (already defaulted).
-func newEngine(o RunOpts) *engine.Engine {
-	return engine.New(engine.Config{
-		Seed:         o.Seed,
-		PagesPerGB:   o.PagesPerGB,
-		FastGB:       o.FastGB,
-		SlowGB:       o.SlowGB,
-		Faults:       o.Faults,
-		DebugChecks:  o.DebugChecks,
-		Shards:       o.Shards,
-		ShardWorkers: o.ShardWorkers,
-	})
-}
+// This file renders the paper's static tables.
 
 // Table1 renders the solution-characteristics comparison (paper Table 1).
 func Table1() *report.Table {

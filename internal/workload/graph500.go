@@ -80,6 +80,9 @@ func (w *Graph500) Build(e *engine.Engine) error {
 		totalGB = maxGB
 	}
 	perProc := GB(e, totalGB.Div(float64(w.Processes)))
+	if perProc < 1 {
+		return fmt.Errorf("graph500: %g GB over %d processes is under one page each", float64(totalGB), w.Processes)
+	}
 	w.baseWeights = make([][]float64, w.Processes)
 	w.hotThresh = make([]float64, w.Processes)
 	rf := w.ReadPct / 100

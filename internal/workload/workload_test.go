@@ -137,6 +137,15 @@ func TestGraph500Build(t *testing.T) {
 	}
 }
 
+// A working set too small to give every process a page is a build error,
+// not an index panic.
+func TestGraph500SubPageProcessIsError(t *testing.T) {
+	w := &Graph500{TotalGB: 0.001}
+	if err := w.Build(newEngine()); err == nil {
+		t.Fatal("sub-page graph500 processes built without error")
+	}
+}
+
 func TestGraph500ExecutionTime(t *testing.T) {
 	w := &Graph500{WorkAccesses: 1e9}
 	m := &engine.Metrics{Accesses: 2e9, Duration: 10 * simclock.Second}

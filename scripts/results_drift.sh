@@ -6,26 +6,30 @@
 #   - quick_fig2a.txt: Figure 2a, every standard policy;
 #   - quick_ext_drift.txt: the all-systems extension and the drifting
 #     hotspot, whose Memtis rows move if Memtis' demotion order changes,
-#     down to the order of pages with equal counters.
+#     down to the order of pages with equal counters;
+#   - quick_fig9_10a_11b.txt: the Figure 9 placement histories, the
+#     Figure 10a CIT correlation and the Figure 11b sensitivity sweep,
+#     the harness paths that sample a run or attach a customized policy.
 # CI regenerates them and requires a byte-for-byte match: any change to
 # the engine, a policy, the RNG discipline, or the table renderer that
 # moves a published number must show up as a reviewable diff to a
 # committed artifact, never as silent drift.
 #
-# After an *intentional* change to the numbers, re-record both with:
+# After an *intentional* change to the numbers, re-record them with:
 #
 #   WRITE=1 bash scripts/results_drift.sh
 #
 # and commit the updated files alongside the change that moved them.
 set -u
 
-GOLDENS=(results/quick_fig2a.txt results/quick_ext_drift.txt)
+GOLDENS=(results/quick_fig2a.txt results/quick_ext_drift.txt results/quick_fig9_10a_11b.txt)
 
 # gen <golden> — regenerate one golden's table on stdout.
 gen() {
     case "$1" in
     results/quick_fig2a.txt) go run ./cmd/reproduce -quick -experiment fig2a -seed 42 ;;
     results/quick_ext_drift.txt) go run ./cmd/reproduce -quick -experiment ext,drift -seed 42 ;;
+    results/quick_fig9_10a_11b.txt) go run ./cmd/reproduce -quick -experiment fig9,fig10a,fig11b -seed 42 ;;
     esac
 }
 
