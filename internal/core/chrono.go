@@ -445,13 +445,12 @@ const maxPromoteRetries = 3
 
 // drainQueue promotes queued pages within the rate-limit budget.
 //
-// Failure handling distinguishes the two migration outcomes: a transient
+// Failure handling splits the migration verdicts in two: a transient
 // abort (busy/pinned page) skips-and-requeues the page at the BACK of
 // the queue — the head must not wedge the whole queue, and the next
 // attempt happens no earlier than the next MigrateTick, which is the
-// retry backoff in sim time — while capacity/bandwidth exhaustion
-// re-queues at the front and stops the drain, since every subsequent
-// entry would fail the same way until the budget refills.
+// retry backoff in sim time — while any other refusal (capacity,
+// bandwidth, admission) re-queues at the front and stops the drain.
 func (c *Chrono) drainQueue(now simclock.Time) {
 	budgetBytes := c.rateLimitBps * c.opt.MigrateTick.Seconds()
 	pageBytes := float64(c.k.Node().PageSizeBytes)
@@ -485,9 +484,9 @@ func (c *Chrono) drainQueue(now simclock.Time) {
 			} else {
 				c.queue = append(c.queue, id)
 			}
-		default: // MigrateNoCapacity
-			// Migration bandwidth exhausted or fast tier unreclaimable:
-			// retry the page next tick.
+		default: // MigrateNoCapacity, MigrateThrottled, MigrateDenied
+			// Fast tier unreclaimable, migration bandwidth exhausted or
+			// admission denied: retry the page next tick.
 			c.queue = append([]int64{id}, c.queue...)
 			return
 		}

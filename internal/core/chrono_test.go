@@ -306,7 +306,7 @@ func TestThrashDetectionOnDemotedPage(t *testing.T) {
 	c, k := attach(t, quietOptions())
 	pg := k.addPage(mem.FastTier, 1)
 	// Chrono observes the demotion (kernel or its own) via OnMigrated.
-	k.Demote(pg)
+	k.TryDemote(pg)
 	c.OnMigrated(pg, mem.FastTier, mem.SlowTier)
 	if !pg.Flags.Has(vm.FlagDemoted) {
 		t.Fatal("demoted flag not set")
@@ -330,7 +330,7 @@ func TestThrashMonitorDisabled(t *testing.T) {
 	opt.DisableThrashMonitor = true
 	c, k := attach(t, opt)
 	pg := k.addPage(mem.FastTier, 1)
-	k.Demote(pg)
+	k.TryDemote(pg)
 	c.OnMigrated(pg, mem.FastTier, mem.SlowTier)
 	if pg.Flags.Has(vm.FlagDemoted) {
 		t.Fatal("thrash monitor disabled but page flagged")

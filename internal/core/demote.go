@@ -2,6 +2,7 @@ package core
 
 import (
 	"chrono/internal/mem"
+	"chrono/internal/policy"
 	"chrono/internal/simclock"
 	"chrono/internal/vm"
 )
@@ -59,7 +60,7 @@ func (c *Chrono) demotionTick(now simclock.Time) {
 // happens in OnMigrated so that demotions initiated by the kernel's own
 // reclaim are tracked identically.
 func (c *Chrono) demotePage(pg *vm.Page, now simclock.Time) bool {
-	if !c.k.Demote(pg) {
+	if c.k.TryDemote(pg) != policy.MigrateOK {
 		return false
 	}
 	c.Demoted++

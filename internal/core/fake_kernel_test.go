@@ -110,55 +110,41 @@ func (k *fakeKernel) AccessedTestAndClear(pg *vm.Page) bool {
 	return false
 }
 
-func (k *fakeKernel) Promote(pg *vm.Page) bool {
-	if k.promoteOK != nil && !k.promoteOK(pg) {
-		return false
-	}
-	if pg.Tier == mem.FastTier {
-		return true
-	}
-	if _, err := k.node.MovePages(mem.SlowTier, mem.FastTier, int64(pg.Size)); err != nil {
-		return false
-	}
-	pg.Tier = mem.FastTier
-	k.promotes = append(k.promotes, pg)
-	return true
-}
-
-func (k *fakeKernel) Demote(pg *vm.Page) bool {
-	if k.demoteOK != nil && !k.demoteOK(pg) {
-		return false
-	}
-	if pg.Tier == mem.SlowTier {
-		return true
-	}
-	if _, err := k.node.MovePages(mem.FastTier, mem.SlowTier, int64(pg.Size)); err != nil {
-		return false
-	}
-	pg.Tier = mem.SlowTier
-	pg.DemoteTS = k.clock.Now()
-	k.demotes = append(k.demotes, pg)
-	return true
-}
-
 func (k *fakeKernel) TryPromote(pg *vm.Page) policy.MigrateResult {
 	if k.transient != nil && k.transient(pg) {
 		return policy.MigrateTransient
 	}
-	if k.Promote(pg) {
+	if k.promoteOK != nil && !k.promoteOK(pg) {
+		return policy.MigrateNoCapacity
+	}
+	if pg.Tier == mem.FastTier {
 		return policy.MigrateOK
 	}
-	return policy.MigrateNoCapacity
+	if _, err := k.node.MovePages(mem.SlowTier, mem.FastTier, int64(pg.Size)); err != nil {
+		return policy.MigrateNoCapacity
+	}
+	pg.Tier = mem.FastTier
+	k.promotes = append(k.promotes, pg)
+	return policy.MigrateOK
 }
 
 func (k *fakeKernel) TryDemote(pg *vm.Page) policy.MigrateResult {
 	if k.transient != nil && k.transient(pg) {
 		return policy.MigrateTransient
 	}
-	if k.Demote(pg) {
+	if k.demoteOK != nil && !k.demoteOK(pg) {
+		return policy.MigrateNoCapacity
+	}
+	if pg.Tier == mem.SlowTier {
 		return policy.MigrateOK
 	}
-	return policy.MigrateNoCapacity
+	if _, err := k.node.MovePages(mem.FastTier, mem.SlowTier, int64(pg.Size)); err != nil {
+		return policy.MigrateNoCapacity
+	}
+	pg.Tier = mem.SlowTier
+	pg.DemoteTS = k.clock.Now()
+	k.demotes = append(k.demotes, pg)
+	return policy.MigrateOK
 }
 
 func (k *fakeKernel) SplitHuge(pg *vm.Page) []*vm.Page { return nil }

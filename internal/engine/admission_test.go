@@ -1,0 +1,156 @@
+package engine
+
+import (
+	"encoding/json"
+	"testing"
+
+	"chrono/internal/mem"
+	"chrono/internal/policy"
+	"chrono/internal/simclock"
+	"chrono/internal/vm"
+)
+
+// newAdmissionEngine maps 2000 pages (fast tier full, the rest slow)
+// under pol and runs one second to prime the token bucket.
+func newAdmissionEngine(t *testing.T, pol policy.Policy) *Engine {
+	t.Helper()
+	e := newTestEngine(13)
+	addUniformProc(e, 1, 2000, 1)
+	if err := e.MapAll(BasePages); err != nil {
+		t.Fatal(err)
+	}
+	e.AttachPolicy(pol)
+	e.Run(simclock.Second)
+	return e
+}
+
+// firstIn returns the first resident page in tier.
+func firstIn(t *testing.T, e *Engine, tier mem.TierID) *vm.Page {
+	t.Helper()
+	for _, pg := range e.Pages() {
+		if pg != nil && pg.Tier == tier && !pg.Flags.Has(vm.FlagSwapped) {
+			return pg
+		}
+	}
+	t.Fatalf("no page in tier %d", tier)
+	return nil
+}
+
+// guardDenied reads the thrash guard's denial counter from its
+// checkpoint state.
+func guardDenied(t *testing.T, pol policy.Policy) int64 {
+	t.Helper()
+	st, err := pol.CheckpointState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := json.Marshal(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var v struct {
+		Denied int64 `json:"denied"`
+	}
+	if err := json.Unmarshal(raw, &v); err != nil {
+		t.Fatal(err)
+	}
+	return v.Denied
+}
+
+// bounce promotes then immediately demotes pg, which strikes it in the
+// thrash guard and arms its promotion backoff.
+func bounce(t *testing.T, e *Engine, pg *vm.Page) {
+	t.Helper()
+	if r := e.TryPromote(pg); r != policy.MigrateOK {
+		t.Fatalf("promote: %v", r)
+	}
+	if r := e.TryDemote(pg); r != policy.MigrateOK {
+		t.Fatalf("demote: %v", r)
+	}
+}
+
+// TestMigrateVerdicts produces each admission verdict at its site.
+func TestMigrateVerdicts(t *testing.T) {
+	t.Run("NoCapacity", func(t *testing.T) {
+		e := newAdmissionEngine(t, &recordingPolicy{})
+		e.Node().Alloc(mem.SlowTier, e.Node().Free(mem.SlowTier))
+		if r := e.TryDemote(firstIn(t, e, mem.FastTier)); r != policy.MigrateNoCapacity {
+			t.Fatalf("demote into a full slow tier: %v, want no-capacity", r)
+		}
+	})
+	t.Run("Throttled", func(t *testing.T) {
+		e := newAdmissionEngine(t, &recordingPolicy{})
+		if r := e.TryDemote(firstIn(t, e, mem.FastTier)); r != policy.MigrateOK {
+			t.Fatalf("setup demote: %v", r) // frees a fast frame: no reclaim below
+		}
+		e.migTokens = 0
+		slow, fast := firstIn(t, e, mem.SlowTier), firstIn(t, e, mem.FastTier)
+		if r := e.TryPromote(slow); r != policy.MigrateThrottled || slow.Tier != mem.SlowTier {
+			t.Fatalf("promote on a dry bucket: %v (tier %d), want throttled", r, slow.Tier)
+		}
+		if r := e.TryDemote(fast); r != policy.MigrateThrottled || fast.Tier != mem.FastTier {
+			t.Fatalf("demote on a dry bucket: %v (tier %d), want throttled", r, fast.Tier)
+		}
+		if r := e.PromoteShadowed(slow); r != policy.MigrateThrottled {
+			t.Fatalf("shadowed promote on a dry bucket: %v, want throttled", r)
+		}
+	})
+	t.Run("Denied", func(t *testing.T) {
+		pol := policy.WithThrashGuard(&recordingPolicy{}, policy.ThrashConfig{})
+		e := newAdmissionEngine(t, pol)
+		pg := firstIn(t, e, mem.SlowTier)
+		bounce(t, e, pg)
+		before := guardDenied(t, pol)
+		if r := e.TryPromote(pg); r != policy.MigrateDenied || pg.Tier != mem.SlowTier {
+			t.Fatalf("promote inside the guard backoff: %v (tier %d), want denied", r, pg.Tier)
+		}
+		if r := e.PromoteShadowed(pg); r != policy.MigrateDenied || pg.Tier != mem.SlowTier {
+			t.Fatalf("shadowed promote inside the guard backoff: %v (tier %d), want denied", r, pg.Tier)
+		}
+		if got := guardDenied(t, pol); got != before+2 {
+			t.Fatalf("guard denied counter %d -> %d, want +2", before, got)
+		}
+	})
+	t.Run("OK", func(t *testing.T) {
+		// An already-fast page short-circuits before admission: even a
+		// guard that would deny it is not consulted.
+		pol := policy.WithThrashGuard(&recordingPolicy{}, policy.ThrashConfig{})
+		e := newAdmissionEngine(t, pol)
+		pg := firstIn(t, e, mem.SlowTier)
+		bounce(t, e, pg)
+		if r := e.TryPromote(pg); r != policy.MigrateDenied {
+			t.Fatalf("setup: %v, want denied", r)
+		}
+		fast := firstIn(t, e, mem.FastTier)
+		before := guardDenied(t, pol)
+		if r := e.TryPromote(fast); r != policy.MigrateOK {
+			t.Fatalf("promote of a fast page: %v, want ok", r)
+		}
+		if got := guardDenied(t, pol); got != before {
+			t.Fatalf("admission consulted for an already-fast page (denied %d -> %d)", before, got)
+		}
+	})
+}
+
+// TestAdmissionOncePerSwappedShadowedPromote: a swapped page promoted
+// through PromoteShadowed delegates to TryPromote's swap-in, and the
+// admission hook still runs exactly once for the attempt.
+func TestAdmissionOncePerSwappedShadowedPromote(t *testing.T) {
+	pol := policy.WithThrashGuard(&recordingPolicy{}, policy.ThrashConfig{})
+	e := newAdmissionEngine(t, pol)
+	pg := firstIn(t, e, mem.SlowTier)
+	bounce(t, e, pg)
+	if !e.SwapOut(pg) {
+		t.Fatal("SwapOut failed")
+	}
+	before := guardDenied(t, pol)
+	if r := e.PromoteShadowed(pg); r != policy.MigrateDenied {
+		t.Fatalf("shadowed swap-in inside the guard backoff: %v, want denied", r)
+	}
+	if got := guardDenied(t, pol); got != before+1 {
+		t.Fatalf("guard denied counter %d -> %d, want exactly +1", before, got)
+	}
+	if !pg.Flags.Has(vm.FlagSwapped) {
+		t.Fatal("denied swap-in brought the page back")
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"chrono/internal/mem"
+	"chrono/internal/policy"
 	"chrono/internal/simclock"
 	"chrono/internal/units"
 	"chrono/internal/vm"
@@ -124,7 +125,7 @@ func TestMigrationTrafficContends(t *testing.T) {
 				break
 			}
 			if pg.Tier == mem.SlowTier {
-				if e.Promote(pg) {
+				if e.TryPromote(pg) == policy.MigrateOK {
 					moved++
 				}
 			}
@@ -134,7 +135,7 @@ func TestMigrationTrafficContends(t *testing.T) {
 				break
 			}
 			if pg.Tier == mem.FastTier {
-				if e.Demote(pg) {
+				if e.TryDemote(pg) == policy.MigrateOK {
 					moved++
 				}
 			}

@@ -42,9 +42,9 @@ func (c *chaosPolicy) Attach(k policy.Kernel) {
 			case 1:
 				k.Unprotect(pg)
 			case 2:
-				k.Promote(pg)
+				k.TryPromote(pg)
 			case 3:
-				k.Demote(pg)
+				k.TryDemote(pg)
 			case 4:
 				k.AccessedTestAndClear(pg)
 			case 5:
@@ -60,7 +60,7 @@ func (c *chaosPolicy) Attach(k policy.Kernel) {
 func (c *chaosPolicy) OnFault(pg *vm.Page, now simclock.Time) {
 	// Randomly migrate from the fault path too.
 	if c.r.Bool(0.3) {
-		c.k.Promote(pg)
+		c.k.TryPromote(pg)
 	}
 }
 

@@ -96,7 +96,7 @@ func finalState(t *testing.T, e *Engine) []byte {
 // sweep.
 var fencePolicies = []string{
 	"Linux-NB", "AutoTiering", "Multi-Clock", "TPP", "Memtis", "HeMem", "FlexMem", "Telescope", "Chrono",
-	"Nomad", "TPP+guard", "Memtis+guard", "FlexMem+guard", "Chrono+guard",
+	"Nomad", "TPP+guard", "Memtis+guard", "FlexMem+guard", "Chrono+guard", "Nomad+guard",
 }
 
 func newFencePolicy(t *testing.T, name string) (policy.Policy, PageSizeMode) {
@@ -134,6 +134,9 @@ func newFencePolicy(t *testing.T, name string) (policy.Policy, PageSizeMode) {
 		return policy.WithThrashGuard(flexmem.New(flexmem.Config{}), policy.ThrashConfig{}), HugePages
 	case "Chrono+guard":
 		return policy.WithThrashGuard(core.New(core.Options{}), policy.ThrashConfig{}), BasePages
+	case "Nomad+guard":
+		// The only variant whose guard gates PromoteShadowed.
+		return policy.WithThrashGuard(policy.NewNomad(policy.NomadConfig{}), policy.ThrashConfig{}), BasePages
 	}
 	t.Fatalf("unknown fence policy %s", name)
 	return nil, BasePages

@@ -318,7 +318,8 @@ type Engine struct {
 	// resume bit-identically; the registrations are re-made by Build.
 	patternRestore []*vm.Process //chrono:state Patterns
 
-	pol policy.Policy //chrono:state PolicyName,Policy
+	pol   policy.Policy   //chrono:state PolicyName,Policy
+	admit policy.Admitter //chrono:rebuilt the attached policy's promotion hook, re-asserted by AttachPolicy
 
 	// Kernel LRU (active/inactive per tier) maintained on faults and by
 	// periodic aging; source of reclaim/demotion candidates.
@@ -886,6 +887,7 @@ func (e *Engine) EnablePatternRestore(p *vm.Process) {
 // and before Run.
 func (e *Engine) AttachPolicy(p policy.Policy) {
 	e.pol = p
+	e.admit, _ = p.(policy.Admitter)
 	p.Attach(e)
 }
 

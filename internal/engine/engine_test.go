@@ -140,7 +140,7 @@ func TestPromoteDemoteAccounting(t *testing.T) {
 		t.Fatal("no slow page after mapping 2000 pages")
 	}
 	fastBefore := e.ResidentFast(p)
-	if !e.Promote(slowPage) {
+	if e.TryPromote(slowPage) != policy.MigrateOK {
 		t.Fatal("promote failed")
 	}
 	if slowPage.Tier != mem.FastTier {
@@ -152,7 +152,7 @@ func TestPromoteDemoteAccounting(t *testing.T) {
 	if e.M.Promotions != 1 {
 		t.Fatalf("Promotions=%d", e.M.Promotions)
 	}
-	if !e.Demote(slowPage) {
+	if e.TryDemote(slowPage) != policy.MigrateOK {
 		t.Fatal("demote failed")
 	}
 	if slowPage.Tier != mem.SlowTier || e.M.Demotions < 1 {
@@ -171,7 +171,7 @@ func TestPromoteIdempotentOnFastPage(t *testing.T) {
 	if pg.Tier != mem.FastTier {
 		t.Skip("first page not fast")
 	}
-	if !e.Promote(pg) {
+	if e.TryPromote(pg) != policy.MigrateOK {
 		t.Fatal("promote of fast page should be a no-op success")
 	}
 	if e.M.Promotions != 0 {
@@ -190,14 +190,14 @@ func TestAggregateConsistencyAfterMigrations(t *testing.T) {
 	moved := 0
 	for _, pg := range e.Pages() {
 		if pg.Tier == mem.SlowTier && moved < 50 {
-			if e.Promote(pg) {
+			if e.TryPromote(pg) == policy.MigrateOK {
 				moved++
 			}
 		}
 	}
 	for _, pg := range e.Pages() {
 		if pg.Tier == mem.FastTier && moved < 80 {
-			if e.Demote(pg) {
+			if e.TryDemote(pg) == policy.MigrateOK {
 				moved++
 			}
 		}
@@ -363,7 +363,7 @@ func TestMigrationTokenBucket(t *testing.T) {
 	promoted := 0
 	for _, pg := range e.Pages() {
 		if pg.Tier == mem.SlowTier {
-			if !e.Promote(pg) {
+			if e.TryPromote(pg) != policy.MigrateOK {
 				break
 			}
 			promoted++
@@ -573,6 +573,6 @@ func (p *promoteOnFault) CheckpointState() (any, error)  { return nil, nil }
 func (p *promoteOnFault) RestoreCheckpoint([]byte) error { return nil }
 func (p *promoteOnFault) OnFault(pg *vm.Page, now simclock.Time) {
 	if pg.Tier == mem.SlowTier {
-		p.k.Promote(pg)
+		p.k.TryPromote(pg)
 	}
 }

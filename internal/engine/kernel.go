@@ -92,23 +92,26 @@ func (e *Engine) migBudgetOK(pages int64) bool {
 	return true
 }
 
-// Promote moves pg to the fast tier, running direct reclaim when the fast
-// tier is short. Reports whether the page ended up in the fast tier.
-func (e *Engine) Promote(pg *vm.Page) bool {
-	return e.TryPromote(pg) == policy.MigrateOK
+// admitted runs the attached policy's Admitter hook, if any. Callers
+// consult it once per promotion attempt, after the already-fast shortcut
+// and before direct reclaim.
+func (e *Engine) admitted(pg *vm.Page) bool {
+	return e.admit == nil || e.admit.AdmitPromotion(pg)
 }
 
-// Demote moves pg to the slow tier.
-func (e *Engine) Demote(pg *vm.Page) bool {
-	return e.TryDemote(pg) == policy.MigrateOK
-}
-
-// TryPromote implements policy.Kernel: Promote with the failure cause
-// surfaced. Transient aborts (injected busy/pinned pages or watermark
-// allocation failures) leave the page and all capacity/budget accounting
-// untouched, so a retry observes the same state the failed attempt did.
+// TryPromote implements policy.Kernel. Transient aborts (injected
+// busy/pinned pages or watermark allocation failures) leave the page and
+// all capacity/budget accounting untouched, so a retry observes the same
+// state the failed attempt did.
 func (e *Engine) TryPromote(pg *vm.Page) policy.MigrateResult {
-	if pg.Flags.Has(vm.FlagSwapped) {
+	swapped := pg.Flags.Has(vm.FlagSwapped)
+	if pg.Tier == mem.FastTier && !swapped {
+		return policy.MigrateOK
+	}
+	if !e.admitted(pg) {
+		return policy.MigrateDenied
+	}
+	if swapped {
 		// Promoting a reclaimed page is a swap-in to the fast tier.
 		if !e.ensureFastFree(int64(pg.Size)) {
 			return policy.MigrateNoCapacity
@@ -122,9 +125,6 @@ func (e *Engine) TryPromote(pg *vm.Page) policy.MigrateResult {
 		}
 		return policy.MigrateOK
 	}
-	if pg.Tier == mem.FastTier {
-		return policy.MigrateOK
-	}
 	if !e.ensureFastFree(int64(pg.Size)) {
 		return policy.MigrateNoCapacity
 	}
@@ -134,7 +134,7 @@ func (e *Engine) TryPromote(pg *vm.Page) policy.MigrateResult {
 		return policy.MigrateTransient
 	}
 	if !e.migBudgetOK(int64(pg.Size)) {
-		return policy.MigrateNoCapacity
+		return policy.MigrateThrottled
 	}
 	if err := e.moveTier(pg, mem.FastTier); err != nil {
 		e.M.FailedPromotions++
@@ -172,7 +172,7 @@ func (e *Engine) TryDemote(pg *vm.Page) policy.MigrateResult {
 		return policy.MigrateTransient
 	}
 	if !e.migBudgetOK(int64(pg.Size)) {
-		return policy.MigrateNoCapacity
+		return policy.MigrateThrottled
 	}
 	if err := e.moveTier(pg, mem.SlowTier); err != nil {
 		e.M.FailedDemotions++
@@ -209,13 +209,17 @@ func (e *Engine) realWriteRate(pg *vm.Page) float64 {
 // PromoteShadowed implements policy.TransactionalKernel: TryPromote, but
 // on success the page's slow-tier frames are retained as a shadow copy,
 // and a write racing the copy aborts the transaction (Nomad's
-// abort-on-write) instead of migrating a torn page.
+// abort-on-write) instead of migrating a torn page. Admission runs once
+// per attempt, here or in the TryPromote a swapped page delegates to.
 func (e *Engine) PromoteShadowed(pg *vm.Page) policy.MigrateResult {
 	if pg.Flags.Has(vm.FlagSwapped) {
 		return e.TryPromote(pg) // swap-in: there is no slow copy to retain
 	}
 	if pg.Tier == mem.FastTier {
 		return policy.MigrateOK
+	}
+	if !e.admitted(pg) {
+		return policy.MigrateDenied
 	}
 	if !e.ensureFastFree(int64(pg.Size)) {
 		return policy.MigrateNoCapacity
@@ -238,7 +242,7 @@ func (e *Engine) PromoteShadowed(pg *vm.Page) policy.MigrateResult {
 		}
 	}
 	if !e.migBudgetOK(int64(pg.Size)) {
-		return policy.MigrateNoCapacity
+		return policy.MigrateThrottled
 	}
 	if err := e.promoteShadow(pg); err != nil {
 		e.M.FailedPromotions++

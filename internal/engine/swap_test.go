@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"chrono/internal/mem"
+	"chrono/internal/policy"
 	"chrono/internal/simclock"
 	"chrono/internal/vm"
 )
@@ -79,11 +80,11 @@ func TestSwappedPageOperations(t *testing.T) {
 		t.Fatal("swapped page poisoned")
 	}
 	// Demote is rejected.
-	if e.Demote(pg) {
+	if e.TryDemote(pg) == policy.MigrateOK {
 		t.Fatal("demoting a swapped page succeeded")
 	}
 	// Promote swap-ins to the fast tier.
-	if !e.Promote(pg) {
+	if e.TryPromote(pg) != policy.MigrateOK {
 		t.Fatal("promote (swap-in) failed")
 	}
 	if pg.Flags.Has(vm.FlagSwapped) || pg.Tier != mem.FastTier {

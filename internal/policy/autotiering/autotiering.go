@@ -142,7 +142,7 @@ func (p *Policy) background() {
 		if need <= 0 {
 			break
 		}
-		if p.k.Demote(pg) {
+		if p.k.TryDemote(pg) == policy.MigrateOK {
 			need -= int64(pg.Size)
 		}
 	}
@@ -156,6 +156,6 @@ func (p *Policy) OnFault(pg *vm.Page, now simclock.Time) {
 		return
 	}
 	if bits.OnesCount64(lap(pg)) >= p.cfg.PromoteThreshold {
-		p.k.Promote(pg)
+		p.k.TryPromote(pg)
 	}
 }

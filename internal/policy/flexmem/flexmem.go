@@ -245,13 +245,14 @@ func (p *Policy) background() {
 	budget := p.cfg.MigrateBatch
 
 	// The shared migration budget is consumed in process order, so the
-	// order must not depend on map iteration: sort by PID, then rotate
-	// the starting point each cycle so no process is systematically
-	// first in line.
+	// order must not depend on map iteration: take the processes with
+	// resident pages by PID, then rotate the starting point each cycle
+	// so no process is systematically first in line.
 	procs := make([]*vm.Process, 0, len(byProc))
-	//chrono:ordered-irrelevant keys are sorted immediately below
-	for proc := range byProc {
-		procs = append(procs, proc)
+	for _, proc := range p.k.Processes() {
+		if len(byProc[proc]) > 0 {
+			procs = append(procs, proc)
+		}
 	}
 	sort.Slice(procs, func(i, j int) bool { return procs[i].PID < procs[j].PID })
 	p.cycles++
@@ -293,24 +294,10 @@ func (p *Policy) background() {
 		sort.Slice(coldFast, func(i, j int) bool {
 			return p.sampler.Counter(coldFast[i].ID) < p.sampler.Counter(coldFast[j].ID)
 		})
-		node := p.k.Node()
-		di := 0
-		for _, pg := range hotSlow {
-			if budget < int(pg.Size) {
-				break
-			}
-			for node.Free(mem.FastTier) < node.Watermarks(mem.FastTier).High+int64(pg.Size) && di < len(coldFast) {
-				policy.RetryDemote(p.k, coldFast[di], 2)
-				di++
-			}
-			switch policy.RetryPromote(p.k, pg, 2) {
-			case policy.MigrateOK:
-				budget -= int(pg.Size)
-			case policy.MigrateTransient:
-				// Skip the busy page; the next background cycle
-				// reclassifies and retries it.
-				p.TransientSkips++
-			}
-		}
+		// Hot pages skipped on a transient failure are retried by the
+		// next background cycle, which reclassifies them.
+		var skips int
+		budget, _, skips = policy.Exchange(p.k, hotSlow, coldFast, budget, 2)
+		p.TransientSkips += int64(skips)
 	}
 }

@@ -164,27 +164,12 @@ func (p *Policy) migrate() {
 		return p.sampler.Counter(coldFast[i].ID) < p.sampler.Counter(coldFast[j].ID)
 	})
 
-	node := p.k.Node()
-	budget := p.cfg.MigrateBatch
-	demoteIdx := 0
-	for _, pg := range hotSlow {
-		if budget < int(pg.Size) {
-			break
-		}
-		// Make room from the cold list before promoting.
-		for node.Free(mem.FastTier) < node.Watermarks(mem.FastTier).High+int64(pg.Size) &&
-			demoteIdx < len(coldFast) {
-			p.k.Demote(coldFast[demoteIdx])
-			demoteIdx++
-		}
-		if p.k.Promote(pg) {
-			budget -= int(pg.Size)
-		}
-	}
+	_, coldFast, _ = policy.Exchange(p.k, hotSlow, coldFast, p.cfg.MigrateBatch, 1)
 	// Watermark maintenance: drain remaining cold pages under pressure.
-	for node.BelowHigh(mem.FastTier) && demoteIdx < len(coldFast) {
-		p.k.Demote(coldFast[demoteIdx])
-		demoteIdx++
+	node := p.k.Node()
+	for node.BelowHigh(mem.FastTier) && len(coldFast) > 0 {
+		p.k.TryDemote(coldFast[0])
+		coldFast = coldFast[1:]
 	}
 }
 

@@ -79,5 +79,5 @@ func (p *Policy) OnFault(pg *vm.Page, now simclock.Time) {
 	if pg.Tier != mem.SlowTier {
 		return
 	}
-	p.k.Promote(pg)
+	p.k.TryPromote(pg)
 }

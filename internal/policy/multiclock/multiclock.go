@@ -174,7 +174,7 @@ func (p *Policy) pass() {
 			p.demoteSome(1)
 		}
 		// OnMigrated moves the page between the per-tier clocks.
-		p.k.Promote(pg)
+		p.k.TryPromote(pg)
 	}
 
 	// Demote under watermark pressure from the fast tier's bottom level.
@@ -195,7 +195,7 @@ func (p *Policy) demoteSome(n int) {
 		if pg == nil || pg.Tier != mem.FastTier {
 			continue
 		}
-		p.k.Demote(pg) // OnMigrated syncs the clocks
+		p.k.TryDemote(pg) // OnMigrated syncs the clocks
 	}
 }
 

@@ -26,23 +26,29 @@ import (
 	"chrono/internal/vm"
 )
 
-// MigrateResult is the outcome of a TryPromote/TryDemote attempt. It
-// splits "failed" into the two cases a real migration path
-// distinguishes, because they demand opposite reactions.
+// MigrateResult is the outcome of a TryPromote/TryDemote attempt. Each
+// failure names the admission step that refused the move, because the
+// causes demand different reactions.
 type MigrateResult int
 
 const (
 	// MigrateOK: the page is (now) resident in the requested tier.
 	MigrateOK MigrateResult = iota
-	// MigrateNoCapacity: the destination tier or the migration bandwidth
-	// budget is exhausted. Retrying immediately is futile — the caller
-	// should stop its batch and wait for reclaim or the next refill.
+	// MigrateNoCapacity: the destination tier is full (after direct
+	// reclaim, for a promotion). Retrying immediately is futile — the
+	// caller should stop its batch and wait for reclaim.
 	MigrateNoCapacity
 	// MigrateTransient: the move aborted on a transient condition — a
 	// busy/pinned page or an allocation failure near the watermarks
 	// (NOMAD-style abort). The page is untouched; a bounded retry, now
 	// or after a short sim-time backoff, may well succeed.
 	MigrateTransient
+	// MigrateThrottled: the migration bandwidth token bucket is dry. No
+	// move of this size can succeed before the next refill.
+	MigrateThrottled
+	// MigrateDenied: the policy's admission hook (Admitter, e.g. the
+	// thrash guard) refused the promotion.
+	MigrateDenied
 )
 
 // String returns the result name for logs and test failures.
@@ -54,6 +60,10 @@ func (r MigrateResult) String() string {
 		return "no-capacity"
 	case MigrateTransient:
 		return "transient"
+	case MigrateThrottled:
+		return "throttled"
+	case MigrateDenied:
+		return "denied"
 	}
 	return "unknown"
 }
@@ -84,21 +94,16 @@ type Kernel interface {
 	// cleared (or since mapping), then clears it.
 	AccessedTestAndClear(pg *vm.Page) bool
 
-	// Promote moves a page to the fast tier. When the fast tier cannot
+	// TryPromote moves a page to the fast tier. When the fast tier cannot
 	// hold it, the engine performs direct reclaim (demoting cold pages
-	// from the kernel LRU) before retrying; a false return means the
-	// promotion was abandoned.
-	Promote(pg *vm.Page) bool
-	// Demote moves a page to the slow tier. Returns false when the slow
-	// tier is full.
-	Demote(pg *vm.Page) bool
-	// TryPromote is Promote with the failure cause surfaced: transient
-	// aborts (busy page, watermark allocation failure) are distinguished
-	// from capacity/bandwidth exhaustion so policies can retry the former
-	// and back off the latter. Promote(pg) ≡ TryPromote(pg) == MigrateOK.
+	// from the kernel LRU) first. The admission chain runs in a fixed
+	// order: the policy's Admitter hook (Denied), direct reclaim
+	// (NoCapacity), the fault injector (Transient), then the migration
+	// token bucket (Throttled). Any result but MigrateOK leaves the page
+	// where it was.
 	TryPromote(pg *vm.Page) MigrateResult
-	// TryDemote is Demote with the failure cause surfaced; same contract
-	// as TryPromote toward the slow tier.
+	// TryDemote moves a page to the slow tier; same contract as
+	// TryPromote, without the Admitter hook or direct reclaim.
 	TryDemote(pg *vm.Page) MigrateResult
 
 	// SplitHuge splits a huge page into base pages and returns them
@@ -160,6 +165,15 @@ type TransactionalKernel interface {
 	PromoteShadowed(pg *vm.Page) MigrateResult
 	// Shadowed reports whether pg currently holds a slow-tier shadow copy.
 	Shadowed(pg *vm.Page) bool
+}
+
+// Admitter is the optional Policy extension that gates promotions. The
+// engine type-asserts it once at AttachPolicy and consults it exactly
+// once per promotion attempt of a page not already fast-resident, before
+// direct reclaim; a false return fails the attempt with MigrateDenied.
+// The thrash guard (WithThrashGuard) is the admitter this repo carries.
+type Admitter interface {
+	AdmitPromotion(pg *vm.Page) bool
 }
 
 // Policy is a tiered-memory management policy under evaluation.

@@ -26,8 +26,9 @@ type backoffKernel interface {
 // RetryPromote attempts TryPromote up to attempts times, retrying only
 // transient failures. The inline retry models the kernel migrate_pages
 // loop, which re-tries a busy page a bounded number of times within one
-// call before reporting failure. Capacity exhaustion is returned
-// immediately — retrying it without freeing memory cannot succeed.
+// call before reporting failure. Every other verdict (capacity,
+// throttling, admission denial) is returned immediately — retrying it
+// in the same instant cannot succeed.
 func RetryPromote(k migrator, pg *vm.Page, attempts int) MigrateResult {
 	res := k.TryPromote(pg)
 	for i := 1; i < attempts && res == MigrateTransient; i++ {

@@ -57,6 +57,9 @@ func TestRetryPromoteRetriesTransientOnly(t *testing.T) {
 		// Capacity exhaustion returns immediately: no retry can help.
 		{[]MigrateResult{MigrateNoCapacity, MigrateOK}, 3, MigrateNoCapacity, 1},
 		{[]MigrateResult{MigrateTransient, MigrateNoCapacity, MigrateOK}, 3, MigrateNoCapacity, 2},
+		// A dry token bucket and an admission denial are returned, not retried.
+		{[]MigrateResult{MigrateThrottled, MigrateOK}, 3, MigrateThrottled, 1},
+		{[]MigrateResult{MigrateDenied, MigrateOK}, 3, MigrateDenied, 1},
 	}
 	for i, c := range cases {
 		m := &scriptedMigrator{promote: c.script}
@@ -132,5 +135,23 @@ func TestPromoteBackoffBounded(t *testing.T) {
 	clock.RunUntil(simclock.Time(10 * simclock.Second))
 	if m.attempts != 3 {
 		t.Fatalf("attempts = %d, want exactly 3", m.attempts)
+	}
+}
+
+func TestMigrateResultString(t *testing.T) {
+	for _, c := range []struct {
+		r    MigrateResult
+		want string
+	}{
+		{MigrateOK, "ok"},
+		{MigrateNoCapacity, "no-capacity"},
+		{MigrateTransient, "transient"},
+		{MigrateThrottled, "throttled"},
+		{MigrateDenied, "denied"},
+		{MigrateResult(99), "unknown"},
+	} {
+		if got := c.r.String(); got != c.want {
+			t.Errorf("MigrateResult(%d).String() = %q, want %q", int(c.r), got, c.want)
+		}
 	}
 }

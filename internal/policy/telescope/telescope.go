@@ -262,24 +262,11 @@ func (p *Policy) migrate() {
 	sort.Slice(hotSlow, func(i, j int) bool {
 		return hotSlow[i].Meta&0xff > hotSlow[j].Meta&0xff
 	})
+	_, coldFast, _ = policy.Exchange(p.k, hotSlow, coldFast, p.cfg.MigrateBatch, 1)
 	node := p.k.Node()
-	budget := p.cfg.MigrateBatch
-	di := 0
-	for _, pg := range hotSlow {
-		if budget < int(pg.Size) {
-			break
-		}
-		for node.Free(mem.FastTier) < node.Watermarks(mem.FastTier).High+int64(pg.Size) && di < len(coldFast) {
-			p.k.Demote(coldFast[di])
-			di++
-		}
-		if p.k.Promote(pg) {
-			budget -= int(pg.Size)
-		}
-	}
-	for node.BelowHigh(mem.FastTier) && di < len(coldFast) {
-		p.k.Demote(coldFast[di])
-		di++
+	for node.BelowHigh(mem.FastTier) && len(coldFast) > 0 {
+		p.k.TryDemote(coldFast[0])
+		coldFast = coldFast[1:]
 	}
 }
 

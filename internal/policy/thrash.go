@@ -5,8 +5,9 @@ package policy
 // oscillation, hot-set rotation) degenerates into promote→demote
 // ping-pong that burns migration bandwidth without improving placement.
 // The guard composes onto ANY policy — WithThrashGuard(tpp.New(...), ...)
-// — by interposing on the kernel handle the policy sees, so every
-// baseline can run ±thrash-guard without source changes.
+// — as the wrapper policy's Admitter hook: the engine consults it on
+// every promotion attempt, so every baseline can run ±thrash-guard
+// without source changes. The inner policy sees the real kernel.
 //
 // Two mechanisms, both deterministic and checkpointable:
 //
@@ -30,8 +31,8 @@ package policy
 // draws no randomness, observing moves through OnMigrated (which the
 // kernel invokes for kswapd/reclaim demotions too) and advancing the
 // governor window as a pure function of the current time. Denials are
-// reported to the inner policy as MigrateNoCapacity — the result class
-// policies already treat as "stop the batch, try again later".
+// reported to the inner policy as MigrateDenied; policies that test only
+// for MigrateOK or MigrateTransient treat them like any other refusal.
 
 import (
 	"encoding/json"
@@ -129,7 +130,7 @@ func WithThrashGuard(inner Policy, cfg ThrashConfig) Policy {
 type guarded struct {
 	inner    Policy       //chrono:state Inner
 	cfg      ThrashConfig //chrono:rebuilt configuration, finalized in Attach
-	k        Kernel       //chrono:rebuilt raw kernel handle, re-bound by Attach
+	k        Kernel       //chrono:rebuilt kernel handle, re-bound by Attach
 	allowMax int64        //chrono:rebuilt budget ceiling, derived from fast capacity
 
 	//chrono:state Allow
@@ -157,10 +158,10 @@ type guarded struct {
 // Name implements Policy.
 func (g *guarded) Name() string { return g.inner.Name() + "+guard" }
 
-// Attach implements Policy: it finalizes defaults, interposes the guard
-// kernel between the inner policy and the real one, and re-binds the
-// shared backoff-retry restore path through the guard so retries revived
-// from a checkpoint face the same admission gate live ones did.
+// Attach implements Policy: it finalizes defaults and attaches the inner
+// policy to the same kernel. The engine gates every promotion through
+// AdmitPromotion, so live and checkpoint-restored retries face the same
+// gate.
 func (g *guarded) Attach(k Kernel) {
 	g.k = k
 	g.cfg.setDefaults()
@@ -172,20 +173,7 @@ func (g *guarded) Attach(k Kernel) {
 		g.allow = g.allowMax
 	}
 	g.winStart = k.Clock().Now()
-	gk := g.wrapKernel(k)
-	RegisterBackoffBinder(gk)
-	g.inner.Attach(gk)
-}
-
-// wrapKernel builds the interposed kernel handle, preserving the
-// TransactionalKernel extension when the underlying kernel has it (so
-// Nomad+guard still promotes transactionally).
-func (g *guarded) wrapKernel(k Kernel) Kernel {
-	base := &guardKernel{Kernel: k, g: g}
-	if tk, ok := k.(TransactionalKernel); ok {
-		return &guardTxKernel{guardKernel: base, tk: tk}
-	}
-	return base
+	g.inner.Attach(k)
 }
 
 // grow sizes the per-page arrays to the page table.
@@ -244,10 +232,10 @@ func (g *guarded) forgive(id int64) {
 	g.backoffUntil[id] = 0
 }
 
-// admit is the promotion gate: per-page backoff first, then the global
-// budget. Budget is only consumed on successful promotion (OnMigrated),
-// so denied or failed attempts don't burn allowance.
-func (g *guarded) admit(pg *vm.Page) bool {
+// AdmitPromotion implements Admitter: per-page backoff first, then the
+// global budget. Budget is only consumed on successful promotion
+// (OnMigrated), so denied or failed attempts don't burn allowance.
+func (g *guarded) AdmitPromotion(pg *vm.Page) bool {
 	now := g.k.Clock().Now()
 	g.grow()
 	g.advance(now)
@@ -323,50 +311,6 @@ func (g *guarded) OnPageMapped(pg *vm.Page) { g.inner.OnPageMapped(pg) }
 // OnPageFreed implements Policy.
 func (g *guarded) OnPageFreed(pg *vm.Page) { g.inner.OnPageFreed(pg) }
 
-// guardKernel is the interposed Kernel: promotions pass through the
-// guard's admission gate; everything else forwards untouched.
-type guardKernel struct {
-	Kernel
-	g *guarded
-}
-
-// Promote implements Kernel.
-func (k *guardKernel) Promote(pg *vm.Page) bool {
-	return k.TryPromote(pg) == MigrateOK
-}
-
-// TryPromote implements Kernel: denial is surfaced as MigrateNoCapacity —
-// like bandwidth exhaustion, retrying immediately is futile.
-func (k *guardKernel) TryPromote(pg *vm.Page) MigrateResult {
-	if pg.Tier == mem.FastTier && !pg.Flags.Has(vm.FlagSwapped) {
-		return k.Kernel.TryPromote(pg) // already fast: nothing to gate
-	}
-	if !k.g.admit(pg) {
-		return MigrateNoCapacity
-	}
-	return k.Kernel.TryPromote(pg)
-}
-
-// guardTxKernel additionally preserves the TransactionalKernel extension.
-type guardTxKernel struct {
-	*guardKernel
-	tk TransactionalKernel
-}
-
-// PromoteShadowed implements TransactionalKernel, gated like TryPromote.
-func (k *guardTxKernel) PromoteShadowed(pg *vm.Page) MigrateResult {
-	if pg.Tier == mem.FastTier && !pg.Flags.Has(vm.FlagSwapped) {
-		return k.tk.PromoteShadowed(pg)
-	}
-	if !k.g.admit(pg) {
-		return MigrateNoCapacity
-	}
-	return k.tk.PromoteShadowed(pg)
-}
-
-// Shadowed implements TransactionalKernel.
-func (k *guardTxKernel) Shadowed(pg *vm.Page) bool { return k.tk.Shadowed(pg) }
-
 // guardState is the guard's serializable dynamic state: the inner
 // policy's own state, the governor accumulators and the dense per-page
 // detector columns.
@@ -416,6 +360,13 @@ func (g *guarded) RestoreCheckpoint(data []byte) error {
 	var st guardState
 	if err := json.Unmarshal(data, &st); err != nil {
 		return err
+	}
+	// grow() keys on len(lastPromote) alone, so unequal columns would
+	// index out of range on the next observed move.
+	n := len(st.LastPromote)
+	if len(st.LastDemote) != n || len(st.Strikes) != n || len(st.BackoffUntil) != n {
+		return fmt.Errorf("thrash guard: restore: per-page columns of unequal length (last_promote %d, last_demote %d, strikes %d, backoff_until %d)",
+			n, len(st.LastDemote), len(st.Strikes), len(st.BackoffUntil))
 	}
 	if err := g.inner.RestoreCheckpoint(st.Inner); err != nil {
 		return fmt.Errorf("thrash guard: restore inner %s: %w", g.inner.Name(), err)

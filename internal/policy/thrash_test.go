@@ -46,7 +46,7 @@ func TestBackoffMonotoneCapped(t *testing.T) {
 	}
 }
 
-// guardTestKernel is the minimal kernel the guard touches in admit() and
+// guardTestKernel is the minimal kernel the guard touches in AdmitPromotion() and
 // OnMigrated(): a clock and a page table. Everything else panics via the
 // nil embedded interface, which is the point — the guard must stay
 // passive.
@@ -101,7 +101,7 @@ func TestGuardDeniesThenReadmits(t *testing.T) {
 	now := simclock.Time(0)
 	for cycle := 0; cycle < 12; cycle++ {
 		k.clock.AdvanceTo(now)
-		if cycle == 0 && !g.admit(pg) {
+		if cycle == 0 && !g.AdmitPromotion(pg) {
 			t.Fatal("fresh page denied")
 		}
 		g.OnMigrated(pg, mem.SlowTier, mem.FastTier)
@@ -110,13 +110,13 @@ func TestGuardDeniesThenReadmits(t *testing.T) {
 		g.OnMigrated(pg, mem.FastTier, mem.SlowTier)
 
 		if cycle >= 1 { // multiple strikes by now
-			if g.admit(pg) {
+			if g.AdmitPromotion(pg) {
 				t.Fatalf("cycle %d: struck page admitted immediately after bounce", cycle)
 			}
 		}
 		now += cfg.MaxBackoff
 		k.clock.AdvanceTo(now)
-		if !g.admit(pg) {
+		if !g.AdmitPromotion(pg) {
 			t.Fatalf("cycle %d: page still denied %v after demotion — starved", cycle, cfg.MaxBackoff)
 		}
 	}
@@ -203,5 +203,41 @@ func TestGovernorClampsAndRecovers(t *testing.T) {
 	g.advance(now)
 	if g.allow != g.allowMax {
 		t.Fatalf("allow=%d after quiet stretch, want ceiling %d", g.allow, g.allowMax)
+	}
+}
+
+// TestGuardRestoreRejectsUnequalColumns: the per-page detector columns
+// are indexed together, so a checkpoint whose columns disagree in length
+// must fail to restore instead of panicking on the next observed move.
+// Equal columns restore as written, nil staying nil.
+func TestGuardRestoreRejectsUnequalColumns(t *testing.T) {
+	bad := []string{
+		`{"last_promote":[1,2,3],"last_demote":[1,2,3],"strikes":null,"backoff_until":[0,0,0]}`,
+		`{"last_promote":[1],"last_demote":[1,2,3],"strikes":"AAAA","backoff_until":[0,0,0]}`,
+		`{"last_promote":[1,2,3],"last_demote":[1,2,3],"strikes":"AAAA","backoff_until":[0,0]}`,
+	}
+	for i, data := range bad {
+		g, _, _ := newTestGuard(ThrashConfig{}, 4)
+		if err := g.RestoreCheckpoint([]byte(data)); err == nil {
+			t.Errorf("case %d: unequal columns restored without error", i)
+		}
+	}
+
+	g, _, pages := newTestGuard(ThrashConfig{}, 4)
+	if err := g.RestoreCheckpoint([]byte(`{"last_promote":null,"last_demote":null,"strikes":null,"backoff_until":null}`)); err != nil {
+		t.Fatalf("empty columns: %v", err)
+	}
+	if g.lastPromote != nil || g.strikes != nil {
+		t.Fatal("restore grew nil columns eagerly")
+	}
+	g.OnMigrated(pages[1], mem.SlowTier, mem.FastTier) // lazy grow, no panic
+
+	g, _, pages = newTestGuard(ThrashConfig{}, 4)
+	if err := g.RestoreCheckpoint([]byte(`{"last_promote":[0,0,0],"last_demote":[0,0,0],"strikes":"AAAA","backoff_until":[0,0,0]}`)); err != nil {
+		t.Fatalf("equal columns: %v", err)
+	}
+	g.OnMigrated(pages[3], mem.SlowTier, mem.FastTier)
+	if len(g.strikes) != 4 || len(g.lastDemote) != 4 {
+		t.Fatalf("columns not grown together: strikes %d, last_demote %d", len(g.strikes), len(g.lastDemote))
 	}
 }

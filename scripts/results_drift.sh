@@ -9,7 +9,10 @@
 #     down to the order of pages with equal counters;
 #   - quick_fig9_10a_11b.txt: the Figure 9 placement histories, the
 #     Figure 10a CIT correlation and the Figure 11b sensitivity sweep,
-#     the harness paths that sample a run or attach a customized policy.
+#     the harness paths that sample a run or attach a customized policy;
+#   - quick_ext_faults.txt: the all-systems extension under the aggressive
+#     fault plan, whose rows move if a policy's migration retry count
+#     changes (the retries consume injector draws).
 # CI regenerates them and requires a byte-for-byte match: any change to
 # the engine, a policy, the RNG discipline, or the table renderer that
 # moves a published number must show up as a reviewable diff to a
@@ -22,7 +25,7 @@
 # and commit the updated files alongside the change that moved them.
 set -u
 
-GOLDENS=(results/quick_fig2a.txt results/quick_ext_drift.txt results/quick_fig9_10a_11b.txt)
+GOLDENS=(results/quick_fig2a.txt results/quick_ext_drift.txt results/quick_fig9_10a_11b.txt results/quick_ext_faults.txt)
 
 # gen <golden> — regenerate one golden's table on stdout.
 gen() {
@@ -30,6 +33,7 @@ gen() {
     results/quick_fig2a.txt) go run ./cmd/reproduce -quick -experiment fig2a -seed 42 ;;
     results/quick_ext_drift.txt) go run ./cmd/reproduce -quick -experiment ext,drift -seed 42 ;;
     results/quick_fig9_10a_11b.txt) go run ./cmd/reproduce -quick -experiment fig9,fig10a,fig11b -seed 42 ;;
+    results/quick_ext_faults.txt) go run ./cmd/reproduce -quick -experiment ext -faults aggressive -seed 42 ;;
     esac
 }
 
