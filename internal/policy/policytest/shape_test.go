@@ -1,0 +1,55 @@
+package policytest_test
+
+import (
+	"bytes"
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"chrono/internal/experiments"
+	"chrono/internal/policy/policytest"
+	"chrono/internal/simclock"
+)
+
+// baselines are the nine baseline policies whose checkpoint bytes are
+// pinned under testdata/checkpoint.
+var baselines = []string{
+	"Linux-NB", "AutoTiering", "Multi-Clock", "TPP", "Telescope",
+	"HeMem", "Memtis", "FlexMem", "Nomad",
+}
+
+// TestCheckpointShapeGolden pins each baseline's CheckpointState JSON on
+// the shared test world after 30 virtual seconds. A refactor that renames,
+// reorders or re-encodes a checkpoint field, or changes what a policy has
+// computed by then, fails here; checkpoints written by an older build
+// would no longer restore into the same state.
+func TestCheckpointShapeGolden(t *testing.T) {
+	for _, name := range baselines {
+		t.Run(name, func(t *testing.T) {
+			pol, err := experiments.NewPolicy(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w := policytest.Build(t, pol, 3072, 512, experiments.DefaultModeFor(name))
+			w.Run(30 * simclock.Second)
+			st, err := pol.CheckpointState()
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := json.Marshal(st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, '\n')
+			path := filepath.Join("testdata", "checkpoint", name+".json")
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%s checkpoint differs from %s:\ngot  %.300s\nwant %.300s", name, path, got, want)
+			}
+		})
+	}
+}
