@@ -103,40 +103,40 @@ func newFencePolicy(t *testing.T, name string) (policy.Policy, PageSizeMode) {
 	t.Helper()
 	switch name {
 	case "Linux-NB":
-		return linuxnb.New(linuxnb.Config{}), BasePages
+		return linuxnb.New(), BasePages
 	case "AutoTiering":
-		return autotiering.New(autotiering.Config{}), BasePages
+		return autotiering.New(), BasePages
 	case "Multi-Clock":
-		return multiclock.New(multiclock.Config{}), BasePages
+		return multiclock.New(), BasePages
 	case "HeMem":
-		return hemem.New(hemem.Config{}), HugePages
+		return hemem.New(), HugePages
 	case "Telescope":
-		return telescope.New(telescope.Config{}), BasePages
+		return telescope.New(), BasePages
 	case "TPP":
-		return tpp.New(tpp.Config{}), BasePages
+		return tpp.New(), BasePages
 	case "Memtis":
 		// Huge pages exercise the SplitHuge page-table reconciliation.
-		return memtis.New(memtis.Config{}), HugePages
+		return memtis.New(), HugePages
 	case "FlexMem":
-		return flexmem.New(flexmem.Config{}), HugePages
+		return flexmem.New(), HugePages
 	case "Chrono":
 		return core.New(core.Options{}), BasePages
 	case "Nomad":
-		return policy.NewNomad(policy.NomadConfig{}), BasePages
+		return policy.NewNomad(), BasePages
 	case "TPP+guard":
 		// The guard wrapper serializes its detector columns alongside the
 		// inner policy's state.
-		return policy.WithThrashGuard(tpp.New(tpp.Config{}), policy.ThrashConfig{}), BasePages
+		return policy.WithThrashGuard(tpp.New(), policy.ThrashConfig{}), BasePages
 	case "Memtis+guard":
 		// Guarded huge-page inner: SplitHuge reconciliation under the wrapper.
-		return policy.WithThrashGuard(memtis.New(memtis.Config{}), policy.ThrashConfig{}), HugePages
+		return policy.WithThrashGuard(memtis.New(), policy.ThrashConfig{}), HugePages
 	case "FlexMem+guard":
-		return policy.WithThrashGuard(flexmem.New(flexmem.Config{}), policy.ThrashConfig{}), HugePages
+		return policy.WithThrashGuard(flexmem.New(), policy.ThrashConfig{}), HugePages
 	case "Chrono+guard":
 		return policy.WithThrashGuard(core.New(core.Options{}), policy.ThrashConfig{}), BasePages
 	case "Nomad+guard":
 		// The only variant whose guard gates PromoteShadowed.
-		return policy.WithThrashGuard(policy.NewNomad(policy.NomadConfig{}), policy.ThrashConfig{}), BasePages
+		return policy.WithThrashGuard(policy.NewNomad(), policy.ThrashConfig{}), BasePages
 	}
 	t.Fatalf("unknown fence policy %s", name)
 	return nil, BasePages

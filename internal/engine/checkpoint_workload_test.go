@@ -39,7 +39,7 @@ var dynCases = []dynCase{
 		workload: func() workload.Workload {
 			return &workload.Pmbench{Processes: 2, WorkingSetGB: 3, ReadPct: 70, Stride: 2, DriftPeriodS: 10}
 		},
-		policy: func() policy.Policy { return linuxnb.New(linuxnb.Config{}) },
+		policy: func() policy.Policy { return linuxnb.New() },
 	},
 	{
 		name: "pmbench-drift-huge",
@@ -47,7 +47,7 @@ var dynCases = []dynCase{
 			return &workload.Pmbench{Processes: 2, WorkingSetGB: 3, ReadPct: 70, DriftPeriodS: 10,
 				Mode: engine.HugePages}
 		},
-		policy: func() policy.Policy { return hemem.New(hemem.Config{}) },
+		policy: func() policy.Policy { return hemem.New() },
 	},
 	{
 		// Memtis splits huge pages, so the restore reconciles the page
@@ -56,12 +56,12 @@ var dynCases = []dynCase{
 		workload: func() workload.Workload {
 			return &workload.Graph500{TotalGB: 6, Processes: 2, RoundSeconds: 10, Mode: engine.HugePages}
 		},
-		policy: func() policy.Policy { return memtis.New(memtis.Config{}) },
+		policy: func() policy.Policy { return memtis.New() },
 	},
 	{
 		name:     "trace-replay",
 		workload: func() workload.Workload { return &trace.Replay{T: phasedTrace()} },
-		policy:   func() policy.Policy { return multiclock.New(multiclock.Config{}) },
+		policy:   func() policy.Policy { return multiclock.New() },
 	},
 }
 

@@ -44,7 +44,7 @@ func TestRestoreSwapContinuesRun(t *testing.T) {
 		mid = 30 * simclock.Second
 	)
 	// Old policy runs the first half...
-	old := buildCkptEngine(t, tpp.New(tpp.Config{}), BasePages, faultinject.Plan{}, 1)
+	old := buildCkptEngine(t, tpp.New(), BasePages, faultinject.Plan{}, 1)
 	snap := snapshotAt(t, old, mid, dur)
 
 	// ...and the snapshot round-trips through bytes like a real swap does
@@ -59,7 +59,7 @@ func TestRestoreSwapContinuesRun(t *testing.T) {
 		if err := json.Unmarshal(blob, &st); err != nil {
 			t.Fatal(err)
 		}
-		neu := buildCkptEngine(t, memtis.New(memtis.Config{}), BasePages, faultinject.Plan{}, 1)
+		neu := buildCkptEngine(t, memtis.New(), BasePages, faultinject.Plan{}, 1)
 		dropped, err := neu.RestoreSwap(&st)
 		if err != nil {
 			t.Fatalf("restore-swap: %v", err)
@@ -101,11 +101,11 @@ func TestRestoreSwapRemainsCheckpointable(t *testing.T) {
 		mid  = 20 * simclock.Second
 		mid2 = 40 * simclock.Second
 	)
-	old := buildCkptEngine(t, tpp.New(tpp.Config{}), BasePages, faultinject.Plan{}, 1)
+	old := buildCkptEngine(t, tpp.New(), BasePages, faultinject.Plan{}, 1)
 	snap := snapshotAt(t, old, mid, dur)
 
 	// Reference: swap and run straight to the end.
-	ref := buildCkptEngine(t, memtis.New(memtis.Config{}), BasePages, faultinject.Plan{}, 1)
+	ref := buildCkptEngine(t, memtis.New(), BasePages, faultinject.Plan{}, 1)
 	if _, err := ref.RestoreSwap(snap); err != nil {
 		t.Fatalf("restore-swap: %v", err)
 	}
@@ -114,13 +114,13 @@ func TestRestoreSwapRemainsCheckpointable(t *testing.T) {
 
 	// Victim: swap, run to mid2, snapshot, then restore normally (same
 	// policy now) into a third build and finish.
-	vic := buildCkptEngine(t, memtis.New(memtis.Config{}), BasePages, faultinject.Plan{}, 1)
+	vic := buildCkptEngine(t, memtis.New(), BasePages, faultinject.Plan{}, 1)
 	if _, err := vic.RestoreSwap(snap); err != nil {
 		t.Fatalf("restore-swap: %v", err)
 	}
 	snap2 := snapshotAtResume(t, vic, mid2)
 
-	res := buildCkptEngine(t, memtis.New(memtis.Config{}), BasePages, faultinject.Plan{}, 1)
+	res := buildCkptEngine(t, memtis.New(), BasePages, faultinject.Plan{}, 1)
 	if err := res.Restore(snap2); err != nil {
 		t.Fatalf("restore after swap: %v", err)
 	}
@@ -155,9 +155,9 @@ func snapshotAtResume(t *testing.T, e *Engine, mid simclock.Duration) *EngineSta
 // Restore (non-swap) must still reject a policy mismatch — RestoreSwap is
 // an explicit opt-in, not a loosening of the default fence.
 func TestRestoreSwapIsExplicit(t *testing.T) {
-	old := buildCkptEngine(t, tpp.New(tpp.Config{}), BasePages, faultinject.Plan{}, 1)
+	old := buildCkptEngine(t, tpp.New(), BasePages, faultinject.Plan{}, 1)
 	snap := snapshotAt(t, old, 10*simclock.Second, 30*simclock.Second)
-	neu := buildCkptEngine(t, memtis.New(memtis.Config{}), BasePages, faultinject.Plan{}, 1)
+	neu := buildCkptEngine(t, memtis.New(), BasePages, faultinject.Plan{}, 1)
 	if err := neu.Restore(snap); err == nil {
 		t.Fatal("plain Restore accepted a cross-policy checkpoint")
 	}

@@ -175,23 +175,23 @@ func NewPolicy(name string) (policy.Policy, error) {
 	}
 	switch name {
 	case "Linux-NB":
-		return linuxnb.New(linuxnb.Config{}), nil
+		return linuxnb.New(), nil
 	case "AutoTiering":
-		return autotiering.New(autotiering.Config{}), nil
+		return autotiering.New(), nil
 	case "Multi-Clock":
-		return multiclock.New(multiclock.Config{}), nil
+		return multiclock.New(), nil
 	case "TPP":
-		return tpp.New(tpp.Config{}), nil
+		return tpp.New(), nil
 	case "Memtis":
-		return memtis.New(memtis.Config{}), nil
+		return memtis.New(), nil
 	case "HeMem":
-		return hemem.New(hemem.Config{}), nil
+		return hemem.New(), nil
 	case "FlexMem":
-		return flexmem.New(flexmem.Config{}), nil
+		return flexmem.New(), nil
 	case "Telescope":
-		return telescope.New(telescope.Config{}), nil
+		return telescope.New(), nil
 	case "Nomad":
-		return policy.NewNomad(policy.NomadConfig{}), nil
+		return policy.NewNomad(), nil
 	case "Chrono", "Chrono-full":
 		return core.New(core.Options{}), nil
 	case "Chrono-basic":

@@ -195,3 +195,32 @@ func TestPropertySamplerTotal(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSetStateRejectsMalformed: a corrupted snapshot — ragged columns, an
+// index outside [0, Len), a negative Len — is an error, not a panic or an
+// unbounded allocation, and leaves the counters untouched.
+func TestSetStateRejectsMalformed(t *testing.T) {
+	s := NewSampler(rng.New(1), 100)
+	s.AddDirect(2, 7)
+	for _, st := range []SamplerState{
+		{Len: 4, Idx: []int64{1, 2}, Count: []uint32{5}},
+		{Len: 4, Idx: []int64{1}, Count: []uint32{5, 6}},
+		{Len: 4, Idx: []int64{-1}, Count: []uint32{5}},
+		{Len: 4, Idx: []int64{4}, Count: []uint32{5}},
+		{Len: 4, Idx: []int64{1 << 40}, Count: []uint32{5}},
+		{Len: -1},
+	} {
+		if err := s.SetState(st); err == nil {
+			t.Errorf("SetState(%+v) accepted", st)
+		}
+	}
+	if s.Counter(2) != 7 || s.TotalSamples() != 7 {
+		t.Fatalf("rejected restores changed the counters: %d/%d", s.Counter(2), s.TotalSamples())
+	}
+	if err := s.SetState(SamplerState{Len: 4, Idx: []int64{3}, Count: []uint32{5}, Total: 5}); err != nil {
+		t.Fatal(err)
+	}
+	if s.Counter(2) != 0 || s.Counter(3) != 5 {
+		t.Fatalf("valid restore: counters %d, %d", s.Counter(2), s.Counter(3))
+	}
+}

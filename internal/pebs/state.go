@@ -1,5 +1,7 @@
 package pebs
 
+import "fmt"
+
 // SamplerState is the serializable dynamic state of a Sampler: the
 // per-page counters (sparse), the retained-sample total, and the
 // cumulative drop counter. The RNG the sampler draws from is the engine's
@@ -25,16 +27,27 @@ func (s *Sampler) State() SamplerState {
 	return st
 }
 
-// SetState overlays captured counters, replacing the current content.
-func (s *Sampler) SetState(st SamplerState) {
-	s.Grow(st.Len)
-	for i := range s.counters {
-		s.counters[i] = 0
+// SetState overlays captured counters, replacing the current content. A
+// state whose columns differ in length, or whose index falls outside
+// [0, Len), is rejected and leaves the sampler untouched.
+func (s *Sampler) SetState(st SamplerState) error {
+	if st.Len < 0 {
+		return fmt.Errorf("pebs: restore: negative counter length %d", st.Len)
 	}
+	if len(st.Idx) != len(st.Count) {
+		return fmt.Errorf("pebs: restore: %d indices, %d counts", len(st.Idx), len(st.Count))
+	}
+	for _, id := range st.Idx {
+		if id < 0 || id >= int64(st.Len) {
+			return fmt.Errorf("pebs: restore: counter index %d outside [0, %d)", id, st.Len)
+		}
+	}
+	s.Grow(st.Len)
+	clear(s.counters)
 	for k, id := range st.Idx {
-		s.Grow(int(id) + 1)
 		s.counters[id] = st.Count[k]
 	}
 	s.total = st.Total
 	s.dropped = st.Dropped
+	return nil
 }

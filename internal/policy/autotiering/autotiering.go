@@ -26,41 +26,21 @@ import (
 	"chrono/internal/vm"
 )
 
-// Config holds AutoTiering's tunables.
-type Config struct {
-	Scan scan.Config
-	// PromoteThreshold is the minimum popcount of the LAP vector for
-	// opportunistic promotion at fault time (default 2: accessed in at
-	// least two of the last eight periods).
-	PromoteThreshold int
-	// LAPBits is the history length (default 8).
-	LAPBits int
-	// BackgroundPeriod is the demotion thread's cycle (default = scan
-	// period).
-	BackgroundPeriod simclock.Duration
-	// LAPMaintainNS is the kernel cost per page per LAP shift pass; the
-	// high default reproduces AutoTiering's measured kernel overhead.
-	LAPMaintainNS units.NS
-}
-
-func (c Config) withDefaults() Config {
-	if c.PromoteThreshold == 0 {
-		c.PromoteThreshold = 2
-	}
-	if c.LAPBits == 0 {
-		c.LAPBits = 8
-	}
-	if c.BackgroundPeriod == 0 {
-		c.BackgroundPeriod = simclock.Minute
-	}
-	if c.LAPMaintainNS == 0 {
-		// AutoTiering walks and reorders its per-page LAP lists every
-		// background period; the paper measures 14.1% kernel time, 2.2x
-		// the NUMA-balancing baseline (Figure 8).
-		c.LAPMaintainNS = 2000
-	}
-	return c
-}
+const (
+	// promoteThreshold is the minimum popcount of the LAP vector for
+	// opportunistic promotion at fault time: accessed in at least two of
+	// the last eight periods.
+	promoteThreshold = 2
+	// lapBits is the history length in scan periods.
+	lapBits = 8
+	// backgroundPeriod is the demotion thread's cycle, the scan period.
+	backgroundPeriod = simclock.Minute
+	// lapMaintainNS is the kernel cost per page per LAP shift pass.
+	// AutoTiering walks and reorders its per-page LAP lists every
+	// background period; the paper measures 14.1% kernel time, 2.2x the
+	// NUMA-balancing baseline (Figure 8).
+	lapMaintainNS units.NS = 2000
+)
 
 // Policy is the AutoTiering baseline. The page's LAP vector lives in the
 // low byte of pg.Meta.
@@ -68,13 +48,13 @@ func (c Config) withDefaults() Config {
 //chrono:statesync checkpointState
 type Policy struct {
 	policy.Base               //chrono:rebuilt stateless method set
-	cfg         Config        //chrono:rebuilt configuration, finalized in New
 	k           policy.Kernel //chrono:rebuilt kernel handle, re-bound by Attach
 	scan        *scan.Set     //chrono:state Scan
+	lapCost     units.NS      //chrono:rebuilt lapMaintainNS, set by New
 }
 
 // New returns an AutoTiering policy.
-func New(cfg Config) *Policy { return &Policy{cfg: cfg.withDefaults()} }
+func New() *Policy { return &Policy{lapCost: lapMaintainNS} }
 
 // Name implements policy.Policy.
 func (p *Policy) Name() string { return "AutoTiering" }
@@ -83,11 +63,11 @@ func (p *Policy) Name() string { return "AutoTiering" }
 func (p *Policy) Attach(k policy.Kernel) {
 	p.k = k
 	// The fault-driven scan poisons all pages like NUMA balancing.
-	p.scan = scan.Start(k, p.cfg.Scan, func(pg *vm.Page, now simclock.Time) {
+	p.scan = scan.Start(k, scan.Config{}, func(pg *vm.Page, now simclock.Time) {
 		k.Protect(pg)
 	})
 	// LAP shift + background demotion pass.
-	k.Clock().EveryKey("autotiering/background", p.cfg.BackgroundPeriod, func(now simclock.Time) {
+	k.Clock().EveryKey("autotiering/background", backgroundPeriod, func(now simclock.Time) {
 		p.background()
 	})
 }
@@ -119,14 +99,14 @@ func setLAP(pg *vm.Page, v uint64) { pg.Meta = (pg.Meta &^ 0xff) | (v & 0xff) }
 // background shifts every tracked page's LAP vector and demotes fast-tier
 // pages with empty history under watermark pressure.
 func (p *Policy) background() {
-	mask := uint64(1)<<uint(p.cfg.LAPBits) - 1
+	mask := uint64(1)<<lapBits - 1
 	var cost units.NS
 	var coldFast []*vm.Page
 	for _, pg := range p.k.Pages() {
 		if pg == nil {
 			continue
 		}
-		cost += p.cfg.LAPMaintainNS.Mul(p.k.CostScale())
+		cost += p.lapCost.Mul(p.k.CostScale())
 		v := (lap(pg) << 1) & mask
 		setLAP(pg, v)
 		if pg.Tier == mem.FastTier && v == 0 {
@@ -155,7 +135,7 @@ func (p *Policy) OnFault(pg *vm.Page, now simclock.Time) {
 	if pg.Tier != mem.SlowTier {
 		return
 	}
-	if bits.OnesCount64(lap(pg)) >= p.cfg.PromoteThreshold {
+	if bits.OnesCount64(lap(pg)) >= promoteThreshold {
 		p.k.TryPromote(pg)
 	}
 }

@@ -23,59 +23,21 @@ import (
 	"chrono/internal/policy"
 	"chrono/internal/policy/scan"
 	"chrono/internal/simclock"
-	"chrono/internal/units"
 	"chrono/internal/vm"
 )
 
-// Config holds FlexMem's tunables.
-type Config struct {
-	Scan scan.Config
-	// SampleRate is the PEBS budget (0 = scale-derived default).
-	SampleRate units.Hz
-	// SamplePeriod is the DS-area drain interval (default 1 s).
-	SamplePeriod simclock.Duration
-	// CoolingPeriods between counter halvings (default 8).
-	CoolingPeriods int
-	// MigratePeriod is the background cycle (default 2 s).
-	MigratePeriod simclock.Duration
-	// MigrateBatch caps background moves per cycle (default fast/32).
-	MigrateBatch int
-	// NBins is the histogram depth (default 16).
-	NBins int
-	// TimelySlack relaxes the fault-path threshold: a faulting page in
-	// bin >= hotBin-TimelySlack promotes immediately (default 1).
-	TimelySlack int
-}
-
-func (c Config) withDefaults() Config {
-	if c.SamplePeriod == 0 {
-		c.SamplePeriod = simclock.Second
-	}
-	if c.CoolingPeriods == 0 {
-		c.CoolingPeriods = 8
-	}
-	if c.MigratePeriod == 0 {
-		c.MigratePeriod = 2 * simclock.Second
-	}
-	if c.NBins == 0 {
-		c.NBins = 16
-	}
-	if c.TimelySlack == 0 {
-		c.TimelySlack = 1
-	}
-	return c
-}
+// timelySlack relaxes the fault-path threshold: a faulting page in bin
+// >= hotBin-timelySlack promotes immediately.
+const timelySlack = 1
 
 // Policy is the FlexMem baseline.
 //
 //chrono:statesync checkpointState
 type Policy struct {
 	policy.Base               //chrono:rebuilt stateless method set
-	cfg         Config        //chrono:rebuilt configuration, finalized in Attach
 	k           policy.Kernel //chrono:rebuilt kernel handle, re-bound by Attach
-	sampler     *pebs.Sampler //chrono:state Sampler
+	core        *policy.PEBS  //chrono:state PEBSState
 	scan        *scan.Set     //chrono:state Scan
-	periods     int           //chrono:state Periods
 	// hotBin is the live capacity-derived threshold bin per process.
 	hotBin map[*vm.Process]int //chrono:state HotPIDs,HotBins
 	// cycles counts background invocations; it rotates the per-process
@@ -90,9 +52,7 @@ type Policy struct {
 }
 
 // New returns a FlexMem policy.
-func New(cfg Config) *Policy {
-	return &Policy{cfg: cfg.withDefaults(), hotBin: make(map[*vm.Process]int)}
-}
+func New() *Policy { return &Policy{hotBin: make(map[*vm.Process]int)} }
 
 // Name implements policy.Policy.
 func (p *Policy) Name() string { return "FlexMem" }
@@ -100,35 +60,13 @@ func (p *Policy) Name() string { return "FlexMem" }
 // Attach implements policy.Policy.
 func (p *Policy) Attach(k policy.Kernel) {
 	p.k = k
-	if p.cfg.SampleRate == 0 {
-		p.cfg.SampleRate = units.Hz(100000 * 512 / (float64(k.HugeFactor()) * k.CostScale()))
-		if p.cfg.SampleRate < 10 {
-			p.cfg.SampleRate = 10
-		}
-	}
-	if p.cfg.MigrateBatch == 0 {
-		p.cfg.MigrateBatch = int(k.Node().Capacity(mem.FastTier) / 32)
-		if p.cfg.MigrateBatch < k.HugeFactor() {
-			p.cfg.MigrateBatch = k.HugeFactor()
-		}
-	}
-	p.sampler = pebs.NewSampler(k.RNG(), p.cfg.SampleRate)
-	p.sampler.Grow(len(k.Pages()))
-
-	// PEBS sampling + cooling.
-	k.Clock().EveryKey("flexmem/sample", p.cfg.SamplePeriod, func(now simclock.Time) {
-		k.SamplePEBS(p.sampler, units.SecondsOf(p.cfg.SamplePeriod))
-		p.periods++
-		if p.periods%p.cfg.CoolingPeriods == 0 {
-			p.sampler.Cool()
-		}
-	})
+	p.core = policy.StartPEBS(k, "flexmem/sample")
 	// Background classification + migration.
-	k.Clock().EveryKey("flexmem/background", p.cfg.MigratePeriod, func(now simclock.Time) {
+	k.Clock().EveryKey("flexmem/background", policy.PEBSCycle, func(now simclock.Time) {
 		p.background()
 	})
 	// Fault channel: poison slow-tier pages for timely decisions.
-	p.scan = scan.Start(k, p.cfg.Scan, func(pg *vm.Page, now simclock.Time) {
+	p.scan = scan.Start(k, scan.Config{}, func(pg *vm.Page, now simclock.Time) {
 		if pg.Tier == mem.SlowTier {
 			k.Protect(pg)
 		}
@@ -139,21 +77,19 @@ func (p *Policy) Attach(k policy.Kernel) {
 // map serializes as (PID, bin) pairs sorted by PID so identical state
 // always produces identical bytes.
 type checkpointState struct {
-	Sampler          pebs.SamplerState `json:"sampler"`
-	Periods          int               `json:"periods"`
-	Cycles           int               `json:"cycles"`
-	HotPIDs          []int             `json:"hot_pids,omitempty"`
-	HotBins          []int             `json:"hot_bins,omitempty"`
-	TimelyPromotions int64             `json:"timely_promotions"`
-	TransientSkips   int64             `json:"transient_skips"`
-	Scan             scan.SetState     `json:"scan"`
+	policy.PEBSState
+	Cycles           int           `json:"cycles"`
+	HotPIDs          []int         `json:"hot_pids,omitempty"`
+	HotBins          []int         `json:"hot_bins,omitempty"`
+	TimelyPromotions int64         `json:"timely_promotions"`
+	TransientSkips   int64         `json:"transient_skips"`
+	Scan             scan.SetState `json:"scan"`
 }
 
 // CheckpointState implements policy.Policy.
 func (p *Policy) CheckpointState() (any, error) {
 	st := checkpointState{
-		Sampler:          p.sampler.State(),
-		Periods:          p.periods,
+		PEBSState:        p.core.State(),
 		Cycles:           p.cycles,
 		TimelyPromotions: p.TimelyPromotions,
 		TransientSkips:   p.TransientSkips,
@@ -179,8 +115,9 @@ func (p *Policy) RestoreCheckpoint(data []byte) error {
 	if len(st.HotPIDs) != len(st.HotBins) {
 		return fmt.Errorf("flexmem: restore: %d hot PIDs, %d bins", len(st.HotPIDs), len(st.HotBins))
 	}
-	p.sampler.SetState(st.Sampler)
-	p.periods = st.Periods
+	if err := p.core.SetState(st.PEBSState); err != nil {
+		return fmt.Errorf("flexmem: %w", err)
+	}
 	p.cycles = st.Cycles
 	p.TimelyPromotions = st.TimelyPromotions
 	p.TransientSkips = st.TransientSkips
@@ -206,7 +143,7 @@ func (p *Policy) procByPID(pid int) *vm.Process {
 }
 
 // OnPageFreed implements policy.Policy.
-func (p *Policy) OnPageFreed(pg *vm.Page) { p.sampler.Clear(pg.ID) }
+func (p *Policy) OnPageFreed(pg *vm.Page) { p.core.OnPageFreed(pg) }
 
 // OnFault implements policy.Policy: the timely path — a faulting page
 // whose sampled hotness is already near the threshold promotes now.
@@ -218,69 +155,24 @@ func (p *Policy) OnFault(pg *vm.Page, now simclock.Time) {
 	if !ok {
 		return // no classification yet; wait for the background cycle
 	}
-	bin := pebs.BinOf(p.sampler.Counter(pg.ID))
-	if bin >= hot-p.cfg.TimelySlack && bin >= 1 {
+	bin := pebs.BinOf(p.core.Sampler.Counter(pg.ID))
+	if bin >= hot-timelySlack && bin >= 1 {
 		if policy.RetryPromote(p.k, pg, 2) == policy.MigrateOK {
 			p.TimelyPromotions++
 		}
 	}
 }
 
-// background recomputes per-process histograms/thresholds and migrates
-// like Memtis's kmigrated.
+// background recomputes per-process thresholds and migrates like
+// Memtis's kmigrated.
 func (p *Policy) background() {
-	byProc := make(map[*vm.Process][]*vm.Page)
-	var totalResident int64
-	for _, pg := range p.k.Pages() {
-		if pg == nil {
-			continue
-		}
-		byProc[pg.Proc] = append(byProc[pg.Proc], pg)
-		totalResident += int64(pg.Size)
-	}
-	if totalResident == 0 {
-		return
-	}
-	fastCap := p.k.Node().Capacity(mem.FastTier)
-	budget := p.cfg.MigrateBatch
-
-	// The shared migration budget is consumed in process order, so the
-	// order must not depend on map iteration: take the processes with
-	// resident pages by PID, then rotate the starting point each cycle
-	// so no process is systematically first in line.
-	procs := make([]*vm.Process, 0, len(byProc))
-	for _, proc := range p.k.Processes() {
-		if len(byProc[proc]) > 0 {
-			procs = append(procs, proc)
-		}
-	}
-	sort.Slice(procs, func(i, j int) bool { return procs[i].PID < procs[j].PID })
-	p.cycles++
-	start := p.cycles % len(procs)
-
-	for i := range procs {
-		proc := procs[(start+i)%len(procs)]
-		pages := byProc[proc]
-		hist := pebs.NewHistogram(p.cfg.NBins)
-		binSize := make([]int64, p.cfg.NBins)
-		var resident int64
-		for _, pg := range pages {
-			c := p.sampler.Counter(pg.ID)
-			b := pebs.BinOf(c)
-			if b >= p.cfg.NBins {
-				b = p.cfg.NBins - 1
-			}
-			hist.Add(c)
-			binSize[b] += int64(pg.Size)
-			resident += int64(pg.Size)
-		}
-		share := fastCap * resident / totalResident
-		hotBin := hist.HotThresholdBin(share, func(b int) int64 { return binSize[b] })
+	budget := p.core.Batch
+	sampler := p.core.Sampler
+	p.core.ByProcess(&p.cycles, func(proc *vm.Process, pages []*vm.Page, hotBin int) {
 		p.hotBin[proc] = hotBin
-
 		var hotSlow, coldFast []*vm.Page
 		for _, pg := range pages {
-			b := pebs.BinOf(p.sampler.Counter(pg.ID))
+			b := pebs.BinOf(sampler.Counter(pg.ID))
 			switch {
 			case pg.Tier == mem.SlowTier && b >= hotBin:
 				hotSlow = append(hotSlow, pg)
@@ -289,15 +181,15 @@ func (p *Policy) background() {
 			}
 		}
 		sort.Slice(hotSlow, func(i, j int) bool {
-			return p.sampler.Counter(hotSlow[i].ID) > p.sampler.Counter(hotSlow[j].ID)
+			return sampler.Counter(hotSlow[i].ID) > sampler.Counter(hotSlow[j].ID)
 		})
 		sort.Slice(coldFast, func(i, j int) bool {
-			return p.sampler.Counter(coldFast[i].ID) < p.sampler.Counter(coldFast[j].ID)
+			return sampler.Counter(coldFast[i].ID) < sampler.Counter(coldFast[j].ID)
 		})
 		// Hot pages skipped on a transient failure are retried by the
 		// next background cycle, which reclassifies them.
 		var skips int
 		budget, _, skips = policy.Exchange(p.k, hotSlow, coldFast, budget, 2)
 		p.TransientSkips += int64(skips)
-	}
+	})
 }

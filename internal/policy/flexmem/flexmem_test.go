@@ -12,7 +12,7 @@ import (
 // TestHybridChannels: FlexMem uses both PEBS and hint faults — faults
 // occur (unlike Memtis) and some promotions take the timely fault path.
 func TestHybridChannels(t *testing.T) {
-	pol := flexmem.New(flexmem.Config{})
+	pol := flexmem.New()
 	w := policytest.Build(t, pol, 3072, 512, engine.HugePages)
 	m := w.Run(600 * simclock.Second)
 	if m.Faults == 0 {
@@ -29,7 +29,7 @@ func TestHybridChannels(t *testing.T) {
 // TestTimelyPathFiresAfterClassification: the fault path promotes only
 // once a background classification exists, then accounts its promotions.
 func TestTimelyPathFiresAfterClassification(t *testing.T) {
-	pol := flexmem.New(flexmem.Config{})
+	pol := flexmem.New()
 	w := policytest.Build(t, pol, 3072, 512, engine.HugePages)
 	w.Run(600 * simclock.Second)
 	if pol.TimelyPromotions == 0 {
@@ -40,7 +40,7 @@ func TestTimelyPathFiresAfterClassification(t *testing.T) {
 // TestFlexMemBeatsPureBackgroundOnDrift: after a sudden hotspot move, the
 // timely path reacts within a scan pass.
 func TestReactsToHotspotMove(t *testing.T) {
-	pol := flexmem.New(flexmem.Config{})
+	pol := flexmem.New()
 	w := policytest.Build(t, pol, 3072, 512, engine.HugePages)
 	w.Run(400 * simclock.Second)
 	before := pol.TimelyPromotions

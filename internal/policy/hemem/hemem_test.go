@@ -12,7 +12,7 @@ import (
 // TestFixedThresholdPromotion: pages whose counters exceed the fixed
 // threshold are promoted; no hint faults occur.
 func TestFixedThresholdPromotion(t *testing.T) {
-	w := policytest.Build(t, hemem.New(hemem.Config{}), 3072, 512, engine.HugePages)
+	w := policytest.Build(t, hemem.New(), 3072, 512, engine.HugePages)
 	m := w.Run(600 * simclock.Second)
 	if m.Faults != 0 {
 		t.Fatalf("%v hint faults under HeMem", m.Faults)
@@ -25,21 +25,10 @@ func TestFixedThresholdPromotion(t *testing.T) {
 	}
 }
 
-// TestThresholdMismatch: the defining weakness — a fixed threshold far
-// above the workload's counter range promotes nothing.
-func TestThresholdMismatch(t *testing.T) {
-	w := policytest.Build(t, hemem.New(hemem.Config{HotThreshold: 1 << 14}),
-		3072, 512, engine.HugePages)
-	m := w.Run(300 * simclock.Second)
-	if m.Promotions != 0 {
-		t.Fatalf("%d promotions despite an unreachable threshold", m.Promotions)
-	}
-}
-
 // TestColdDemotionUnderPressure: fast pages below the cold threshold are
 // demoted when the watermark is short.
 func TestColdDemotionUnderPressure(t *testing.T) {
-	w := policytest.Build(t, hemem.New(hemem.Config{}), 3500, 600, engine.HugePages)
+	w := policytest.Build(t, hemem.New(), 3500, 600, engine.HugePages)
 	m := w.Run(600 * simclock.Second)
 	if m.Demotions == 0 {
 		t.Fatal("no demotions under pressure")

@@ -21,12 +21,6 @@ import (
 	"chrono/internal/vm"
 )
 
-// Config holds the NUMA-balancing scan parameters (sysctl
-// numa_balancing_scan_*).
-type Config struct {
-	Scan scan.Config
-}
-
 // Policy is the Linux-NB baseline. Vanilla balancing poisons every page,
 // fast-tier ones included: their faults are pure overhead on a CPU-less
 // slow node.
@@ -34,13 +28,15 @@ type Config struct {
 //chrono:statesync checkpointState
 type Policy struct {
 	policy.Base               //chrono:rebuilt stateless method set
-	cfg         Config        //chrono:rebuilt configuration, provided at construction
 	k           policy.Kernel //chrono:rebuilt kernel handle, re-bound by Attach
 	scan        *scan.Set     //chrono:state Scan
+	// scanCfg holds the NUMA-balancing scan parameters (sysctl
+	// numa_balancing_scan_*); its zero value is the scan defaults.
+	scanCfg scan.Config //chrono:rebuilt configuration, fixed at construction
 }
 
-// New returns a Linux-NB policy with the given config.
-func New(cfg Config) *Policy { return &Policy{cfg: cfg} }
+// New returns a Linux-NB policy.
+func New() *Policy { return &Policy{} }
 
 // Name implements policy.Policy.
 func (p *Policy) Name() string { return "Linux-NB" }
@@ -48,7 +44,7 @@ func (p *Policy) Name() string { return "Linux-NB" }
 // Attach implements policy.Policy: it starts the per-process scan clocks.
 func (p *Policy) Attach(k policy.Kernel) {
 	p.k = k
-	p.scan = scan.Start(k, p.cfg.Scan, func(pg *vm.Page, now simclock.Time) {
+	p.scan = scan.Start(k, p.scanCfg, func(pg *vm.Page, now simclock.Time) {
 		k.Protect(pg)
 	})
 }

@@ -15,6 +15,7 @@ package memtis
 import (
 	"cmp"
 	"encoding/json"
+	"fmt"
 	"slices"
 	"sort"
 
@@ -22,61 +23,20 @@ import (
 	"chrono/internal/pebs"
 	"chrono/internal/policy"
 	"chrono/internal/simclock"
-	"chrono/internal/units"
 	"chrono/internal/vm"
 )
 
-// Config holds Memtis's tunables.
-type Config struct {
-	// SampleRate is the PEBS budget in samples/second. When zero it
-	// defaults to the real 100k/s kernel cap divided by the simulator's
-	// capacity scale, preserving the expected per-page counter value.
-	SampleRate units.Hz
-	// SamplePeriod is the DS-area drain interval (default 1 s).
-	SamplePeriod simclock.Duration
-	// CoolingPeriods is the number of sample periods between counter
-	// cooling events (default 8).
-	CoolingPeriods int
-	// MigratePeriod is the kmigrated cycle (default 2 s).
-	MigratePeriod simclock.Duration
-	// MigrateBatch caps page moves per cycle in base pages (default 1/32
-	// of the fast tier).
-	MigrateBatch int
-	// SplitBudget is the max huge-page splits per cycle (default 2 —
-	// Memtis's deliberately conservative splitting).
-	SplitBudget int
-	// NBins is the histogram depth (default 16).
-	NBins int
-}
-
-func (c Config) withDefaults() Config {
-	if c.SamplePeriod == 0 {
-		c.SamplePeriod = simclock.Second
-	}
-	if c.CoolingPeriods == 0 {
-		c.CoolingPeriods = 8
-	}
-	if c.MigratePeriod == 0 {
-		c.MigratePeriod = 2 * simclock.Second
-	}
-	if c.SplitBudget == 0 {
-		c.SplitBudget = 2
-	}
-	if c.NBins == 0 {
-		c.NBins = 16
-	}
-	return c
-}
+// splitBudget is the most huge pages one kmigrated cycle splits —
+// Memtis's deliberately conservative splitting.
+const splitBudget = 2
 
 // Policy is the Memtis baseline.
 //
 //chrono:statesync checkpointState
 type Policy struct {
 	policy.Base               //chrono:rebuilt stateless method set
-	cfg         Config        //chrono:rebuilt configuration, finalized in Attach
 	k           policy.Kernel //chrono:rebuilt kernel handle, re-bound by Attach
-	sampler     *pebs.Sampler //chrono:state Sampler
-	periods     int           //chrono:state Periods
+	core        *policy.PEBS  //chrono:state PEBSState
 	// cycles counts kmigrated invocations; it rotates the per-process
 	// service order so the shared migration budget is shared fairly
 	// without depending on map iteration order.
@@ -86,13 +46,12 @@ type Policy struct {
 	// repeated transient migration aborts (retried next cycle).
 	TransientSkips int64 //chrono:state TransientSkips
 
-	// Reused buffers, refilled every kmigrated cycle. byProc groups the
-	// resident pages by process; cold holds the current process's cold
-	// fast-tier pages in page order, collected once per pass, and
-	// byCount is its latest coldest-first copy.
-	cold    []coldPage                 //chrono:rebuilt per-pass demotion candidates
-	byCount []coldPage                 //chrono:rebuilt per-pass sort scratch
-	byProc  map[*vm.Process][]*vm.Page //chrono:rebuilt per-cycle grouping
+	// Reused buffers, refilled for every process of a kmigrated cycle:
+	// cold holds the process's cold fast-tier pages in page order,
+	// collected once per pass, and byCount is its latest coldest-first
+	// copy.
+	cold    []coldPage //chrono:rebuilt per-pass demotion candidates
+	byCount []coldPage //chrono:rebuilt per-pass sort scratch
 }
 
 // coldPage is a demotion candidate with the counter it was classified by.
@@ -107,65 +66,34 @@ type coldPage struct {
 func coldestFirst(a, b coldPage) int { return cmp.Compare(a.count, b.count) }
 
 // New returns a Memtis policy.
-func New(cfg Config) *Policy { return &Policy{cfg: cfg.withDefaults()} }
+func New() *Policy { return &Policy{} }
 
 // Name implements policy.Policy.
 func (p *Policy) Name() string { return "Memtis" }
 
 // Sampler exposes the PEBS sampler (for the Figure 2b harness).
-func (p *Policy) Sampler() *pebs.Sampler { return p.sampler }
+func (p *Policy) Sampler() *pebs.Sampler { return p.core.Sampler }
 
 // Attach implements policy.Policy.
 func (p *Policy) Attach(k policy.Kernel) {
 	p.k = k
-	if p.cfg.MigrateBatch == 0 {
-		p.cfg.MigrateBatch = int(k.Node().Capacity(mem.FastTier) / 32)
-		// The batch must cover at least one huge page or huge-page
-		// promotion starves on small tiers.
-		if p.cfg.MigrateBatch < k.HugeFactor() {
-			p.cfg.MigrateBatch = k.HugeFactor()
-		}
-	}
-	if p.cfg.SampleRate == 0 {
-		// Scale the real 100k/s hardware budget so the expected counter of
-		// one simulated *huge* page equals the real per-huge-page counter:
-		// rate = 100k × 512 / (HugeFactor × CostScale). This preserves the
-		// paper's §2.3 regime at any simulator scale — huge-page counters
-		// are large and stable, base-page counters collapse toward zero
-		// (Figure 2b), because the base:huge counter ratio is the fold
-		// factor in both worlds.
-		p.cfg.SampleRate = units.Hz(100000 * 512 / (float64(k.HugeFactor()) * k.CostScale()))
-		if p.cfg.SampleRate < 10 {
-			p.cfg.SampleRate = 10
-		}
-	}
-	p.sampler = pebs.NewSampler(k.RNG(), p.cfg.SampleRate)
-	p.sampler.Grow(len(k.Pages()))
-	k.Clock().EveryKey("memtis/sample", p.cfg.SamplePeriod, func(now simclock.Time) {
-		k.SamplePEBS(p.sampler, units.SecondsOf(p.cfg.SamplePeriod))
-		p.periods++
-		if p.periods%p.cfg.CoolingPeriods == 0 {
-			p.sampler.Cool()
-		}
-	})
-	k.Clock().EveryKey("memtis/migrate", p.cfg.MigratePeriod, func(now simclock.Time) {
+	p.core = policy.StartPEBS(k, "memtis/sample")
+	k.Clock().EveryKey("memtis/migrate", policy.PEBSCycle, func(now simclock.Time) {
 		p.kmigrated()
 	})
 }
 
 // checkpointState is Memtis's serializable dynamic state.
 type checkpointState struct {
-	Sampler        pebs.SamplerState `json:"sampler"`
-	Periods        int               `json:"periods"`
-	Cycles         int               `json:"cycles"`
-	TransientSkips int64             `json:"transient_skips"`
+	policy.PEBSState
+	Cycles         int   `json:"cycles"`
+	TransientSkips int64 `json:"transient_skips"`
 }
 
 // CheckpointState implements policy.Policy.
 func (p *Policy) CheckpointState() (any, error) {
 	return checkpointState{
-		Sampler:        p.sampler.State(),
-		Periods:        p.periods,
+		PEBSState:      p.core.State(),
 		Cycles:         p.cycles,
 		TransientSkips: p.TransientSkips,
 	}, nil
@@ -177,83 +105,24 @@ func (p *Policy) RestoreCheckpoint(data []byte) error {
 	if err := json.Unmarshal(data, &st); err != nil {
 		return err
 	}
-	p.sampler.SetState(st.Sampler)
-	p.periods = st.Periods
+	if err := p.core.SetState(st.PEBSState); err != nil {
+		return fmt.Errorf("memtis: %w", err)
+	}
 	p.cycles = st.Cycles
 	p.TransientSkips = st.TransientSkips
 	return nil
 }
 
 // OnPageFreed implements policy.Policy (splits retire the huge page).
-func (p *Policy) OnPageFreed(pg *vm.Page) { p.sampler.Clear(pg.ID) }
+func (p *Policy) OnPageFreed(pg *vm.Page) { p.core.OnPageFreed(pg) }
 
-// kmigrated is the background classification + migration cycle.
+// kmigrated is the background classification + migration cycle: each
+// process's pages are classified against its capacity share, then its hot
+// slow-tier pages are promoted under the cycle's shared budget.
 func (p *Policy) kmigrated() {
-	// Group resident pages by process, refilling last cycle's slices;
-	// a process left without pages is dropped, as a fresh map would
-	// not hold it.
-	if p.byProc == nil {
-		p.byProc = make(map[*vm.Process][]*vm.Page)
-	}
-	byProc := p.byProc
-	//chrono:ordered-irrelevant each slice is truncated on its own
-	for proc, pages := range byProc {
-		byProc[proc] = pages[:0]
-	}
-	var totalResident int64
-	for _, pg := range p.k.Pages() {
-		if pg == nil {
-			continue
-		}
-		byProc[pg.Proc] = append(byProc[pg.Proc], pg)
-		totalResident += int64(pg.Size)
-	}
-	//chrono:ordered-irrelevant each entry is tested on its own
-	for proc, pages := range byProc {
-		if len(pages) == 0 {
-			delete(byProc, proc)
-		}
-	}
-	if totalResident == 0 {
-		return
-	}
-	fastCap := p.k.Node().Capacity(mem.FastTier)
-	budget := p.cfg.MigrateBatch
-
-	// The shared migration budget is consumed in process order, so the
-	// order must not depend on map iteration: sort by PID, then rotate
-	// the starting point each cycle so no process is systematically
-	// first in line (kernel cgroup walks resume round-robin the same
-	// way; unrotated, the lowest PID would hoard the budget).
-	procs := make([]*vm.Process, 0, len(byProc))
-	//chrono:ordered-irrelevant keys are sorted immediately below
-	for proc := range byProc {
-		procs = append(procs, proc)
-	}
-	sort.Slice(procs, func(i, j int) bool { return procs[i].PID < procs[j].PID })
-	p.cycles++
-	start := p.cycles % len(procs)
-
-	for i := range procs {
-		proc := procs[(start+i)%len(procs)]
-		pages := byProc[proc]
-		// Per-process histogram of counter bins weighted by page size.
-		hist := pebs.NewHistogram(p.cfg.NBins)
-		binSize := make([]int64, p.cfg.NBins)
-		var resident int64
-		for _, pg := range pages {
-			b := pebs.BinOf(p.sampler.Counter(pg.ID))
-			if b >= p.cfg.NBins {
-				b = p.cfg.NBins - 1
-			}
-			hist.Add(p.sampler.Counter(pg.ID))
-			binSize[b] += int64(pg.Size)
-			resident += int64(pg.Size)
-		}
-		// The process's DRAM entitlement is its proportional share.
-		share := fastCap * resident / totalResident
-		hotBin := hist.HotThresholdBin(share, func(b int) int64 { return binSize[b] })
-
+	budget := p.core.Batch
+	sampler := p.core.Sampler
+	p.core.ByProcess(&p.cycles, func(proc *vm.Process, pages []*vm.Page, hotBin int) {
 		// Promote hot slow-tier pages, hottest first, collecting the cold
 		// fast-tier pages they may displace in the same pass. Counters are
 		// fixed for the whole pass and only hot pages enter the fast tier,
@@ -261,7 +130,7 @@ func (p *Policy) kmigrated() {
 		var hotSlow []*vm.Page
 		p.cold, p.byCount = p.cold[:0], p.byCount[:0]
 		for _, pg := range pages {
-			c := p.sampler.Counter(pg.ID)
+			c := sampler.Counter(pg.ID)
 			switch {
 			case pg.Tier == mem.SlowTier && pebs.BinOf(c) >= hotBin:
 				hotSlow = append(hotSlow, pg)
@@ -270,7 +139,7 @@ func (p *Policy) kmigrated() {
 			}
 		}
 		sort.Slice(hotSlow, func(i, j int) bool {
-			return p.sampler.Counter(hotSlow[i].ID) > p.sampler.Counter(hotSlow[j].ID)
+			return sampler.Counter(hotSlow[i].ID) > sampler.Counter(hotSlow[j].ID)
 		})
 		for _, pg := range hotSlow {
 			if budget < int(pg.Size) {
@@ -290,7 +159,7 @@ func (p *Policy) kmigrated() {
 
 		// Conservative splitting of the hottest fast-tier huge pages.
 		p.splitHot(pages, hotBin)
-	}
+	})
 }
 
 // demoteForSpace demotes cold fast-tier pages of the process, coldest
@@ -321,31 +190,32 @@ func (p *Policy) demoteForSpace(need int64) {
 	}
 }
 
-// splitHot splits up to SplitBudget of the process's hottest
+// splitHot splits up to splitBudget of the process's hottest
 // *under-utilized* huge pages — the ones whose PEBS address samples show
 // accesses concentrated in a fraction of the region — letting subsequent
 // sampling separate their hot and cold base regions.
 func (p *Policy) splitHot(pages []*vm.Page, hotBin int) {
+	sampler := p.core.Sampler
 	var huge []*vm.Page
 	for _, pg := range pages {
-		if pg.IsHuge() && pebs.BinOf(p.sampler.Counter(pg.ID)) >= hotBin+2 &&
+		if pg.IsHuge() && pebs.BinOf(sampler.Counter(pg.ID)) >= hotBin+2 &&
 			p.k.HugeUtilization(pg) < 0.6 {
 			huge = append(huge, pg)
 		}
 	}
 	sort.Slice(huge, func(i, j int) bool {
-		return p.sampler.Counter(huge[i].ID) > p.sampler.Counter(huge[j].ID)
+		return sampler.Counter(huge[i].ID) > sampler.Counter(huge[j].ID)
 	})
-	for i := 0; i < len(huge) && i < p.cfg.SplitBudget; i++ {
+	for i := 0; i < len(huge) && i < splitBudget; i++ {
 		pg := huge[i]
 		// Redistribute the region counter over the fragments so the
 		// freshly split pages keep their aggregate hotness estimate
 		// until per-fragment samples accumulate.
-		per := p.sampler.Counter(pg.ID) / uint32(pg.Size)
+		per := sampler.Counter(pg.ID) / uint32(pg.Size)
 		for _, np := range p.k.SplitHuge(pg) {
 			if per > 0 {
-				p.sampler.Grow(int(np.ID) + 1)
-				p.sampler.AddDirect(np.ID, per)
+				sampler.Grow(int(np.ID) + 1)
+				sampler.AddDirect(np.ID, per)
 			}
 		}
 	}

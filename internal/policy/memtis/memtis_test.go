@@ -13,7 +13,7 @@ import (
 // Memtis identifies and promotes the hot region from PEBS counters alone
 // — no hint faults.
 func TestSamplingDrivesPromotion(t *testing.T) {
-	w := policytest.Build(t, memtis.New(memtis.Config{}), 3072, 512, engine.HugePages)
+	w := policytest.Build(t, memtis.New(), 3072, 512, engine.HugePages)
 	m := w.Run(600 * simclock.Second)
 	if m.Faults != 0 {
 		t.Fatalf("%v hint faults under Memtis", m.Faults)
@@ -34,8 +34,8 @@ func TestSamplingDrivesPromotion(t *testing.T) {
 // budget spreads over HugeFactor× more pages, so per-page counters
 // collapse (Figure 2b) and placement quality degrades.
 func TestBasePageInstability(t *testing.T) {
-	huge := policytest.Build(t, memtis.New(memtis.Config{}), 3072, 512, engine.HugePages)
-	base := policytest.Build(t, memtis.New(memtis.Config{}), 3072, 512, engine.BasePages)
+	huge := policytest.Build(t, memtis.New(), 3072, 512, engine.HugePages)
+	base := policytest.Build(t, memtis.New(), 3072, 512, engine.BasePages)
 	huge.Run(600 * simclock.Second)
 	base.Run(600 * simclock.Second)
 	hp := huge.Engine.Policy().(*memtis.Policy)
@@ -69,7 +69,7 @@ func TestBasePageInstability(t *testing.T) {
 // TestSplittingIsConservative: splits happen, but only a handful per
 // cycle.
 func TestSplittingIsConservative(t *testing.T) {
-	w := policytest.Build(t, memtis.New(memtis.Config{}), 3072, 512, engine.HugePages)
+	w := policytest.Build(t, memtis.New(), 3072, 512, engine.HugePages)
 	before := len(w.Engine.Pages())
 	w.Run(600 * simclock.Second)
 	after := len(w.Engine.Pages())
@@ -78,5 +78,23 @@ func TestSplittingIsConservative(t *testing.T) {
 	// pages max; conservative splitting stays well under a full unfold.
 	if grew > 0 && grew >= 3072 {
 		t.Fatalf("splitting unfolded everything: %d new pages", grew)
+	}
+}
+
+// TestRestoreRejectsCorruptSampler: a corrupted PEBS sampler snapshot is
+// a restore error, not a panic that would take down a resuming daemon.
+func TestRestoreRejectsCorruptSampler(t *testing.T) {
+	pol := memtis.New()
+	policytest.Build(t, pol, 3072, 512, engine.HugePages)
+	for _, sampler := range []string{
+		`{"len":4,"idx":[1,2],"count":[5]}`,
+		`{"len":4,"idx":[-1],"count":[5]}`,
+		`{"len":4,"idx":[1099511627776],"count":[5]}`,
+		`{"len":1099511627776}`,
+	} {
+		data := `{"sampler":` + sampler + `,"periods":1,"cycles":1,"transient_skips":0}`
+		if err := pol.RestoreCheckpoint([]byte(data)); err == nil {
+			t.Errorf("restore of sampler %s succeeded", sampler)
+		}
 	}
 }

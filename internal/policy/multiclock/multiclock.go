@@ -23,33 +23,33 @@ import (
 	"chrono/internal/vm"
 )
 
-// Config holds Multi-Clock's tunables.
-type Config struct {
-	// Levels is the number of CLOCK lists per tier (default 4).
-	Levels int
-	// ScanPeriod is the interval between CLOCK passes (default 10 s; the
-	// reset interval of the accessed bits).
-	ScanPeriod simclock.Duration
-	// ScanBatch is the pages examined per list per pass (default: half
-	// of each list).
-	ScanBatch int
-	// MigrateBatch caps promotions/demotions per pass (default 1/64 of
-	// the fast tier).
-	MigrateBatch int
-}
+const (
+	// levels is the number of CLOCK lists per tier.
+	levels = 4
+	// scanPeriod is the interval between CLOCK passes, the reset
+	// interval of the accessed bits.
+	scanPeriod = 10 * simclock.Second
+)
 
 // Policy is the Multi-Clock baseline.
 //
 //chrono:statesync checkpointState
 type Policy struct {
 	policy.Base                               //chrono:rebuilt stateless method set
-	cfg         Config                        //chrono:rebuilt configuration, finalized in Attach
 	k           policy.Kernel                 //chrono:rebuilt kernel handle, re-bound by Attach
 	clocks      [mem.NumTiers]*lru.MultiClock //chrono:state Clocks
+	// scanBatch is the pages examined per list per pass: half of the
+	// page table, at least 64. That lets a continuously referenced page
+	// climb to the top level within a few scan periods, matching the
+	// CLOCK hand rates of the original system.
+	scanBatch int //chrono:rebuilt derived from the page table in Attach
+	// batch caps promotions/demotions per pass: 1/64 of the fast tier,
+	// at least 16.
+	batch int //chrono:rebuilt derived from the machine in Attach
 }
 
 // New returns a Multi-Clock policy.
-func New(cfg Config) *Policy { return &Policy{cfg: cfg} }
+func New() *Policy { return &Policy{} }
 
 // Name implements policy.Policy.
 func (p *Policy) Name() string { return "Multi-Clock" }
@@ -57,37 +57,18 @@ func (p *Policy) Name() string { return "Multi-Clock" }
 // Attach implements policy.Policy.
 func (p *Policy) Attach(k policy.Kernel) {
 	p.k = k
-	if p.cfg.Levels == 0 {
-		p.cfg.Levels = 4
-	}
-	if p.cfg.ScanPeriod == 0 {
-		p.cfg.ScanPeriod = 10 * simclock.Second
-	}
 	n := len(k.Pages())
-	if p.cfg.ScanBatch == 0 {
-		// Examining half of each list per pass lets a continuously
-		// referenced page climb to the top level within a few scan
-		// periods, matching the CLOCK hand rates of the original system.
-		p.cfg.ScanBatch = n / 2
-		if p.cfg.ScanBatch < 64 {
-			p.cfg.ScanBatch = 64
-		}
-	}
-	if p.cfg.MigrateBatch == 0 {
-		p.cfg.MigrateBatch = int(k.Node().Capacity(mem.FastTier) / 64)
-		if p.cfg.MigrateBatch < 16 {
-			p.cfg.MigrateBatch = 16
-		}
-	}
+	p.scanBatch = max(n/2, 64)
+	p.batch = max(int(k.Node().Capacity(mem.FastTier)/64), 16)
 	for t := mem.TierID(0); t < mem.NumTiers; t++ {
-		p.clocks[t] = lru.NewMultiClock(p.cfg.Levels, n)
+		p.clocks[t] = lru.NewMultiClock(levels, n)
 	}
 	for _, pg := range k.Pages() {
 		if pg != nil {
 			p.clocks[pg.Tier].Add(pg.ID, 0)
 		}
 	}
-	k.Clock().EveryKey("multiclock/pass", p.cfg.ScanPeriod, func(now simclock.Time) { p.pass() })
+	k.Clock().EveryKey("multiclock/pass", scanPeriod, func(now simclock.Time) { p.pass() })
 }
 
 // checkpointState is Multi-Clock's serializable dynamic state: each
@@ -155,13 +136,13 @@ func (p *Policy) pass() {
 		return p.k.AccessedTestAndClear(pg)
 	}
 	for t := mem.TierID(0); t < mem.NumTiers; t++ {
-		p.clocks[t].Scan(p.cfg.ScanBatch, accessed)
+		p.clocks[t].Scan(p.scanBatch, accessed)
 	}
 
 	// Promote from the slow tier's top (highest non-empty) level: the
 	// pages with the longest run of referenced scans. Climbing requires
 	// at least one referenced scan, so level-0 residents never qualify.
-	budget := p.cfg.MigrateBatch
+	budget := p.batch
 	for _, id := range p.clocks[mem.SlowTier].Top(budget) {
 		pg := pages[id]
 		if pg == nil || pg.Tier != mem.SlowTier {
@@ -179,7 +160,7 @@ func (p *Policy) pass() {
 
 	// Demote under watermark pressure from the fast tier's bottom level.
 	if p.fastPressure() {
-		p.demoteSome(p.cfg.MigrateBatch)
+		p.demoteSome(p.batch)
 	}
 }
 
@@ -207,7 +188,7 @@ func (p *Policy) OnMigrated(pg *vm.Page, from, to mem.TierID) {
 	p.clocks[from].Drop(pg.ID)
 	p.clocks[to].Drop(pg.ID)
 	if to == mem.FastTier {
-		p.clocks[to].Add(pg.ID, p.cfg.Levels-1)
+		p.clocks[to].Add(pg.ID, levels-1)
 	} else {
 		p.clocks[to].Add(pg.ID, 0)
 	}

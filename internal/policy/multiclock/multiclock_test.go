@@ -13,7 +13,7 @@ import (
 // TestNoHintFaults: Multi-Clock works from accessed bits only; it must
 // not generate a single hint fault.
 func TestNoHintFaults(t *testing.T) {
-	w := policytest.Build(t, multiclock.New(multiclock.Config{}), 3000, 500, engine.BasePages)
+	w := policytest.Build(t, multiclock.New(), 3000, 500, engine.BasePages)
 	m := w.Run(300 * simclock.Second)
 	if m.Faults != 0 {
 		t.Fatalf("%v hint faults under Multi-Clock", m.Faults)
@@ -26,7 +26,7 @@ func TestNoHintFaults(t *testing.T) {
 // TestClimbersGetPromoted: the clearly hot head climbs the CLOCK levels
 // and reaches the fast tier.
 func TestClimbersGetPromoted(t *testing.T) {
-	w := policytest.Build(t, multiclock.New(multiclock.Config{}), 3000, 400, engine.BasePages)
+	w := policytest.Build(t, multiclock.New(), 3000, 400, engine.BasePages)
 	w.Run(900 * simclock.Second)
 	// Multi-Clock's binary accessed-bit signal makes it a mediocre
 	// classifier (the paper's point); require clear progress from the
@@ -51,7 +51,7 @@ func TestClimbersGetPromoted(t *testing.T) {
 // TestMigratedPagesStayTracked: kernel-initiated demotions must not drop
 // pages from the clocks (the OnMigrated sync).
 func TestMigratedPagesStayTracked(t *testing.T) {
-	w := policytest.Build(t, multiclock.New(multiclock.Config{}), 3500, 600, engine.BasePages)
+	w := policytest.Build(t, multiclock.New(), 3500, 600, engine.BasePages)
 	m := w.Run(400 * simclock.Second)
 	if m.Demotions == 0 {
 		t.Skip("no demotions occurred; nothing to verify")

@@ -33,38 +33,35 @@ import (
 	"chrono/internal/vm"
 )
 
-// NomadConfig holds Nomad's tunables.
-type NomadConfig struct {
-	// ScanPeriod is the hint-fault scan cadence over the slow tier
-	// (default 60 s, matching the scan package's default).
-	ScanPeriod simclock.Duration
-	// StepPages is the number of page-table slots visited per scan tick;
-	// 0 derives it from the table size so one full pass takes roughly
-	// 1024 ticks, minimum 8 (the scan package's pacing rule).
-	StepPages int
-	// RecencyWindow is the re-reference second-chance window (default
-	// 3 min, as for TPP: hint faults arrive at most once per scan pass).
-	RecencyWindow simclock.Duration
-	// HeadroomFrac widens the fast tier's demotion target above the high
-	// watermark (default 0.02 of fast capacity).
-	HeadroomFrac float64
-}
+// Nomad's fixed parameters.
+const (
+	// nomadScanPeriod is the hint-fault scan cadence over the slow tier,
+	// matching the scan package's default. One pass takes 1024 ticks.
+	nomadScanPeriod = simclock.Minute
+	// nomadRecencyWindow is the re-reference second-chance window, as
+	// for TPP: hint faults arrive at most once per scan pass.
+	nomadRecencyWindow = 3 * simclock.Minute
+	// nomadHeadroomFrac widens the fast tier's demotion target above the
+	// high watermark, as a fraction of fast capacity.
+	nomadHeadroomFrac = 0.02
+)
 
 // Nomad is the transactional-migration baseline. The previous fault
 // timestamp is kept in pg.Meta (nanoseconds), like TPP.
 //
 //chrono:statesync nomadState
 type Nomad struct {
-	Base                       //chrono:rebuilt stateless method set
-	cfg    NomadConfig         //chrono:rebuilt configuration, finalized in Attach
-	k      Kernel              //chrono:rebuilt kernel handle, re-bound by Attach
-	tk     TransactionalKernel //chrono:rebuilt nil when the kernel lacks transactions
-	step   int                 //chrono:rebuilt pacing, derived from cfg and table size
-	cursor int64               //chrono:state Cursor
+	Base                     //chrono:rebuilt stateless method set
+	k    Kernel              //chrono:rebuilt kernel handle, re-bound by Attach
+	tk   TransactionalKernel //chrono:rebuilt nil when the kernel lacks transactions
+	// step is the number of page-table slots visited per scan tick:
+	// 1/1024 of the table, at least 8 (the scan package's pacing rule).
+	step   int   //chrono:rebuilt pacing, derived from the table size
+	cursor int64 //chrono:state Cursor
 }
 
 // NewNomad returns a Nomad policy.
-func NewNomad(cfg NomadConfig) *Nomad { return &Nomad{cfg: cfg} }
+func NewNomad() *Nomad { return &Nomad{} }
 
 // Name implements Policy.
 func (p *Nomad) Name() string { return "Nomad" }
@@ -73,28 +70,13 @@ func (p *Nomad) Name() string { return "Nomad" }
 func (p *Nomad) Attach(k Kernel) {
 	p.k = k
 	p.tk, _ = k.(TransactionalKernel)
-	if p.cfg.ScanPeriod == 0 {
-		p.cfg.ScanPeriod = simclock.Minute
-	}
-	if p.cfg.RecencyWindow == 0 {
-		p.cfg.RecencyWindow = 3 * simclock.Minute
-	}
-	if p.cfg.HeadroomFrac == 0 {
-		p.cfg.HeadroomFrac = 0.02
-	}
-	p.step = p.cfg.StepPages
-	if p.step <= 0 {
-		p.step = len(k.Pages()) / 1024
-		if p.step < 8 {
-			p.step = 8
-		}
-	}
-	k.Clock().EveryKey("policy/nomad/scan", p.cfg.ScanPeriod/1024, func(now simclock.Time) {
+	p.step = max(len(k.Pages())/1024, 8)
+	k.Clock().EveryKey("policy/nomad/scan", nomadScanPeriod/1024, func(now simclock.Time) {
 		p.scanStep()
 	})
 	node := k.Node()
 	high := node.Watermarks(mem.FastTier).High
-	node.SetProWatermark(high + int64(p.cfg.HeadroomFrac*float64(node.Capacity(mem.FastTier))))
+	node.SetProWatermark(high + int64(nomadHeadroomFrac*float64(node.Capacity(mem.FastTier))))
 }
 
 // scanStep protects the next window of slow-tier pages, wrapping the
@@ -128,7 +110,7 @@ func (p *Nomad) OnFault(pg *vm.Page, now simclock.Time) {
 	}
 	prev := simclock.Time(int64(pg.Meta))
 	pg.Meta = uint64(now)
-	if prev > 0 && now-prev <= p.cfg.RecencyWindow {
+	if prev > 0 && now-prev <= nomadRecencyWindow {
 		if p.promote(pg) == MigrateTransient {
 			// Busy page or aborted transaction: a bounded sim-time backoff
 			// retries it instead of waiting for another hint-fault pair.

@@ -1,0 +1,182 @@
+package policy
+
+import (
+	"fmt"
+	"sort"
+
+	"chrono/internal/mem"
+	"chrono/internal/pebs"
+	"chrono/internal/simclock"
+	"chrono/internal/units"
+	"chrono/internal/vm"
+)
+
+// The PEBS family's shared timing (HeMem, Memtis and FlexMem use the
+// same values; paper §2.3, Table 1).
+const (
+	// pebsPeriod is the DS-area drain interval: one sampling period.
+	pebsPeriod = simclock.Second
+	// PEBSCycle is the background classification + migration cycle
+	// (Memtis' kmigrated).
+	PEBSCycle = 2 * simclock.Second
+	// pebsCoolingPeriods is the number of sampling periods between
+	// counter halvings.
+	pebsCoolingPeriods = 8
+	// pebsBins is the counter-histogram depth of the capacity-share
+	// classification.
+	pebsBins = 16
+)
+
+// PEBS is the sampling core of the PEBS family. It owns the sampler, the
+// sample-and-cool ticker and the migrate batch; each policy keeps its own
+// classification and migration step on top of it.
+//
+//chrono:statesync PEBSState
+type PEBS struct {
+	k Kernel //chrono:rebuilt kernel handle, bound by StartPEBS
+	// Sampler holds the per-page sample counters.
+	Sampler *pebs.Sampler //chrono:state Sampler
+	// Batch caps the base pages one migration cycle moves: 1/32 of the
+	// fast tier, but at least one huge page or huge-page promotion
+	// starves on small tiers.
+	Batch   int //chrono:rebuilt derived from the machine by StartPEBS
+	periods int //chrono:state Periods
+
+	// Scratch refilled by every ByProcess pass.
+	byProc  map[*vm.Process][]*vm.Page //chrono:rebuilt per-cycle grouping
+	procs   []*vm.Process              //chrono:rebuilt per-cycle service order
+	hist    *pebs.Histogram            //chrono:rebuilt fixed-depth threshold scan
+	binSize []int64                    //chrono:rebuilt per-process bin footprints
+}
+
+// PEBSState is the serializable state of a PEBS core. The family's
+// checkpoint structs embed it, so its fields lead each policy's JSON.
+type PEBSState struct {
+	Sampler pebs.SamplerState `json:"sampler"`
+	Periods int               `json:"periods"`
+}
+
+// StartPEBS builds the sampler from k's policy RNG stream and registers
+// the sampling ticker under sampleKey: every pebsPeriod it drains one
+// period's samples, and every pebsCoolingPeriods periods it halves the
+// counters.
+func StartPEBS(k Kernel, sampleKey string) *PEBS {
+	// Scale the real 100k/s hardware budget so the expected counter of
+	// one simulated *huge* page equals the real per-huge-page counter:
+	// rate = 100k × 512 / (HugeFactor × CostScale). This preserves the
+	// paper's §2.3 regime at any simulator scale — huge-page counters
+	// are large and stable, base-page counters collapse toward zero
+	// (Figure 2b), because the base:huge counter ratio is the fold
+	// factor in both worlds.
+	rate := units.Hz(100000 * 512 / (float64(k.HugeFactor()) * k.CostScale()))
+	if rate < 10 {
+		rate = 10
+	}
+	c := &PEBS{
+		k:       k,
+		Sampler: pebs.NewSampler(k.RNG(), rate),
+		Batch:   max(int(k.Node().Capacity(mem.FastTier)/32), k.HugeFactor()),
+		hist:    pebs.NewHistogram(pebsBins),
+		binSize: make([]int64, pebsBins),
+	}
+	c.Sampler.Grow(len(k.Pages()))
+	k.Clock().EveryKey(sampleKey, pebsPeriod, func(now simclock.Time) {
+		k.SamplePEBS(c.Sampler, units.SecondsOf(pebsPeriod))
+		c.periods++
+		if c.periods%pebsCoolingPeriods == 0 {
+			c.Sampler.Cool()
+		}
+	})
+	return c
+}
+
+// State captures the core's dynamic state.
+func (c *PEBS) State() PEBSState {
+	return PEBSState{Sampler: c.Sampler.State(), Periods: c.periods}
+}
+
+// SetState overlays captured state. A malformed sampler snapshot, or one
+// covering more pages than the restored page table, is an error.
+func (c *PEBS) SetState(st PEBSState) error {
+	if n := len(c.k.Pages()); st.Sampler.Len > n {
+		return fmt.Errorf("policy: restore: %d PEBS counters for %d pages", st.Sampler.Len, n)
+	}
+	if err := c.Sampler.SetState(st.Sampler); err != nil {
+		return err
+	}
+	c.periods = st.Periods
+	return nil
+}
+
+// OnPageFreed drops a freed page's counter (splits retire the huge page).
+func (c *PEBS) OnPageFreed(pg *vm.Page) { c.Sampler.Clear(pg.ID) }
+
+// ByProcess is the per-process classification pass of Memtis' kmigrated
+// and FlexMem's background cycle. It groups the resident pages by
+// process and visits each process with its pages and its hot bin: the
+// lowest counter bin whose pages, hottest bins first, fit in the
+// process's share of the fast tier, proportional to its resident size.
+// A pass over an empty page table visits nothing and leaves *cycles
+// alone; otherwise it advances *cycles.
+func (c *PEBS) ByProcess(cycles *int, visit func(proc *vm.Process, pages []*vm.Page, hotBin int)) {
+	// Refill last cycle's slices; a process left without pages is
+	// dropped, as a fresh map would not hold it.
+	if c.byProc == nil {
+		c.byProc = make(map[*vm.Process][]*vm.Page)
+	}
+	byProc := c.byProc
+	//chrono:ordered-irrelevant each slice is truncated on its own
+	for proc, pages := range byProc {
+		byProc[proc] = pages[:0]
+	}
+	var totalResident int64
+	for _, pg := range c.k.Pages() {
+		if pg == nil {
+			continue
+		}
+		byProc[pg.Proc] = append(byProc[pg.Proc], pg)
+		totalResident += int64(pg.Size)
+	}
+	//chrono:ordered-irrelevant each entry is tested on its own
+	for proc, pages := range byProc {
+		if len(pages) == 0 {
+			delete(byProc, proc)
+		}
+	}
+	if totalResident == 0 {
+		return
+	}
+	fastCap := c.k.Node().Capacity(mem.FastTier)
+
+	// A caller's migration budget is consumed in process order, so the
+	// order must not depend on map iteration: take the processes with
+	// resident pages by PID, then rotate the starting point each cycle
+	// so no process is systematically first in line (kernel cgroup
+	// walks resume round-robin the same way; unrotated, the lowest PID
+	// would hoard the budget).
+	c.procs = c.procs[:0]
+	for _, proc := range c.k.Processes() {
+		if len(byProc[proc]) > 0 {
+			c.procs = append(c.procs, proc)
+		}
+	}
+	procs := c.procs
+	sort.Slice(procs, func(i, j int) bool { return procs[i].PID < procs[j].PID })
+	*cycles++
+	start := *cycles % len(procs)
+
+	sizeOf := func(b int) int64 { return c.binSize[b] }
+	for i := range procs {
+		proc := procs[(start+i)%len(procs)]
+		pages := byProc[proc]
+		clear(c.binSize)
+		var resident int64
+		for _, pg := range pages {
+			b := min(pebs.BinOf(c.Sampler.Counter(pg.ID)), pebsBins-1)
+			c.binSize[b] += int64(pg.Size)
+			resident += int64(pg.Size)
+		}
+		share := fastCap * resident / totalResident
+		visit(proc, pages, c.hist.HotThresholdBin(share, sizeOf))
+	}
+}

@@ -28,48 +28,21 @@ import (
 	"chrono/internal/vm"
 )
 
-// Config holds Telescope's tunables.
-type Config struct {
-	// Window is the fixed profiling window (default 200 ms).
-	Window simclock.Duration
-	// RegionPages is the upper-level region size in pages (default 64,
-	// one PMD-level entry at the simulator's scale).
-	RegionPages int
-	// HotStreak is the number of consecutive referenced windows that
-	// make a leaf hot (default 4).
-	HotStreak int
-	// MigratePeriod is the background migration cycle (default 2 s).
-	MigratePeriod simclock.Duration
-	// MigrateBatch caps page moves per cycle (default fast/32).
-	MigrateBatch int
-	// NodeTestNS is the kernel cost per tree-node accessed-bit test.
-	NodeTestNS units.NS
-	// ProfileBudget caps the page-level tests per window (default
-	// totalPages/8). Telescope's efficiency claim rests on access
-	// sparsity; on a dense footprint the profiler must round-robin its
-	// open regions within a bounded budget or its own cost would exceed
-	// the machine.
-	ProfileBudget int
-}
-
-func (c Config) withDefaults() Config {
-	if c.Window == 0 {
-		c.Window = 200 * simclock.Millisecond
-	}
-	if c.RegionPages == 0 {
-		c.RegionPages = 64
-	}
-	if c.HotStreak == 0 {
-		c.HotStreak = 4
-	}
-	if c.MigratePeriod == 0 {
-		c.MigratePeriod = 2 * simclock.Second
-	}
-	if c.NodeTestNS == 0 {
-		c.NodeTestNS = 40
-	}
-	return c
-}
+// Telescope's fixed profiling parameters.
+const (
+	// window is the fixed profiling window.
+	window = 200 * simclock.Millisecond
+	// regionPages is the upper-level region size in pages, one PMD-level
+	// entry at the simulator's scale.
+	regionPages = 64
+	// hotStreak is the number of consecutive referenced windows that
+	// make a leaf hot.
+	hotStreak = 4
+	// migratePeriod is the background migration cycle.
+	migratePeriod = 2 * simclock.Second
+	// nodeTestNS is the kernel cost per tree-node accessed-bit test.
+	nodeTestNS units.NS = 40
+)
 
 // region is one upper-level tree node covering a run of page IDs.
 type region struct {
@@ -84,8 +57,15 @@ type region struct {
 //chrono:statesync checkpointState
 type Policy struct {
 	policy.Base               //chrono:rebuilt stateless method set
-	cfg         Config        //chrono:rebuilt configuration, finalized in Attach
 	k           policy.Kernel //chrono:rebuilt kernel handle, re-bound by Attach
+	// batch caps page moves per cycle: 1/32 of the fast tier, at least 16.
+	batch int //chrono:rebuilt derived from the machine in Attach
+	// profileBudget caps the page-level tests per window: 1/8 of the page
+	// table, at least one region. Telescope's efficiency claim rests on
+	// access sparsity; on a dense footprint the profiler must round-robin
+	// its open regions within a bounded budget or its own cost would
+	// exceed the machine.
+	profileBudget int //chrono:rebuilt derived from the page table in Attach
 	// regions' page runs are rebuilt by Attach; their open flags are
 	// state.
 	regions []*region //chrono:state Open
@@ -95,7 +75,7 @@ type Policy struct {
 }
 
 // New returns a Telescope policy.
-func New(cfg Config) *Policy { return &Policy{cfg: cfg.withDefaults()} }
+func New() *Policy { return &Policy{} }
 
 // Name implements policy.Policy.
 func (p *Policy) Name() string { return "Telescope" }
@@ -103,21 +83,11 @@ func (p *Policy) Name() string { return "Telescope" }
 // Attach implements policy.Policy.
 func (p *Policy) Attach(k policy.Kernel) {
 	p.k = k
-	if p.cfg.MigrateBatch == 0 {
-		p.cfg.MigrateBatch = int(k.Node().Capacity(mem.FastTier) / 32)
-		if p.cfg.MigrateBatch < 16 {
-			p.cfg.MigrateBatch = 16
-		}
-	}
+	p.batch = max(int(k.Node().Capacity(mem.FastTier)/32), 16)
 	p.buildRegions()
-	if p.cfg.ProfileBudget == 0 {
-		p.cfg.ProfileBudget = len(k.Pages()) / 8
-		if p.cfg.ProfileBudget < p.cfg.RegionPages {
-			p.cfg.ProfileBudget = p.cfg.RegionPages
-		}
-	}
-	k.Clock().EveryKey("telescope/profile", p.cfg.Window, func(now simclock.Time) { p.profile(now) })
-	k.Clock().EveryKey("telescope/migrate", p.cfg.MigratePeriod, func(now simclock.Time) { p.migrate() })
+	p.profileBudget = max(len(k.Pages())/8, regionPages)
+	k.Clock().EveryKey("telescope/profile", window, func(now simclock.Time) { p.profile(now) })
+	k.Clock().EveryKey("telescope/migrate", migratePeriod, func(now simclock.Time) { p.migrate() })
 }
 
 // checkpointState is Telescope's serializable dynamic state: which
@@ -169,7 +139,7 @@ func (p *Policy) buildRegions() {
 		if pg == nil {
 			continue
 		}
-		if cur == nil || len(cur.pages) >= p.cfg.RegionPages {
+		if cur == nil || len(cur.pages) >= regionPages {
 			cur = &region{}
 			p.regions = append(p.regions, cur)
 		}
@@ -184,7 +154,7 @@ func (p *Policy) buildRegions() {
 // through the entry; sampling keeps the cost model honest while retaining
 // the any-child semantics for non-sparse regions).
 func (p *Policy) regionAccessed(r *region) bool {
-	p.k.ChargeKernel(p.cfg.NodeTestNS.Mul(p.k.CostScale()))
+	p.k.ChargeKernel(nodeTestNS.Mul(p.k.CostScale()))
 	// Probe up to 8 spread children.
 	step := len(r.pages) / 8
 	if step < 1 {
@@ -205,7 +175,7 @@ func (p *Policy) regionAccessed(r *region) bool {
 // streaks, and collapse when idle.
 func (p *Policy) profile(now simclock.Time) {
 	open := 0
-	budget := p.cfg.ProfileBudget
+	budget := p.profileBudget
 	n := len(p.regions)
 	for i := 0; i < n; i++ {
 		r := p.regions[(p.cursor+i)%n]
@@ -222,7 +192,7 @@ func (p *Policy) profile(now simclock.Time) {
 		budget -= len(r.pages)
 		anyHot := false
 		for _, pg := range r.pages {
-			p.k.ChargeKernel(p.cfg.NodeTestNS.Mul(p.k.CostScale()))
+			p.k.ChargeKernel(nodeTestNS.Mul(p.k.CostScale()))
 			streak := pg.Meta & 0xff
 			if p.k.AccessedTestAndClear(pg) {
 				if streak < 255 {
@@ -253,7 +223,7 @@ func (p *Policy) migrate() {
 		}
 		streak := int(pg.Meta & 0xff)
 		switch {
-		case pg.Tier == mem.SlowTier && streak >= p.cfg.HotStreak:
+		case pg.Tier == mem.SlowTier && streak >= hotStreak:
 			hotSlow = append(hotSlow, pg)
 		case pg.Tier == mem.FastTier && streak == 0:
 			coldFast = append(coldFast, pg)
@@ -262,7 +232,7 @@ func (p *Policy) migrate() {
 	sort.Slice(hotSlow, func(i, j int) bool {
 		return hotSlow[i].Meta&0xff > hotSlow[j].Meta&0xff
 	})
-	_, coldFast, _ = policy.Exchange(p.k, hotSlow, coldFast, p.cfg.MigrateBatch, 1)
+	_, coldFast, _ = policy.Exchange(p.k, hotSlow, coldFast, p.batch, 1)
 	node := p.k.Node()
 	for node.BelowHigh(mem.FastTier) && len(coldFast) > 0 {
 		p.k.TryDemote(coldFast[0])

@@ -13,7 +13,7 @@ import (
 // TestRegionProfilingPromotes: streak-accumulating leaves in the hot
 // region get promoted without any hint faults.
 func TestRegionProfilingPromotes(t *testing.T) {
-	pol := telescope.New(telescope.Config{})
+	pol := telescope.New()
 	w := policytest.Build(t, pol, 3000, 500, engine.BasePages)
 	m := w.Run(600 * simclock.Second)
 	if m.Faults != 0 {
@@ -32,7 +32,7 @@ func TestRegionProfilingPromotes(t *testing.T) {
 // memory. With a mostly-idle address space (zero-weight tail), the open
 // set must stay well below the region count.
 func TestTelescopingBoundsCost(t *testing.T) {
-	pol := telescope.New(telescope.Config{})
+	pol := telescope.New()
 	e := engine.New(engine.Config{Seed: 5, FastGB: 4, SlowGB: 12})
 	p := vm.NewProcess(1, "sparse", 3000)
 	start := p.VMAs()[0].Start
@@ -60,7 +60,7 @@ func TestTelescopingBoundsCost(t *testing.T) {
 // frequency resolution, so warm and hot pages with rates above
 // 1/window are indistinguishable by streak.
 func TestFixedWindowCoarseness(t *testing.T) {
-	pol := telescope.New(telescope.Config{})
+	pol := telescope.New()
 	w := policytest.Build(t, pol, 3000, 500, engine.BasePages)
 	w.Run(600 * simclock.Second)
 	// Even with convergence, PPR-style overreach: warm tail pages whose

@@ -4,7 +4,7 @@ package policy
 // analyses: memory tiering under an adversarial working set (capacity
 // oscillation, hot-set rotation) degenerates into promote→demote
 // ping-pong that burns migration bandwidth without improving placement.
-// The guard composes onto ANY policy — WithThrashGuard(tpp.New(...), ...)
+// The guard composes onto ANY policy — WithThrashGuard(tpp.New(), ...)
 // — as the wrapper policy's Admitter hook: the engine consults it on
 // every promotion attempt, so every baseline can run ±thrash-guard
 // without source changes. The inner policy sees the real kernel.

@@ -23,18 +23,18 @@ import (
 	"chrono/internal/vm"
 )
 
-// Config holds TPP's tunables.
-type Config struct {
-	Scan scan.Config
-	// RecencyWindow is the re-reference window: a page whose previous
-	// hint fault is younger than this promotes (default three scan
-	// periods — the LRU "active list" residency TPP checks).
-	RecencyWindow simclock.Duration
-	// HeadroomFrac widens the fast tier's demotion target above the high
-	// watermark, TPP's allocation-headroom mechanism (default 0.02 of
-	// fast capacity).
-	HeadroomFrac float64
-}
+const (
+	// recencyWindow is the re-reference window: a page whose previous
+	// hint fault is younger than this promotes. Hint faults arrive at
+	// most once per scan pass, so the window spans three scan periods
+	// (the LRU "active list" residency TPP checks) for the second-chance
+	// check to ever see a previous fault.
+	recencyWindow = 3 * simclock.Minute
+	// headroomFrac widens the fast tier's demotion target above the high
+	// watermark, TPP's allocation-headroom mechanism, as a fraction of
+	// fast capacity.
+	headroomFrac = 0.02
+)
 
 // Policy is the TPP baseline. The previous fault timestamp is kept in
 // pg.Meta (nanoseconds).
@@ -42,13 +42,12 @@ type Config struct {
 //chrono:statesync checkpointState
 type Policy struct {
 	policy.Base               //chrono:rebuilt stateless method set
-	cfg         Config        //chrono:rebuilt configuration, finalized in Attach
 	k           policy.Kernel //chrono:rebuilt kernel handle, re-bound by Attach
 	scan        *scan.Set     //chrono:state Scan
 }
 
 // New returns a TPP policy.
-func New(cfg Config) *Policy { return &Policy{cfg: cfg} }
+func New() *Policy { return &Policy{} }
 
 // Name implements policy.Policy.
 func (p *Policy) Name() string { return "TPP" }
@@ -56,18 +55,9 @@ func (p *Policy) Name() string { return "TPP" }
 // Attach implements policy.Policy.
 func (p *Policy) Attach(k policy.Kernel) {
 	p.k = k
-	if p.cfg.RecencyWindow == 0 {
-		// Hint faults arrive at most once per scan pass, so the
-		// re-reference window must span a couple of passes for the
-		// second-chance check to ever see a previous fault.
-		p.cfg.RecencyWindow = 3 * simclock.Minute
-	}
-	if p.cfg.HeadroomFrac == 0 {
-		p.cfg.HeadroomFrac = 0.02
-	}
 	// TPP only poisons slow-tier (CXL node) pages: fast-tier faults give
 	// no placement signal and NUMA_BALANCING_MEMORY_TIERING skips them.
-	p.scan = scan.Start(k, p.cfg.Scan, func(pg *vm.Page, now simclock.Time) {
+	p.scan = scan.Start(k, scan.Config{}, func(pg *vm.Page, now simclock.Time) {
 		if pg.Tier == mem.SlowTier {
 			k.Protect(pg)
 		}
@@ -75,7 +65,7 @@ func (p *Policy) Attach(k policy.Kernel) {
 	// Allocation headroom: raise the pro watermark once.
 	node := k.Node()
 	high := node.Watermarks(mem.FastTier).High
-	node.SetProWatermark(high + int64(p.cfg.HeadroomFrac*float64(node.Capacity(mem.FastTier))))
+	node.SetProWatermark(high + int64(headroomFrac*float64(node.Capacity(mem.FastTier))))
 }
 
 // checkpointState is TPP's serializable dynamic state. The per-page
@@ -107,7 +97,7 @@ func (p *Policy) OnFault(pg *vm.Page, now simclock.Time) {
 	}
 	prev := simclock.Time(int64(pg.Meta))
 	pg.Meta = uint64(now)
-	if prev > 0 && now-prev <= p.cfg.RecencyWindow {
+	if prev > 0 && now-prev <= recencyWindow {
 		if policy.RetryPromote(p.k, pg, 2) == policy.MigrateTransient {
 			// Busy/pinned page: a bounded sim-time backoff retries it
 			// instead of waiting for yet another hint-fault pair.

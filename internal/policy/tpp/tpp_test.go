@@ -13,7 +13,7 @@ import (
 // TestSecondChancePromotion: TPP needs two faults within the recency
 // window, so nothing promotes during the first scan pass.
 func TestSecondChancePromotion(t *testing.T) {
-	w := policytest.Build(t, tpp.New(tpp.Config{}), 3000, 500, engine.BasePages)
+	w := policytest.Build(t, tpp.New(), 3000, 500, engine.BasePages)
 	m := w.Run(70 * simclock.Second) // one full pass + margin
 	if m.Promotions != 0 {
 		t.Fatalf("%d promotions within the first pass; TPP requires re-reference", m.Promotions)
@@ -30,7 +30,7 @@ func TestSecondChancePromotion(t *testing.T) {
 // TestHeadroomWatermark: TPP raises the pro watermark for allocation
 // headroom.
 func TestHeadroomWatermark(t *testing.T) {
-	w := policytest.Build(t, tpp.New(tpp.Config{}), 2000, 300, engine.BasePages)
+	w := policytest.Build(t, tpp.New(), 2000, 300, engine.BasePages)
 	wm := w.Engine.Node().Watermarks(mem.FastTier)
 	if wm.Pro <= wm.High {
 		t.Fatalf("pro watermark %d not raised above high %d", wm.Pro, wm.High)
@@ -41,7 +41,7 @@ func TestHeadroomWatermark(t *testing.T) {
 // page that never lived in the slow tier must never have taken a hint
 // fault.
 func TestOnlySlowTierPoisoned(t *testing.T) {
-	w := policytest.Build(t, tpp.New(tpp.Config{}), 3000, 500, engine.BasePages)
+	w := policytest.Build(t, tpp.New(), 3000, 500, engine.BasePages)
 	w.Run(200 * simclock.Second)
 	for _, pg := range w.Engine.Pages() {
 		if pg == nil {

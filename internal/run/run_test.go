@@ -20,7 +20,7 @@ func newEngine(t *testing.T, procs int) *engine.Engine {
 	if err := w.Build(e); err != nil {
 		t.Fatal(err)
 	}
-	e.AttachPolicy(tpp.New(tpp.Config{}))
+	e.AttachPolicy(tpp.New())
 	return e
 }
 

@@ -260,6 +260,10 @@ func Read(rd io.Reader) (*Trace, error) {
 			if err := json.Unmarshal(raw, &p); err != nil {
 				return nil, fmt.Errorf("trace: line %d: %w", line, err)
 			}
+			if len(p.W) != len(p.Counts) || len(p.RF) != len(p.Counts) {
+				return nil, fmt.Errorf("trace: line %d: pattern has %d counts, %d weights, %d read fractions",
+					line, len(p.Counts), len(p.W), len(p.RF))
+			}
 			t.Patterns = append(t.Patterns, p)
 		case KindSnapshot:
 			var s Snapshot

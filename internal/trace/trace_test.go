@@ -183,6 +183,23 @@ func TestReadRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestReadRejectsRaggedPattern: a pattern whose weight or read-fraction
+// column is shorter than its counts is rejected by Read, naming the line,
+// instead of panicking later in Replay.Build.
+func TestReadRejectsRaggedPattern(t *testing.T) {
+	header := `{"kind":"header","version":1}` + "\n"
+	for _, rec := range []string{
+		`{"kind":"pattern","pid":1,"counts":[8,8],"w":[1],"rf":[0.5,0.5]}`,
+		`{"kind":"pattern","pid":1,"counts":[8,8],"w":[1,1],"rf":[0.5]}`,
+		`{"kind":"pattern","pid":1,"counts":[8],"w":[1,1],"rf":[0.5,0.5]}`,
+	} {
+		_, err := Read(strings.NewReader(header + rec + "\n"))
+		if err == nil || !strings.Contains(err.Error(), "line 2") {
+			t.Fatalf("%s: got %v, want a line-2 error", rec, err)
+		}
+	}
+}
+
 func TestReplayHotPage(t *testing.T) {
 	buf, _ := buildAndRecord(t, 20*simclock.Second)
 	tr, _ := Read(bytes.NewReader(buf.Bytes()))

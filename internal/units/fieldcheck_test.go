@@ -7,15 +7,7 @@ import (
 
 	"chrono/internal/engine"
 	"chrono/internal/mem"
-	"chrono/internal/policy/autotiering"
-	"chrono/internal/policy/flexmem"
-	"chrono/internal/policy/hemem"
-	"chrono/internal/policy/linuxnb"
-	"chrono/internal/policy/memtis"
-	"chrono/internal/policy/multiclock"
 	"chrono/internal/policy/scan"
-	"chrono/internal/policy/telescope"
-	"chrono/internal/policy/tpp"
 )
 
 // unitPkgs are the packages whose types carry their unit in the type
@@ -49,23 +41,8 @@ var dimensionless = map[string]bool{
 	"SlowPages":     true,
 	"PromotedPages": true,
 	"DemotedPages":  true,
-	// policy configs: counts, depths, thresholds, budgets, fractions
-	"PromoteThreshold": true, // LAP popcount
-	"LAPBits":          true,
-	"CoolingPeriods":   true, // count of sample periods
-	"MigrateBatch":     true, // pages per cycle
-	"NBins":            true,
-	"TimelySlack":      true, // bin distance
-	"HotThreshold":     true, // sample count
-	"ColdThreshold":    true, // sample count
-	"SplitBudget":      true, // splits per cycle
-	"Levels":           true,
-	"ScanBatch":        true, // pages per pass
-	"StepPages":        true,
-	"RegionPages":      true,
-	"HotStreak":        true, // consecutive windows
-	"ProfileBudget":    true, // tests per window
-	"HeadroomFrac":     true, // fraction of fast capacity
+	// scan.Config
+	"StepPages": true, // pages per scan step
 }
 
 // TestConfigFieldsDeclareUnits walks every exported numeric field of the
@@ -79,15 +56,7 @@ func TestConfigFieldsDeclareUnits(t *testing.T) {
 		engine.Config{},
 		mem.Config{},
 		mem.Node{},
-		autotiering.Config{},
-		flexmem.Config{},
-		hemem.Config{},
-		linuxnb.Config{},
-		memtis.Config{},
-		multiclock.Config{},
 		scan.Config{},
-		telescope.Config{},
-		tpp.Config{},
 	}
 	for _, s := range structs {
 		rt := reflect.TypeOf(s)
