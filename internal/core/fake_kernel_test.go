@@ -91,6 +91,7 @@ func (k *fakeKernel) HugeFactor() int              { return 64 }
 func (k *fakeKernel) ChargeKernel(ns units.NS)     { k.kernelNS += float64(ns) }
 func (k *fakeKernel) CountContextSwitches(n int64) {}
 func (k *fakeKernel) FastFree() int64              { return k.node.Free(mem.FastTier) }
+func (k *fakeKernel) MigrationsDry() bool          { return false } // no token bucket
 
 func (k *fakeKernel) Protect(pg *vm.Page) {
 	pg.Flags |= vm.FlagProtNone

@@ -2,8 +2,10 @@ package engine
 
 import (
 	"encoding/json"
+	"reflect"
 	"testing"
 
+	"chrono/internal/faultinject"
 	"chrono/internal/mem"
 	"chrono/internal/policy"
 	"chrono/internal/simclock"
@@ -152,5 +154,112 @@ func TestAdmissionOncePerSwappedShadowedPromote(t *testing.T) {
 	}
 	if !pg.Flags.Has(vm.FlagSwapped) {
 		t.Fatal("denied swap-in brought the page back")
+	}
+}
+
+// TestMigrationsDry: the query is true only when a throttled TryDemote
+// is provably a no-op — no injector draw, no shadow remap — and then a
+// TryDemote changes no engine state at all.
+func TestMigrationsDry(t *testing.T) {
+	drain := func(e *Engine) { e.migTokens = float64(e.node.PageSizeBytes) - 1 }
+	t.Run("Injector", func(t *testing.T) {
+		e := New(Config{Seed: 13, FastGB: 4, SlowGB: 12, Faults: faultinject.Aggressive()})
+		addUniformProc(e, 1, 2000, 1)
+		if err := e.MapAll(BasePages); err != nil {
+			t.Fatal(err)
+		}
+		e.AttachPolicy(&recordingPolicy{})
+		e.Run(simclock.Second)
+		drain(e)
+		if e.MigrationsDry() {
+			t.Fatal("dry with a fault injector attached: its draws precede the bucket check")
+		}
+	})
+	t.Run("Shadow", func(t *testing.T) {
+		e := newAdmissionEngine(t, &recordingPolicy{})
+		if r := e.TryDemote(firstIn(t, e, mem.FastTier)); r != policy.MigrateOK {
+			t.Fatalf("setup demote: %v", r)
+		}
+		if r := e.PromoteShadowed(firstIn(t, e, mem.SlowTier)); r != policy.MigrateOK {
+			t.Fatalf("setup shadowed promote: %v", r)
+		}
+		drain(e)
+		if e.MigrationsDry() {
+			t.Fatal("dry with a live shadow: its clean demotion needs no tokens")
+		}
+	})
+	t.Run("Dry", func(t *testing.T) {
+		e := newAdmissionEngine(t, &recordingPolicy{})
+		e.migTokens = float64(e.node.PageSizeBytes)
+		if e.MigrationsDry() {
+			t.Fatal("dry with one base page's bytes in the bucket")
+		}
+		drain(e)
+		if !e.MigrationsDry() {
+			t.Fatal("not dry below one base page's bytes, no injector, no shadows")
+		}
+		before, err := e.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		tokens := e.migTokens
+		pg := firstIn(t, e, mem.FastTier)
+		if r := e.TryDemote(pg); r != policy.MigrateThrottled || pg.Tier != mem.FastTier {
+			t.Fatalf("demote on a dry bucket: %v (tier %d), want throttled", r, pg.Tier)
+		}
+		after, err := e.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e.migTokens != tokens {
+			t.Fatalf("tokens %v -> %v", tokens, e.migTokens)
+		}
+		if !reflect.DeepEqual(before.Metrics, after.Metrics) {
+			t.Fatalf("metrics moved:\n%+v\n%+v", before.Metrics, after.Metrics)
+		}
+		b, err := json.Marshal(before)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := json.Marshal(after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(a) != string(b) {
+			t.Fatal("a dry TryDemote changed the engine snapshot")
+		}
+	})
+}
+
+// TestRestoreRejectsUnqueuedShadow: MigrationsDry reads an empty shadow
+// FIFO as "no live shadow", so a checkpoint holding a shadow without its
+// FIFO entry is a restore error.
+func TestRestoreRejectsUnqueuedShadow(t *testing.T) {
+	e := newAdmissionEngine(t, &recordingPolicy{})
+	if r := e.TryDemote(firstIn(t, e, mem.FastTier)); r != policy.MigrateOK {
+		t.Fatalf("setup demote: %v", r)
+	}
+	if r := e.PromoteShadowed(firstIn(t, e, mem.SlowTier)); r != policy.MigrateOK {
+		t.Fatalf("setup shadowed promote: %v", r)
+	}
+	snap, err := e.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := func() *Engine {
+		f := newTestEngine(13)
+		addUniformProc(f, 1, 2000, 1)
+		if err := f.MapAll(BasePages); err != nil {
+			t.Fatal(err)
+		}
+		f.AttachPolicy(&recordingPolicy{})
+		return f
+	}
+	if err := fresh().Restore(snap); err != nil {
+		t.Fatalf("restore of the live snapshot: %v", err)
+	}
+	snap.ShadowFIFO = nil
+	if err := fresh().Restore(snap); err == nil {
+		t.Fatal("restore of a shadow without its FIFO entry succeeded")
 	}
 }

@@ -510,6 +510,24 @@ func (e *Engine) restore(st *EngineState, swap bool) (dropped int, err error) {
 	e.rShadow.SetState(st.RShadow)
 	e.inj.SetState(st.Inj)
 
+	// Every live shadow has a FIFO entry; MigrationsDry relies on an
+	// empty FIFO meaning "no shadow". Count the shadows the FIFO covers
+	// by clearing their flags (restorePages set them), then set them all
+	// back.
+	queued := 0
+	for _, id := range st.ShadowFIFO {
+		if e.shadowActive(id) {
+			e.shadowed[id] = false
+			queued++
+		}
+	}
+	for _, id := range st.Pages.Shadowed {
+		e.shadowed[id] = true
+	}
+	if queued != len(st.Pages.Shadowed) {
+		return 0, fmt.Errorf("engine: restore: %d shadowed pages, %d of them in the shadow FIFO",
+			len(st.Pages.Shadowed), queued)
+	}
 	e.shadowFIFO = append(e.shadowFIFO[:0], st.ShadowFIFO...)
 	e.shadowBase = st.ShadowBase
 

@@ -92,6 +92,17 @@ func (e *Engine) migBudgetOK(pages int64) bool {
 	return true
 }
 
+// MigrationsDry implements policy.Kernel. With no fault injector and an
+// empty shadow FIFO (every live shadow has an entry), a TryDemote refused
+// by the token bucket draws from no stream and changes no state; below
+// one base page's bytes the bucket refuses every move, and it refills
+// only in epoch accounting. So until the next epoch every TryDemote is a
+// no-op.
+func (e *Engine) MigrationsDry() bool {
+	return e.inj == nil && len(e.shadowFIFO) == 0 &&
+		e.migTokens < float64(e.node.PageSizeBytes)
+}
+
 // admitted runs the attached policy's Admitter hook, if any. Callers
 // consult it once per promotion attempt, after the already-fast shortcut
 // and before direct reclaim.

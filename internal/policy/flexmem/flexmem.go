@@ -16,6 +16,7 @@ package flexmem
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"sort"
 
 	"chrono/internal/mem"
@@ -114,6 +115,11 @@ func (p *Policy) RestoreCheckpoint(data []byte) error {
 	}
 	if len(st.HotPIDs) != len(st.HotBins) {
 		return fmt.Errorf("flexmem: restore: %d hot PIDs, %d bins", len(st.HotPIDs), len(st.HotBins))
+	}
+	if st.Cycles < 0 || st.Cycles == math.MaxInt {
+		// ByProcess increments cycles, then indexes by it modulo the
+		// process count: it must stay non-negative.
+		return fmt.Errorf("flexmem: restore: cycle count %d out of range", st.Cycles)
 	}
 	if err := p.core.SetState(st.PEBSState); err != nil {
 		return fmt.Errorf("flexmem: %w", err)

@@ -1,12 +1,15 @@
 package flexmem_test
 
 import (
+	"math"
 	"testing"
 
 	"chrono/internal/engine"
+	"chrono/internal/experiments"
 	"chrono/internal/policy/flexmem"
 	"chrono/internal/policy/policytest"
 	"chrono/internal/simclock"
+	"chrono/internal/workload"
 )
 
 // TestHybridChannels: FlexMem uses both PEBS and hint faults — faults
@@ -61,4 +64,25 @@ func TestReactsToHotspotMove(t *testing.T) {
 	if pol.TimelyPromotions <= before {
 		t.Fatal("no timely promotions after the hotspot moved")
 	}
+}
+
+// TestRestoreRejectsBadCycles: the background cycle rotates its process
+// order by the cycle count modulo the process count, so a negative count
+// in a checkpoint is a restore error, not an index panic at the next
+// cycle.
+func TestRestoreRejectsBadCycles(t *testing.T) {
+	pol := flexmem.New()
+	e, err := experiments.Build(pol, &workload.MultiTenant{Tenants: 8}, experiments.RunOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []int{-7, -1, math.MaxInt} {
+		if err := pol.RestoreCheckpoint(policytest.StateWith(t, pol, "cycles", c)); err == nil {
+			t.Errorf("restore of cycles %d succeeded", c)
+		}
+	}
+	if err := pol.RestoreCheckpoint(policytest.StateWith(t, pol, "cycles", 7)); err != nil {
+		t.Fatal(err)
+	}
+	e.Run(5 * simclock.Second) // two background cycles over eight tenants
 }

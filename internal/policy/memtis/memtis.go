@@ -16,6 +16,7 @@ import (
 	"cmp"
 	"encoding/json"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 
@@ -47,11 +48,14 @@ type Policy struct {
 	TransientSkips int64 //chrono:state TransientSkips
 
 	// Reused buffers, refilled for every process of a kmigrated cycle:
-	// cold holds the process's cold fast-tier pages in page order,
+	// cold holds the process's cold fast-tier pages in page-ID order,
 	// collected once per pass, and byCount is its latest coldest-first
-	// copy.
-	cold    []coldPage //chrono:rebuilt per-pass demotion candidates
-	byCount []coldPage //chrono:rebuilt per-pass sort scratch
+	// copy. While a pass is open, departed collects the IDs of pages that
+	// left the fast tier since cold was last pruned.
+	cold     []coldPage //chrono:rebuilt per-pass demotion candidates
+	byCount  []coldPage //chrono:rebuilt per-pass sort scratch
+	departed []int64    //chrono:rebuilt per-pass departures, drained by demoteForSpace
+	passOpen bool       //chrono:rebuilt true only inside a kmigrated process pass
 }
 
 // coldPage is a demotion candidate with the counter it was classified by.
@@ -64,6 +68,9 @@ type coldPage struct {
 // permutes a list exactly as sort.Slice with the matching less does:
 // both are the stdlib's one generated pdqsort (see TestSortFuncMatchesSortSlice).
 func coldestFirst(a, b coldPage) int { return cmp.Compare(a.count, b.count) }
+
+// byID locates a page ID in a candidate list kept in page-ID order.
+func byID(c coldPage, id int64) int { return cmp.Compare(c.pg.ID, id) }
 
 // New returns a Memtis policy.
 func New() *Policy { return &Policy{} }
@@ -105,6 +112,11 @@ func (p *Policy) RestoreCheckpoint(data []byte) error {
 	if err := json.Unmarshal(data, &st); err != nil {
 		return err
 	}
+	if st.Cycles < 0 || st.Cycles == math.MaxInt {
+		// ByProcess increments cycles, then indexes by it modulo the
+		// process count: it must stay non-negative.
+		return fmt.Errorf("memtis: restore: cycle count %d out of range", st.Cycles)
+	}
 	if err := p.core.SetState(st.PEBSState); err != nil {
 		return fmt.Errorf("memtis: %w", err)
 	}
@@ -128,7 +140,7 @@ func (p *Policy) kmigrated() {
 		// fixed for the whole pass and only hot pages enter the fast tier,
 		// so demoteForSpace need only drop the candidates that left it.
 		var hotSlow []*vm.Page
-		p.cold, p.byCount = p.cold[:0], p.byCount[:0]
+		p.cold, p.byCount, p.departed = p.cold[:0], p.byCount[:0], p.departed[:0]
 		for _, pg := range pages {
 			c := sampler.Counter(pg.ID)
 			switch {
@@ -141,6 +153,7 @@ func (p *Policy) kmigrated() {
 		sort.Slice(hotSlow, func(i, j int) bool {
 			return sampler.Counter(hotSlow[i].ID) > sampler.Counter(hotSlow[j].ID)
 		})
+		p.passOpen = true
 		for _, pg := range hotSlow {
 			if budget < int(pg.Size) {
 				break
@@ -156,22 +169,45 @@ func (p *Policy) kmigrated() {
 				p.TransientSkips++
 			}
 		}
+		p.passOpen = false
 
 		// Conservative splitting of the hottest fast-tier huge pages.
 		p.splitHot(pages, hotBin)
 	})
 }
 
+// OnMigrated implements policy.Policy: it records the pages that leave
+// the fast tier during a pass, for demoteForSpace to drop from cold.
+func (p *Policy) OnMigrated(pg *vm.Page, from, to mem.TierID) {
+	if p.passOpen && from == mem.FastTier {
+		p.departed = append(p.departed, pg.ID)
+	}
+}
+
 // demoteForSpace demotes cold fast-tier pages of the process, coldest
 // first, when the fast tier lacks headroom for an incoming promotion.
+//
+// Once the kernel reports migrations dry, every demotion attempt is a
+// no-op until the next epoch, so the walk stops there: the run is the
+// same as if it had tried every remaining candidate.
 func (p *Policy) demoteForSpace(need int64) {
 	node := p.k.Node()
 	if node.Free(mem.FastTier) >= node.Watermarks(mem.FastTier).High+need {
 		return
 	}
+	if p.k.MigrationsDry() {
+		return
+	}
 	// Drop the candidates that have left the fast tier, keeping page
 	// order: the rest is the cold fast-tier set a fresh scan would find.
-	p.cold = slices.DeleteFunc(p.cold, func(c coldPage) bool { return c.pg.Tier != mem.FastTier })
+	// Within a pass a fast page leaves only through a migration, which
+	// OnMigrated records, and no cold page re-enters the fast tier.
+	for _, id := range p.departed {
+		if i, ok := slices.BinarySearchFunc(p.cold, id, byID); ok {
+			p.cold = slices.Delete(p.cold, i, i+1)
+		}
+	}
+	p.departed = p.departed[:0]
 	// Sort a copy, so pdqsort orders equal counters for exactly this
 	// list. If nothing was dropped since the last sort, byCount already
 	// holds that order.
@@ -184,8 +220,13 @@ func (p *Policy) demoteForSpace(need int64) {
 		if freed >= need {
 			return
 		}
-		if policy.RetryDemote(p.k, c.pg, 2) == policy.MigrateOK {
+		switch policy.RetryDemote(p.k, c.pg, 2) {
+		case policy.MigrateOK:
 			freed += int64(c.pg.Size)
+		case policy.MigrateThrottled:
+			if p.k.MigrationsDry() {
+				return
+			}
 		}
 	}
 }

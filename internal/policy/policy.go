@@ -105,6 +105,12 @@ type Kernel interface {
 	// TryDemote moves a page to the slow tier; same contract as
 	// TryPromote, without the Admitter hook or direct reclaim.
 	TryDemote(pg *vm.Page) MigrateResult
+	// MigrationsDry reports that every TryDemote is a no-op until the
+	// next epoch: the token bucket holds less than one base page, and
+	// neither a fault injector nor a shadow copy acts before the bucket
+	// check. While it holds, a policy may skip demotion attempts without
+	// changing the run.
+	MigrationsDry() bool
 
 	// SplitHuge splits a huge page into base pages and returns them
 	// (Memtis's page splitting). Returns nil if pg is not huge.

@@ -5,6 +5,7 @@
 package policytest
 
 import (
+	"encoding/json"
 	"testing"
 
 	"chrono/internal/engine"
@@ -75,4 +76,31 @@ func (w *World) HotResidency() float64 {
 		return 0
 	}
 	return fast / all
+}
+
+// StateWith returns pol's marshaled checkpoint state with one top-level
+// field replaced by v: the shape of a hand-edited or corrupted
+// checkpoint file.
+func StateWith(t *testing.T, pol policy.Policy, key string, v any) []byte {
+	t.Helper()
+	st, err := pol.CheckpointState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := json.Marshal(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fields map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &fields); err != nil {
+		t.Fatal(err)
+	}
+	if fields[key], err = json.Marshal(v); err != nil {
+		t.Fatal(err)
+	}
+	out, err := json.Marshal(fields)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }

@@ -155,6 +155,13 @@ func (s *Set) SetState(st SetState) error {
 	if len(st.Walkers) != len(s.Walkers) {
 		return fmt.Errorf("scan: restore: %d walkers recorded, %d built", len(st.Walkers), len(s.Walkers))
 	}
+	for i, w := range s.Walkers {
+		// step indexes the process's VMAs by the walker's position; an
+		// empty address space keeps position 0, which step never reads.
+		if v := st.Walkers[i].VMA; v < 0 || v >= max(len(w.Proc.VMAs()), 1) {
+			return fmt.Errorf("scan: restore: walker %d at VMA %d, process has %d", i, v, len(w.Proc.VMAs()))
+		}
+	}
 	if st.Period > 0 {
 		s.cfg.Period = st.Period
 	}

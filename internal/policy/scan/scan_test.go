@@ -115,3 +115,27 @@ func TestHugePagesAdvanceBySize(t *testing.T) {
 		t.Fatalf("visited %d huge pages, want %d", len(visited), want)
 	}
 }
+
+// TestSetStateRejectsVMAOutOfRange: a walker position outside the
+// process's VMAs is a restore error, not a panic at the next step, and
+// a rejected state leaves the walkers where they were.
+func TestSetStateRejectsVMAOutOfRange(t *testing.T) {
+	k, _ := buildKernel(t, 100)
+	s := Start(k, Config{Period: simclock.Second, StepPages: 10}, func(*vm.Page, simclock.Time) {})
+	k.Clock().RunUntil(simclock.Second / 2)
+	want := s.State()
+	for _, vma := range []int{-1, 1, 5} {
+		st := s.State()
+		st.Walkers[0].VMA = vma
+		if err := s.SetState(st); err == nil {
+			t.Errorf("SetState accepted walker VMA %d of a one-VMA process", vma)
+		}
+		if got := s.State(); got.Walkers[0] != want.Walkers[0] {
+			t.Errorf("rejected VMA %d moved the walker to %+v", vma, got.Walkers[0])
+		}
+	}
+	if err := s.SetState(want); err != nil {
+		t.Fatalf("SetState of the live state: %v", err)
+	}
+	k.Clock().RunUntil(2 * simclock.Second)
+}
