@@ -500,54 +500,14 @@ func BenchmarkFaultPath(b *testing.B) {
 	e.Run(simclock.Time(b.N+1) * tickNS)
 }
 
-// BenchmarkEngineEpoch measures the per-epoch accounting cost at fig6a
-// scale.
-func BenchmarkEngineEpoch(b *testing.B) {
-	e := engine.New(engine.Config{Seed: 42})
-	w := &workload.Pmbench{Processes: 50, WorkingSetGB: 5, ReadPct: 70, Stride: 2}
-	if err := w.Build(e); err != nil {
-		b.Fatal(err)
-	}
-	e.AttachPolicy(core.New(core.Options{}))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.Run(250 * simclock.Millisecond)
-	}
-}
-
-// BenchmarkEngineEpochShards8 is the same scenario with the fault
-// machinery sharded 8 ways: the tentpole contract says the results are
-// byte-identical, so any delta against BenchmarkEngineEpoch is pure
-// execution-strategy cost (or, on multi-core hosts, speedup).
-func BenchmarkEngineEpochShards8(b *testing.B) {
-	e := engine.New(engine.Config{Seed: 42, Shards: 8})
-	w := &workload.Pmbench{Processes: 50, WorkingSetGB: 5, ReadPct: 70, Stride: 2}
-	if err := w.Build(e); err != nil {
-		b.Fatal(err)
-	}
-	e.AttachPolicy(core.New(core.Options{}))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.Run(250 * simclock.Millisecond)
-	}
-}
-
-// BenchmarkEngineEpochHighFidelity runs epochs at PagesPerGB=32768 (128×
-// the default simulation resolution — every simulated page stands for two
-// real 4 KB pages per GB short of full fidelity) on 8 GB of tiers, the
-// scale the sharded engine exists for. Completing this benchmark is the
-// repo's standing proof that full-fidelity page counts are reachable.
-//
-// An op is one 60 s Chrono scan period, run as 240 Run(250 ms) calls,
-// and does the same work whatever b.N: a 120 s warm-up (past the first
-// two scan periods) is snapshotted, and the engine is restored to that
-// snapshot outside the timer before every op.
-func BenchmarkEngineEpochHighFidelity(b *testing.B) {
+// benchScanPeriods runs b.N ops of the same fixed work on a Chrono
+// engine built from cfg and w: a 120 s warm-up (past the first two scan
+// periods) is snapshotted, and every op restores that snapshot outside
+// the timer and runs one 60 s Chrono scan period as 240 Run(250 ms)
+// calls. Every op must end at the same fault count.
+func benchScanPeriods(b *testing.B, cfg engine.Config, w workload.Workload) {
 	const periodRuns = 240 // 60 s of 250 ms runs
-	e := engine.New(engine.Config{
-		Seed: 42, PagesPerGB: 32768, FastGB: 2, SlowGB: 6, Shards: 8,
-	})
-	w := &workload.Pmbench{Processes: 4, WorkingSetGB: 1.5, ReadPct: 70, Stride: 2}
+	e := engine.New(cfg)
 	if err := w.Build(e); err != nil {
 		b.Fatal(err)
 	}
@@ -575,6 +535,33 @@ func BenchmarkEngineEpochHighFidelity(b *testing.B) {
 				i, e.M.Faults, firstFaults)
 		}
 	}
+}
+
+// BenchmarkEngineEpoch measures the per-epoch accounting cost at fig6a
+// scale, one Chrono scan period per op (benchScanPeriods).
+func BenchmarkEngineEpoch(b *testing.B) {
+	benchScanPeriods(b, engine.Config{Seed: 42},
+		&workload.Pmbench{Processes: 50, WorkingSetGB: 5, ReadPct: 70, Stride: 2})
+}
+
+// BenchmarkEngineEpochShards8 is the same scenario with the fault
+// machinery sharded 8 ways: the tentpole contract says the results are
+// byte-identical, so any delta against BenchmarkEngineEpoch is pure
+// execution-strategy cost (or, on multi-core hosts, speedup).
+func BenchmarkEngineEpochShards8(b *testing.B) {
+	benchScanPeriods(b, engine.Config{Seed: 42, Shards: 8},
+		&workload.Pmbench{Processes: 50, WorkingSetGB: 5, ReadPct: 70, Stride: 2})
+}
+
+// BenchmarkEngineEpochHighFidelity runs epochs at PagesPerGB=32768 (128×
+// the default simulation resolution — every simulated page stands for two
+// real 4 KB pages per GB short of full fidelity) on 8 GB of tiers, the
+// scale the sharded engine exists for. Completing this benchmark is the
+// repo's standing proof that full-fidelity page counts are reachable.
+// An op is one Chrono scan period (benchScanPeriods).
+func BenchmarkEngineEpochHighFidelity(b *testing.B) {
+	benchScanPeriods(b, engine.Config{Seed: 42, PagesPerGB: 32768, FastGB: 2, SlowGB: 6, Shards: 8},
+		&workload.Pmbench{Processes: 4, WorkingSetGB: 1.5, ReadPct: 70, Stride: 2})
 }
 
 // BenchmarkHugeFactor sweeps the huge-page fold factor (the §3.4 scaling

@@ -3,6 +3,7 @@ package engine
 import (
 	"encoding/json"
 	"reflect"
+	"slices"
 	"testing"
 
 	"chrono/internal/faultinject"
@@ -229,6 +230,46 @@ func TestMigrationsDry(t *testing.T) {
 			t.Fatal("a dry TryDemote changed the engine snapshot")
 		}
 	})
+}
+
+// TestReclaimShadowsStaleEntryOrder pins the shadow FIFO's reclaim order
+// for a page shadowed, demoted onto its shadow and shadowed again: its
+// first, stale entry passes shadowActive again, so capacity reclaim
+// drops that page at its old position, ahead of a shadow cut before its
+// second one. Compacting stale entries out of the FIFO would drop the
+// other shadow first instead, which changes Nomad's results.
+func TestReclaimShadowsStaleEntryOrder(t *testing.T) {
+	e := newAdmissionEngine(t, &recordingPolicy{})
+	a := firstIn(t, e, mem.FastTier)
+	if r := e.TryDemote(a); r != policy.MigrateOK {
+		t.Fatalf("setup demote a: %v", r)
+	}
+	b := firstIn(t, e, mem.FastTier)
+	if r := e.TryDemote(b); r != policy.MigrateOK {
+		t.Fatalf("setup demote b: %v", r)
+	}
+	for i, step := range []func() policy.MigrateResult{
+		func() policy.MigrateResult { return e.PromoteShadowed(a) },
+		func() policy.MigrateResult { return e.PromoteShadowed(b) },
+		func() policy.MigrateResult { return e.TryDemote(a) }, // clean shadow remap
+		func() policy.MigrateResult { return e.PromoteShadowed(a) },
+	} {
+		if r := step(); r != policy.MigrateOK {
+			t.Fatalf("step %d: %v", i, r)
+		}
+	}
+	if want := []int64{a.ID, b.ID, a.ID}; !slices.Equal(e.shadowFIFO, want) {
+		t.Fatalf("FIFO %v, want %v", e.shadowFIFO, want)
+	}
+	reclaims := e.M.ShadowReclaims
+	e.reclaimShadows(e.node.Free(mem.SlowTier) + 1) // room for one more page
+	if e.M.ShadowReclaims != reclaims+1 || e.shadowActive(a.ID) || !e.shadowActive(b.ID) {
+		t.Fatalf("reclaimed %v shadows, a live %v, b live %v: want a's dropped at its first entry",
+			e.M.ShadowReclaims-reclaims, e.shadowActive(a.ID), e.shadowActive(b.ID))
+	}
+	if want := []int64{b.ID, a.ID}; !slices.Equal(e.shadowFIFO, want) {
+		t.Fatalf("FIFO after reclaim %v, want %v", e.shadowFIFO, want)
+	}
 }
 
 // TestRestoreRejectsUnqueuedShadow: MigrationsDry reads an empty shadow

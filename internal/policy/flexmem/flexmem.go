@@ -50,6 +50,10 @@ type Policy struct {
 	// TransientSkips counts hot pages skipped in a background batch
 	// after repeated transient migration aborts (retried next cycle).
 	TransientSkips int64 //chrono:state TransientSkips
+
+	// Reused buffers, refilled for every process of a background cycle.
+	hotSlow  []*vm.Page //chrono:rebuilt per-pass promotion candidates
+	coldFast []*vm.Page //chrono:rebuilt per-pass demotion candidates
 }
 
 // New returns a FlexMem policy.
@@ -176,7 +180,7 @@ func (p *Policy) background() {
 	sampler := p.core.Sampler
 	p.core.ByProcess(&p.cycles, func(proc *vm.Process, pages []*vm.Page, hotBin int) {
 		p.hotBin[proc] = hotBin
-		var hotSlow, coldFast []*vm.Page
+		hotSlow, coldFast := p.hotSlow[:0], p.coldFast[:0]
 		for _, pg := range pages {
 			b := pebs.BinOf(sampler.Counter(pg.ID))
 			switch {
@@ -186,6 +190,7 @@ func (p *Policy) background() {
 				coldFast = append(coldFast, pg)
 			}
 		}
+		p.hotSlow, p.coldFast = hotSlow, coldFast
 		sort.Slice(hotSlow, func(i, j int) bool {
 			return sampler.Counter(hotSlow[i].ID) > sampler.Counter(hotSlow[j].ID)
 		})

@@ -49,13 +49,20 @@ type Policy struct {
 
 	// Reused buffers, refilled for every process of a kmigrated cycle:
 	// cold holds the process's cold fast-tier pages in page-ID order,
-	// collected once per pass, and byCount is its latest coldest-first
-	// copy. While a pass is open, departed collects the IDs of pages that
-	// left the fast tier since cold was last pruned.
+	// collected once per pass; the pass's candidates are cold[front:].
+	// inOrder records that their counters are non-decreasing in page
+	// order, so cold[front:] is itself the coldest-first order; otherwise
+	// byCount is its latest coldest-first copy. While a pass is open,
+	// departed collects the IDs of pages that left the fast tier since
+	// the candidates were last pruned.
 	cold     []coldPage //chrono:rebuilt per-pass demotion candidates
+	front    int        //chrono:rebuilt per-pass count of candidates dropped from the front of cold
+	inOrder  bool       //chrono:rebuilt per-pass: cold's counters are non-decreasing
 	byCount  []coldPage //chrono:rebuilt per-pass sort scratch
 	departed []int64    //chrono:rebuilt per-pass departures, drained by demoteForSpace
 	passOpen bool       //chrono:rebuilt true only inside a kmigrated process pass
+	hotSlow  []*vm.Page //chrono:rebuilt per-pass promotion candidates
+	huge     []*vm.Page //chrono:rebuilt per-pass split candidates
 }
 
 // coldPage is a demotion candidate with the counter it was classified by.
@@ -139,17 +146,22 @@ func (p *Policy) kmigrated() {
 		// fast-tier pages they may displace in the same pass. Counters are
 		// fixed for the whole pass and only hot pages enter the fast tier,
 		// so demoteForSpace need only drop the candidates that left it.
-		var hotSlow []*vm.Page
-		p.cold, p.byCount, p.departed = p.cold[:0], p.byCount[:0], p.departed[:0]
+		hotSlow := p.hotSlow[:0]
+		p.cold, p.front, p.inOrder = p.cold[:0], 0, true
+		p.byCount, p.departed = p.byCount[:0], p.departed[:0]
 		for _, pg := range pages {
 			c := sampler.Counter(pg.ID)
 			switch {
 			case pg.Tier == mem.SlowTier && pebs.BinOf(c) >= hotBin:
 				hotSlow = append(hotSlow, pg)
 			case pg.Tier == mem.FastTier && pebs.BinOf(c) < hotBin:
+				if n := len(p.cold); n > 0 && p.cold[n-1].count > c {
+					p.inOrder = false
+				}
 				p.cold = append(p.cold, coldPage{c, pg})
 			}
 		}
+		p.hotSlow = hotSlow
 		sort.Slice(hotSlow, func(i, j int) bool {
 			return sampler.Counter(hotSlow[i].ID) > sampler.Counter(hotSlow[j].ID)
 		})
@@ -201,22 +213,21 @@ func (p *Policy) demoteForSpace(need int64) {
 	// Drop the candidates that have left the fast tier, keeping page
 	// order: the rest is the cold fast-tier set a fresh scan would find.
 	// Within a pass a fast page leaves only through a migration, which
-	// OnMigrated records, and no cold page re-enters the fast tier.
+	// OnMigrated records, and no cold page re-enters the fast tier. The
+	// usual departure is the candidate the last walk demoted first, at
+	// the front, which costs nothing to drop.
 	for _, id := range p.departed {
-		if i, ok := slices.BinarySearchFunc(p.cold, id, byID); ok {
-			p.cold = slices.Delete(p.cold, i, i+1)
+		if i, ok := slices.BinarySearchFunc(p.cold[p.front:], id, byID); ok {
+			if i == 0 {
+				p.front++
+			} else {
+				p.cold = slices.Delete(p.cold, p.front+i, p.front+i+1)
+			}
 		}
 	}
 	p.departed = p.departed[:0]
-	// Sort a copy, so pdqsort orders equal counters for exactly this
-	// list. If nothing was dropped since the last sort, byCount already
-	// holds that order.
-	if len(p.byCount) != len(p.cold) {
-		p.byCount = append(p.byCount[:0], p.cold...)
-		slices.SortFunc(p.byCount, coldestFirst)
-	}
 	var freed int64
-	for _, c := range p.byCount {
+	for _, c := range p.walkOrder() {
 		if freed >= need {
 			return
 		}
@@ -231,19 +242,39 @@ func (p *Policy) demoteForSpace(need int64) {
 	}
 }
 
+// walkOrder returns the pass's candidates coldest first, in the order
+// slices.SortFunc with coldestFirst gives them. A list whose counters are
+// non-decreasing is already in that order, ties included: pdqsort leaves
+// it as it is (TestSortFuncKeepsNonDecreasing; DESIGN.md has the proof).
+// Any other list is sorted as a copy, so pdqsort orders equal counters
+// for exactly this list; if nothing was dropped since the last sort,
+// byCount already holds that order.
+func (p *Policy) walkOrder() []coldPage {
+	live := p.cold[p.front:]
+	if p.inOrder {
+		return live
+	}
+	if len(p.byCount) != len(live) {
+		p.byCount = append(p.byCount[:0], live...)
+		slices.SortFunc(p.byCount, coldestFirst)
+	}
+	return p.byCount
+}
+
 // splitHot splits up to splitBudget of the process's hottest
 // *under-utilized* huge pages — the ones whose PEBS address samples show
 // accesses concentrated in a fraction of the region — letting subsequent
 // sampling separate their hot and cold base regions.
 func (p *Policy) splitHot(pages []*vm.Page, hotBin int) {
 	sampler := p.core.Sampler
-	var huge []*vm.Page
+	huge := p.huge[:0]
 	for _, pg := range pages {
 		if pg.IsHuge() && pebs.BinOf(sampler.Counter(pg.ID)) >= hotBin+2 &&
 			p.k.HugeUtilization(pg) < 0.6 {
 			huge = append(huge, pg)
 		}
 	}
+	p.huge = huge
 	sort.Slice(huge, func(i, j int) bool {
 		return sampler.Counter(huge[i].ID) > sampler.Counter(huge[j].ID)
 	})

@@ -57,3 +57,32 @@ func TestSortFuncMatchesSortSlice(t *testing.T) {
 		}
 	}
 }
+
+// TestSortFuncKeepsNonDecreasing pins the toolchain property walkOrder
+// relies on to skip the sort: slices.SortFunc with coldestFirst returns
+// a list whose counters are already non-decreasing as it is, equal
+// counters included. The lengths cover both sides of pdqsort's
+// insertion-sort cutoff (12) and of its ninther pivot cutoff (50).
+func TestSortFuncKeepsNonDecreasing(t *testing.T) {
+	lengths := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 49, 50, 51, 1000, 20000}
+	r := rng.New(11)
+	for _, distinct := range []int{1, 2, 4, 18} {
+		for _, n := range lengths {
+			keys := make([]uint32, n)
+			for i := range keys {
+				keys[i] = uint32(r.Uint64() % uint64(distinct))
+			}
+			slices.Sort(keys)
+			cands := make([]coldPage, n)
+			for i := range cands {
+				cands[i] = coldPage{keys[i], &vm.Page{ID: int64(i)}}
+			}
+			slices.SortFunc(cands, coldestFirst)
+			for i, c := range cands {
+				if c.pg.ID != int64(i) {
+					t.Fatalf("distinct=%d n=%d: position %d holds page %d", distinct, n, i, c.pg.ID)
+				}
+			}
+		}
+	}
+}

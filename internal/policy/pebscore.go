@@ -43,10 +43,10 @@ type PEBS struct {
 	periods int //chrono:state Periods
 
 	// Scratch refilled by every ByProcess pass.
-	byProc  map[*vm.Process][]*vm.Page //chrono:rebuilt per-cycle grouping
-	procs   []*vm.Process              //chrono:rebuilt per-cycle service order
-	hist    *pebs.Histogram            //chrono:rebuilt fixed-depth threshold scan
-	binSize []int64                    //chrono:rebuilt per-process bin footprints
+	bySlot  [][]*vm.Page    //chrono:rebuilt per-cycle grouping, indexed by vm.Process.Slot
+	procs   []*vm.Process   //chrono:rebuilt per-cycle service order
+	hist    *pebs.Histogram //chrono:rebuilt fixed-depth threshold scan
+	binSize []int64         //chrono:rebuilt per-process bin footprints
 }
 
 // PEBSState is the serializable state of a PEBS core. The family's
@@ -119,29 +119,23 @@ func (c *PEBS) OnPageFreed(pg *vm.Page) { c.Sampler.Clear(pg.ID) }
 // A pass over an empty page table visits nothing and leaves *cycles
 // alone; otherwise it advances *cycles.
 func (c *PEBS) ByProcess(cycles *int, visit func(proc *vm.Process, pages []*vm.Page, hotBin int)) {
-	// Refill last cycle's slices; a process left without pages is
-	// dropped, as a fresh map would not hold it.
-	if c.byProc == nil {
-		c.byProc = make(map[*vm.Process][]*vm.Page)
+	// Group the pages by the engine's dense process slot, refilling last
+	// cycle's slices in place.
+	all := c.k.Processes()
+	for len(c.bySlot) < len(all) {
+		c.bySlot = append(c.bySlot, nil)
 	}
-	byProc := c.byProc
-	//chrono:ordered-irrelevant each slice is truncated on its own
-	for proc, pages := range byProc {
-		byProc[proc] = pages[:0]
+	bySlot := c.bySlot[:len(all)]
+	for i := range bySlot {
+		bySlot[i] = bySlot[i][:0]
 	}
 	var totalResident int64
 	for _, pg := range c.k.Pages() {
 		if pg == nil {
 			continue
 		}
-		byProc[pg.Proc] = append(byProc[pg.Proc], pg)
+		bySlot[pg.Proc.Slot] = append(bySlot[pg.Proc.Slot], pg)
 		totalResident += int64(pg.Size)
-	}
-	//chrono:ordered-irrelevant each entry is tested on its own
-	for proc, pages := range byProc {
-		if len(pages) == 0 {
-			delete(byProc, proc)
-		}
 	}
 	if totalResident == 0 {
 		return
@@ -149,14 +143,14 @@ func (c *PEBS) ByProcess(cycles *int, visit func(proc *vm.Process, pages []*vm.P
 	fastCap := c.k.Node().Capacity(mem.FastTier)
 
 	// A caller's migration budget is consumed in process order, so the
-	// order must not depend on map iteration: take the processes with
-	// resident pages by PID, then rotate the starting point each cycle
-	// so no process is systematically first in line (kernel cgroup
-	// walks resume round-robin the same way; unrotated, the lowest PID
-	// would hoard the budget).
+	// order must be fixed: take the processes with resident pages by
+	// PID, then rotate the starting point each cycle so no process is
+	// systematically first in line (kernel cgroup walks resume
+	// round-robin the same way; unrotated, the lowest PID would hoard
+	// the budget).
 	c.procs = c.procs[:0]
-	for _, proc := range c.k.Processes() {
-		if len(byProc[proc]) > 0 {
+	for _, proc := range all {
+		if len(bySlot[proc.Slot]) > 0 {
 			c.procs = append(c.procs, proc)
 		}
 	}
@@ -168,7 +162,7 @@ func (c *PEBS) ByProcess(cycles *int, visit func(proc *vm.Process, pages []*vm.P
 	sizeOf := func(b int) int64 { return c.binSize[b] }
 	for i := range procs {
 		proc := procs[(start+i)%len(procs)]
-		pages := byProc[proc]
+		pages := bySlot[proc.Slot]
 		clear(c.binSize)
 		var resident int64
 		for _, pg := range pages {
