@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet lint lint-suggest lint-sarif lint-budget bench-snapshot bench-diff simdebug chaos bench resume-check daemon-smoke results-drift bench-test check clean
+.PHONY: build test race vet lint lint-suggest lint-sarif lint-budget bench-snapshot bench-diff simdebug chaos fuzz bench resume-check daemon-smoke results-drift bench-test check clean
 
 build:
 	$(GO) build ./...
@@ -79,6 +79,13 @@ simdebug:
 # virtual duration).
 chaos:
 	$(GO) test -race -tags simdebug -timeout 30m -count 1 -run 'TestFaultMatrix|TestChaos|TestFaultPlan|TestResilientRun' ./internal/engine/ ./internal/experiments/
+
+# Fuzz the fault-plan parser (FuzzParsePlan): no panic, every accepted
+# plan marshals to JSON, String is a parse fixed point. The seed corpus
+# lives in internal/faultinject/testdata/fuzz/ and also runs as a plain
+# test under `go test`; a new crasher is written there too.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzParsePlan$$' -fuzztime 20s ./internal/faultinject/
 
 # Hot-path microbenchmarks (simclock event loop, engine epoch, fault
 # path). Output is benchstat-compatible: run with COUNT=10 and feed two

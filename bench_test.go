@@ -587,31 +587,6 @@ func BenchmarkHugeFactor(b *testing.B) {
 	}
 }
 
-// BenchmarkGapModel compares the two inter-access models: Uniform
-// (periodic, Appendix B's analysis) vs Exp (Poisson).
-func BenchmarkGapModel(b *testing.B) {
-	for _, gm := range []struct {
-		name string
-		g    engine.GapModel
-	}{{"uniform", engine.GapUniform}, {"exp", engine.GapExp}} {
-		b.Run(gm.name, func(b *testing.B) {
-			var thr, fmar float64
-			for i := 0; i < b.N; i++ {
-				e := engine.New(engine.Config{Seed: 42, Gap: gm.g})
-				w := &workload.Pmbench{Processes: 50, WorkingSetGB: 5, ReadPct: 70, Stride: 2}
-				if err := w.Build(e); err != nil {
-					b.Fatal(err)
-				}
-				e.AttachPolicy(core.New(core.Options{}))
-				m := e.Run(benchDuration)
-				thr, fmar = m.Throughput(), m.FMAR()
-			}
-			b.ReportMetric(thr, "Mops/s")
-			b.ReportMetric(fmar*100, "FMAR%")
-		})
-	}
-}
-
 // BenchmarkCgroupReclaim measures the §3.3.1 memory-limit path.
 func BenchmarkCgroupReclaim(b *testing.B) {
 	var swapped int64

@@ -165,7 +165,7 @@ type Chrono struct {
 	// region's first-fault gap (uniform-phase periodic model). All CIT
 	// values, buckets, and thresholds are therefore in real-page
 	// milliseconds, directly comparable with the paper's Table 2.
-	citScale float64 //chrono:rebuilt derived from Config.CostScale at Attach
+	citScale float64 //chrono:rebuilt derived from Kernel.CostScale at Attach
 
 	// thresholdMS is the live CIT classification threshold.
 	thresholdMS float64 //chrono:state ThresholdMS

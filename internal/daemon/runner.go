@@ -192,10 +192,10 @@ func (d *Daemon) restore(r *run, polName string, snap *engine.EngineState, swap 
 	return e, w, dropped, nil
 }
 
-// nextEpoch is the first multiple of epoch strictly after now — where a
-// live reconfiguration takes effect.
-func nextEpoch(now simclock.Time, epoch simclock.Duration) simclock.Time {
-	return simclock.Time((int64(now)/int64(epoch) + 1) * int64(epoch))
+// nextEpoch is the first engine epoch boundary strictly after now — where
+// a live reconfiguration takes effect.
+func nextEpoch(now simclock.Time) simclock.Time {
+	return simclock.Time((int64(now)/int64(engine.EpochNS) + 1) * int64(engine.EpochNS))
 }
 
 // execute runs one segment to its end through the run driver. The
@@ -205,7 +205,6 @@ func nextEpoch(now simclock.Time, epoch simclock.Duration) simclock.Time {
 // segment Stopped by the callback is a pause when swap is nil.
 func (d *Daemon) execute(r *run, e *engine.Engine, w workload.Workload, resumed bool) (_ simrun.Result, swap *swapReq) {
 	cfg := d.Config()
-	epoch := e.Config().EpochNS
 
 	r.mu.Lock()
 	polName := r.policy
@@ -242,7 +241,7 @@ func (d *Daemon) execute(r *run, e *engine.Engine, w workload.Workload, resumed 
 						break
 					}
 					swapMsg = msg
-					swapAt = nextEpoch(now, epoch)
+					swapAt = nextEpoch(now)
 					// The reply waits until the swap applies or rolls back.
 				default:
 					msg.reply <- ctrlReply{err: fmt.Errorf("daemon: unknown control op %q", msg.op)}

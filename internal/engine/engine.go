@@ -15,11 +15,10 @@
 // Page accesses are not simulated individually. Instead:
 //
 //   - Hint faults: when a policy poisons a page (PROT_NONE), the time to
-//     the page's next access is drawn from the configured gap model —
-//     Uniform(0, 1/rate) for the periodic-access model the paper's
-//     Appendix B analyses, or Exp(rate) for Poisson traffic — and a fault
-//     event is scheduled. The captured idle time observed by Chrono is
-//     exactly this gap.
+//     the page's next access is drawn from Uniform(0, 1/rate) — the
+//     periodic-access model with random phase that the paper's Appendix B
+//     analyses — and a fault event is scheduled. The captured idle time
+//     observed by Chrono is exactly this gap.
 //   - Accessed bits: a test-and-clear is answered with a Bernoulli draw of
 //     the probability that at least one access arrived since the last
 //     clear.
@@ -47,63 +46,21 @@ import (
 	"chrono/internal/vm"
 )
 
-// GapModel selects the inter-access time model used for fault timing.
-type GapModel int
-
-const (
-	// GapUniform models periodic accesses with random phase: the gap from
-	// an independent scan instant to the next access is U(0, period).
-	// This is the model of the paper's Appendix B.
-	GapUniform GapModel = iota
-	// GapExp models Poisson accesses: the gap is Exp(rate).
-	GapExp
-)
-
-// Config parameterizes a simulation run.
+// Config parameterizes a simulation run. Everything else about the
+// simulated machine is fixed: the device and kernel-cost constants below
+// describe the paper's one testbed (DESIGN.md lists each with its source).
 type Config struct {
 	// Seed drives all randomness. Same seed, same results.
 	Seed uint64
 
 	// PagesPerGB scales physical sizes down: a simulated "GB" is this
 	// many base pages. All capacity *ratios* are preserved. Default 256.
+	// It also fixes CostScale (see Engine.CostScale).
 	PagesPerGB int64
 	// FastGB and SlowGB size the tiers (defaults 64 and 192, the paper's
 	// testbed: 4×16 GB DRAM + 2×128 GB Optane at ~25% fast ratio).
 	FastGB units.GB
 	SlowGB units.GB
-
-	// EpochNS is the metric accounting step. Default 250 ms.
-	EpochNS simclock.Duration
-	// ThrashWindowNS is the promote→demote round-trip window counted as
-	// thrash by the wasted-bandwidth metrics (ThrashDemotions/ThrashBytes).
-	// Default 60 s — one scan period, the natural reaction timescale of the
-	// fault-based policies.
-	ThrashWindowNS simclock.Duration
-	// NCPU bounds compute (Xeon Gold 6348: 28 cores, 56 threads).
-	NCPU int
-
-	Gap     GapModel
-	Latency mem.LatencyModel
-
-	// Cost model (virtual nanoseconds).
-	CPUWorkNS           units.NS // per-access app work outside memory
-	FaultKernelNS       units.NS // kernel time per hint fault
-	FaultLatencyNS      units.NS // extra latency seen by a faulting access
-	ScanPageNS          units.NS // kernel time per page scanned/poisoned
-	MigrateFixedNS      units.NS // kernel time per migration operation
-	MigratePerPageNS    units.NS // kernel time per base page migrated
-	ABitTestNS          units.NS // kernel time per accessed-bit test
-	ContextSwitchIdleHz units.Hz // baseline context-switch rate per proc
-
-	// PEBSAliasRebuildS is the virtual seconds between alias-table
-	// rebuilds for PEBS sampling. Default 10.
-	PEBSAliasRebuildS units.Sec
-	// PEBSAliasMinRebuildS rate-limits weight-triggered alias rebuilds: a
-	// pattern change marks the table stale, but the O(pages) rebuild is
-	// deferred until the table is at least this old (virtual seconds).
-	// Structural changes (pages created or freed) always rebuild before
-	// the next sample. Default 1.
-	PEBSAliasMinRebuildS units.Sec
 
 	// HugeFactor is the number of simulated base pages folded into one
 	// "huge page" under HugePages mapping. Real x86 folds 512×4 KB into
@@ -113,14 +70,6 @@ type Config struct {
 	// behaviour the paper analyses (§2.3, §3.4). Chrono's huge-page
 	// threshold/bucket scaling uses the actual fold factor.
 	HugeFactor int
-
-	// MigrationBWBytes caps the sustainable page-migration throughput in
-	// bytes/second of real traffic (the kernel migrate_pages path:
-	// unmap + copy + TLB shootdown, contending with demand traffic on
-	// the slow media). Migrations beyond the budget fail and must be
-	// retried — exactly how synchronous NUMA-fault promotion behaves
-	// under pressure. Default 1.2 GB/s.
-	MigrationBWBytes units.BytesPerSec
 
 	// DebugChecks enables the invariant sanitizer (see sanitize.go): the
 	// engine validates page-table/LRU/watermark/migration consistency
@@ -137,14 +86,6 @@ type Config struct {
 	// byte-identical to an engine without it.
 	Faults faultinject.Plan
 
-	// CostScale is the real-pages-per-simulated-page factor. One
-	// simulated page stands for CostScale real 4 KB pages (the capacity
-	// scale-down), so per-page kernel costs, migration bytes, and fault
-	// latency observations are multiplied by it to keep kernel-time
-	// fractions and bandwidth figures in real units. Default
-	// 262144/PagesPerGB.
-	CostScale float64
-
 	// Shards partitions the fault machinery by page ID (owner = ID mod
 	// Shards) for multi-core execution at high page fidelity. Results are
 	// independent of the shard count: gap draws are stateless hashes and
@@ -157,7 +98,52 @@ type Config struct {
 	ShardWorkers int
 }
 
-// Defaults fills zero fields with defaults and returns cfg.
+// EpochNS is the metric accounting step: rates, latency histograms,
+// bandwidth contention and the migration token bucket advance once per
+// epoch.
+const EpochNS simclock.Duration = 250 * simclock.Millisecond
+
+// thrashWindowNS is the promote→demote round-trip window counted as
+// thrash by the wasted-bandwidth metrics (ThrashDemotions/ThrashBytes):
+// one scan period, the natural reaction timescale of the fault-based
+// policies.
+const thrashWindowNS = 60 * simclock.Second
+
+// The kernel cost model, in virtual nanoseconds per real 4 KB page or
+// operation. Charges multiply them by CostScale, so kernel-time fractions
+// stay in real units at any capacity scale-down.
+const (
+	cpuWorkNS        units.NS = 130  // per-access app work outside memory
+	faultKernelNS    units.NS = 1900 // kernel time per hint fault
+	faultLatencyNS   units.NS = 3600 // extra latency seen by a faulting access
+	scanPageNS       units.NS = 130  // kernel time per page scanned/poisoned
+	migrateFixedNS   units.NS = 1500 // kernel time per migration operation
+	migratePerPageNS units.NS = 350  // kernel time per base page migrated
+	aBitTestNS       units.NS = 25   // kernel time per accessed-bit test
+)
+
+// contextSwitchIdleHz is the baseline scheduler context-switch rate per
+// process, before hint faults add their own.
+const contextSwitchIdleHz units.Hz = 1.2
+
+// PEBS alias-table rebuild periods, in virtual seconds. An unchanged
+// table is refreshed every pebsAliasRebuildS; a weight change marks it
+// stale, but the O(pages) rebuild waits until the table is at least
+// pebsAliasMinRebuildS old. Structural changes (pages created or freed)
+// always rebuild before the next sample.
+const (
+	pebsAliasRebuildS    units.Sec = 10
+	pebsAliasMinRebuildS units.Sec = 1
+)
+
+// migrationBWBytes caps the sustainable page-migration throughput in
+// bytes/second of real traffic (the kernel migrate_pages path: unmap +
+// copy + TLB shootdown, contending with demand traffic on the slow
+// media). Migrations beyond the budget fail and must be retried — exactly
+// how synchronous NUMA-fault promotion behaves under pressure.
+const migrationBWBytes units.BytesPerSec = 1.2e9
+
+// withDefaults fills zero fields with defaults and returns cfg.
 func (cfg Config) withDefaults() Config {
 	if cfg.PagesPerGB == 0 {
 		cfg.PagesPerGB = 256
@@ -167,54 +153,6 @@ func (cfg Config) withDefaults() Config {
 	}
 	if cfg.SlowGB == 0 {
 		cfg.SlowGB = 192
-	}
-	if cfg.EpochNS == 0 {
-		cfg.EpochNS = 250 * simclock.Millisecond
-	}
-	if cfg.ThrashWindowNS == 0 {
-		cfg.ThrashWindowNS = 60 * simclock.Second
-	}
-	if cfg.NCPU == 0 {
-		cfg.NCPU = 56
-	}
-	if cfg.Latency == (mem.LatencyModel{}) {
-		cfg.Latency = mem.DefaultLatency()
-	}
-	if cfg.CPUWorkNS == 0 {
-		cfg.CPUWorkNS = 130
-	}
-	if cfg.FaultKernelNS == 0 {
-		cfg.FaultKernelNS = 1900
-	}
-	if cfg.FaultLatencyNS == 0 {
-		cfg.FaultLatencyNS = 3600
-	}
-	if cfg.ScanPageNS == 0 {
-		cfg.ScanPageNS = 130
-	}
-	if cfg.MigrateFixedNS == 0 {
-		cfg.MigrateFixedNS = 1500
-	}
-	if cfg.MigratePerPageNS == 0 {
-		cfg.MigratePerPageNS = 350
-	}
-	if cfg.ABitTestNS == 0 {
-		cfg.ABitTestNS = 25
-	}
-	if cfg.ContextSwitchIdleHz == 0 {
-		cfg.ContextSwitchIdleHz = 1.2
-	}
-	if cfg.PEBSAliasRebuildS == 0 {
-		cfg.PEBSAliasRebuildS = 10
-	}
-	if cfg.PEBSAliasMinRebuildS == 0 {
-		cfg.PEBSAliasMinRebuildS = 1
-	}
-	if cfg.CostScale == 0 {
-		cfg.CostScale = 262144 / float64(cfg.PagesPerGB)
-	}
-	if cfg.MigrationBWBytes == 0 {
-		cfg.MigrationBWBytes = 1.2e9
 	}
 	if cfg.HugeFactor == 0 {
 		cfg.HugeFactor = 64
@@ -267,10 +205,11 @@ func (ps *procState) Rate() float64 { return ps.rate }
 //
 //chrono:statesync EngineState
 type Engine struct {
-	cfg   Config          //chrono:rebuilt construction-time configuration; immutable after New
-	clock *simclock.Clock //chrono:state Clock
-	node  *mem.Node       //chrono:state Node
-	table *sysctl.Table   //chrono:rebuilt sysctl registrations are code-defined; writable values live in numaTiering and the policy state
+	cfg       Config          //chrono:rebuilt construction-time configuration; immutable after New
+	costScale float64         //chrono:rebuilt derived from Config.PagesPerGB by New
+	clock     *simclock.Clock //chrono:state Clock
+	node      *mem.Node       //chrono:state Node
+	table     *sysctl.Table   //chrono:rebuilt sysctl registrations are code-defined; writable values live in numaTiering and the policy state
 
 	rMaster   *rng.Source //chrono:state RMaster
 	rFault    *rng.Source //chrono:state RFault
@@ -331,7 +270,7 @@ type Engine struct {
 	kernelNSEpoch float64 //chrono:state KernelNSEpoch
 	kernelFrac    float64 //chrono:state KernelFrac
 	// migTokens is the migration token bucket (bytes), refilled per epoch
-	// at MigrationBWBytes; migrations fail when it runs dry.
+	// at migrationBWBytes; migrations fail when it runs dry.
 	migTokens float64 //chrono:state MigTokens
 	// Bandwidth-driven latency inflation (see metrics.go).
 	slowUtilEMA float64 //chrono:state SlowUtilEMA
@@ -498,15 +437,16 @@ func New(cfg Config) *Engine {
 	cfg = cfg.withDefaults()
 	fastPages := cfg.FastGB.Pages(cfg.PagesPerGB)
 	slowPages := cfg.SlowGB.Pages(cfg.PagesPerGB)
+	costScale := 262144 / float64(cfg.PagesPerGB)
 	r := rng.New(cfg.Seed)
 	e := &Engine{
-		cfg:   cfg,
-		clock: simclock.New(),
+		cfg:       cfg,
+		costScale: costScale,
+		clock:     simclock.New(),
 		node: mem.NewNode(mem.Config{
 			FastPages:     fastPages,
 			SlowPages:     slowPages,
-			Latency:       cfg.Latency,
-			PageSizeBytes: int64(4096 * cfg.CostScale),
+			PageSizeBytes: int64(4096 * costScale),
 		}),
 		table:       sysctl.NewTable(),
 		rMaster:     r,
@@ -902,7 +842,7 @@ func (e *Engine) Run(d simclock.Duration) *Metrics {
 	e.updateRates()
 	e.updateBandwidth(0)
 	e.updateRates()
-	e.migTokens = float64(e.cfg.MigrationBWBytes) // one second of initial budget
+	e.migTokens = float64(migrationBWBytes) // one second of initial budget
 	e.startTickers()
 	e.runLoop()
 	return e.finishRun()
@@ -916,7 +856,7 @@ func (e *Engine) Run(d simclock.Duration) *Metrics {
 func (e *Engine) startTickers() {
 	if e.engTickers == nil {
 		e.engTickers = []*simclock.Ticker{
-			e.clock.EveryKey("engine/epoch", e.cfg.EpochNS, func(now simclock.Time) { e.epochTick(now) }),
+			e.clock.EveryKey("engine/epoch", EpochNS, func(now simclock.Time) { e.epochTick(now) }),
 			// Kernel LRU aging once per minute: the paper (§2.3) observes that
 			// accessed-bit reset intervals in practice "last from minutes to
 			// hours", which is why hardware-bit recency is a coarse hotness

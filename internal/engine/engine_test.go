@@ -369,7 +369,7 @@ func TestMigrationTokenBucket(t *testing.T) {
 			promoted++
 		}
 	}
-	maxPages := int(5 * float64(e.cfg.MigrationBWBytes) / float64(e.node.PageSizeBytes))
+	maxPages := int(5 * float64(migrationBWBytes) / float64(e.node.PageSizeBytes))
 	if promoted == 0 {
 		t.Fatal("no promotions at all")
 	}

@@ -33,7 +33,7 @@ func (e *Engine) Protect(pg *vm.Page) {
 	pg.Flags |= vm.FlagProtNone
 	pg.ProtTS = e.clock.Now()
 	pg.FaultSeq++
-	e.ChargeKernel(e.cfg.ScanPageNS.Mul(float64(pg.Size)).Mul(e.cfg.CostScale))
+	e.ChargeKernel(scanPageNS.Mul(float64(pg.Size)).Mul(e.costScale))
 	// Injected delivery delay: under scheduling pressure the faulting
 	// thread observes the poisoned PTE late. Drawn here — the injector
 	// stream is serial — so materialization stays stateless.
@@ -60,22 +60,16 @@ func (e *Engine) Unprotect(pg *vm.Page) {
 // artificially sharpened aggregate signal.
 func (e *Engine) AccessedTestAndClear(pg *vm.Page) bool {
 	now := e.clock.Now()
-	e.ChargeKernel(e.cfg.ABitTestNS.Mul(e.cfg.CostScale))
+	e.ChargeKernel(aBitTestNS.Mul(e.costScale))
 	dt := (now - pg.ABitTS).Seconds()
 	pg.ABitTS = now
-	rate := e.PageRate(pg) / e.cfg.CostScale * float64(pg.Size)
+	rate := e.PageRate(pg) / e.costScale * float64(pg.Size)
 	if rate <= 0 || dt <= 0 {
 		return false
 	}
-	var p float64
-	switch e.cfg.Gap {
-	case GapExp:
-		p = 1 - math.Exp(-rate*dt)
-	default:
-		p = rate * dt
-		if p > 1 {
-			p = 1
-		}
+	p := rate * dt
+	if p > 1 {
+		p = 1
 	}
 	return e.rFault.Bool(p)
 }
@@ -214,7 +208,7 @@ func (e *Engine) Shadowed(pg *vm.Page) bool { return e.shadowActive(pg.ID) }
 // sustains — the dirtying rate the transactional machinery reasons about
 // (the shadow copy of a real page goes stale on the first write to it).
 func (e *Engine) realWriteRate(pg *vm.Page) float64 {
-	return e.PageRate(pg) * (1 - e.pageRF[pg.ID]) / (e.cfg.CostScale * float64(pg.Size))
+	return e.PageRate(pg) * (1 - e.pageRF[pg.ID]) / (e.costScale * float64(pg.Size))
 }
 
 // PromoteShadowed implements policy.TransactionalKernel: TryPromote, but
@@ -276,7 +270,7 @@ func (e *Engine) promoteShadow(pg *vm.Page) error {
 		e.M.MoveTierErrors++
 		return err
 	}
-	e.ChargeKernel((e.cfg.MigrateFixedNS + e.cfg.MigratePerPageNS.Mul(float64(pg.Size))).Mul(e.cfg.CostScale) + units.NSOf(copyTime))
+	e.ChargeKernel((migrateFixedNS + migratePerPageNS.Mul(float64(pg.Size))).Mul(e.costScale) + units.NSOf(copyTime))
 	e.M.ContextSwitches += 0.5
 	bytes := float64(int64(pg.Size) * e.node.PageSizeBytes)
 	e.M.MigratedBytes += bytes
@@ -330,10 +324,10 @@ func (e *Engine) demoteToShadow(pg *vm.Page) policy.MigrateResult {
 			}
 		}
 	}
-	e.ChargeKernel(e.cfg.MigrateFixedNS.Mul(e.cfg.CostScale))
+	e.ChargeKernel(migrateFixedNS.Mul(e.costScale))
 	e.M.ContextSwitches += 0.5
 	e.M.ShadowDemotions++
-	if pg.PromoteTS > 0 && now-pg.PromoteTS <= e.cfg.ThrashWindowNS {
+	if pg.PromoteTS > 0 && now-pg.PromoteTS <= thrashWindowNS {
 		// The round trip still wasted the promotion's copy, even though
 		// the demotion itself was free.
 		e.M.ThrashDemotions++
@@ -407,7 +401,7 @@ func (e *Engine) allocFaultNear(t mem.TierID) bool {
 // abort: the unmap and rollback happen, the copy does not. No capacity,
 // token, or LRU state changes — the page is exactly where it was.
 func (e *Engine) abortMigration(pg *vm.Page) {
-	ns := (e.cfg.MigrateFixedNS + e.cfg.MigratePerPageNS.Mul(float64(pg.Size)).Mul(0.5)).Mul(e.cfg.CostScale)
+	ns := (migrateFixedNS + migratePerPageNS.Mul(float64(pg.Size)).Mul(0.5)).Mul(e.costScale)
 	e.ChargeKernel(ns)
 	e.M.AbortedMigrationNS += float64(ns)
 }
@@ -486,7 +480,7 @@ func (e *Engine) moveTier(pg *vm.Page, to mem.TierID) error {
 		return err
 	}
 	// Kernel work: unmap, copy, remap, TLB shootdown.
-	e.ChargeKernel((e.cfg.MigrateFixedNS + e.cfg.MigratePerPageNS.Mul(float64(pg.Size))).Mul(e.cfg.CostScale) + units.NSOf(copyTime))
+	e.ChargeKernel((migrateFixedNS + migratePerPageNS.Mul(float64(pg.Size))).Mul(e.costScale) + units.NSOf(copyTime))
 	e.M.ContextSwitches += 0.5
 	e.M.MigratedBytes += float64(int64(pg.Size) * e.node.PageSizeBytes)
 	e.epochMigBytes += float64(int64(pg.Size) * e.node.PageSizeBytes)
@@ -528,7 +522,7 @@ func (e *Engine) moveTier(pg *vm.Page, to mem.TierID) error {
 	pg.Tier = to
 	now := e.clock.Now()
 	if to == mem.SlowTier {
-		if pg.PromoteTS > 0 && now-pg.PromoteTS <= e.cfg.ThrashWindowNS {
+		if pg.PromoteTS > 0 && now-pg.PromoteTS <= thrashWindowNS {
 			// Promote→demote round trip inside one thrash window: both copies
 			// were wasted bandwidth (the anti-thrashing metric of the report).
 			e.M.ThrashDemotions++
@@ -604,7 +598,7 @@ func (e *Engine) SplitHuge(pg *vm.Page) []*vm.Page {
 	e.pageW[pg.ID] = 0
 
 	// Split cost: 512 PTE writes + TLB shootdown.
-	e.ChargeKernel(units.NS(25000 * e.cfg.CostScale))
+	e.ChargeKernel(units.NS(25000 * e.costScale))
 
 	out := make([]*vm.Page, 0, pg.Size)
 	for i := int32(0); i < pg.Size; i++ {
@@ -641,7 +635,7 @@ func (e *Engine) SplitHuge(pg *vm.Page) []*vm.Page {
 }
 
 // CostScale implements policy.Kernel.
-func (e *Engine) CostScale() float64 { return e.cfg.CostScale }
+func (e *Engine) CostScale() float64 { return e.costScale }
 
 // HugeFactor implements policy.Kernel.
 func (e *Engine) HugeFactor() int { return e.cfg.HugeFactor }
@@ -742,14 +736,14 @@ func (e *Engine) SamplePEBS(s *pebs.Sampler, period units.Sec) int {
 	// Rebuild policy: structural staleness (pages created/freed) rebuilds
 	// unconditionally — sampling a stale ID set would return freed pages.
 	// Weight-only staleness tolerates a bounded lag: the O(pages) rebuild
-	// is deferred until the table is PEBSAliasMinRebuildS old, so per-epoch
+	// is deferred until the table is pebsAliasMinRebuildS old, so per-epoch
 	// pattern drift doesn't turn every sampling period into a full rebuild.
-	// An unchanged table is still refreshed every PEBSAliasRebuildS to
+	// An unchanged table is still refreshed every pebsAliasRebuildS to
 	// track rate shifts.
 	age := units.SecondsOf(now - e.aliasBuiltAt)
 	if e.aliasTable == nil || e.aliasStructural ||
-		(e.aliasWeightDirty && age >= e.cfg.PEBSAliasMinRebuildS) ||
-		age > e.cfg.PEBSAliasRebuildS {
+		(e.aliasWeightDirty && age >= pebsAliasMinRebuildS) ||
+		age > pebsAliasRebuildS {
 		e.rebuildAlias()
 	}
 	if e.aliasTable == nil {
@@ -771,7 +765,7 @@ func (e *Engine) SamplePEBS(s *pebs.Sampler, period units.Sec) int {
 		s.LossRate = oldLoss
 	}
 	e.M.PEBSDropped += float64(s.Dropped() - before)
-	e.ChargeKernel(units.NS(float64(n) * 300 * e.cfg.CostScale))
+	e.ChargeKernel(units.NS(float64(n) * 300 * e.costScale))
 	return n
 }
 

@@ -32,6 +32,17 @@ const AccessBytes = 64
 // (Xiang et al., EuroSys '22, "a close look at its on-DIMM buffering").
 const SlowMediaAmp = 4
 
+// Demand bandwidths of the testbed's tiers. Optane PM is severely
+// read/write asymmetric: the two-module slow tier sustains 12 GB/s of
+// reads and 4 GB/s of writes; the DRAM tier 100 GB/s. Demand beyond these
+// saturates the media and queueing inflates access latency (§5.1.1's
+// write-intensive results).
+const (
+	slowReadBW  units.BytesPerSec = 12e9
+	slowWriteBW units.BytesPerSec = 4e9
+	fastBW      units.BytesPerSec = 100e9
+)
+
 // updateRates recomputes each process's closed-loop access rate from its
 // current placement, kernel-time pressure, and fault overhead.
 func (e *Engine) updateRates() {
@@ -41,6 +52,7 @@ func (e *Engine) updateRates() {
 	if penalty < 0.5 {
 		penalty = 0.5
 	}
+	lat := e.node.Latency()
 	for _, ps := range e.procs {
 		if ps.wTot <= 0 {
 			ps.rate = 0
@@ -48,12 +60,12 @@ func (e *Engine) updateRates() {
 		}
 		var wl float64
 		for t := mem.TierID(0); t < mem.NumTiers; t++ {
-			wl += ps.wRead[t]*float64(e.cfg.Latency.ReadNS[t])*e.latMult(t, false) +
-				ps.wWrite[t]*float64(e.cfg.Latency.WriteNS[t])*e.latMult(t, true)
+			wl += ps.wRead[t]*float64(lat.ReadNS[t])*e.latMult(t, false) +
+				ps.wWrite[t]*float64(lat.WriteNS[t])*e.latMult(t, true)
 		}
 		wl += ps.wSwap * SwapLatencyNS
 		avgLat := wl / ps.wTot
-		perAccess := float64(e.cfg.CPUWorkNS) + float64(ps.proc.DelayNS) + avgLat + ps.faultOverheadNS
+		perAccess := float64(cpuWorkNS) + float64(ps.proc.DelayNS) + avgLat + ps.faultOverheadNS
 		ps.rate = float64(ps.threads) * 1e9 / perAccess * penalty
 	}
 }
@@ -98,16 +110,15 @@ func (e *Engine) updateBandwidth(migBytesPerSec float64) {
 	// Optane media amplification: random 64 B reads cost a 256 B XPLine
 	// fetch; stores read-modify-write a full line. Migration copies also
 	// land on the slow media (one side of every promotion/demotion).
-	node := e.node
 	readStreamBytesPerSec := (slowReadBytesPerSec + slowWriteBytesPerSec) * SlowMediaAmp
 	writeStreamBytesPerSec := slowWriteBytesPerSec*SlowMediaAmp + migBytesPerSec
-	ru := readStreamBytesPerSec / float64(node.SlowReadBW)
-	wu := writeStreamBytesPerSec / float64(node.SlowWriteBW)
+	ru := readStreamBytesPerSec / float64(slowReadBW)
+	wu := writeStreamBytesPerSec / float64(slowWriteBW)
 	slowUtil := ru
 	if wu > slowUtil {
 		slowUtil = wu
 	}
-	fastUtil := (fastBytesPerSec + migBytesPerSec) / float64(node.FastBW)
+	fastUtil := (fastBytesPerSec + migBytesPerSec) / float64(fastBW)
 	e.slowUtilEMA = 0.5*e.slowUtilEMA + 0.5*slowUtil
 	e.fastUtilEMA = 0.5*e.fastUtilEMA + 0.5*fastUtil
 	e.slowLatMult = queueMult(e.slowUtilEMA)
@@ -121,7 +132,7 @@ func (e *Engine) SlowUtilization() float64 { return e.slowUtilEMA }
 // accesses to latency histograms and counters, refreshes fault-overhead
 // estimates and contention, and recomputes rates for the next epoch.
 func (e *Engine) epochTick(now simclock.Time) {
-	dt := e.cfg.EpochNS.Seconds()
+	dt := EpochNS.Seconds()
 
 	// Per-tier access masses accumulate across processes first: the jitter
 	// histogram expansion depends only on the tier and op, so one expansion
@@ -150,21 +161,22 @@ func (e *Engine) epochTick(now simclock.Time) {
 		// Fault overhead per access (EMA over epochs).
 		var perAccess float64
 		if acc > 0 {
-			perAccess = ps.epochFaults * float64(e.cfg.FaultKernelNS) * e.cfg.CostScale / acc
+			perAccess = ps.epochFaults * float64(faultKernelNS) * e.costScale / acc
 		}
 		ps.faultOverheadNS = 0.7*ps.faultOverheadNS + 0.3*perAccess
 		ps.epochFaults = 0
 	}
+	lat := e.node.Latency()
 	for t := mem.TierID(0); t < mem.NumTiers; t++ {
 		reads, writes := tierReads[t], tierWrites[t]
 		for _, j := range jitter {
 			if reads > 0 {
-				l := float64(e.cfg.Latency.ReadNS[t]) * e.latMult(t, false) * j.mult
+				l := float64(lat.ReadNS[t]) * e.latMult(t, false) * j.mult
 				e.M.Lat.Add(l, reads*j.frac)
 				e.M.LatRead.Add(l, reads*j.frac)
 			}
 			if writes > 0 {
-				l := float64(e.cfg.Latency.WriteNS[t]) * e.latMult(t, true) * j.mult
+				l := float64(lat.WriteNS[t]) * e.latMult(t, true) * j.mult
 				e.M.Lat.Add(l, writes*j.frac)
 				e.M.LatWrite.Add(l, writes*j.frac)
 			}
@@ -176,7 +188,7 @@ func (e *Engine) epochTick(now simclock.Time) {
 	var appNS float64
 	for _, ps := range e.procs {
 		appNS += float64(ps.threads) * dt * 1e9
-		e.M.ContextSwitches += e.cfg.ContextSwitchIdleHz.Count(units.Sec(dt))
+		e.M.ContextSwitches += contextSwitchIdleHz.Count(units.Sec(dt))
 	}
 	e.M.AppNS += appNS
 	if appNS+e.kernelNSEpoch > 0 {
@@ -195,8 +207,8 @@ func (e *Engine) epochTick(now simclock.Time) {
 	// CLOCK pass, Memtis's kmigrated) spend their whole batch at one
 	// instant, and the kernel path could absorb such bursts; the bucket
 	// still enforces the sustained average.
-	e.migTokens += float64(e.cfg.MigrationBWBytes) * dt
-	if maxTokens := 5 * float64(e.cfg.MigrationBWBytes); e.migTokens > maxTokens {
+	e.migTokens += float64(migrationBWBytes) * dt
+	if maxTokens := 5 * float64(migrationBWBytes); e.migTokens > maxTokens {
 		e.migTokens = maxTokens
 	}
 

@@ -24,7 +24,6 @@ package engine
 // for every shard count and worker count.
 
 import (
-	"math"
 	"sync"
 
 	"chrono/internal/mem"
@@ -92,13 +91,7 @@ func (e *Engine) materializeShard(sh *engineShard, now simclock.Time) {
 			continue
 		}
 		u := rng.HashFloat64(e.faultSeed, uint64(pp.id), pp.seq)
-		var gapS units.Sec
-		switch e.cfg.Gap {
-		case GapExp:
-			gapS = units.Sec(-math.Log(1-u) / rate)
-		default:
-			gapS = units.Sec(u / rate)
-		}
+		gapS := units.Sec(u / rate)
 		at := pg.ProtTS + gapS.Duration() + pp.delay
 		if at < now {
 			at = now // defensive: replay never moves the clock backwards
@@ -242,14 +235,14 @@ func (e *Engine) flushFaultBatch(perTier *[mem.NumTiers]int64) {
 	fn := float64(n)
 	e.M.Faults += fn
 	e.M.ContextSwitches += fn
-	e.ChargeKernel(e.cfg.FaultKernelNS.Mul(e.cfg.CostScale).Mul(fn))
+	e.ChargeKernel(faultKernelNS.Mul(e.costScale).Mul(fn))
 	for t := mem.TierID(0); t < mem.NumTiers; t++ {
 		c := perTier[t]
 		if c == 0 {
 			continue
 		}
-		lat := float64(e.cfg.FaultLatencyNS + e.cfg.Latency.Access(t, false))
-		w := float64(c) * e.cfg.CostScale
+		lat := float64(faultLatencyNS + e.node.Latency().Access(t, false))
+		w := float64(c) * e.costScale
 		e.M.Lat.Add(lat, w)
 		e.M.LatRead.Add(lat, w)
 	}

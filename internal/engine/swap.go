@@ -60,7 +60,7 @@ func (e *Engine) SwapOut(pg *vm.Page) bool {
 	ps.residentSwap += int64(pg.Size)
 
 	// Writeback + unmap cost.
-	e.ChargeKernel(units.NS(2500 * e.cfg.CostScale))
+	e.ChargeKernel(units.NS(2500 * e.costScale))
 	e.M.SwapOuts += int64(pg.Size)
 	return true
 }
@@ -90,7 +90,7 @@ func (e *Engine) swapIn(pg *vm.Page, to mem.TierID) bool {
 	} else {
 		ps.residentSlow += int64(pg.Size)
 	}
-	e.ChargeKernel(units.NS(3000 * e.cfg.CostScale))
+	e.ChargeKernel(units.NS(3000 * e.costScale))
 	e.M.SwapIns += int64(pg.Size)
 	return true
 }

@@ -61,7 +61,7 @@ func RunFig1(o RunOpts) ([]Fig1Row, error) {
 
 func fig1Row(name string, res *Result) Fig1Row {
 	e := res.Engine
-	scale := e.Config().CostScale
+	scale := e.CostScale()
 	var dramRate, nvmRate float64
 	var dramPages, nvmPages int64
 	var nvmRates []float64

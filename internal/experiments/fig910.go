@@ -141,7 +141,7 @@ func RunFig10a(o RunOpts) (*Fig10a, error) {
 	sumSq := make([]float64, bins)
 	target := e.Processes()[0]
 	vma := target.VMAs()[0]
-	scale := e.Config().CostScale
+	scale := e.CostScale()
 	pol.(*core.Chrono).SetCITObserver(func(pg *vm.Page, citMS float64) {
 		// citMS is already in real per-4KB-page terms.
 		if pg.Proc != target {

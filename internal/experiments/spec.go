@@ -44,7 +44,7 @@ type SimSpec struct {
 	SlowGB     float64 `json:"slow_gb,omitempty"`      // default 192
 	PagesPerGB int64   `json:"pages_per_gb,omitempty"` // default 256
 	// Faults is a fault-injection plan spec (internal/faultinject syntax,
-	// e.g. "aggressive" or "alloc=0.001;seed=9"). Empty disables it.
+	// e.g. "aggressive" or "mig=0.2,alloc=0.001:4"). Empty disables it.
 	Faults string `json:"faults,omitempty"`
 }
 

@@ -23,6 +23,7 @@ func TestSimSpecValidateRejects(t *testing.T) {
 		{"unknown kvstore flavor", SimSpec{Workload: "kvstore", Flavor: "redsi"}, "unknown kvstore flavor"},
 		{"unknown kvstore mix", SimSpec{Workload: "kvstore", SetGet: "2:1"}, "unknown kvstore mix"},
 		{"unparseable fault plan", SimSpec{Faults: "alloc=banana"}, "fault plan"},
+		{"non-finite fault plan value", SimSpec{Faults: "pebs=0.5:NaN"}, "fault plan"},
 		{"negative fast tier", SimSpec{FastGB: -1}, "non-positive"},
 		{"negative slow tier", SimSpec{SlowGB: -1}, "non-positive"},
 		{"negative duration", SimSpec{DurationS: -1}, "non-positive"},

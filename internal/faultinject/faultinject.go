@@ -18,6 +18,7 @@ package faultinject
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -149,6 +150,11 @@ func Aggressive() Plan {
 //	alloc=P[:N] allocation-failure probability and burst length
 //	pebs=P[:F]  PEBS overflow-window probability and in-window drop fraction
 //	delay=P[:M] hint-fault delay probability and max extra delay in ms
+//
+// Every value must be finite: a probability in [0, 1], a secondary value
+// non-negative, a burst that fits an int, and a delay whose nanoseconds
+// fit the virtual clock and, if positive, reach its 1 ns tick. Every accepted plan marshals to JSON, and its
+// String parses back to the same plan.
 func ParsePlan(spec string) (Plan, error) {
 	var p Plan
 	switch strings.TrimSpace(spec) {
@@ -164,12 +170,12 @@ func ParsePlan(spec string) (Plan, error) {
 		}
 		prim, sec, hasSec := strings.Cut(val, ":")
 		prob, err := strconv.ParseFloat(prim, 64)
-		if err != nil || prob < 0 || prob > 1 {
+		if err != nil || !(prob >= 0 && prob <= 1) { // NaN fails both
 			return Plan{}, fmt.Errorf("faultinject: bad probability %q for %s", prim, key)
 		}
 		var secF float64
 		if hasSec {
-			if secF, err = strconv.ParseFloat(sec, 64); err != nil || secF < 0 {
+			if secF, err = strconv.ParseFloat(sec, 64); err != nil || !(secF >= 0) || math.IsInf(secF, 1) {
 				return Plan{}, fmt.Errorf("faultinject: bad secondary value %q for %s", sec, key)
 			}
 		}
@@ -180,6 +186,9 @@ func ParsePlan(spec string) (Plan, error) {
 			}
 			p.MigrationFailProb = prob
 		case "alloc":
+			if secF >= float64(math.MaxInt) { // rounds up to the first value an int cannot hold
+				return Plan{}, fmt.Errorf("faultinject: alloc burst %g overflows int", secF)
+			}
 			p.AllocFailProb = prob
 			p.AllocFailBurst = int(secF)
 		case "pebs":
@@ -189,6 +198,11 @@ func ParsePlan(spec string) (Plan, error) {
 			p.PEBSDropProb = prob
 			p.PEBSDropFrac = secF
 		case "delay":
+			if ns := float64(units.MS(secF).NS()); ns >= float64(math.MaxInt64) {
+				return Plan{}, fmt.Errorf("faultinject: fault delay %g ms overflows the clock", secF)
+			} else if ns > 0 && ns < 1 {
+				return Plan{}, fmt.Errorf("faultinject: fault delay %g ms is below the clock's 1 ns tick", secF)
+			}
 			p.FaultDelayProb = prob
 			p.FaultDelayMaxMS = units.MS(secF)
 		default:
@@ -300,8 +314,9 @@ func (in *Injector) FaultDelay() simclock.Duration {
 		return 0
 	}
 	in.counts[FaultDelay]++
-	// Uniform in (0, max]: a drawn delay is never zero, so the counter
-	// and the schedule perturbation agree.
+	// Uniform in (0, max], truncated to the clock's 1 ns tick. ParsePlan
+	// rejects a positive max below one tick, where every draw would
+	// truncate to zero and the counter would count delays never applied.
 	frac := 1 - in.delay.Float64()
 	return simclock.Duration(frac * float64(in.plan.FaultDelayMaxMS.NS()))
 }

@@ -1,6 +1,7 @@
 package faultinject
 
 import (
+	"encoding/json"
 	"testing"
 
 	"chrono/internal/simclock"
@@ -165,6 +166,23 @@ func TestParsePlan(t *testing.T) {
 		{spec: "pebs=0.2:1.5", err: true},
 		{spec: "bogus=0.2", err: true},
 		{spec: "mig", err: true},
+		// Non-finite and overflowing values: each once reached a JSON
+		// marshal panic or an int64 overflow downstream.
+		{spec: "mig=NaN", err: true},
+		{spec: "pebs=NaN:0.5", err: true},
+		{spec: "pebs=0.5:NaN", err: true},
+		{spec: "alloc=0.1:NaN", err: true},
+		{spec: "alloc=0.1:Inf", err: true},
+		{spec: "alloc=0.1:1e300", err: true},
+		{spec: "alloc=0.1:9223372036854775807", err: true},
+		{spec: "delay=0.5:NaN", err: true},
+		{spec: "delay=0.5:+Inf", err: true},
+		{spec: "delay=0.5:1e300", err: true},
+		{spec: "delay=0.5:9.3e12", err: true},
+		{spec: "delay=1:1e-7", err: true},
+		{spec: "delay=1:1e-6", want: Plan{FaultDelayProb: 1, FaultDelayMaxMS: 1e-6}},
+		{spec: "alloc=0.1:1e18", want: Plan{AllocFailProb: 0.1, AllocFailBurst: 1e18}},
+		{spec: "delay=0.5:9e12", want: Plan{FaultDelayProb: 0.5, FaultDelayMaxMS: 9e12}},
 	}
 	for _, c := range cases {
 		got, err := ParsePlan(c.spec)
@@ -194,4 +212,31 @@ func TestPlanStringRoundTrip(t *testing.T) {
 			t.Fatalf("round trip of %q: got %+v, want %+v", p.String(), back, p.withDefaults())
 		}
 	}
+}
+
+// FuzzParsePlan: ParsePlan never panics, every plan it accepts marshals
+// to JSON (sweep cell keys and checkpoints embed it), and String is a
+// fixed point of parsing. The seed corpus in testdata/fuzz holds the
+// specs that once crashed a sweep.
+func FuzzParsePlan(f *testing.F) {
+	f.Fuzz(func(t *testing.T, spec string) {
+		p, err := ParsePlan(spec)
+		if err != nil {
+			return
+		}
+		if _, err := json.Marshal(p); err != nil {
+			t.Fatalf("ParsePlan(%q) = %+v does not marshal: %v", spec, p, err)
+		}
+		s := p.String()
+		q, err := ParsePlan(s)
+		if err != nil {
+			t.Fatalf("ParsePlan(%q).String() = %q does not parse: %v", spec, s, err)
+		}
+		if q.String() != s {
+			t.Fatalf("String not a fixed point: %q parses to %q", s, q.String())
+		}
+		if d := New(1, Plan{FaultDelayProb: 1, FaultDelayMaxMS: p.FaultDelayMaxMS}).FaultDelay(); d < 0 {
+			t.Fatalf("ParsePlan(%q): fault delay %d overflows", spec, d)
+		}
+	})
 }

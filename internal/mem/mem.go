@@ -1,8 +1,8 @@
 // Package mem models the physical memory substrate of a tiered system: a
 // fast tier (local DRAM) and a slow tier (Optane PM / CXL-attached memory
 // exposed as a CPU-less NUMA node), with per-tier capacity accounting,
-// allocation watermarks, an asymmetric read/write latency model, and a
-// bandwidth meter for migration traffic.
+// allocation watermarks, an asymmetric read/write latency model, and
+// migration traffic counters.
 //
 // Capacities are tracked in base pages (4 KB units). The simulator scales
 // physical sizes down (see engine.Config.PagesPerGB) while preserving the
@@ -47,21 +47,10 @@ func (t TierID) Other() TierID {
 	return FastTier
 }
 
-// LatencyModel gives per-tier access latency in nanoseconds. Defaults
-// follow the paper's §1 figures (DRAM 50-90 ns, slow memory 150-270 ns)
-// and the known read/write asymmetry of Optane PM (§5.1.1: "the biased
-// read/write performance of Optane PM").
+// LatencyModel gives per-tier access latency in nanoseconds.
 type LatencyModel struct {
 	ReadNS  [NumTiers]units.NS
 	WriteNS [NumTiers]units.NS
-}
-
-// DefaultLatency returns the testbed-calibrated latency model.
-func DefaultLatency() LatencyModel {
-	return LatencyModel{
-		ReadNS:  [NumTiers]units.NS{FastTier: 75, SlowTier: 200},
-		WriteNS: [NumTiers]units.NS{FastTier: 80, SlowTier: 420},
-	}
 }
 
 // Access returns the latency of one access to tier t.
@@ -71,6 +60,19 @@ func (m LatencyModel) Access(t TierID, write bool) units.NS {
 	}
 	return m.ReadNS[t]
 }
+
+// latency is the testbed's device latencies, following the paper's §1
+// figures (DRAM 50-90 ns, slow memory 150-270 ns) and the known
+// read/write asymmetry of Optane PM (§5.1.1: "the biased read/write
+// performance of Optane PM").
+var latency = LatencyModel{
+	ReadNS:  [NumTiers]units.NS{FastTier: 75, SlowTier: 200},
+	WriteNS: [NumTiers]units.NS{FastTier: 80, SlowTier: 420},
+}
+
+// copyBandwidth is the sustainable page-copy bandwidth between tiers:
+// the one-direction Optane write bound.
+const copyBandwidth units.BytesPerSec = 6e9
 
 // Watermarks are per-tier free-page thresholds, in pages. They extend the
 // Linux min/low/high zone watermarks with Chrono's promotion-aware "pro"
@@ -92,46 +94,26 @@ type Tier struct {
 }
 
 // Node groups the tiers of the simulated machine and tracks migration
-// bandwidth. It corresponds to the whole two-socket testbed collapsed to
+// traffic. It corresponds to the whole two-socket testbed collapsed to
 // one fast node plus one CPU-less slow node.
 type Node struct {
 	tiers [NumTiers]*Tier
-	lat   LatencyModel
 
-	// Migration bandwidth accounting: pages copied per direction, and a
-	// token-bucket style budget used to charge copy time.
-	PromotedPages  int64
-	DemotedPages   int64
-	CopyBandwidthB units.BytesPerSec // achievable for page copies
+	// Pages copied per direction.
+	PromotedPages int64
+	DemotedPages  int64
 
-	// PageSizeBytes is the base page size (4096).
+	// PageSizeBytes is the real bytes one tracked page stands for.
 	PageSizeBytes int64
-
-	// Demand bandwidth limits; see Config.
-	SlowReadBW  units.BytesPerSec
-	SlowWriteBW units.BytesPerSec
-	FastBW      units.BytesPerSec
 }
 
 // Config sizes a Node.
 type Config struct {
 	FastPages int64
 	SlowPages int64
-	Latency   LatencyModel
-	// CopyBandwidthBytes is the sustainable page-copy bandwidth between
-	// tiers; defaults to 6 GB/s (one-direction Optane write bound).
-	CopyBandwidthBytes units.BytesPerSec
 	// PageSizeBytes is the real bytes one tracked page stands for
 	// (4096 × the simulator's capacity scale). Default 4096.
 	PageSizeBytes int64
-	// SlowReadBW / SlowWriteBW are the slow tier's sustainable demand
-	// bandwidths. Optane PM is severely read/write asymmetric; defaults
-	// are 12 GB/s read and 4 GB/s write for the two-module testbed.
-	// Demand beyond these saturates the media and queueing inflates
-	// access latency (§5.1.1's write-intensive results).
-	SlowReadBW, SlowWriteBW units.BytesPerSec
-	// FastBW is the DRAM demand bandwidth (default 100 GB/s).
-	FastBW units.BytesPerSec
 }
 
 // NewNode builds a node with both tiers fully free and default watermarks
@@ -140,32 +122,10 @@ func NewNode(cfg Config) *Node {
 	if cfg.FastPages <= 0 || cfg.SlowPages <= 0 {
 		panic("mem: non-positive tier capacity")
 	}
-	if cfg.Latency == (LatencyModel{}) {
-		cfg.Latency = DefaultLatency()
-	}
-	if cfg.CopyBandwidthBytes == 0 {
-		cfg.CopyBandwidthBytes = 6e9
-	}
 	if cfg.PageSizeBytes == 0 {
 		cfg.PageSizeBytes = 4096
 	}
-	if cfg.SlowReadBW == 0 {
-		cfg.SlowReadBW = 12e9
-	}
-	if cfg.SlowWriteBW == 0 {
-		cfg.SlowWriteBW = 4e9
-	}
-	if cfg.FastBW == 0 {
-		cfg.FastBW = 100e9
-	}
-	n := &Node{
-		lat:            cfg.Latency,
-		CopyBandwidthB: cfg.CopyBandwidthBytes,
-		PageSizeBytes:  cfg.PageSizeBytes,
-		SlowReadBW:     cfg.SlowReadBW,
-		SlowWriteBW:    cfg.SlowWriteBW,
-		FastBW:         cfg.FastBW,
-	}
+	n := &Node{PageSizeBytes: cfg.PageSizeBytes}
 	for id, capPages := range [NumTiers]int64{FastTier: cfg.FastPages, SlowTier: cfg.SlowPages} {
 		t := &Tier{ID: TierID(id), Capacity: capPages, free: capPages}
 		t.marks = Watermarks{
@@ -183,7 +143,7 @@ func NewNode(cfg Config) *Node {
 func (n *Node) Tier(id TierID) *Tier { return n.tiers[id] }
 
 // Latency returns the node's latency model.
-func (n *Node) Latency() LatencyModel { return n.lat }
+func (n *Node) Latency() LatencyModel { return latency }
 
 // Free returns the free pages in tier id.
 func (n *Node) Free(id TierID) int64 { return n.tiers[id].free }
@@ -271,7 +231,7 @@ func (n *Node) MovePages(from, to TierID, pages int64) (simclock.Duration, error
 		n.DemotedPages += pages
 	}
 	bytes := units.Bytes(pages * n.PageSizeBytes)
-	ns := bytes.Over(n.CopyBandwidthB).NS()
+	ns := bytes.Over(copyBandwidth).NS()
 	return simclock.Duration(ns), nil
 }
 
@@ -291,7 +251,7 @@ func (n *Node) CopyPages(from, to TierID, pages int64) (simclock.Duration, error
 		n.DemotedPages += pages
 	}
 	bytes := units.Bytes(pages * n.PageSizeBytes)
-	ns := bytes.Over(n.CopyBandwidthB).NS()
+	ns := bytes.Over(copyBandwidth).NS()
 	return simclock.Duration(ns), nil
 }
 
@@ -300,7 +260,7 @@ func (n *Node) CopyPages(from, to TierID, pages int64) (simclock.Duration, error
 // a write landing within it aborts a Nomad-style migration).
 func (n *Node) CopyTime(pages int64) simclock.Duration {
 	bytes := units.Bytes(pages * n.PageSizeBytes)
-	return simclock.Duration(bytes.Over(n.CopyBandwidthB).NS())
+	return simclock.Duration(bytes.Over(copyBandwidth).NS())
 }
 
 // FastRatio returns the share of total capacity provided by the fast tier,

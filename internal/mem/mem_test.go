@@ -151,7 +151,7 @@ func TestMovePagesCopyTimeConversion(t *testing.T) {
 		t.Fatal(err)
 	}
 	bytes := float64(100 * n.PageSizeBytes)
-	want := simclock.Duration(bytes / float64(n.CopyBandwidthB) * 1e9)
+	want := simclock.Duration(bytes / float64(copyBandwidth) * 1e9)
 	if d != want {
 		t.Fatalf("copy duration %v, want %v (bytes/bw*1e9)", d, want)
 	}
@@ -171,7 +171,7 @@ func TestMovePagesFailsWhenTargetFull(t *testing.T) {
 }
 
 func TestLatencyModel(t *testing.T) {
-	m := DefaultLatency()
+	m := newTestNode().Latency()
 	if m.Access(FastTier, false) >= m.Access(SlowTier, false) {
 		t.Fatal("slow reads should be slower than fast reads")
 	}

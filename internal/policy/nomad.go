@@ -13,8 +13,8 @@ package policy
 //     flight aborts the transaction instead of migrating a torn page; the
 //     page simply stays in the slow tier until a later attempt.
 //
-// The promotion trigger itself is TPP-like (hint faults plus a recency
-// second chance): Nomad's contribution is the migration mechanism, not
+// The promotion trigger itself is TPP's (hint faults plus a recency
+// second chance, recency.go): Nomad's contribution is the migration mechanism, not
 // the hotness signal, and sharing the trigger isolates exactly that in
 // the sweeps. The shadow machinery lives in the engine behind the
 // TransactionalKernel interface; on kernels without it (unit-test fakes)
@@ -33,21 +33,12 @@ import (
 	"chrono/internal/vm"
 )
 
-// Nomad's fixed parameters.
-const (
-	// nomadScanPeriod is the hint-fault scan cadence over the slow tier,
-	// matching the scan package's default. One pass takes 1024 ticks.
-	nomadScanPeriod = simclock.Minute
-	// nomadRecencyWindow is the re-reference second-chance window, as
-	// for TPP: hint faults arrive at most once per scan pass.
-	nomadRecencyWindow = 3 * simclock.Minute
-	// nomadHeadroomFrac widens the fast tier's demotion target above the
-	// high watermark, as a fraction of fast capacity.
-	nomadHeadroomFrac = 0.02
-)
+// nomadScanPeriod is the hint-fault scan cadence over the slow tier,
+// matching the scan package's default. One pass takes 1024 ticks.
+const nomadScanPeriod = simclock.Minute
 
 // Nomad is the transactional-migration baseline. The previous fault
-// timestamp is kept in pg.Meta (nanoseconds), like TPP.
+// timestamp is kept in pg.Meta (see ReReferenced), like TPP.
 //
 //chrono:statesync nomadState
 type Nomad struct {
@@ -74,9 +65,7 @@ func (p *Nomad) Attach(k Kernel) {
 	k.Clock().EveryKey("policy/nomad/scan", nomadScanPeriod/1024, func(now simclock.Time) {
 		p.scanStep()
 	})
-	node := k.Node()
-	high := node.Watermarks(mem.FastTier).High
-	node.SetProWatermark(high + int64(nomadHeadroomFrac*float64(node.Capacity(mem.FastTier))))
+	ReserveHeadroom(k.Node())
 }
 
 // scanStep protects the next window of slow-tier pages, wrapping the
@@ -108,9 +97,7 @@ func (p *Nomad) OnFault(pg *vm.Page, now simclock.Time) {
 	if pg.Tier != mem.SlowTier {
 		return
 	}
-	prev := simclock.Time(int64(pg.Meta))
-	pg.Meta = uint64(now)
-	if prev > 0 && now-prev <= nomadRecencyWindow {
+	if ReReferenced(pg, now) {
 		if p.promote(pg) == MigrateTransient {
 			// Busy page or aborted transaction: a bounded sim-time backoff
 			// retries it instead of waiting for another hint-fault pair.

@@ -23,21 +23,8 @@ import (
 	"chrono/internal/vm"
 )
 
-const (
-	// recencyWindow is the re-reference window: a page whose previous
-	// hint fault is younger than this promotes. Hint faults arrive at
-	// most once per scan pass, so the window spans three scan periods
-	// (the LRU "active list" residency TPP checks) for the second-chance
-	// check to ever see a previous fault.
-	recencyWindow = 3 * simclock.Minute
-	// headroomFrac widens the fast tier's demotion target above the high
-	// watermark, TPP's allocation-headroom mechanism, as a fraction of
-	// fast capacity.
-	headroomFrac = 0.02
-)
-
 // Policy is the TPP baseline. The previous fault timestamp is kept in
-// pg.Meta (nanoseconds).
+// pg.Meta (see policy.ReReferenced).
 //
 //chrono:statesync checkpointState
 type Policy struct {
@@ -62,10 +49,7 @@ func (p *Policy) Attach(k policy.Kernel) {
 			k.Protect(pg)
 		}
 	})
-	// Allocation headroom: raise the pro watermark once.
-	node := k.Node()
-	high := node.Watermarks(mem.FastTier).High
-	node.SetProWatermark(high + int64(headroomFrac*float64(node.Capacity(mem.FastTier))))
+	policy.ReserveHeadroom(k.Node())
 }
 
 // checkpointState is TPP's serializable dynamic state. The per-page
@@ -95,9 +79,7 @@ func (p *Policy) OnFault(pg *vm.Page, now simclock.Time) {
 	if pg.Tier != mem.SlowTier {
 		return
 	}
-	prev := simclock.Time(int64(pg.Meta))
-	pg.Meta = uint64(now)
-	if prev > 0 && now-prev <= recencyWindow {
+	if policy.ReReferenced(pg, now) {
 		if policy.RetryPromote(p.k, pg, 2) == policy.MigrateTransient {
 			// Busy/pinned page: a bounded sim-time backoff retries it
 			// instead of waiting for yet another hint-fault pair.

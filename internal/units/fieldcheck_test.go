@@ -30,10 +30,7 @@ var unitSuffixes = []string{
 var dimensionless = map[string]bool{
 	// engine.Config
 	"Seed":         true,
-	"Gap":          true, // GapModel enum selector, not a quantity
-	"NCPU":         true, // hardware thread count
 	"HugeFactor":   true, // pages folded per huge page
-	"CostScale":    true, // real pages per simulated page (ratio)
 	"Shards":       true, // fault-machinery partition count
 	"ShardWorkers": true, // materialization goroutine cap
 	// mem.Config / mem.Node

@@ -8,7 +8,7 @@
 // Every type is a defined type over float64, so the migration is
 // representation-preserving: arithmetic on one unit behaves bit-for-bit
 // like the float64 code it replaced, untyped constants still assign
-// directly (CPUWorkNS: 130 keeps compiling), and encoding/json and fmt
+// directly (var d units.NS = 130 compiles), and encoding/json and fmt
 // render the values exactly as before.
 //
 // # Conversion discipline
