@@ -80,12 +80,18 @@ simdebug:
 chaos:
 	$(GO) test -race -tags simdebug -timeout 30m -count 1 -run 'TestFaultMatrix|TestChaos|TestFaultPlan|TestResilientRun' ./internal/engine/ ./internal/experiments/
 
-# Fuzz the fault-plan parser (FuzzParsePlan): no panic, every accepted
-# plan marshals to JSON, String is a parse fixed point. The seed corpus
-# lives in internal/faultinject/testdata/fuzz/ and also runs as a plain
-# test under `go test`; a new crasher is written there too.
+# Fuzz the fault-plan parser (FuzzParsePlan: no panic, every accepted
+# plan marshals to JSON, String is a parse fixed point) and the durable
+# sweep cell's .done record (FuzzCellDone: a cell resolved from arbitrary
+# record bytes short-circuits, re-runs or errors, never panics). Each
+# seed corpus lives in its package's testdata/fuzz/ and also runs as a
+# plain test under `go test`; a new crasher is written there too.
+# FuzzCellDone's inputs are 2 KB records: minimizing each new one for the
+# default 60 s would spend the whole time box, so it is capped at 100
+# runs.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePlan$$' -fuzztime 20s ./internal/faultinject/
+	$(GO) test -run '^$$' -fuzz '^FuzzCellDone$$' -fuzztime 20s -fuzzminimizetime 100x ./internal/experiments/
 
 # Hot-path microbenchmarks (simclock event loop, engine epoch, fault
 # path). Output is benchstat-compatible: run with COUNT=10 and feed two

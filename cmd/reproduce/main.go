@@ -25,10 +25,12 @@
 // recorded in a failure manifest (stderr summary; full JSON repro bundles
 // to the -failures file) while the surviving grid still renders.
 //
-// -checkpoint-dir makes sweep cells durable: each cell periodically
-// snapshots its engine (every -checkpoint-interval of wall time), records
-// finished cells, and a stall watchdog aborts cells whose virtual time
-// stops advancing for -stall-timeout. SIGINT/SIGTERM drain gracefully:
+// -checkpoint-dir makes the cells of every sweep durable (all experiments
+// but the sampling ones, fig2a, fig9, fig10a, fig10bc and drift, which
+// rerun whole): each cell periodically snapshots its engine (every
+// -checkpoint-interval of wall time), records finished cells, and a stall
+// watchdog aborts cells whose virtual time stops advancing for
+// -stall-timeout. SIGINT/SIGTERM drain gracefully:
 // in-flight cells checkpoint at the next event boundary, the failure
 // manifest records their resume pointers, and a second signal hard-exits.
 // -resume continues a previous invocation from the same directory:
@@ -177,30 +179,49 @@ func main() {
 			"ext", "drift", "seeds", "adv"}
 	}
 
-	// failedRuns accumulates the crash manifest across every sweep; it is
-	// empty (and produces no output) on a healthy run.
+	// failedRuns accumulates the failure manifest across every sweep; it
+	// is empty (and produces no output) on a healthy run.
 	var failedRuns []experiments.FailedRun
 
 	// drained flips when a graceful shutdown (or a sweep's own Interrupted
 	// report) stops the experiment loop early.
 	drained := false
+	collect := func(out experiments.Outcome) {
+		failedRuns = append(failedRuns, out.Failed...)
+		drained = drained || out.Interrupted
+	}
+	sweep := func(s *experiments.Sweep, err error) error {
+		if err != nil {
+			return err
+		}
+		collect(s.Outcome)
+		emit(s.Tables...)
+		return nil
+	}
 
 	// Figures 6, 7 and 8 share their runs; cache the sweep.
-	var sweep *experiments.PmbenchSweep
+	var pmbench *experiments.PmbenchSweep
 	getSweep := func() (*experiments.PmbenchSweep, error) {
-		if sweep == nil {
+		if pmbench == nil {
 			var err error
-			sweep, err = experiments.RunPmbenchSweep(
+			pmbench, err = experiments.RunPmbenchSweep(
 				experiments.Fig6a, experiments.StandardPolicies, experiments.RWRatios, o)
 			if err != nil {
 				return nil, err
 			}
-			failedRuns = append(failedRuns, sweep.Failed...)
-			if sweep.Interrupted {
-				drained = true
-			}
+			collect(pmbench.Outcome)
 		}
-		return sweep, nil
+		return pmbench, nil
+	}
+
+	// withDur gives an experiment its own run length unless -quick or
+	// -duration chose one.
+	withDur := func(d simclock.Duration) experiments.RunOpts {
+		ro := o
+		if ro.Duration == 0 {
+			ro.Duration = d
+		}
+		return ro
 	}
 
 	// runOne executes one experiment id and emits its tables. An error
@@ -213,11 +234,7 @@ func main() {
 		case "tab2":
 			emit(experiments.Table2())
 		case "fig1":
-			rows, err := experiments.RunFig1(o)
-			if err != nil {
-				return err
-			}
-			emit(experiments.Fig1Table(rows))
+			return sweep(experiments.RunFig1(o))
 		case "fig2a":
 			t, err := experiments.RunFig2a(experiments.StandardPolicies, o)
 			if err != nil {
@@ -225,11 +242,7 @@ func main() {
 			}
 			emit(t)
 		case "fig2b":
-			t, err := experiments.RunFig2b(o)
-			if err != nil {
-				return err
-			}
-			emit(t)
+			return sweep(experiments.RunFig2b(o))
 		case "fig6":
 			s, err := getSweep()
 			if err != nil {
@@ -242,10 +255,7 @@ func main() {
 				if err != nil {
 					return err
 				}
-				failedRuns = append(failedRuns, sw.Failed...)
-				if sw.Interrupted {
-					drained = true
-				}
+				collect(sw.Outcome)
 				emit(sw.ThroughputTable())
 			}
 		case "fig7":
@@ -254,9 +264,7 @@ func main() {
 				return err
 			}
 			emit(s.BaselineLatencyCDF())
-			for _, t := range s.LatencyTables() {
-				emit(t)
-			}
+			emit(s.LatencyTables()...)
 		case "fig8":
 			s, err := getSweep()
 			if err != nil {
@@ -264,17 +272,11 @@ func main() {
 			}
 			emit(s.RuntimeCharacteristics())
 		case "fig9":
-			ro := o
-			if ro.Duration == 0 {
-				ro.Duration = longDur
-			}
-			results, err := experiments.RunFig9(experiments.StandardPolicies, ro)
+			results, err := experiments.RunFig9(experiments.StandardPolicies, withDur(longDur))
 			if err != nil {
 				return err
 			}
-			for _, t := range experiments.Fig9Tables(results) {
-				emit(t)
-			}
+			emit(experiments.Fig9Tables(results)...)
 		case "fig10a":
 			f, err := experiments.RunFig10a(o)
 			if err != nil {
@@ -282,91 +284,37 @@ func main() {
 			}
 			emit(experiments.Fig10aTable(f))
 		case "fig10bc":
-			ro := o
-			if ro.Duration == 0 {
-				ro.Duration = longDur
-			}
-			th, rl, err := experiments.RunFig10bc(ro)
+			th, rl, err := experiments.RunFig10bc(withDur(longDur))
 			if err != nil {
 				return err
 			}
-			for _, t := range experiments.Fig10bcTables(th, rl) {
-				emit(t)
-			}
+			emit(experiments.Fig10bcTables(th, rl)...)
 		case "fig10d":
-			t, err := experiments.RunFig10d(shortened(o, 300))
-			if err != nil {
-				return err
-			}
-			emit(t)
+			return sweep(experiments.RunFig10d(shortened(o, 300)))
 		case "fig11":
-			t, err := experiments.RunFig11a(experiments.StandardPolicies, o)
-			if err != nil {
-				return err
-			}
-			emit(t)
+			return sweep(experiments.RunFig11a(experiments.StandardPolicies, o))
 		case "fig11b":
-			t, err := experiments.RunFig11b(shortened(o, 300))
-			if err != nil {
-				return err
-			}
-			emit(t)
+			return sweep(experiments.RunFig11b(shortened(o, 300)))
 		case "fig12":
-			ts, err := experiments.RunFig12(experiments.StandardPolicies, o)
-			if err != nil {
-				return err
-			}
-			for _, t := range ts {
-				emit(t)
-			}
+			return sweep(experiments.RunFig12(experiments.StandardPolicies, o))
 		case "fig13":
 			// The semi-automatic variants converge at a fixed 120 MB/s
 			// rate limit; the design-choice comparison needs the paper's
 			// full run length.
-			ro := o
-			if ro.Duration == 0 {
-				ro.Duration = longDur
-			}
-			t, err := experiments.RunFig13(ro)
-			if err != nil {
-				return err
-			}
-			emit(t)
+			return sweep(experiments.RunFig13(withDur(longDur)))
 		case "seeds":
-			tbl, err := experiments.RunSeedStability(nil, o)
-			if err != nil {
-				return err
-			}
-			emit(tbl)
+			return sweep(experiments.RunSeedStability(o))
 		case "ext":
-			t, err := experiments.RunExtendedComparison(o)
-			if err != nil {
-				return err
-			}
-			emit(t)
+			return sweep(experiments.RunExtendedComparison(o))
 		case "drift":
-			ro := o
-			if ro.Duration == 0 {
-				ro.Duration = 1200 * simclock.Second
-			}
 			results, err := experiments.RunDrift(
-				[]string{"Linux-NB", "Memtis", "Chrono"}, 240, ro)
+				[]string{"Linux-NB", "Memtis", "Chrono"}, 240, withDur(1200*simclock.Second))
 			if err != nil {
 				return err
 			}
 			emit(experiments.DriftTable(results))
 		case "adv":
-			s, err := experiments.RunAdversarial(shortened(o, 300))
-			if err != nil {
-				return err
-			}
-			for i := range s.Failed {
-				failedRuns = append(failedRuns, *s.Failed[i])
-				if s.Failed[i].Interrupted {
-					drained = true
-				}
-			}
-			emit(s.Tables...)
+			return sweep(experiments.RunAdversarial(shortened(o, 300)))
 		case "appb":
 			emit(experiments.AppB1Table(*seed, 20000))
 			emit(experiments.FigB1Table())

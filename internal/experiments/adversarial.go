@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"chrono/internal/parallel"
 	"chrono/internal/report"
 	"chrono/internal/workload"
 )
@@ -46,66 +45,46 @@ func NewAdversarial(name string) (workload.Workload, error) {
 
 // AdversarialSweep is the finished grid: one table per scenario plus the
 // failure manifest for cells that crashed or were interrupted.
-type AdversarialSweep struct {
-	Tables []*report.Table
-	Failed []*FailedRun
-}
+type AdversarialSweep = Sweep
 
-// RunAdversarial sweeps AdversarialPolicies × AdversarialScenarios.
-// RunOpts.Faults applies to every cell, so `reproduce -run adv -faults
-// aggressive` is the policies × scenarios × fault-plan cross the
-// robustness evaluation calls for.
+// RunAdversarial sweeps AdversarialPolicies × AdversarialScenarios,
+// scenario-major. RunOpts.Faults applies to every cell, so `reproduce
+// -run adv -faults aggressive` is the policies × scenarios × fault-plan
+// cross the robustness evaluation calls for.
 func RunAdversarial(o RunOpts) (*AdversarialSweep, error) {
-	o = o.withDefaults()
-	type cell struct {
-		thr, fmar, migGB, rePromo, thrashGB, shadowHit float64
-		aborts                                         int64
-		failed                                         *FailedRun
-	}
 	pols, scens := AdversarialPolicies, AdversarialScenarios
-	jobs := make([]func() (cell, error), 0, len(scens)*len(pols))
+	var cells []Cell
 	for _, scen := range scens {
 		for _, pol := range pols {
-			scen, pol := scen, pol
-			jobs = append(jobs, func() (cell, error) {
-				mk := func() workload.Workload {
+			cells = append(cells, Cell{
+				Experiment: "adv/" + scen,
+				Policy:     pol,
+				Workload: func() workload.Workload {
 					w, err := NewAdversarial(scen)
 					if err != nil {
 						panic(err) // names come from AdversarialScenarios
 					}
 					return w
-				}
-				res, failed, err := ResilientRun("adv/"+scen, pol, mk, o)
-				if err != nil {
-					return cell{}, err
-				}
-				if failed != nil {
-					return cell{failed: failed}, nil
-				}
-				m := res.Metrics
-				c := cell{
-					thr:      m.Throughput(),
-					fmar:     m.FMAR() * 100,
-					migGB:    m.MigratedBytes / (1 << 30),
-					thrashGB: m.ThrashBytes / (1 << 30),
-					aborts:   m.NomadAborts,
-				}
-				if m.Promotions > 0 {
-					c.rePromo = 100 * float64(m.RePromotions) / float64(m.Promotions)
-				}
-				if tries := m.ShadowDemotions + m.ShadowStale; tries > 0 {
-					c.shadowHit = 100 * float64(m.ShadowDemotions) / float64(tries)
-				}
-				res.Compact()
-				return c, nil
+				},
 			})
 		}
 	}
-	cells, err := parallel.MapCtx(o.ctx(), o.Workers, jobs)
+	rows, out, err := runCells(cells, o, false, func(res *Result) []any {
+		m := res.Metrics
+		var rePromo, shadowHit float64
+		if m.Promotions > 0 {
+			rePromo = 100 * float64(m.RePromotions) / float64(m.Promotions)
+		}
+		if tries := m.ShadowDemotions + m.ShadowStale; tries > 0 {
+			shadowHit = 100 * float64(m.ShadowDemotions) / float64(tries)
+		}
+		return []any{m.Throughput(), m.FMAR() * 100, m.MigratedBytes / (1 << 30),
+			rePromo, m.ThrashBytes / (1 << 30), m.NomadAborts, shadowHit}
+	})
 	if err != nil {
 		return nil, err
 	}
-	s := &AdversarialSweep{}
+	s := &AdversarialSweep{Outcome: out}
 	for si, scen := range scens {
 		title := fmt.Sprintf("Adversarial: %s scenario", scen)
 		if o.Faults.Enabled() {
@@ -115,15 +94,13 @@ func RunAdversarial(o RunOpts) (*AdversarialSweep, error) {
 			"Policy", "Thr (Mop/s)", "FMAR (%)", "Mig (GB)",
 			"RePromo (%)", "Thrash (GB)", "Aborts", "ShadowHit (%)")
 		for pi, pol := range pols {
-			c := cells[si*len(pols)+pi]
-			if c.failed != nil {
-				s.Failed = append(s.Failed, c.failed)
+			r := rows[si*len(pols)+pi]
+			if r == nil {
 				t.AddRow(pol, "FAILED", "FAILED", "FAILED",
 					"FAILED", "FAILED", "FAILED", "FAILED")
 				continue
 			}
-			t.AddRow(pol, c.thr, c.fmar, c.migGB,
-				c.rePromo, c.thrashGB, c.aborts, c.shadowHit)
+			t.AddRow(append([]any{pol}, *r...)...)
 		}
 		t.Note = "RePromo = promotions of previously demoted pages; Thrash = bytes moved on promote→demote round trips " +
 			"within one thrash window (60 s); ShadowHit = clean zero-copy share of Nomad shadow demotions; +guard = same policy behind the anti-thrashing controller"

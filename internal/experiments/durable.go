@@ -2,12 +2,13 @@ package experiments
 
 // Durable sweep cells: the experiments-layer half of checkpoint/restore.
 //
-// A sweep cell (one ResilientRun of a (policy, workload) pair) becomes
-// durable when RunOpts.Checkpoint names a directory. The cell then runs
+// A sweep cell (one ResilientRun of a Cell) becomes durable when
+// RunOpts.Checkpoint names a directory. The cell then runs
 // through the internal/run driver, which snapshots it at a wall-clock
 // cadence, on drain and on stall, to <dir>/cells/<key>.ckpt, where <key>
 // is a hash of the cell's canonical RunSpec. When the cell finishes, its
-// metrics land in <key>.done and the snapshot is deleted. A later
+// metrics (and, for a figure that reads the live engine, its record) land
+// in <key>.done and the snapshot is deleted. A later
 // invocation with Resume set short-circuits finished cells from their
 // .done record and continues interrupted cells from their .ckpt —
 // bit-identical to a run that was never interrupted (the fence in
@@ -52,10 +53,12 @@ type CheckpointOpts struct {
 // belongs to, the state is the full engine capture.
 type cellCheckpoint = run.Checkpoint[RunSpec]
 
-// cellDone is the .done payload for a finished cell.
+// cellDone is the .done payload for a finished cell. Record is the
+// cell's record when it reads the live engine (see runCells).
 type cellDone struct {
 	Spec    RunSpec             `json:"spec"`
 	Metrics engine.MetricsState `json:"metrics"`
+	Record  json.RawMessage     `json:"record,omitempty"`
 }
 
 // specFor builds the canonical identity of a sweep cell. It must be
@@ -64,10 +67,10 @@ type cellDone struct {
 // Shards, ShardWorkers) are deliberately absent: they never affect
 // results, so a sweep checkpointed under one shard count resumes cleanly
 // under another.
-func specFor(experiment, polName string, w workload.Workload, o RunOpts) RunSpec {
+func specFor(c Cell, w workload.Workload, o RunOpts) RunSpec {
 	return RunSpec{
-		Experiment: experiment,
-		Policy:     polName,
+		Experiment: c.Experiment,
+		Policy:     c.Policy,
 		Workload:   w.Name(),
 		Detail:     fmt.Sprintf("%+v", w),
 		Seed:       o.Seed,
@@ -75,6 +78,7 @@ func specFor(experiment, polName string, w workload.Workload, o RunOpts) RunSpec
 		FastGB:     o.FastGB,
 		SlowGB:     o.SlowGB,
 		Faults:     o.Faults,
+		Param:      c.Param,
 	}
 }
 
@@ -121,8 +125,9 @@ func (dc *durableCell) resumePath() string {
 }
 
 // finished short-circuits a cell whose .done record exists: the returned
-// Result carries the recorded metrics and no engine (as after Compact).
-func (dc *durableCell) finished(w workload.Workload) (*Result, bool, error) {
+// Result carries the recorded metrics and no engine (as after Compact);
+// restore, when set, reads back the recorded record.
+func (dc *durableCell) finished(w workload.Workload, restore func(json.RawMessage) error) (*Result, bool, error) {
 	if !dc.opts.Resume {
 		return nil, false, nil
 	}
@@ -143,6 +148,9 @@ func (dc *durableCell) finished(w workload.Workload) (*Result, bool, error) {
 		return nil, false, err
 	}
 	m, err := done.Metrics.Materialize()
+	if err == nil && restore != nil {
+		err = restore(done.Record)
+	}
 	if err != nil {
 		_ = os.Remove(dc.donePath())
 		return nil, false, nil
@@ -167,14 +175,22 @@ func (dc *durableCell) checkCkpt(ck *cellCheckpoint) error {
 	return dc.checkSpec(ck.Spec, dc.ckptPath())
 }
 
-// markDone records the finished cell's metrics and drops its snapshot.
-// Best-effort: a write failure costs a future short-circuit, not the
-// already-computed result.
-func (dc *durableCell) markDone(m *engine.Metrics) {
+// markDone records the finished cell's metrics and record (nil when the
+// figure needs none) and drops its snapshot. Best-effort: a write or
+// encode failure costs a future short-circuit, not the already-computed
+// result.
+func (dc *durableCell) markDone(m *engine.Metrics, rec any) {
 	if err := os.MkdirAll(dc.cellDir(), 0o755); err != nil {
 		return
 	}
 	done := cellDone{Spec: dc.spec, Metrics: m.State()}
+	if rec != nil {
+		raw, err := json.Marshal(rec)
+		if err != nil {
+			return
+		}
+		done.Record = raw
+	}
 	if err := checkpoint.Save(dc.donePath(), done); err != nil {
 		return
 	}

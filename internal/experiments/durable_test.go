@@ -62,10 +62,11 @@ func metricsJSON(t *testing.T, res *Result) string {
 func TestDurableCellDrainResumesBitIdentical(t *testing.T) {
 	for _, pol := range []string{"TPP", "Linux-NB"} {
 		t.Run(pol, func(t *testing.T) {
+			cell := Cell{Experiment: "durable/drain", Policy: pol, Workload: mkDurableWorkload}
 			// Reference: the same cell, no checkpointing, never interrupted.
 			refOpts := durableOpts("")
 			refOpts.Checkpoint = nil
-			ref, failedRef, err := ResilientRun("durable/drain", pol, mkDurableWorkload, refOpts)
+			ref, failedRef, err := ResilientRun(cell, refOpts)
 			if err != nil || failedRef != nil {
 				t.Fatalf("reference run: err=%v failed=%v", err, failedRef)
 			}
@@ -78,7 +79,7 @@ func TestDurableCellDrainResumesBitIdentical(t *testing.T) {
 			cctx, cancel := context.WithCancel(context.Background())
 			cancel()
 			o.Ctx = cctx
-			res, failed, err := ResilientRun("durable/drain", pol, mkDurableWorkload, o)
+			res, failed, err := ResilientRun(cell, o)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -116,7 +117,7 @@ func TestDurableCellDrainResumesBitIdentical(t *testing.T) {
 			// Resume: continues from the snapshot and must finish bit-identical.
 			o.Ctx = nil
 			o.Checkpoint.Resume = true
-			res2, failed2, err := ResilientRun("durable/drain", pol, mkDurableWorkload, o)
+			res2, failed2, err := ResilientRun(cell, o)
 			if err != nil || failed2 != nil {
 				t.Fatalf("resumed run: err=%v failed=%v", err, failed2)
 			}
@@ -131,7 +132,7 @@ func TestDurableCellDrainResumesBitIdentical(t *testing.T) {
 			if _, serr := os.Stat(failed.ResumeCkpt); !os.IsNotExist(serr) {
 				t.Fatalf("finished cell kept its snapshot: %v", serr)
 			}
-			res3, failed3, err := ResilientRun("durable/drain", pol, mkDurableWorkload, o)
+			res3, failed3, err := ResilientRun(cell, o)
 			if err != nil || failed3 != nil {
 				t.Fatalf("short-circuit run: err=%v failed=%v", err, failed3)
 			}
@@ -151,7 +152,7 @@ func TestDurableCellStaleCheckpointFallsBack(t *testing.T) {
 	dir := t.TempDir()
 	o := durableOpts(dir)
 	o.Checkpoint.Resume = true
-	spec := specFor("durable/stale", "TPP", mkDurableWorkload(), o.withDefaults())
+	spec := specFor(Cell{Experiment: "durable/stale", Policy: "TPP"}, mkDurableWorkload(), o.withDefaults())
 	path := filepath.Join(dir, "cells", cellKey(spec)+".ckpt")
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		t.Fatal(err)
@@ -159,7 +160,7 @@ func TestDurableCellStaleCheckpointFallsBack(t *testing.T) {
 	if err := os.WriteFile(path, []byte("not a checkpoint"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	res, failed, err := ResilientRun("durable/stale", "TPP", mkDurableWorkload, o)
+	res, failed, err := ResilientRun(Cell{Experiment: "durable/stale", Policy: "TPP", Workload: mkDurableWorkload}, o)
 	if err != nil || failed != nil {
 		t.Fatalf("fallback replay: err=%v failed=%v", err, failed)
 	}
@@ -177,7 +178,7 @@ func TestDurableCellRejectsMismatchedSpec(t *testing.T) {
 	dir := t.TempDir()
 	o := durableOpts(dir)
 	o.Checkpoint.Resume = true
-	spec := specFor("durable/mismatch", "TPP", mkDurableWorkload(), o.withDefaults())
+	spec := specFor(Cell{Experiment: "durable/mismatch", Policy: "TPP"}, mkDurableWorkload(), o.withDefaults())
 	path := filepath.Join(dir, "cells", cellKey(spec)+".ckpt")
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		t.Fatal(err)
@@ -187,7 +188,7 @@ func TestDurableCellRejectsMismatchedSpec(t *testing.T) {
 	if err := checkpoint.Save(path, cellCheckpoint{Spec: other}); err != nil {
 		t.Fatal(err)
 	}
-	_, _, err := ResilientRun("durable/mismatch", "TPP", mkDurableWorkload, o)
+	_, _, err := ResilientRun(Cell{Experiment: "durable/mismatch", Policy: "TPP", Workload: mkDurableWorkload}, o)
 	if err == nil || !strings.Contains(err.Error(), "different run configuration") {
 		t.Fatalf("mismatched spec not rejected: err=%v", err)
 	}
@@ -227,7 +228,7 @@ func TestStallWatchdogFlagsFrozenCell(t *testing.T) {
 	run.StallTestHook = func(simclock.Time) simclock.Time { return 0 }
 	defer func() { run.StallTestHook = nil }()
 
-	res, failed, err := ResilientRun("durable/stall", "TPP", mkSlowWorkload, o)
+	res, failed, err := ResilientRun(Cell{Experiment: "durable/stall", Policy: "TPP", Workload: mkSlowWorkload}, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +256,7 @@ func TestStallWatchdogFlagsFrozenCell(t *testing.T) {
 	run.StallTestHook = nil
 	o.Checkpoint.Resume = true
 	o.Checkpoint.StallTimeout = 0
-	res2, failed2, err := ResilientRun("durable/stall", "TPP", mkSlowWorkload, o)
+	res2, failed2, err := ResilientRun(Cell{Experiment: "durable/stall", Policy: "TPP", Workload: mkSlowWorkload}, o)
 	if err != nil || failed2 != nil {
 		t.Fatalf("resume after stall: err=%v failed=%v", err, failed2)
 	}
@@ -339,7 +340,7 @@ func TestHardStallAbandonsAndCounts(t *testing.T) {
 	before := watchdog.Abandoned()
 	o := durableOpts(t.TempDir())
 	o.Checkpoint.StallTimeout = 25 * time.Millisecond
-	res, failed, err := ResilientRun("durable/hardstall", "TPP", mk, o)
+	res, failed, err := ResilientRun(Cell{Experiment: "durable/hardstall", Policy: "TPP", Workload: mk}, o)
 	if err != nil {
 		t.Fatal(err)
 	}

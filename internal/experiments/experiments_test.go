@@ -108,34 +108,36 @@ func TestPmbenchSweepTables(t *testing.T) {
 }
 
 func TestFig1Shape(t *testing.T) {
-	rows, err := RunFig1(RunOpts{Duration: 400 * simclock.Second})
+	rows, _, err := fig1Rows(RunOpts{Duration: 400 * simclock.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rows) != 4 {
 		t.Fatalf("%d benchmarks", len(rows))
 	}
-	for _, r := range rows {
+	for i, r := range rows {
 		// The paper's headline shape: DRAM pages denser than NVM, and
 		// the top-10% NVM region several times the NVM average.
+		name := fig1Benchmarks[i].name
 		if r.DRAM <= r.NVM {
-			t.Fatalf("%s: DRAM %.1f <= NVM %.1f", r.Benchmark, r.DRAM, r.NVM)
+			t.Fatalf("%s: DRAM %.1f <= NVM %.1f", name, r.DRAM, r.NVM)
 		}
 		if r.NVMHot < r.NVM*1.5 {
-			t.Fatalf("%s: NVM-Hot %.1f not above NVM avg %.1f", r.Benchmark, r.NVMHot, r.NVM)
+			t.Fatalf("%s: NVM-Hot %.1f not above NVM avg %.1f", name, r.NVMHot, r.NVM)
 		}
 	}
-	tbl := Fig1Table(rows)
+	tbl := fig1Table(rows)
 	if len(tbl.Rows) != 4 {
 		t.Fatal("table rows")
 	}
 }
 
 func TestFig2bShape(t *testing.T) {
-	tbl, err := RunFig2b(RunOpts{Duration: 180 * simclock.Second})
+	s, err := RunFig2b(RunOpts{Duration: 180 * simclock.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
+	tbl := s.Tables[0]
 	if len(tbl.Rows) != 2 {
 		t.Fatal("rows")
 	}
@@ -263,7 +265,7 @@ func TestFig13VariantsOrdering(t *testing.T) {
 }
 
 func TestSensitivityTableShape(t *testing.T) {
-	tbl, err := RunSensitivity("mini sensitivity",
+	s, err := RunSensitivity("mini sensitivity",
 		func() workload.Workload {
 			return &workload.Pmbench{Processes: 8, WorkingSetGB: 16, ReadPct: 70, Stride: 2}
 		},
@@ -271,6 +273,7 @@ func TestSensitivityTableShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	tbl := s.Tables[0]
 	if len(tbl.Rows) != len(SensitivityParams) {
 		t.Fatalf("%d sensitivity rows", len(tbl.Rows))
 	}
@@ -300,10 +303,11 @@ func TestSeriesHelpers(t *testing.T) {
 func TestExtendedComparisonRuns(t *testing.T) {
 	// All nine Table 1 policies on a shrunken workload.
 	o := RunOpts{Duration: 90 * simclock.Second}
-	tbl, err := RunExtendedComparison(o)
+	s, err := RunExtendedComparison(o)
 	if err != nil {
 		t.Fatal(err)
 	}
+	tbl := s.Tables[0]
 	if len(tbl.Rows) != len(ExtendedPolicies) {
 		t.Fatalf("%d rows, want %d", len(tbl.Rows), len(ExtendedPolicies))
 	}

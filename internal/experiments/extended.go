@@ -15,49 +15,61 @@ import (
 // drifting-hotspot adaptivity study that exercises the "adapts to
 // changing workload patterns" claim of §3.2.2 directly.
 
+// extRow is one policy's row of the extended comparison. Its fields are
+// exported because the F1 and PPR scores read the live engine, so the
+// row is stored with its cell.
+type extRow struct {
+	Thr, FMAR, F1, PPR, Kernel float64
+}
+
+// extRecord reads a finished ext cell's row; Score needs its engine.
+func extRecord(res *Result) extRow {
+	_, f1, ppr := Score(res)
+	m := res.Metrics
+	return extRow{Thr: m.Throughput(), FMAR: m.FMAR() * 100, F1: f1,
+		PPR: ppr, Kernel: m.KernelTimeFrac() * 100}
+}
+
+// headlineCell is the Figure 6a workload at R/W=70:30 under pol, the
+// workload of the extended comparison and the seed sweep.
+func headlineCell(experiment, pol string) Cell {
+	return Cell{Experiment: experiment, Policy: pol, Workload: func() workload.Workload {
+		return &workload.Pmbench{
+			Processes: 50, WorkingSetGB: 5, ReadPct: 70, Stride: 2,
+			Mode: DefaultModeFor(pol),
+		}
+	}}
+}
+
 // RunExtendedComparison runs every Table 1 system on the headline pmbench
 // workload and reports throughput, FMAR and identification quality.
-func RunExtendedComparison(o RunOpts) (*report.Table, error) {
+func RunExtendedComparison(o RunOpts) (*Sweep, error) {
 	t := report.NewTable(
 		"Extension: all Table 1 systems on the Figure 6a workload (R/W=70:30)",
 		"Policy", "Thr (Mop/s)", "vs Linux-NB", "FMAR (%)", "F1", "PPR", "Kernel (%)")
-	type row struct {
-		thr, fmar, f1, ppr, kernel float64
-	}
-	jobs := make([]func() (row, error), len(ExtendedPolicies))
+	cells := make([]Cell, len(ExtendedPolicies))
 	for i, pol := range ExtendedPolicies {
-		pol := pol
-		jobs[i] = func() (row, error) {
-			w := &workload.Pmbench{
-				Processes: 50, WorkingSetGB: 5, ReadPct: 70, Stride: 2,
-				Mode: DefaultModeFor(pol),
-			}
-			res, err := Run(pol, w, o)
-			if err != nil {
-				return row{}, err
-			}
-			_, f1, ppr := Score(res)
-			m := res.Metrics
-			res.Compact()
-			return row{thr: m.Throughput(), fmar: m.FMAR() * 100, f1: f1,
-				ppr: ppr, kernel: m.KernelTimeFrac() * 100}, nil
-		}
+		cells[i] = headlineCell("ext", pol)
 	}
-	rows, err := parallel.MapCtx(o.ctx(), o.Workers, jobs)
+	rows, out, err := runCells(cells, o, true, extRecord)
 	if err != nil {
 		return nil, err
 	}
-	var base float64
+	base := 1.0
+	if b := rows[baselineIdx(ExtendedPolicies)]; b != nil {
+		base = b.Thr
+	}
 	for i, pol := range ExtendedPolicies {
-		if pol == "Linux-NB" {
-			base = rows[i].thr
+		r := rows[i]
+		if r == nil {
+			t.AddRow(pol, "FAILED", "FAILED", "FAILED", "FAILED", "FAILED", "FAILED")
+			continue
 		}
-		t.AddRow(pol, rows[i].thr, rows[i].thr/base,
-			rows[i].fmar, rows[i].f1, rows[i].ppr, rows[i].kernel)
+		t.AddRow(pol, r.Thr, r.Thr/base, r.FMAR, r.F1, r.PPR, r.Kernel)
 	}
 	t.Note = "Telescope/HeMem/FlexMem are extensions beyond the paper's evaluation; this workload's per-real-page " +
 		"rates (~1-6 access/s) sit inside Telescope's 0~5/s resolution band (Table 1), so its streak profiler ranks it well here"
-	return t, nil
+	return &Sweep{Tables: []*report.Table{t}, Outcome: out}, nil
 }
 
 // DriftResult captures one policy's behaviour under a moving hotspot.

@@ -118,7 +118,7 @@ func mkCrashWorkload() workload.Workload {
 
 func TestResilientRunCapturesPanic(t *testing.T) {
 	o := RunOpts{Seed: 42, FastGB: 2, SlowGB: 6, Duration: 30 * simclock.Second}
-	res, failed, err := ResilientRun("crash-probe", "Linux-NB", mkCrashWorkload, o)
+	res, failed, err := ResilientRun(Cell{Experiment: "crash-probe", Policy: "Linux-NB", Workload: mkCrashWorkload}, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestResilientRunConfigErrorNotRetried(t *testing.T) {
 	mk := func() workload.Workload {
 		return &workload.Pmbench{Processes: 1, WorkingSetGB: 1, ReadPct: 70, Stride: 2}
 	}
-	_, failed, err := ResilientRun("bad-policy", "NoSuchPolicy", mk, o)
+	_, failed, err := ResilientRun(Cell{Experiment: "bad-policy", Policy: "NoSuchPolicy", Workload: mk}, o)
 	if err == nil {
 		t.Fatal("unknown policy did not surface an error")
 	}

@@ -17,49 +17,51 @@ import (
 // This file implements the Figures 1, 2 and 12 harnesses (the workload
 // characterization figures and the in-memory database comparison).
 
-// Fig1Row is one benchmark's per-page access frequency breakdown.
+// Fig1Row is one benchmark's per-page access frequency breakdown, in
+// accesses per page per minute.
 type Fig1Row struct {
-	Benchmark string
-	// Accesses per page per minute.
 	DRAM, NVM, NVMHot float64
+}
+
+// fig1Benchmarks are Figure 1's workloads, in table order.
+var fig1Benchmarks = []struct {
+	name string
+	mk   func() workload.Workload
+}{
+	{"Pmbench", func() workload.Workload {
+		return &workload.Pmbench{Processes: 32, WorkingSetGB: 7, ReadPct: 70, Stride: 2}
+	}},
+	{"Graph500", func() workload.Workload { return &workload.Graph500{TotalGB: 224, Processes: 8} }},
+	{"Memcached", func() workload.Workload {
+		return &workload.KVStore{Flavor: workload.Memcached, StoreGB: 160, SetRatio: 1, GetRatio: 10}
+	}},
+	{"Redis", func() workload.Workload {
+		return &workload.KVStore{Flavor: workload.Redis, StoreGB: 160, SetRatio: 1, GetRatio: 10}
+	}},
 }
 
 // RunFig1 reproduces Figure 1: per-page access frequency for DRAM and NVM,
 // plus the top-10% hot NVM region, across the four benchmarks, measured
 // under vanilla NUMA balancing (the PMU measurement setup of §2.2).
-func RunFig1(o RunOpts) ([]Fig1Row, error) {
-	// Workload constructors, not instances: Build mutates the workload, so
-	// each parallel job gets its own.
-	mks := []func() workload.Workload{
-		func() workload.Workload {
-			return &workload.Pmbench{Processes: 32, WorkingSetGB: 7, ReadPct: 70, Stride: 2}
-		},
-		func() workload.Workload { return &workload.Graph500{TotalGB: 224, Processes: 8} },
-		func() workload.Workload {
-			return &workload.KVStore{Flavor: workload.Memcached, StoreGB: 160, SetRatio: 1, GetRatio: 10}
-		},
-		func() workload.Workload {
-			return &workload.KVStore{Flavor: workload.Redis, StoreGB: 160, SetRatio: 1, GetRatio: 10}
-		},
+func RunFig1(o RunOpts) (*Sweep, error) {
+	rows, out, err := fig1Rows(o)
+	if err != nil {
+		return nil, err
 	}
-	names := []string{"Pmbench", "Graph500", "Memcached", "Redis"}
-	jobs := make([]func() (Fig1Row, error), len(mks))
-	for i := range mks {
-		i := i
-		jobs[i] = func() (Fig1Row, error) {
-			res, err := Run("Linux-NB", mks[i](), o)
-			if err != nil {
-				return Fig1Row{}, err
-			}
-			// fig1Row reads page rates off the live engine, so it runs in
-			// the worker before the engine is dropped.
-			return fig1Row(names[i], res), nil
-		}
-	}
-	return parallel.MapCtx(o.ctx(), o.Workers, jobs)
+	return &Sweep{Tables: []*report.Table{fig1Table(rows)}, Outcome: out}, nil
 }
 
-func fig1Row(name string, res *Result) Fig1Row {
+// fig1Rows runs Figure 1's cells. A row reads page rates off the live
+// engine, so it is stored with its cell.
+func fig1Rows(o RunOpts) ([]*Fig1Row, Outcome, error) {
+	cells := make([]Cell, len(fig1Benchmarks))
+	for i, b := range fig1Benchmarks {
+		cells[i] = Cell{Experiment: "fig1/" + b.name, Policy: "Linux-NB", Workload: b.mk}
+	}
+	return runCells(cells, o, true, fig1Row)
+}
+
+func fig1Row(res *Result) Fig1Row {
 	e := res.Engine
 	scale := e.CostScale()
 	var dramRate, nvmRate float64
@@ -80,7 +82,7 @@ func fig1Row(name string, res *Result) Fig1Row {
 			nvmRates = append(nvmRates, r)
 		}
 	}
-	row := Fig1Row{Benchmark: name}
+	var row Fig1Row
 	if dramPages > 0 {
 		row.DRAM = dramRate / float64(dramPages) * 60
 	}
@@ -94,17 +96,22 @@ func fig1Row(name string, res *Result) Fig1Row {
 	return row
 }
 
-// Fig1Table renders the Figure 1 rows.
-func Fig1Table(rows []Fig1Row) *report.Table {
+// fig1Table renders the Figure 1 rows.
+func fig1Table(rows []*Fig1Row) *report.Table {
 	t := report.NewTable(
 		"Figure 1: per-page access frequency (#/minute, per real 4KB page)",
 		"Benchmark", "DRAM", "NVM", "NVM-Hot (top 10%)", "hot/avg ratio")
-	for _, r := range rows {
+	for i, r := range rows {
+		name := fig1Benchmarks[i].name
+		if r == nil {
+			t.AddRow(name, "FAILED", "FAILED", "FAILED", "FAILED")
+			continue
+		}
 		ratio := 0.0
 		if r.NVM > 0 {
 			ratio = r.NVMHot / r.NVM
 		}
-		t.AddRow(r.Benchmark, r.DRAM, r.NVM, r.NVMHot, ratio)
+		t.AddRow(name, r.DRAM, r.NVM, r.NVMHot, ratio)
 	}
 	t.Note = "frequencies are per real 4KB page (aggregate rate / capacity scale)"
 	return t
@@ -150,34 +157,32 @@ func RunFig2a(policies []string, o RunOpts) (*report.Table, error) {
 
 // RunFig2b reproduces Figure 2b: the PEBS counter bin distribution under
 // huge-page vs base-page granularity for Memtis on the same workload.
-func RunFig2b(o RunOpts) (*report.Table, error) {
+func RunFig2b(o RunOpts) (*Sweep, error) {
 	t := report.NewTable("Figure 2b: PEBS bin distribution (Memtis, % of sampled pages)",
 		"Granularity", "bin#1", "bin#2-3", "bin#4-5", "bin#6-7", "bin#8-9", "bin#>9")
 	modes := []struct {
 		name string
 		m    engine.PageSizeMode
 	}{{"Huge-Page", engine.HugePages}, {"Base-Page", engine.BasePages}}
-	jobs := make([]func() ([6]float64, error), len(modes))
+	cells := make([]Cell, len(modes))
 	for i, mode := range modes {
-		mode := mode
-		jobs[i] = func() ([6]float64, error) {
-			w := &workload.Pmbench{
+		cells[i] = Cell{Experiment: "fig2b/" + mode.name, Policy: "Memtis", Workload: func() workload.Workload {
+			return &workload.Pmbench{
 				Processes: 32, WorkingSetGB: 7.8, ReadPct: 70, Stride: 2, Mode: mode.m,
 			}
-			res, err := Run("Memtis", w, o)
-			if err != nil {
-				return [6]float64{}, err
-			}
-			// binGroups walks the live page table against the sampler, so
-			// it runs in-worker.
-			return binGroups(res, res.Engine.Policy().(*memtis.Policy)), nil
-		}
+		}}
 	}
-	rows, err := parallel.MapCtx(o.ctx(), o.Workers, jobs)
+	// binGroups walks the live page table against the sampler, so the
+	// groups are stored with their cells.
+	rows, out, err := runCells(cells, o, true, binGroups)
 	if err != nil {
 		return nil, err
 	}
 	for i, mode := range modes {
+		if rows[i] == nil {
+			t.AddRow(mode.name, "FAILED", "FAILED", "FAILED", "FAILED", "FAILED", "FAILED")
+			continue
+		}
 		cells := []any{mode.name}
 		for _, g := range rows[i] {
 			cells = append(cells, g*100)
@@ -185,12 +190,13 @@ func RunFig2b(o RunOpts) (*report.Table, error) {
 		t.AddRow(cells...)
 	}
 	t.Note = "pages with a zero counter are excluded, as in the paper's sampled-page statistic"
-	return t, nil
+	return &Sweep{Tables: []*report.Table{t}, Outcome: out}, nil
 }
 
-// binGroups buckets non-zero PEBS counters into the Figure 2b groups:
-// bin#1, #2-3, #4-5, #6-7, #8-9, >9.
-func binGroups(res *Result, pol *memtis.Policy) [6]float64 {
+// binGroups buckets a Memtis run's non-zero PEBS counters into the
+// Figure 2b groups: bin#1, #2-3, #4-5, #6-7, #8-9, >9.
+func binGroups(res *Result) [6]float64 {
+	pol := res.Engine.Policy().(*memtis.Policy)
 	var counts [6]float64
 	var total float64
 	for _, pg := range res.Engine.Pages() {
@@ -228,63 +234,63 @@ func binGroups(res *Result, pol *memtis.Policy) [6]float64 {
 	return counts
 }
 
-// RunFig12 reproduces Figure 12: Memcached and Redis throughput under
-// SET:GET 1:10 and 1:1, normalized to Linux-NB.
-func RunFig12(policies []string, o RunOpts) ([]*report.Table, error) {
-	var out []*report.Table
-	flavors := []struct {
+// The Figure 12 grid: KV store flavors by SET:GET mixes by policies.
+var (
+	fig12Flavors = []struct {
 		name string
 		f    workload.KVFlavor
 	}{{"Memcached", workload.Memcached}, {"Redis", workload.Redis}}
-	mixes := []struct {
+	fig12Mixes = []struct {
 		label    string
 		set, get float64
 	}{{"1:10", 1, 10}, {"1:1", 1, 1}}
-	var jobs []func() (float64, error)
-	for _, flavor := range flavors {
-		for _, mix := range mixes {
+)
+
+// RunFig12 reproduces Figure 12: Memcached and Redis throughput under
+// SET:GET 1:10 and 1:1, normalized to Linux-NB.
+func RunFig12(policies []string, o RunOpts) (*Sweep, error) {
+	thr, out, err := runCells(fig12Cells(policies), o, false, throughput)
+	if err != nil {
+		return nil, err
+	}
+	return &Sweep{Tables: fig12Tables(policies, thr), Outcome: out}, nil
+}
+
+// fig12Cells is the Figure 12 grid, flavor-major.
+func fig12Cells(policies []string) []Cell {
+	var cells []Cell
+	for _, flavor := range fig12Flavors {
+		for _, mix := range fig12Mixes {
 			for _, pol := range policies {
-				flavor, mix, pol := flavor, mix, pol
-				jobs = append(jobs, func() (float64, error) {
-					w := &workload.KVStore{
-						Flavor: flavor.f, StoreGB: 160,
-						SetRatio: mix.set, GetRatio: mix.get,
-						Mode: DefaultModeFor(pol),
-					}
-					res, err := Run(pol, w, o)
-					if err != nil {
-						return 0, err
-					}
-					return res.Metrics.Throughput(), nil
+				cells = append(cells, Cell{
+					Experiment: "fig12/" + flavor.name + "/" + mix.label,
+					Policy:     pol,
+					Workload: func() workload.Workload {
+						return &workload.KVStore{
+							Flavor: flavor.f, StoreGB: 160,
+							SetRatio: mix.set, GetRatio: mix.get,
+							Mode: DefaultModeFor(pol),
+						}
+					},
 				})
 			}
 		}
 	}
-	flat, err := parallel.MapCtx(o.ctx(), o.Workers, jobs)
-	if err != nil {
-		return nil, err
-	}
-	i := 0
-	for _, flavor := range flavors {
+	return cells
+}
+
+// fig12Tables renders one table per flavor from the cells' throughputs.
+func fig12Tables(policies []string, thr []*float64) []*report.Table {
+	var out []*report.Table
+	for _, flavor := range fig12Flavors {
 		t := report.NewTable(
 			fmt.Sprintf("Figure 12: %s normalized throughput", flavor.name),
 			append([]string{"Set/Get"}, policies...)...)
-		for _, mix := range mixes {
-			thr := flat[i : i+len(policies)]
-			i += len(policies)
-			base := thr[0]
-			for pi, p := range policies {
-				if p == "Linux-NB" {
-					base = thr[pi]
-				}
-			}
-			cells := []any{mix.label}
-			for _, v := range thr {
-				cells = append(cells, v/base)
-			}
-			t.AddRow(cells...)
+		for _, mix := range fig12Mixes {
+			t.AddRow(valueRow(mix.label, thr[:len(policies)], baselineIdx(policies))...)
+			thr = thr[len(policies):]
 		}
 		out = append(out, t)
 	}
-	return out, nil
+	return out
 }

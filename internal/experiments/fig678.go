@@ -1,11 +1,8 @@
 package experiments
 
 import (
-	"context"
-	"errors"
 	"fmt"
 
-	"chrono/internal/parallel"
 	"chrono/internal/report"
 	"chrono/internal/units"
 	"chrono/internal/workload"
@@ -39,44 +36,23 @@ type PmbenchSweep struct {
 	Config   PmbenchConfig
 	Policies []string
 	Ratios   []float64
-	// Results[ratioIdx][policyIdx]; a nil cell is a run that crashed every
-	// attempt — its repro bundle is in Failed and the renderers degrade to
-	// "FAILED" cells instead of dying.
+	// Results[ratioIdx][policyIdx]; a nil cell is a run that did not
+	// finish (see Outcome), and the renderers write FAILED for it.
 	Results [][]*Result
-	// Failed is the failure manifest, in grid order. Interrupted and
-	// stalled cells appear here too, each with a resume pointer when a
-	// snapshot exists.
-	Failed []FailedRun
-	// Interrupted reports that the sweep was drained by a cancelled
-	// context before every cell ran: skipped cells have nil Results slots
-	// and no Failed entry — rerunning with resume enabled completes them.
-	Interrupted bool
+	Outcome
 }
 
-// sweepCell is one grid slot's outcome: exactly one field is set.
-type sweepCell struct {
-	res    *Result
-	failed *FailedRun
-}
-
-// RunPmbenchSweep executes the full (policy × ratio) grid. The grid cells
-// are independent simulations, fanned across o.Workers and reassembled in
-// grid order; each worker constructs its own workload (Build mutates the
-// workload struct) and compacts its result once the metrics are extracted.
-//
-// Each cell runs under ResilientRun: a crashing cell is retried o.Retries
-// times and then recorded in the Failed manifest with a nil Results slot,
-// so the surviving grid still renders. Only deterministic configuration
-// errors (unknown policy) abort the sweep.
+// RunPmbenchSweep executes the full (policy × ratio) grid, ratio-major,
+// through runCells. Each kept Result is compacted: metrics, workload
+// parameters and Chrono tuning histories only.
 func RunPmbenchSweep(cfg PmbenchConfig, policies []string, ratios []float64, o RunOpts) (*PmbenchSweep, error) {
-	o = o.withDefaults()
-	s := &PmbenchSweep{Config: cfg, Policies: policies, Ratios: ratios}
-	jobs := make([]func() (sweepCell, error), 0, len(ratios)*len(policies))
+	var cells []Cell
 	for _, ratio := range ratios {
 		for _, pol := range policies {
-			ratio, pol := ratio, pol
-			jobs = append(jobs, func() (sweepCell, error) {
-				mk := func() workload.Workload {
+			cells = append(cells, Cell{
+				Experiment: fmt.Sprintf("pmbench/%s/rw=%s", cfg.Label, RatioLabel(ratio)),
+				Policy:     pol,
+				Workload: func() workload.Workload {
 					return &workload.Pmbench{
 						Processes:    cfg.Processes,
 						WorkingSetGB: cfg.WorkingSetGB,
@@ -84,57 +60,19 @@ func RunPmbenchSweep(cfg PmbenchConfig, policies []string, ratios []float64, o R
 						Stride:       2,
 						Mode:         DefaultModeFor(pol),
 					}
-				}
-				experiment := fmt.Sprintf("pmbench/%s/rw=%s", cfg.Label, RatioLabel(ratio))
-				res, failed, err := ResilientRun(experiment, pol, mk, o)
-				if err != nil {
-					return sweepCell{}, err
-				}
-				if res != nil {
-					res.Compact()
-				}
-				return sweepCell{res: res, failed: failed}, nil
+				},
 			})
 		}
 	}
-	flat, errs := parallel.MapRecoverCtx(o.ctx(), o.Workers, jobs)
-	for _, jerr := range errs {
-		if jerr == nil {
-			continue
-		}
-		if errors.Is(jerr, context.Canceled) || errors.Is(jerr, context.DeadlineExceeded) {
-			// A cell skipped by the drain is not a failure: its slot stays
-			// nil and the next resume run picks it up.
-			s.Interrupted = true
-			continue
-		}
-		return nil, jerr
+	flat, out, err := runCells(cells, o, false, func(res *Result) Result { return *res })
+	if err != nil {
+		return nil, err
 	}
+	s := &PmbenchSweep{Config: cfg, Policies: policies, Ratios: ratios, Outcome: out}
 	for ri := range ratios {
-		row := make([]*Result, len(policies))
-		for pi := range policies {
-			cell := flat[ri*len(policies)+pi]
-			row[pi] = cell.res
-			if cell.failed != nil {
-				s.Failed = append(s.Failed, *cell.failed)
-				if cell.failed.Interrupted {
-					s.Interrupted = true
-				}
-			}
-		}
-		s.Results = append(s.Results, row)
+		s.Results = append(s.Results, flat[ri*len(policies):(ri+1)*len(policies):(ri+1)*len(policies)])
 	}
 	return s, nil
-}
-
-// baselineIdx locates Linux-NB (the normalization baseline) in Policies.
-func (s *PmbenchSweep) baselineIdx() int {
-	for i, p := range s.Policies {
-		if p == "Linux-NB" {
-			return i
-		}
-	}
-	return 0
 }
 
 // ThroughputTable renders Figure 6: throughput per policy per R/W ratio,
@@ -143,21 +81,9 @@ func (s *PmbenchSweep) ThroughputTable() *report.Table {
 	t := report.NewTable(
 		fmt.Sprintf("Figure 6: pmbench normalized throughput (%s)", s.Config.Label),
 		append([]string{"R/W ratio"}, s.Policies...)...)
-	base := s.baselineIdx()
+	base := baselineIdx(s.Policies)
 	for ri, ratio := range s.Ratios {
-		cells := []any{RatioLabel(ratio)}
-		nb := 1.0
-		if b := s.Results[ri][base]; b != nil {
-			nb = b.Metrics.Throughput()
-		}
-		for _, res := range s.Results[ri] {
-			if res == nil {
-				cells = append(cells, "FAILED")
-				continue
-			}
-			cells = append(cells, res.Metrics.Throughput()/nb)
-		}
-		t.AddRow(cells...)
+		t.AddRow(valueRow(RatioLabel(ratio), each(s.Results[ri], throughput), base)...)
 	}
 	if b := s.atRatio(70)[base]; b != nil {
 		t.Note = fmt.Sprintf("absolute Linux-NB throughput at 70:30 = %.1f Mop/s",
@@ -166,6 +92,18 @@ func (s *PmbenchSweep) ThroughputTable() *report.Table {
 		t.Note = "Linux-NB baseline run failed; see the failure manifest"
 	}
 	return t
+}
+
+// each applies get to every finished run; nil where the run failed.
+func each(rs []*Result, get func(*Result) float64) []*float64 {
+	vals := make([]*float64, len(rs))
+	for i, r := range rs {
+		if r != nil {
+			v := get(r)
+			vals[i] = &v
+		}
+	}
+	return vals
 }
 
 func (s *PmbenchSweep) atRatio(ratio float64) []*Result {
@@ -180,13 +118,12 @@ func (s *PmbenchSweep) atRatio(ratio float64) []*Result {
 // LatencyTables renders Figure 7b-e: average / median / P99 latency per
 // policy, normalized to Linux-NB, one table per R/W ratio.
 func (s *PmbenchSweep) LatencyTables() []*report.Table {
-	base := s.baselineIdx()
+	base := baselineIdx(s.Policies)
 	var out []*report.Table
 	for ri, ratio := range s.Ratios {
 		t := report.NewTable(
 			fmt.Sprintf("Figure 7: pmbench latency, R/W=%s (normalized to Linux-NB)", RatioLabel(ratio)),
 			append([]string{"Statistic"}, s.Policies...)...)
-		nbRes := s.Results[ri][base]
 		for _, stat := range []struct {
 			name string
 			get  func(res *Result) float64
@@ -195,26 +132,7 @@ func (s *PmbenchSweep) LatencyTables() []*report.Table {
 			{"Median", func(r *Result) float64 { return r.Metrics.Lat.Percentile(0.5) }},
 			{"P99", func(r *Result) float64 { return r.Metrics.Lat.Percentile(0.99) }},
 		} {
-			den := 1.0
-			if nbRes != nil {
-				switch stat.name {
-				case "Average":
-					den = nbRes.Metrics.Lat.Mean()
-				case "Median":
-					den = nbRes.Metrics.Lat.Percentile(0.5)
-				case "P99":
-					den = nbRes.Metrics.Lat.Percentile(0.99)
-				}
-			}
-			cells := []any{stat.name}
-			for _, res := range s.Results[ri] {
-				if res == nil {
-					cells = append(cells, "FAILED")
-					continue
-				}
-				cells = append(cells, stat.get(res)/den)
-			}
-			t.AddRow(cells...)
+			t.AddRow(valueRow(stat.name, each(s.Results[ri], stat.get), base)...)
 		}
 		out = append(out, t)
 	}
@@ -224,7 +142,7 @@ func (s *PmbenchSweep) LatencyTables() []*report.Table {
 // BaselineLatencyCDF renders Figure 7a: the accumulated latency
 // distribution of memory loads and stores under Linux-NB.
 func (s *PmbenchSweep) BaselineLatencyCDF() *report.Table {
-	base := s.atRatio(70)[s.baselineIdx()]
+	base := s.atRatio(70)[baselineIdx(s.Policies)]
 	t := report.NewTable(
 		"Figure 7a: Linux-NB latency distribution (accumulated %)",
 		"Latency (ns)", "Load %", "Store %")

@@ -8,7 +8,6 @@ import (
 	"chrono/internal/faultinject"
 	"chrono/internal/run"
 	"chrono/internal/units"
-	"chrono/internal/workload"
 )
 
 // Crash-resilient run wrapper: a sweep cell that panics — a policy bug, an
@@ -19,8 +18,8 @@ import (
 // times before the sweep records it in its failure manifest and moves on.
 
 // RunSpec identifies one simulation run precisely enough to replay it:
-// feed the same fields back through Run (or `reproduce -faults`) and the
-// deterministic engine reproduces the crash bit-for-bit.
+// feed the same fields back through ResilientRun (or `reproduce -faults`)
+// and the deterministic engine reproduces the crash bit-for-bit.
 type RunSpec struct {
 	// Experiment labels the sweep cell, e.g. "pmbench/64GB/rw=50:50".
 	Experiment string `json:"experiment"`
@@ -36,6 +35,9 @@ type RunSpec struct {
 	FastGB    units.GB         `json:"fast_gb"`
 	SlowGB    units.GB         `json:"slow_gb"`
 	Faults    faultinject.Plan `json:"faults"`
+	// Param is the scaled Chrono parameter of a sensitivity cell; absent
+	// otherwise, so other cells keep the keys they had before it existed.
+	Param *Param `json:"param,omitempty"`
 }
 
 // FailedRun is the repro bundle for one sweep cell that did not finish:
@@ -71,7 +73,7 @@ type FailedRun struct {
 	AbandonedGoroutine bool `json:"abandoned_goroutine,omitempty"`
 }
 
-func (f *FailedRun) String() string {
+func (f FailedRun) String() string {
 	head := fmt.Sprintf("%s policy=%s seed=%d faults=%q attempts=%d events=%d",
 		f.Spec.Experiment, f.Spec.Policy, f.Spec.Seed, f.Spec.Faults.String(),
 		f.Attempts, f.EventsFired)
@@ -82,17 +84,17 @@ func (f *FailedRun) String() string {
 	return s
 }
 
-// runAttempt is one guarded execution of a (policy, workload) simulation.
-// It mirrors Run but keeps the engine reachable from the deferred recover
-// so a crash can record the event-count watermark.
-func runAttempt(experiment, polName string, mkWorkload func() workload.Workload, o RunOpts) (res *Result, failed *FailedRun, err error) {
+// runAttempt is one guarded execution of a cell. It keeps the engine
+// reachable from the deferred recover so a crash can record the
+// event-count watermark.
+func runAttempt(c Cell, o RunOpts) (res *Result, failed *FailedRun, err error) {
 	// The spec is computed from the fresh (pre-Build) workload so the
 	// durable-cell key is stable across attempts and processes.
-	w := mkWorkload()
-	spec := specFor(experiment, polName, w, o)
+	w := c.Workload()
+	spec := specFor(c, w, o)
 	dc := newDurableCell(spec, o)
 	if dc != nil {
-		done, ok, derr := dc.finished(w)
+		done, ok, derr := dc.finished(w, c.restore)
 		if derr != nil {
 			return nil, nil, derr
 		}
@@ -113,10 +115,10 @@ func runAttempt(experiment, polName string, mkWorkload func() workload.Workload,
 	built := false
 	build := func(*cellCheckpoint) (*engine.Engine, error) {
 		if built {
-			w = mkWorkload() // replaying a stale snapshot needs an unbuilt workload
+			w = c.Workload() // replaying a stale snapshot needs an unbuilt workload
 		}
 		built = true
-		pol, perr := NewPolicy(polName)
+		pol, perr := c.newPolicy(o)
 		if perr != nil {
 			return nil, perr
 		}
@@ -139,30 +141,35 @@ func runAttempt(experiment, polName string, mkWorkload func() workload.Workload,
 			return nil, failed, nil
 		}
 	}
-	res = NewResult(polName, e, w, m)
+	res = NewResult(c.Policy, e, w, m)
+	var rec any
+	if c.keep != nil {
+		rec = c.keep(res)
+	}
 	if dc != nil {
-		dc.markDone(m)
+		dc.markDone(m, rec)
 	}
 	return res, nil, nil
 }
 
-// ResilientRun executes one simulation with crash capture and bounded
-// retry. mkWorkload must return a FRESH workload per call — a workload
-// carries per-run state after Build, so attempts cannot share one.
+// ResilientRun executes one cell with crash capture and bounded retry.
 //
 // Exactly one of the three returns is meaningful: a *Result on success, a
 // *FailedRun when every attempt panicked (the bundle describes the last
 // attempt), or an error for deterministic configuration failures (unknown
 // policy, workload build error) that no retry can fix.
-func ResilientRun(experiment, polName string, mkWorkload func() workload.Workload, o RunOpts) (*Result, *FailedRun, error) {
+func ResilientRun(c Cell, o RunOpts) (*Result, *FailedRun, error) {
 	o = o.withDefaults()
+	if c.Seed != 0 {
+		o.Seed = c.Seed
+	}
 	attempts := 1 + o.Retries
 	if attempts < 1 {
 		attempts = 1
 	}
 	var last *FailedRun
 	for a := 1; a <= attempts; a++ {
-		res, failed, err := runAttempt(experiment, polName, mkWorkload, o)
+		res, failed, err := runAttempt(c, o)
 		if err != nil {
 			return nil, nil, err
 		}

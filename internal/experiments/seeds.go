@@ -3,63 +3,51 @@ package experiments
 import (
 	"fmt"
 
-	"chrono/internal/parallel"
 	"chrono/internal/report"
 	"chrono/internal/stats"
-	"chrono/internal/workload"
 )
 
-// seedRun is the per-(seed, policy) summary the stability sweep needs:
-// everything engine-dependent (the F1 score) is computed in the worker so
-// the engine can be released before assembly.
+// seedRun is one (seed, policy) cell's record. Its fields are exported
+// because the F1 score reads the live engine, so the record is stored
+// with its cell.
 type seedRun struct {
-	thr, fmar, f1 float64
+	Thr, FMAR, F1 float64
 }
 
-// RunSeedStability re-runs the headline comparison across seeds and
+// RunSeedStability re-runs the headline comparison across five seeds and
 // reports mean ± stddev of the Chrono/Linux-NB speedup, FMARs, and F1 —
-// the robustness check a reproduction should ship with. The
-// (seed, policy) runs execute as one parallel batch.
-func RunSeedStability(seeds []uint64, o RunOpts) (*report.Table, error) {
-	if len(seeds) == 0 {
-		seeds = []uint64{1, 2, 3, 5, 8}
-	}
-	pols := []string{"Linux-NB", "Chrono"}
-	var jobs []func() (seedRun, error)
+// the robustness check a reproduction should ship with. A seed whose
+// Linux-NB or Chrono cell did not finish is left out of the statistics.
+func RunSeedStability(o RunOpts) (*Sweep, error) {
+	seeds := []uint64{1, 2, 3, 5, 8}
+	var cells []Cell
 	for _, seed := range seeds {
-		for _, pol := range pols {
-			seed, pol := seed, pol
-			jobs = append(jobs, func() (seedRun, error) {
-				ro := o
-				ro.Seed = seed
-				w := &workload.Pmbench{
-					Processes: 50, WorkingSetGB: 5, ReadPct: 70, Stride: 2,
-					Mode: DefaultModeFor(pol),
-				}
-				res, err := Run(pol, w, ro)
-				if err != nil {
-					return seedRun{}, err
-				}
-				r := seedRun{thr: res.Metrics.Throughput(), fmar: res.Metrics.FMAR() * 100}
-				if pol == "Chrono" {
-					_, r.f1, _ = Score(res)
-				}
-				res.Compact()
-				return r, nil
-			})
+		for _, pol := range []string{"Linux-NB", "Chrono"} {
+			c := headlineCell("seeds", pol)
+			c.Seed = seed
+			cells = append(cells, c)
 		}
 	}
-	flat, err := parallel.MapCtx(o.ctx(), o.Workers, jobs)
+	runs, out, err := runCells(cells, o, true, func(res *Result) seedRun {
+		r := seedRun{Thr: res.Metrics.Throughput(), FMAR: res.Metrics.FMAR() * 100}
+		if res.Policy == "Chrono" {
+			_, r.F1, _ = Score(res)
+		}
+		return r
+	})
 	if err != nil {
 		return nil, err
 	}
 	var speedups, nbFMAR, chFMAR, chF1 []float64
 	for si := range seeds {
-		nb, ch := flat[si*2], flat[si*2+1]
-		speedups = append(speedups, ch.thr/nb.thr)
-		nbFMAR = append(nbFMAR, nb.fmar)
-		chFMAR = append(chFMAR, ch.fmar)
-		chF1 = append(chF1, ch.f1)
+		nb, ch := runs[si*2], runs[si*2+1]
+		if nb == nil || ch == nil {
+			continue
+		}
+		speedups = append(speedups, ch.Thr/nb.Thr)
+		nbFMAR = append(nbFMAR, nb.FMAR)
+		chFMAR = append(chFMAR, ch.FMAR)
+		chF1 = append(chF1, ch.F1)
 	}
 	t := report.NewTable(
 		fmt.Sprintf("Seed stability: headline workload across %d seeds", len(seeds)),
@@ -73,5 +61,8 @@ func RunSeedStability(seeds []uint64, o RunOpts) (*report.Table, error) {
 	add("Chrono FMAR (%)", chFMAR)
 	add("Chrono F1", chF1)
 	t.Note = "the paper's single-testbed numbers correspond to one seed; stability across seeds bounds the simulator's run-to-run noise"
-	return t, nil
+	if n := len(seeds) - len(speedups); n > 0 {
+		t.Note += fmt.Sprintf("; %d seed(s) FAILED and are left out", n)
+	}
+	return &Sweep{Tables: []*report.Table{t}, Outcome: out}, nil
 }

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"chrono/internal/core"
-	"chrono/internal/parallel"
 	"chrono/internal/policy"
 	"chrono/internal/policy/scan"
 	"chrono/internal/report"
@@ -23,13 +22,26 @@ var SensitivityParams = []string{"Scan-Step", "Scan-Period", "P-Victim", "Delta-
 // SensitivityMultipliers is the 2^-3..2^3 sweep grid.
 var SensitivityMultipliers = []float64{0.125, 0.25, 0.5, 1, 2, 4, 8}
 
-// chronoWithParam builds a Chrono instance with one parameter scaled by
-// mult. Delta-Step only matters under semi-auto tuning, so that sweep
-// uses the semi-auto configuration (as the paper's §5.1.4 notes for the
-// semi-auto scheme).
-func chronoWithParam(param string, mult float64, stepPages int) (policy.Policy, error) {
+// Param scales one of Chrono's SensitivityParams by Mult. It is part of
+// a sensitivity cell's identity (RunSpec.Param).
+type Param struct {
+	Name string  `json:"name"`
+	Mult float64 `json:"mult"`
+}
+
+// chronoWithParam builds a Chrono instance with one parameter scaled.
+// Delta-Step only matters under semi-auto tuning, so that sweep uses the
+// semi-auto configuration (as the paper's §5.1.4 notes for the semi-auto
+// scheme).
+func chronoWithParam(p Param, o RunOpts) (policy.Policy, error) {
+	// The default scan step at this scale (mirrors scan.Config defaults).
+	stepPages := int(float64(o.FastGB+o.SlowGB) * float64(o.PagesPerGB) / 1024)
+	if stepPages < 8 {
+		stepPages = 8
+	}
+	mult := p.Mult
 	opt := core.Options{}
-	switch param {
+	switch p.Name {
 	case "Scan-Step":
 		opt.Scan = scan.Config{StepPages: int(float64(stepPages) * mult)}
 		if opt.Scan.StepPages < 1 {
@@ -44,7 +56,7 @@ func chronoWithParam(param string, mult float64, stepPages int) (policy.Policy, 
 		opt.RateLimitMBps = 120
 		opt.DeltaStep = math.Min(0.5*mult, 0.98)
 	default:
-		return nil, fmt.Errorf("experiments: unknown sensitivity parameter %q", param)
+		return nil, fmt.Errorf("experiments: unknown sensitivity parameter %q", p.Name)
 	}
 	return core.New(opt), nil
 }
@@ -52,51 +64,32 @@ func chronoWithParam(param string, mult float64, stepPages int) (policy.Policy, 
 // RunSensitivity sweeps each parameter on the given workload builder and
 // returns a table of relative performance (throughput normalized to the
 // default setting).
-func RunSensitivity(title string, mkWorkload func() workload.Workload, o RunOpts) (*report.Table, error) {
-	o = o.withDefaults()
+func RunSensitivity(title string, mkWorkload func() workload.Workload, o RunOpts) (*Sweep, error) {
 	headers := []string{"Parameter"}
 	for _, m := range SensitivityMultipliers {
 		headers = append(headers, fmt.Sprintf("x%g", m))
 	}
 	t := report.NewTable(title, headers...)
-
-	// The default scan step at this scale (mirrors scan.Config defaults).
-	stepPages := int(float64(o.FastGB+o.SlowGB) * float64(o.PagesPerGB) / 1024)
-	if stepPages < 8 {
-		stepPages = 8
-	}
-
-	var jobs []func() (float64, error)
+	var cells []Cell
 	for _, param := range SensitivityParams {
 		for _, mult := range SensitivityMultipliers {
-			param, mult := param, mult
-			jobs = append(jobs, func() (float64, error) {
-				pol, err := chronoWithParam(param, mult, stepPages)
-				if err != nil {
-					return 0, err
-				}
-				e, err := Build(pol, mkWorkload(), o)
-				if err != nil {
-					return 0, err
-				}
-				return e.Run(o.Duration).Throughput(), nil
+			cells = append(cells, Cell{
+				Experiment: "sensitivity",
+				Policy:     "Chrono",
+				Workload:   mkWorkload,
+				Param:      &Param{Name: param, Mult: mult},
 			})
 		}
 	}
-	flat, err := parallel.MapCtx(o.ctx(), o.Workers, jobs)
+	thr, out, err := runCells(cells, o, false, throughput)
 	if err != nil {
 		return nil, err
 	}
-	for pi, param := range SensitivityParams {
-		thr := flat[pi*len(SensitivityMultipliers) : (pi+1)*len(SensitivityMultipliers)]
+	for _, param := range SensitivityParams {
 		// Normalize to the x1 column.
-		base := thr[3]
-		cells := []any{param}
-		for _, v := range thr {
-			cells = append(cells, v/base)
-		}
-		t.AddRow(cells...)
+		t.AddRow(valueRow(param, thr[:len(SensitivityMultipliers)], 3)...)
+		thr = thr[len(SensitivityMultipliers):]
 	}
 	t.Note = "relative performance vs default parameter value (x1)"
-	return t, nil
+	return &Sweep{Tables: []*report.Table{t}, Outcome: out}, nil
 }

@@ -142,10 +142,11 @@ func TestShapeFig9Monotone(t *testing.T) {
 
 // TestShapeFig2bContrast: PEBS counters collapse on base pages.
 func TestShapeFig2bContrast(t *testing.T) {
-	tbl, err := RunFig2b(RunOpts{Duration: 240 * simclock.Second})
+	s, err := RunFig2b(RunOpts{Duration: 240 * simclock.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
+	tbl := s.Tables[0]
 	// Row 0 huge, row 1 base; column 3 is bin#4-5.
 	hugeBin45 := tbl.Rows[0][3]
 	baseBin45 := tbl.Rows[1][3]

@@ -158,6 +158,15 @@ func TestGraph500ExecutionTime(t *testing.T) {
 	}
 }
 
+// An unbuilt Graph500 (a resumed sweep cell's) still gets the default
+// 40e9-access work.
+func TestGraph500ExecutionTimeUnbuilt(t *testing.T) {
+	m := &engine.Metrics{Accesses: 2e9, Duration: 10 * simclock.Second}
+	if got := (&Graph500{TotalGB: 128}).ExecutionTime(m); math.Abs(got-200) > 1e-9 {
+		t.Fatalf("unbuilt ExecutionTime=%v, want 200 (40e9 accesses at 200 Mop/s)", got)
+	}
+}
+
 func TestKVStoreBuild(t *testing.T) {
 	e := newEngine()
 	w := &KVStore{Flavor: Memcached, StoreGB: 32, SetRatio: 1, GetRatio: 10, Shards: 4}

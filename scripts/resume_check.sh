@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # resume_check.sh — the kill-and-resume fence for durable sweeps.
 #
-# Runs a quick pmbench sweep (fig8) three ways:
+# Runs a quick multi-experiment reproduction (fig8, fig13, fig12, ext:
+# a pmbench grid, the Chrono variants, the KV stores and a sweep whose
+# F1/PPR records are stored with its cells) three ways:
 #   1. uninterrupted, no checkpointing            -> reference output
 #   2. with -checkpoint-dir, SIGKILLed mid-flight -> durable state on disk
 #   3. the same command with -resume              -> must complete
@@ -15,8 +17,10 @@
 # snapshots, and cells that never checkpointed at all.
 set -u
 
-FLAGS=(-experiment fig8 -quick -seed 42 -faults aggressive -j 4)
-KILL_AFTER="${KILL_AFTER:-2}"
+FLAGS=(-experiment fig8,fig13,fig12,ext -quick -seed 42 -faults aggressive -j 4)
+# About 5.5 s runs all four on 2 vCPUs, fig8 finishing near 2 s: a kill
+# at 3 s lands after fig8, inside fig13.
+KILL_AFTER="${KILL_AFTER:-3}"
 
 work="$(mktemp -d)"
 trap 'rm -rf "$work"' EXIT
@@ -47,8 +51,10 @@ if [ ! -f "$ckpt/sweepinfo.json" ]; then
     echo "resume-check: no sweepinfo.json recorded before the kill" >&2
     exit 1
 fi
-echo "resume-check: durable state after kill:"
-ls "$ckpt/cells" 2>/dev/null | sed 's/^/    /' || echo "    (no cells yet)"
+echo "resume-check: experiments finished before the kill:"
+grep -o '^\[[a-z0-9]* done' "$work/killed.err" | sed 's/^\[/    /; s/ done$//' || echo "    (none)"
+echo "resume-check: durable state after kill: $(ls "$ckpt/cells" 2>/dev/null | grep -c '\.done$') finished cells," \
+    "$(ls "$ckpt/cells" 2>/dev/null | grep -c '\.ckpt$') snapshots"
 
 echo "resume-check: resuming"
 "$bin" "${FLAGS[@]}" -checkpoint-dir "$ckpt" -resume \
