@@ -81,17 +81,20 @@ chaos:
 	$(GO) test -race -tags simdebug -timeout 30m -count 1 -run 'TestFaultMatrix|TestChaos|TestFaultPlan|TestResilientRun' ./internal/engine/ ./internal/experiments/
 
 # Fuzz the fault-plan parser (FuzzParsePlan: no panic, every accepted
-# plan marshals to JSON, String is a parse fixed point) and the durable
+# plan marshals to JSON, String is a parse fixed point), the durable
 # sweep cell's .done record (FuzzCellDone: a cell resolved from arbitrary
-# record bytes short-circuits, re-runs or errors, never panics). Each
-# seed corpus lives in its package's testdata/fuzz/ and also runs as a
-# plain test under `go test`; a new crasher is written there too.
-# FuzzCellDone's inputs are 2 KB records: minimizing each new one for the
-# default 60 s would spend the whole time box, so it is capped at 100
-# runs.
+# record bytes short-circuits, re-runs or errors, never panics) and a
+# cell probe's snapshot state (FuzzCellProbe: arbitrary bytes are
+# rejected, or attach, sample and render without a panic). Each seed
+# corpus lives in its package's testdata/fuzz/ and also runs as a plain
+# test under `go test`; a new crasher is written there too. Each input
+# of the two cell targets runs small simulations: minimizing a new one
+# for the default 60 s would spend the whole time box, so minimization
+# is capped at 100 runs.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePlan$$' -fuzztime 20s ./internal/faultinject/
 	$(GO) test -run '^$$' -fuzz '^FuzzCellDone$$' -fuzztime 20s -fuzzminimizetime 100x ./internal/experiments/
+	$(GO) test -run '^$$' -fuzz '^FuzzCellProbe$$' -fuzztime 20s -fuzzminimizetime 100x ./internal/experiments/
 
 # Hot-path microbenchmarks (simclock event loop, engine epoch, fault
 # path). Output is benchstat-compatible: run with COUNT=10 and feed two

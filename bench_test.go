@@ -74,6 +74,17 @@ func BenchmarkTable2(b *testing.B) {
 	}
 }
 
+// tableValue reads one number of a sweep's rendered tables, at the
+// precision the table prints it.
+func tableValue(b *testing.B, s *experiments.Sweep, table, row, col int) float64 {
+	b.Helper()
+	v, err := strconv.ParseFloat(s.Tables[table].Rows[row][col], 64)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return v
+}
+
 // --- Figure 1: per-page access frequency --------------------------------
 
 func BenchmarkFig1(b *testing.B) {
@@ -173,18 +184,18 @@ func BenchmarkFig8Characteristics(b *testing.B) {
 func BenchmarkFig9(b *testing.B) {
 	for _, pol := range []string{"Linux-NB", "Chrono"} {
 		b.Run(pol, func(b *testing.B) {
-			var hot, cold float64
+			var s *experiments.Sweep
 			for i := 0; i < b.N; i++ {
-				results, err := experiments.RunFig9([]string{pol},
+				var err error
+				s, err = experiments.RunFig9([]string{pol},
 					experiments.RunOpts{Seed: 42, Duration: 400 * simclock.Second})
 				if err != nil {
 					b.Fatal(err)
 				}
-				hot = results[0].Series[0].Tail(0.2)
-				cold = results[0].Series[49].Tail(0.2)
 			}
-			b.ReportMetric(hot, "hotDRAM%")
-			b.ReportMetric(cold, "coldDRAM%")
+			// The final-placement table: cgroup 0 and cgroup 49.
+			b.ReportMetric(tableValue(b, s, 0, 0, 1), "hotDRAM%")
+			b.ReportMetric(tableValue(b, s, 0, 0, 6), "coldDRAM%")
 		})
 	}
 }
@@ -192,28 +203,28 @@ func BenchmarkFig9(b *testing.B) {
 // --- Figure 10: CIT correlation, tuning histories, sensitivity ----------
 
 func BenchmarkFig10aCIT(b *testing.B) {
-	var f *experiments.Fig10a
+	var s *experiments.Sweep
 	var err error
 	for i := 0; i < b.N; i++ {
-		f, err = experiments.RunFig10a(benchOpts(42))
+		s, err = experiments.RunFig10a(benchOpts(42))
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(f.CITMeanMS[10], "centreCITms")
+	b.ReportMetric(tableValue(b, s, 0, 10, 3), "centreCITms")
 }
 
 func BenchmarkFig10bcTuning(b *testing.B) {
-	var th float64
+	var s *experiments.Sweep
+	var err error
 	for i := 0; i < b.N; i++ {
-		thr, _, err := experiments.RunFig10bc(
+		s, err = experiments.RunFig10bc(
 			experiments.RunOpts{Seed: 42, Duration: 400 * simclock.Second})
 		if err != nil {
 			b.Fatal(err)
 		}
-		th = thr.Tail(0.25)
 	}
-	b.ReportMetric(th, "convergedTHms")
+	b.ReportMetric(tableValue(b, s, 0, 1, 1), "convergedTHms")
 }
 
 func BenchmarkFig10dSensitivity(b *testing.B) {
@@ -657,23 +668,19 @@ func BenchmarkMemtisKmigrated(b *testing.B) {
 func BenchmarkDriftAdaptivity(b *testing.B) {
 	for _, pol := range []string{"Memtis", "Chrono"} {
 		b.Run(pol, func(b *testing.B) {
-			var mean float64
+			var s *experiments.Sweep
 			for i := 0; i < b.N; i++ {
 				// The drift study needs several shift cycles after the
 				// initial convergence; use a longer horizon than the
 				// throughput benches.
-				results, err := experiments.RunDrift([]string{pol}, 150,
+				var err error
+				s, err = experiments.RunDrift([]string{pol}, 150,
 					experiments.RunOpts{Seed: 42, Duration: 600 * simclock.Second})
 				if err != nil {
 					b.Fatal(err)
 				}
-				var sum float64
-				for _, v := range results[0].FMARSeries.V {
-					sum += v
-				}
-				mean = sum / float64(len(results[0].FMARSeries.V))
 			}
-			b.ReportMetric(mean, "meanHotResidency")
+			b.ReportMetric(tableValue(b, s, 0, 0, 2), "meanHotResidency")
 		})
 	}
 }

@@ -25,14 +25,14 @@
 // recorded in a failure manifest (stderr summary; full JSON repro bundles
 // to the -failures file) while the surviving grid still renders.
 //
-// -checkpoint-dir makes the cells of every sweep durable (all experiments
-// but the sampling ones, fig2a, fig9, fig10a, fig10bc and drift, which
-// rerun whole): each cell periodically snapshots its engine (every
-// -checkpoint-interval of wall time), records finished cells, and a stall
-// watchdog aborts cells whose virtual time stops advancing for
-// -stall-timeout. SIGINT/SIGTERM drain gracefully:
-// in-flight cells checkpoint at the next event boundary, the failure
-// manifest records their resume pointers, and a second signal hard-exits.
+// -checkpoint-dir makes the cells of every experiment that simulates
+// durable: each cell periodically snapshots its engine, and its probe's
+// samples when it has one (every -checkpoint-interval of wall time),
+// records finished cells, and a stall watchdog aborts cells whose
+// virtual time stops advancing for -stall-timeout. SIGINT/SIGTERM drain
+// gracefully: in-flight cells checkpoint at the next event boundary, the
+// failure manifest records their resume pointers, and a second signal
+// hard-exits.
 // -resume continues a previous invocation from the same directory:
 // finished cells are short-circuited, interrupted cells restore from
 // their snapshots, and the final output is byte-identical to a run that
@@ -236,11 +236,7 @@ func main() {
 		case "fig1":
 			return sweep(experiments.RunFig1(o))
 		case "fig2a":
-			t, err := experiments.RunFig2a(experiments.StandardPolicies, o)
-			if err != nil {
-				return err
-			}
-			emit(t)
+			return sweep(experiments.RunFig2a(experiments.StandardPolicies, o))
 		case "fig2b":
 			return sweep(experiments.RunFig2b(o))
 		case "fig6":
@@ -272,23 +268,11 @@ func main() {
 			}
 			emit(s.RuntimeCharacteristics())
 		case "fig9":
-			results, err := experiments.RunFig9(experiments.StandardPolicies, withDur(longDur))
-			if err != nil {
-				return err
-			}
-			emit(experiments.Fig9Tables(results)...)
+			return sweep(experiments.RunFig9(experiments.StandardPolicies, withDur(longDur)))
 		case "fig10a":
-			f, err := experiments.RunFig10a(o)
-			if err != nil {
-				return err
-			}
-			emit(experiments.Fig10aTable(f))
+			return sweep(experiments.RunFig10a(o))
 		case "fig10bc":
-			th, rl, err := experiments.RunFig10bc(withDur(longDur))
-			if err != nil {
-				return err
-			}
-			emit(experiments.Fig10bcTables(th, rl)...)
+			return sweep(experiments.RunFig10bc(withDur(longDur)))
 		case "fig10d":
 			return sweep(experiments.RunFig10d(shortened(o, 300)))
 		case "fig11":
@@ -307,12 +291,8 @@ func main() {
 		case "ext":
 			return sweep(experiments.RunExtendedComparison(o))
 		case "drift":
-			results, err := experiments.RunDrift(
-				[]string{"Linux-NB", "Memtis", "Chrono"}, 240, withDur(1200*simclock.Second))
-			if err != nil {
-				return err
-			}
-			emit(experiments.DriftTable(results))
+			return sweep(experiments.RunDrift(
+				[]string{"Linux-NB", "Memtis", "Chrono"}, 240, withDur(1200*simclock.Second)))
 		case "adv":
 			return sweep(experiments.RunAdversarial(shortened(o, 300)))
 		case "appb":

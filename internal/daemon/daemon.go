@@ -84,7 +84,7 @@ func (r *run) tablePath() string  { return filepath.Join(r.dir, "table.txt") }
 
 // save snapshots the engine, running under polName, to engine.ckpt.
 func (r *run) save(e *engine.Engine, polName string) error {
-	return simrun.Save(r.ckptPath(), e, r.spec, polName)
+	return simrun.Save(r.ckptPath(), e, runCheckpoint{Spec: r.spec, Policy: polName})
 }
 
 // persist writes the run's record atomically. Best-effort by design: a

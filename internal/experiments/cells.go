@@ -1,14 +1,22 @@
 package experiments
 
-// The one sweep-cell runner: every multi-run experiment except the
-// sampler ones (fig2a, fig9, drift) is a list of cells run by runCells
-// plus a render function over the cells' records.
+// The one sweep-cell runner: every experiment that simulates is a list
+// of cells run by runCells plus a render function over the cells'
+// records.
+//
+// A cell whose record is a time series carries a probe, a sampler on the
+// live engine (a keyed ticker, or Chrono's CIT observer) with JSON state.
+// Each build attaches a fresh probe right after Build; a snapshot saves
+// its state in the cell's .ckpt, and a resume decodes it before the
+// engine is restored. State that does not decode or check replays the
+// cell from scratch. The finished probe is the cell's record.
 
 import (
 	"context"
 	"encoding/json"
 	"errors"
 
+	"chrono/internal/engine"
 	"chrono/internal/parallel"
 	"chrono/internal/policy"
 	"chrono/internal/report"
@@ -30,11 +38,33 @@ type Cell struct {
 	// Seed overrides RunOpts.Seed when non-zero (the seed sweep).
 	Seed uint64
 
+	// probe, when set, makes a fresh sampler for each build of the cell;
+	// the record function reads it back as Result.probe.
+	probe func() probe
 	// keep extracts a record that reads the live engine from the finished
 	// run, and restore reads it back from the cell's .done file (see
 	// runCells); both are nil for other records.
 	keep    func(*Result) any
 	restore func(json.RawMessage) error
+}
+
+// probe samples the live engine during a cell's run into JSON state that
+// is saved with the cell's snapshots. attach registers the sampler on e,
+// freshly built from w.
+type probe interface {
+	attach(e *engine.Engine, w workload.Workload)
+}
+
+// decodeState reads saved JSON into v, then vets it when v has a check
+// method: a probe's state from a .ckpt, a record from a .done file.
+func decodeState(raw []byte, v any) error {
+	if err := json.Unmarshal(raw, v); err != nil {
+		return err
+	}
+	if c, ok := v.(interface{ check() error }); ok {
+		return c.check()
+	}
+	return nil
 }
 
 // newPolicy builds the cell's policy instance.
@@ -82,7 +112,7 @@ func runCells[R any](cells []Cell, o RunOpts, live bool, record func(*Result) R)
 			cell := c
 			if live {
 				cell.keep = func(res *Result) any { rec = record(res); return rec }
-				cell.restore = func(raw json.RawMessage) error { return json.Unmarshal(raw, &rec) }
+				cell.restore = func(raw json.RawMessage) error { return decodeState(raw, &rec) }
 			}
 			res, f, err := ResilientRun(cell, o)
 			if err != nil || f != nil {

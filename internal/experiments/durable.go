@@ -5,8 +5,9 @@ package experiments
 // A sweep cell (one ResilientRun of a Cell) becomes durable when
 // RunOpts.Checkpoint names a directory. The cell then runs
 // through the internal/run driver, which snapshots it at a wall-clock
-// cadence, on drain and on stall, to <dir>/cells/<key>.ckpt, where <key>
-// is a hash of the cell's canonical RunSpec. When the cell finishes, its
+// cadence, on drain and on stall, to <dir>/cells/<key>.ckpt (with its
+// probe's state, when it has one), where <key> is a hash of the cell's
+// canonical RunSpec. When the cell finishes, its
 // metrics (and, for a figure that reads the live engine, its record) land
 // in <key>.done and the snapshot is deleted. A later
 // invocation with Resume set short-circuits finished cells from their
@@ -50,7 +51,8 @@ type CheckpointOpts struct {
 }
 
 // cellCheckpoint is the .ckpt payload: the spec pins what the snapshot
-// belongs to, the state is the full engine capture.
+// belongs to, the state is the full engine capture, and the probe field
+// holds the cell's probe state.
 type cellCheckpoint = run.Checkpoint[RunSpec]
 
 // cellDone is the .done payload for a finished cell. Record is the
@@ -68,7 +70,7 @@ type cellDone struct {
 // results, so a sweep checkpointed under one shard count resumes cleanly
 // under another.
 func specFor(c Cell, w workload.Workload, o RunOpts) RunSpec {
-	return RunSpec{
+	spec := RunSpec{
 		Experiment: c.Experiment,
 		Policy:     c.Policy,
 		Workload:   w.Name(),
@@ -80,12 +82,16 @@ func specFor(c Cell, w workload.Workload, o RunOpts) RunSpec {
 		Faults:     o.Faults,
 		Param:      c.Param,
 	}
+	if o.PagesPerGB != defaultPagesPerGB {
+		spec.PagesPerGB = o.PagesPerGB
+	}
+	return spec
 }
 
 // cellKey is the file-name identity of a cell: a short hash of the
-// canonical spec JSON. Any change to seed, duration, tier sizes, fault
-// plan, workload parameters, or policy changes the key, so stale state
-// is never silently reused for a different configuration.
+// canonical spec JSON. Any change to seed, duration, tier sizes, memory
+// scale, fault plan, workload parameters, or policy changes the key, so
+// stale state is never silently reused for a different configuration.
 func cellKey(spec RunSpec) string {
 	raw, err := json.Marshal(spec)
 	if err != nil {
@@ -197,9 +203,23 @@ func (dc *durableCell) markDone(m *engine.Metrics, rec any) {
 	_ = os.Remove(dc.ckptPath())
 }
 
-// run executes one durable attempt on e through the run driver and
-// settles the outcome. Exactly one of the two returns is non-nil.
-func (dc *durableCell) run(e *engine.Engine, resumed bool, o RunOpts) (*engine.Metrics, *FailedRun) {
+// save snapshots e, and p's state when the cell has a probe.
+func (dc *durableCell) save(e *engine.Engine, p probe) error {
+	ck := cellCheckpoint{Spec: dc.spec}
+	if p != nil {
+		raw, err := json.Marshal(p)
+		if err != nil {
+			return err
+		}
+		ck.Probe = raw
+	}
+	return run.Save(dc.ckptPath(), e, ck)
+}
+
+// run executes one durable attempt on e, sampled by p (nil without a
+// probe), through the run driver and settles the outcome. Exactly one of
+// the two returns is non-nil.
+func (dc *durableCell) run(e *engine.Engine, p probe, resumed bool, o RunOpts) (*engine.Metrics, *FailedRun) {
 	res := run.Exec(run.Segment{
 		Engine:       e,
 		Resumed:      resumed,
@@ -207,7 +227,7 @@ func (dc *durableCell) run(e *engine.Engine, resumed bool, o RunOpts) (*engine.M
 		Ctx:          o.ctx(),
 		Interval:     dc.opts.Interval,
 		StallTimeout: dc.opts.StallTimeout,
-		Save:         func() error { return run.Save(dc.ckptPath(), e, dc.spec, "") },
+		Save:         func() error { return dc.save(e, p) },
 		Name: fmt.Sprintf("cell %s policy=%s workload=%s seed=%d",
 			dc.spec.Experiment, dc.spec.Policy, dc.spec.Workload, dc.spec.Seed),
 	})

@@ -90,6 +90,9 @@ type RunOpts struct {
 	Ctx context.Context
 }
 
+// defaultPagesPerGB is RunOpts.PagesPerGB's default memory scale.
+const defaultPagesPerGB = 256
+
 // ctx returns the sweep's cancellation context (Background when unset).
 func (o RunOpts) ctx() context.Context {
 	if o.Ctx != nil {
@@ -106,7 +109,7 @@ func (o RunOpts) withDefaults() RunOpts {
 		o.Duration = 600 * simclock.Second
 	}
 	if o.PagesPerGB == 0 {
-		o.PagesPerGB = 256
+		o.PagesPerGB = defaultPagesPerGB
 	}
 	if o.FastGB == 0 {
 		o.FastGB = 64
@@ -230,6 +233,9 @@ type Result struct {
 	// Chrono is set when the policy is a Chrono variant, exposing the
 	// tuning histories and counters.
 	Chrono *core.Chrono
+
+	// probe is the cell's sampler when it has one (see Cell.probe).
+	probe probe
 }
 
 // Compact releases the finished simulation's engine — the dense page
@@ -343,31 +349,4 @@ func promotionRatio(e *engine.Engine) float64 {
 		return float64(e.UniquePromotedPages()) / float64(accessed)
 	}
 	return 0
-}
-
-// RunScored runs one simulation and accumulates the classification over
-// the whole run (sampled every 30 virtual seconds), matching the paper's
-// §2.4 methodology of counting *accesses* to DRAM vs the hot region over
-// the measurement window rather than a final-placement snapshot. Slowly
-// or unstably converging policies score accordingly lower.
-func RunScored(polName string, w workload.Workload, o RunOpts) (*Result, stats.Classification, float64, error) {
-	o = o.withDefaults()
-	pol, err := NewPolicy(polName)
-	if err != nil {
-		return nil, stats.Classification{}, 0, err
-	}
-	e, err := Build(pol, w, o)
-	if err != nil {
-		return nil, stats.Classification{}, 0, err
-	}
-	var acc stats.Classification
-	e.Clock().EveryKey("experiments/scored-sample", 30*simclock.Second, func(now simclock.Time) {
-		s := classifySnapshot(e, w)
-		acc.TruePositive += s.TruePositive
-		acc.FalsePositive += s.FalsePositive
-		acc.FalseNegative += s.FalseNegative
-		acc.TrueNegative += s.TrueNegative
-	})
-	res := NewResult(polName, e, w, e.Run(o.Duration))
-	return res, acc, promotionRatio(e), nil
 }

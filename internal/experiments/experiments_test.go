@@ -178,39 +178,49 @@ func TestAppBTables(t *testing.T) {
 	}
 }
 
-func TestFig9ChronoDifferentiatesTenants(t *testing.T) {
-	results, err := RunFig9([]string{"Chrono"}, RunOpts{Duration: 700 * simclock.Second})
+// cellRecords runs cells and returns their records, failing t unless
+// every cell finished.
+func cellRecords[R any](t testing.TB, cells []Cell, o RunOpts, record func(*Result) R) []*R {
+	t.Helper()
+	recs, out, err := runCells(cells, o, true, record)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := results[0]
-	hot := r.Series[0].Tail(0.2)
-	cold := r.Series[49].Tail(0.2)
+	if len(out.Failed) != 0 || out.Interrupted {
+		t.Fatalf("%d failed cells, interrupted=%v", len(out.Failed), out.Interrupted)
+	}
+	return recs
+}
+
+func TestFig9ChronoDifferentiatesTenants(t *testing.T) {
+	pols := []string{"Chrono"}
+	recs := cellRecords(t, fig9Cells(pols), RunOpts{Duration: 700 * simclock.Second}, fig9Record)
+	r := recs[0]
+	hot := r.Series[0].Tail(0.2)                   // cgroup 0
+	cold := r.Series[len(Fig9Cgroups)-1].Tail(0.2) // cgroup 49
 	if hot <= cold {
 		t.Fatalf("Chrono: hot tenant %.1f%% <= cold tenant %.1f%%", hot, cold)
 	}
 	if hot < 40 {
 		t.Fatalf("hot tenant only %.1f%% DRAM", hot)
 	}
-	tables := Fig9Tables(results)
+	tables := fig9Tables(pols, recs)
 	if len(tables) != 2 {
 		t.Fatal("fig9 tables")
 	}
 }
 
 func TestFig10aCITTracksInterval(t *testing.T) {
-	f, err := RunFig10a(RunOpts{Duration: 300 * simclock.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := cellRecords(t, []Cell{fig10aCell()}, RunOpts{Duration: 300 * simclock.Second}, fig10aRecord)[0]
 	// The centre bins must show smaller CIT than the edge bins
 	// (negative correlation with access probability).
-	centre := f.CITMeanMS[10]
+	centre, _ := f.cit(10)
 	var edge float64
 	var edgeN int
 	for _, b := range []int{1, 2, 17, 18} {
 		if f.Samples[b] > 0 {
-			edge += f.CITMeanMS[b]
+			mean, _ := f.cit(b)
+			edge += mean
 			edgeN++
 		}
 	}
@@ -221,20 +231,18 @@ func TestFig10aCITTracksInterval(t *testing.T) {
 	if centre >= edge {
 		t.Fatalf("CIT centre %.1f >= edge %.1f; no correlation", centre, edge)
 	}
-	if Fig10aTable(f) == nil {
+	if fig10aTable(f) == nil {
 		t.Fatal("table")
 	}
 }
 
 func TestFig10bcSeries(t *testing.T) {
-	th, rl, err := RunFig10bc(RunOpts{Duration: 400 * simclock.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := cellRecords(t, []Cell{fig10bcCell()}, RunOpts{Duration: 400 * simclock.Second}, tuningRecord)[0]
+	th, rl := r.Threshold, r.RateLimit
 	if th.Len() < 5 || rl.Len() < 5 {
 		t.Fatalf("history lengths %d / %d", th.Len(), rl.Len())
 	}
-	if tables := Fig10bcTables(th, rl); len(tables) != 2 {
+	if tables := fig10bcTables(r); len(tables) != 2 {
 		t.Fatal("tables")
 	}
 }
@@ -314,19 +322,16 @@ func TestExtendedComparisonRuns(t *testing.T) {
 }
 
 func TestDriftChronoRecovers(t *testing.T) {
-	results, err := RunDrift([]string{"Chrono"}, 200,
-		RunOpts{Duration: 800 * simclock.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := results[0]
-	if r.FMARSeries.Len() < 10 {
+	pols := []string{"Chrono"}
+	recs := cellRecords(t, driftCells(pols, 200), RunOpts{Duration: 800 * simclock.Second}, driftRecord)
+	r := recs[0]
+	if r.Recall.Len() < 10 {
 		t.Fatal("no residency samples")
 	}
 	// After the warm-up, residency must repeatedly recover above 0.5
 	// following each shift.
 	recoveries := 0
-	for _, v := range r.FMARSeries.V[r.FMARSeries.Len()/3:] {
+	for _, v := range r.Recall.V[r.Recall.Len()/3:] {
 		if v > 0.5 {
 			recoveries++
 		}
@@ -334,7 +339,7 @@ func TestDriftChronoRecovers(t *testing.T) {
 	if recoveries == 0 {
 		t.Fatal("Chrono never recovered hot residency after hotspot shifts")
 	}
-	if DriftTable(results) == nil {
+	if driftTable(pols, recs) == nil {
 		t.Fatal("table")
 	}
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"chrono/internal/engine"
-	"chrono/internal/parallel"
 	"chrono/internal/report"
 	"chrono/internal/simclock"
 	"chrono/internal/stats"
@@ -72,67 +71,77 @@ func RunExtendedComparison(o RunOpts) (*Sweep, error) {
 	return &Sweep{Tables: []*report.Table{t}, Outcome: out}, nil
 }
 
-// DriftResult captures one policy's behaviour under a moving hotspot.
-type DriftResult struct {
-	Policy string
-	// FMARSeries samples FMAR-equivalent placement quality over time
-	// (instantaneous hot-mass residency, so dips after each shift and
-	// recovery speed are visible).
-	FMARSeries stats.Series
-	Metrics    *engine.Metrics
-}
-
 // RunDrift runs the drifting-hotspot scenario: the Gaussian centre jumps
 // a quarter of the address space every shiftEvery seconds, and placement
-// quality is sampled every 10 s.
-func RunDrift(policies []string, shiftEveryS float64, o RunOpts) ([]*DriftResult, error) {
-	o = o.withDefaults()
-	jobs := make([]func() (*DriftResult, error), len(policies))
-	for i, pol := range policies {
-		pol := pol
-		jobs[i] = func() (*DriftResult, error) {
-			w := &workload.Pmbench{
-				Processes: 16, WorkingSetGB: 15, ReadPct: 70, Stride: 2,
-				DriftPeriodS: shiftEveryS,
-				Mode:         DefaultModeFor(pol),
-			}
-			p, err := NewPolicy(pol)
-			if err != nil {
-				return nil, err
-			}
-			e, err := Build(p, w, o)
-			if err != nil {
-				return nil, err
-			}
-			dr := &DriftResult{Policy: pol}
-			e.Clock().EveryKey("experiments/drift-sample", 10*simclock.Second, func(now simclock.Time) {
-				cls := classifySnapshot(e, w)
-				dr.FMARSeries.Append(now.Seconds(), cls.Recall())
-			})
-			dr.Metrics = e.Run(o.Duration)
-			return dr, nil
-		}
+// quality is sampled every 10 s. Each policy is one cell.
+func RunDrift(policies []string, shiftEveryS float64, o RunOpts) (*Sweep, error) {
+	recs, out, err := runCells(driftCells(policies, shiftEveryS), o, true, driftRecord)
+	if err != nil {
+		return nil, err
 	}
-	return parallel.MapCtx(o.ctx(), o.Workers, jobs)
+	return &Sweep{Tables: []*report.Table{driftTable(policies, recs)}, Outcome: out}, nil
 }
 
-// DriftTable renders the adaptivity study.
-func DriftTable(results []*DriftResult) *report.Table {
+// driftCells is one drift cell per policy, each sampled by a probe.
+func driftCells(policies []string, shiftEveryS float64) []Cell {
+	cells := make([]Cell, len(policies))
+	for i, pol := range policies {
+		cells[i] = Cell{
+			Experiment: "drift", Policy: pol,
+			Workload: func() workload.Workload {
+				return &workload.Pmbench{
+					Processes: 16, WorkingSetGB: 15, ReadPct: 70, Stride: 2,
+					DriftPeriodS: shiftEveryS,
+					Mode:         DefaultModeFor(pol),
+				}
+			},
+			probe: func() probe { return new(drift) },
+		}
+	}
+	return cells
+}
+
+// drift is a drift cell's probe and record: the recall of the live hot
+// set over time (instantaneous hot-mass residency, so dips after each
+// shift and recovery speed are visible), and the run's throughput.
+type drift struct {
+	Recall stats.Series
+	Thr    float64
+}
+
+func (d *drift) attach(e *engine.Engine, w workload.Workload) {
+	e.Clock().EveryKey("experiments/drift-sample", 10*simclock.Second, func(now simclock.Time) {
+		d.Recall.Append(now.Seconds(), classifySnapshot(e, w).Recall())
+	})
+}
+
+func driftRecord(res *Result) drift {
+	d := *res.probe.(*drift)
+	d.Thr = res.Metrics.Throughput()
+	return d
+}
+
+// driftTable renders the adaptivity study.
+func driftTable(policies []string, recs []*drift) *report.Table {
 	t := report.NewTable(
 		"Extension: drifting hotspot (centre jumps 25% of the space periodically)",
 		"Policy", "Thr (Mop/s)", "Mean hot residency", "Min after shifts", "Residency history")
-	for _, r := range results {
+	for i, pol := range policies {
+		r := recs[i]
+		if r == nil {
+			t.AddRow(pol, "FAILED", "FAILED", "FAILED", "FAILED")
+			continue
+		}
 		minV := 1.0
 		// Skip the warm-up third when looking for post-shift dips.
-		start := len(r.FMARSeries.V) / 3
-		for _, v := range r.FMARSeries.V[start:] {
+		start := len(r.Recall.V) / 3
+		for _, v := range r.Recall.V[start:] {
 			if v < minV {
 				minV = v
 			}
 		}
-		t.AddRow(r.Policy, r.Metrics.Throughput(),
-			stats.Mean(r.FMARSeries.V), minV,
-			report.Sparkline(report.Downsample(r.FMARSeries.V, 36)))
+		t.AddRow(pol, r.Thr, stats.Mean(r.Recall.V), minV,
+			report.Sparkline(report.Downsample(r.Recall.V, 36)))
 	}
 	t.Note = "hot residency = recall of the live hot set; sawtooth dips mark hotspot shifts, slope after each dip is adaptation speed"
 	return t

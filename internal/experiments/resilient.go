@@ -38,6 +38,9 @@ type RunSpec struct {
 	// Param is the scaled Chrono parameter of a sensitivity cell; absent
 	// otherwise, so other cells keep the keys they had before it existed.
 	Param *Param `json:"param,omitempty"`
+	// PagesPerGB is the memory scale when it is not the default, which
+	// is absent for the same reason.
+	PagesPerGB int64 `json:"pages_per_gb,omitempty"`
 }
 
 // FailedRun is the repro bundle for one sweep cell that did not finish:
@@ -113,7 +116,8 @@ func runAttempt(c Cell, o RunOpts) (res *Result, failed *FailedRun, err error) {
 		}
 	}()
 	built := false
-	build := func(*cellCheckpoint) (*engine.Engine, error) {
+	var p probe
+	build := func(ck *cellCheckpoint) (*engine.Engine, error) {
 		if built {
 			w = c.Workload() // replaying a stale snapshot needs an unbuilt workload
 		}
@@ -123,8 +127,20 @@ func runAttempt(c Cell, o RunOpts) (res *Result, failed *FailedRun, err error) {
 			return nil, perr
 		}
 		var berr error
-		e, berr = Build(pol, w, o)
-		return e, berr
+		if e, berr = Build(pol, w, o); berr != nil || c.probe == nil {
+			return e, berr
+		}
+		// The probe attaches before any restore, which needs its ticker
+		// registered; attaching right after Build fixes its place in the
+		// event order.
+		p = c.probe()
+		if ck != nil {
+			if perr := decodeState(ck.Probe, p); perr != nil {
+				return nil, fmt.Errorf("%w: probe: %v", run.ErrStale, perr)
+			}
+		}
+		p.attach(e, w)
+		return e, nil
 	}
 	var m *engine.Metrics
 	if dc == nil {
@@ -137,11 +153,12 @@ func runAttempt(c Cell, o RunOpts) (res *Result, failed *FailedRun, err error) {
 		if oerr != nil {
 			return nil, nil, oerr
 		}
-		if m, failed = dc.run(e, ck != nil, o); failed != nil {
+		if m, failed = dc.run(e, p, ck != nil, o); failed != nil {
 			return nil, failed, nil
 		}
 	}
 	res = NewResult(c.Policy, e, w, m)
+	res.probe = p
 	var rec any
 	if c.keep != nil {
 		rec = c.keep(res)

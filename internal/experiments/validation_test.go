@@ -121,20 +121,18 @@ func TestShapeFig9Monotone(t *testing.T) {
 	if testing.Short() {
 		t.Skip("shape validation needs full-length runs")
 	}
-	results, err := RunFig9([]string{"Memtis", "Chrono"}, RunOpts{Duration: 1000 * simclock.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	memtis, chrono := results[0], results[1]
+	recs := cellRecords(t, fig9Cells([]string{"Memtis", "Chrono"}), RunOpts{Duration: 1000 * simclock.Second}, fig9Record)
+	memtis, chrono := recs[0], recs[1]
+	last := len(Fig9Cgroups) - 1 // cgroup 49
 	// Chrono: strong separation between the extremes.
 	hot := chrono.Series[0].Tail(0.2)
-	cold := chrono.Series[49].Tail(0.2)
+	cold := chrono.Series[last].Tail(0.2)
 	if hot < 2*cold {
 		t.Errorf("Chrono tenant separation weak: hot %.1f vs cold %.1f", hot, cold)
 	}
 	// Memtis: flat — extremes within 15 percentage points.
 	mh := memtis.Series[0].Tail(0.2)
-	mc := memtis.Series[49].Tail(0.2)
+	mc := memtis.Series[last].Tail(0.2)
 	if mh-mc > 15 {
 		t.Errorf("Memtis differentiates tenants (%.1f vs %.1f); process-level design should not", mh, mc)
 	}

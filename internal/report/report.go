@@ -124,7 +124,9 @@ func Sparkline(vs []float64) string {
 	for _, v := range vs {
 		idx := 0
 		if hi > lo {
-			idx = int((v - lo) / (hi - lo) * 7)
+			// Clamped: values spanning more than the float range make
+			// the ratio NaN.
+			idx = min(max(int((v-lo)/(hi-lo)*7), 0), 7)
 		}
 		b.WriteRune(rune([]rune(ramp)[idx]))
 	}

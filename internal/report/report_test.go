@@ -84,6 +84,10 @@ func TestSparkline(t *testing.T) {
 	if len([]rune(flat)) != 3 {
 		t.Fatal("flat sparkline")
 	}
+	// So does one whose span overflows a float64 (a NaN ratio).
+	if wide := Sparkline([]float64{-1e308, 1e308}); len([]rune(wide)) != 2 {
+		t.Fatal("wide sparkline")
+	}
 }
 
 func TestDownsample(t *testing.T) {

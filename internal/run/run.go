@@ -26,6 +26,7 @@ package run
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -43,11 +44,14 @@ import (
 // Checkpoint is the on-disk snapshot of a run: the engine state plus
 // the caller's identity for the run. Policy records the policy the
 // snapshot was taken under when it can differ from the one in Spec
-// (chronod's live reconfiguration); sweep cells leave it empty.
+// (chronod's live reconfiguration); sweep cells leave it empty. Probe
+// is the state of a sweep cell's sampler, taken at the same event
+// boundary as State; it is absent for every other run.
 type Checkpoint[S any] struct {
 	Spec   S                   `json:"spec"`
 	Policy string              `json:"policy,omitempty"`
 	State  *engine.EngineState `json:"state"`
+	Probe  json.RawMessage     `json:"probe,omitempty"`
 }
 
 // ErrStale marks a snapshot that exists but cannot be restored: a
@@ -55,9 +59,8 @@ type Checkpoint[S any] struct {
 // that does not overlay a fresh build.
 var ErrStale = errors.New("run: snapshot not restorable")
 
-// Save snapshots e and writes it, with the run's identity, to path
-// atomically.
-func Save[S any](path string, e *engine.Engine, spec S, policy string) error {
+// Save snapshots e into ck and writes ck to path atomically.
+func Save[S any](path string, e *engine.Engine, ck Checkpoint[S]) error {
 	st, err := e.Snapshot()
 	if err != nil {
 		return err
@@ -65,7 +68,8 @@ func Save[S any](path string, e *engine.Engine, spec S, policy string) error {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return err
 	}
-	return checkpoint.Save(path, Checkpoint[S]{Spec: spec, Policy: policy, State: st})
+	ck.State = st
+	return checkpoint.Save(path, ck)
 }
 
 // Open builds the engine a run continues on. When path names a
@@ -77,6 +81,8 @@ func Save[S any](path string, e *engine.Engine, spec S, policy string) error {
 //
 // A snapshot that cannot be restored is deleted and the run replays
 // from scratch on build(nil); stale then wraps ErrStale with the cause.
+// build(ck) rejects a snapshot the same way by returning an error that
+// wraps ErrStale (a sweep cell's probe state that does not decode).
 func Open[S any](path string, check func(*Checkpoint[S]) error,
 	build func(*Checkpoint[S]) (*engine.Engine, error)) (e *engine.Engine, ck *Checkpoint[S], stale, err error) {
 	ck, err = load(path, check)
@@ -90,13 +96,20 @@ func Open[S any](path string, check func(*Checkpoint[S]) error,
 		e, err = build(nil)
 		return e, nil, stale, err
 	}
-	if e, err = build(ck); err != nil {
-		return nil, nil, nil, err
+	e, err = build(ck)
+	if err == nil {
+		if rerr := e.Restore(ck.State); rerr != nil {
+			err = fmt.Errorf("%w: %v", ErrStale, rerr)
+		}
 	}
-	if rerr := e.Restore(ck.State); rerr != nil {
+	if errors.Is(err, ErrStale) {
 		_ = os.Remove(path)
+		stale = err
 		e, err = build(nil)
-		return e, nil, fmt.Errorf("%w: %v", ErrStale, rerr), err
+		return e, nil, stale, err
+	}
+	if err != nil {
+		return nil, nil, nil, err
 	}
 	return e, ck, nil, nil
 }

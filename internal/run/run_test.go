@@ -2,6 +2,7 @@ package run
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -24,16 +25,16 @@ func newEngine(t *testing.T, procs int) *engine.Engine {
 	return e
 }
 
-// Open's fallbacks: no snapshot builds fresh; an unreadable snapshot and
-// one that does not overlay the build are deleted and replayed from
-// scratch on build(nil), reported as ErrStale; a snapshot check rejects
-// is returned as is and kept.
+// Open's fallbacks: no snapshot builds fresh; an unreadable snapshot, one
+// that does not overlay the build and one whose build(ck) fails with
+// ErrStale are deleted and replayed from scratch on build(nil), reported
+// as ErrStale; a snapshot check rejects is returned as is and kept.
 func TestOpen(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "run.ckpt")
 	src := newEngine(t, 2)
 	src.Run(simclock.Second)
-	if err := Save(path, src, "spec", ""); err != nil {
+	if err := Save(path, src, Checkpoint[string]{Spec: "spec"}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -65,6 +66,29 @@ func TestOpen(t *testing.T) {
 	}
 	if len(builds) != 1 || builds[0] != 2 {
 		t.Fatalf("builds %v, want one build for the snapshot", builds)
+	}
+
+	// build rejecting the snapshot's caller state replays from scratch,
+	// and the snapshot is dropped like one that does not restore.
+	builds = nil
+	_, ck, stale, err = Open(path, nil, func(ck *Checkpoint[string]) (*engine.Engine, error) {
+		if ck != nil {
+			builds = append(builds, 2)
+			return nil, fmt.Errorf("%w: bad probe", ErrStale)
+		}
+		return build(2)(nil)
+	})
+	if err != nil || ck != nil || !errors.Is(stale, ErrStale) {
+		t.Fatalf("snapshot build rejects: ck=%v stale=%v err=%v", ck, stale, err)
+	}
+	if len(builds) != 2 || builds[1] != -1 {
+		t.Fatalf("builds %v, want the rejected build then a fresh one", builds)
+	}
+	if _, serr := os.Stat(path); !os.IsNotExist(serr) {
+		t.Fatalf("rejected snapshot kept: %v", serr)
+	}
+	if err := Save(path, src, Checkpoint[string]{Spec: "spec"}); err != nil {
+		t.Fatal(err)
 	}
 
 	builds = nil

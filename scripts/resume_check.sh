@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # resume_check.sh — the kill-and-resume fence for durable sweeps.
 #
-# Runs a quick multi-experiment reproduction (fig8, fig13, fig12, ext:
-# a pmbench grid, the Chrono variants, the KV stores and a sweep whose
+# Runs a quick multi-experiment reproduction (fig8, fig9, fig13, fig12,
+# ext: a pmbench grid, the multi-tenant placement histories sampled by
+# cell probes, the Chrono variants, the KV stores and a sweep whose
 # F1/PPR records are stored with its cells) three ways:
 #   1. uninterrupted, no checkpointing            -> reference output
 #   2. with -checkpoint-dir, SIGKILLed mid-flight -> durable state on disk
@@ -17,10 +18,11 @@
 # snapshots, and cells that never checkpointed at all.
 set -u
 
-FLAGS=(-experiment fig8,fig13,fig12,ext -quick -seed 42 -faults aggressive -j 4)
-# About 5.5 s runs all four on 2 vCPUs, fig8 finishing near 2 s: a kill
-# at 3 s lands after fig8, inside fig13.
-KILL_AFTER="${KILL_AFTER:-3}"
+FLAGS=(-experiment fig8,fig9,fig13,fig12,ext -quick -seed 42 -faults aggressive -j 4)
+# On 2 vCPUs fig8 finishes after about 2 s and fig9 then runs for about
+# 2 s more: a kill at 3.5 s lands inside fig9, after several snapshots
+# that hold its probes' samples.
+KILL_AFTER="${KILL_AFTER:-3.5}"
 
 work="$(mktemp -d)"
 trap 'rm -rf "$work"' EXIT
@@ -54,7 +56,8 @@ fi
 echo "resume-check: experiments finished before the kill:"
 grep -o '^\[[a-z0-9]* done' "$work/killed.err" | sed 's/^\[/    /; s/ done$//' || echo "    (none)"
 echo "resume-check: durable state after kill: $(ls "$ckpt/cells" 2>/dev/null | grep -c '\.done$') finished cells," \
-    "$(ls "$ckpt/cells" 2>/dev/null | grep -c '\.ckpt$') snapshots"
+    "$(ls "$ckpt/cells" 2>/dev/null | grep -c '\.ckpt$') snapshots," \
+    "$(grep -l '"experiment":"fig9"' "$ckpt"/cells/*.ckpt 2>/dev/null | wc -l) of them fig9's"
 
 echo "resume-check: resuming"
 "$bin" "${FLAGS[@]}" -checkpoint-dir "$ckpt" -resume \
