@@ -12,20 +12,22 @@ import (
 	"chrono/internal/simclock"
 )
 
-// baselines are the nine baseline policies whose checkpoint bytes are
-// pinned under testdata/checkpoint.
-var baselines = []string{
+// pinned are the policies whose checkpoint bytes are pinned under
+// testdata/checkpoint: the nine baselines, Chrono with DCSC and
+// semi-auto tuning, and the thrash guard around TPP.
+var pinned = []string{
 	"Linux-NB", "AutoTiering", "Multi-Clock", "TPP", "Telescope",
 	"HeMem", "Memtis", "FlexMem", "Nomad",
+	"Chrono", "Chrono-basic", "TPP+guard",
 }
 
-// TestCheckpointShapeGolden pins each baseline's CheckpointState JSON on
+// TestCheckpointShapeGolden pins each policy's CheckpointState JSON on
 // the shared test world after 30 virtual seconds. A refactor that renames,
 // reorders or re-encodes a checkpoint field, or changes what a policy has
 // computed by then, fails here; checkpoints written by an older build
 // would no longer restore into the same state.
 func TestCheckpointShapeGolden(t *testing.T) {
-	for _, name := range baselines {
+	for _, name := range pinned {
 		t.Run(name, func(t *testing.T) {
 			pol, err := experiments.NewPolicy(name)
 			if err != nil {
