@@ -81,7 +81,9 @@ chaos:
 	$(GO) test -race -tags simdebug -timeout 30m -count 1 -run 'TestFaultMatrix|TestChaos|TestFaultPlan|TestResilientRun' ./internal/engine/ ./internal/experiments/
 
 # Fuzz the fault-plan parser (FuzzParsePlan: no panic, every accepted
-# plan marshals to JSON, String is a parse fixed point), the durable
+# plan marshals to JSON, String is a parse fixed point), Chrono's sysctl
+# writes (FuzzChronoSysctl: no panic, every accepted write reads back
+# finite and inside the knob's range), the durable
 # sweep cell's .done record (FuzzCellDone: a cell resolved from arbitrary
 # record bytes short-circuits, re-runs or errors, never panics) and a
 # cell probe's snapshot state (FuzzCellProbe: arbitrary bytes are
@@ -93,6 +95,7 @@ chaos:
 # is capped at 100 runs.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePlan$$' -fuzztime 20s ./internal/faultinject/
+	$(GO) test -run '^$$' -fuzz '^FuzzChronoSysctl$$' -fuzztime 20s ./internal/core/
 	$(GO) test -run '^$$' -fuzz '^FuzzCellDone$$' -fuzztime 20s -fuzzminimizetime 100x ./internal/experiments/
 	$(GO) test -run '^$$' -fuzz '^FuzzCellProbe$$' -fuzztime 20s -fuzzminimizetime 100x ./internal/experiments/
 

@@ -313,52 +313,6 @@ func BenchmarkFilterRounds(b *testing.B) {
 	}
 }
 
-// BenchmarkThrashMonitor ablates §3.3.2.
-func BenchmarkThrashMonitor(b *testing.B) {
-	for _, off := range []bool{false, true} {
-		name := "on"
-		if off {
-			name = "off"
-		}
-		b.Run(name, func(b *testing.B) {
-			var thr float64
-			for i := 0; i < b.N; i++ {
-				e := engine.New(engine.Config{Seed: 42})
-				w := &workload.Pmbench{Processes: 50, WorkingSetGB: 5, ReadPct: 30, Stride: 2}
-				if err := w.Build(e); err != nil {
-					b.Fatal(err)
-				}
-				e.AttachPolicy(core.New(core.Options{DisableThrashMonitor: off}))
-				thr = e.Run(benchDuration).Throughput()
-			}
-			b.ReportMetric(thr, "Mops/s")
-		})
-	}
-}
-
-// BenchmarkProWatermark ablates §3.3.1's proactive demotion.
-func BenchmarkProWatermark(b *testing.B) {
-	for _, off := range []bool{false, true} {
-		name := "on"
-		if off {
-			name = "off"
-		}
-		b.Run(name, func(b *testing.B) {
-			var thr float64
-			for i := 0; i < b.N; i++ {
-				e := engine.New(engine.Config{Seed: 42})
-				w := &workload.Pmbench{Processes: 50, WorkingSetGB: 5, ReadPct: 70, Stride: 2}
-				if err := w.Build(e); err != nil {
-					b.Fatal(err)
-				}
-				e.AttachPolicy(core.New(core.Options{DisableProactiveDemotion: off}))
-				thr = e.Run(benchDuration).Throughput()
-			}
-			b.ReportMetric(thr, "Mops/s")
-		})
-	}
-}
-
 // --- Appendix B ----------------------------------------------------------
 
 func BenchmarkAppBEstimators(b *testing.B) {

@@ -56,7 +56,7 @@ func main() {
 	fmt.Printf("promotions:      %d pages, demotions: %d pages\n",
 		m.Promotions, m.Demotions)
 	fmt.Printf("CIT threshold:   %.0f ms (auto-tuned from %v)\n",
-		ch.ThresholdMS(), ch.Options().CITThresholdMS)
+		ch.ThresholdMS(), core.InitialThresholdMS)
 	fmt.Printf("rate limit:      %.0f MB/s (auto-tuned)\n", ch.RateLimitMBps())
 	fmt.Printf("hot head is %.1f%% resident in DRAM\n", headResidency(e, p, pages/5))
 }

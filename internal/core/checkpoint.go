@@ -4,9 +4,9 @@ package core
 // influences future decisions — the live threshold/rate-limit pair, the
 // candidate filter, the promotion queue and its retry counts, the DCSC
 // heat maps and outstanding probes, the tuning histories, and the
-// Ticking-scan walker positions. Configuration (Options after
-// withDefaults) is rebuilt by New/Attach and not serialized, except for
-// the three fields exposed as writable sysctls.
+// Ticking-scan walker positions. Configuration is rebuilt by New/Attach
+// and not serialized, except for the three knobs exposed as writable
+// sysctls besides the threshold and the rate limit.
 
 import (
 	"encoding/json"
@@ -50,8 +50,7 @@ type checkpointState struct {
 	ThresholdMS  float64 `json:"threshold_ms"`
 	RateLimitBps float64 `json:"rate_limit_bps"`
 
-	// Sysctl-writable option fields (everything else in Options is
-	// construction-time configuration).
+	// The other sysctl-writable knobs.
 	DeltaStep       float64 `json:"delta_step"`
 	PVictim         float64 `json:"p_victim"`
 	ThrashThreshold float64 `json:"thrash_threshold"`
@@ -90,9 +89,9 @@ func (c *Chrono) CheckpointState() (any, error) {
 	st := checkpointState{
 		ThresholdMS:     c.thresholdMS,
 		RateLimitBps:    c.rateLimitBps,
-		DeltaStep:       c.opt.DeltaStep,
-		PVictim:         c.opt.PVictim,
-		ThrashThreshold: c.opt.ThrashThreshold,
+		DeltaStep:       c.deltaStep,
+		PVictim:         c.pVictim,
+		ThrashThreshold: c.thrashThreshold,
 		Queue:           append([]int64(nil), c.queue...),
 		EnqueuedBytes:   c.enqueuedBytes,
 		EnqueueRateEMA:  c.enqueueRateEMA,
@@ -142,23 +141,30 @@ func (c *Chrono) CheckpointState() (any, error) {
 }
 
 // RestoreCheckpoint implements policy.Policy: overlay a captured
-// state onto a freshly Attached Chrono built with the same Options.
+// state onto a freshly Attached Chrono built with the same Options. A
+// knob outside its sysctl range is an error.
 func (c *Chrono) RestoreCheckpoint(data []byte) error {
 	var st checkpointState
 	if err := json.Unmarshal(data, &st); err != nil {
 		return err
 	}
 	for t := range st.Heat {
-		if len(st.Heat[t]) != c.opt.BBuckets {
-			return fmt.Errorf("core: restore: heat map tier %d has %d buckets, configured %d",
-				t, len(st.Heat[t]), c.opt.BBuckets)
+		if len(st.Heat[t]) != BBuckets {
+			return fmt.Errorf("core: restore: heat map tier %d has %d buckets, want %d",
+				t, len(st.Heat[t]), BBuckets)
 		}
 	}
 	c.thresholdMS = st.ThresholdMS
 	c.rateLimitBps = st.RateLimitBps
-	c.opt.DeltaStep = st.DeltaStep
-	c.opt.PVictim = st.PVictim
-	c.opt.ThrashThreshold = st.ThrashThreshold
+	c.deltaStep = st.DeltaStep
+	c.pVictim = st.PVictim
+	c.thrashThreshold = st.ThrashThreshold
+	// The knobs face the same range checks as a sysctl write.
+	for _, kb := range c.knobs() {
+		if err := kb.check(*kb.v); err != nil {
+			return fmt.Errorf("core: restore: %s=%v: %w", kb.path, *kb.v, err)
+		}
+	}
 	c.queue = append(c.queue[:0], st.Queue...)
 	c.enqueuedBytes = st.EnqueuedBytes
 	c.enqueueRateEMA = st.EnqueueRateEMA

@@ -26,6 +26,9 @@
 package core
 
 import (
+	"fmt"
+	"math"
+
 	"chrono/internal/mem"
 	"chrono/internal/policy"
 	"chrono/internal/policy/scan"
@@ -49,7 +52,9 @@ const (
 	TuneSemiAuto
 )
 
-// Options configures Chrono. Zero values take the Table 2 defaults.
+// Options configures Chrono: the values the paper's Chrono variants and
+// sensitivity sweeps vary. Zero values take the Table 2 defaults; every
+// other parameter is one of the constants below.
 type Options struct {
 	// Scan configures the Ticking-scan pacing (scan step / scan period;
 	// Table 2: 256 MB step, 60 s period).
@@ -59,80 +64,47 @@ type Options struct {
 	Rounds int
 	// Tuning selects the tuning mode (default TuneDCSC).
 	Tuning Tuning
-	// CITThresholdMS is the initial classification threshold (Table 2:
-	// 1000 ms, auto-tuned thereafter).
-	CITThresholdMS float64
 	// RateLimitMBps is the initial (semi-auto: permanent) promotion rate
-	// limit (Table 2: 100 MB/s, auto-tuned under DCSC).
+	// limit (auto-tuned under DCSC).
 	RateLimitMBps float64
-	// DeltaStep is the threshold adaption step δ (Table 2: 0.5).
+	// DeltaStep is the threshold adaption step δ.
 	DeltaStep float64
 	// PVictim is the fraction of pages probed per DCSC statistical scan.
-	// The paper's 0.003% of a 256 GB machine is ~2000 pages per scan; at
-	// simulator scale the default 0.002 keeps the probe-fault volume a
-	// small fraction of Ticking-scan faults (matching the paper's
-	// context-switch ordering) while still collecting >600 samples per
-	// tuning window (see DESIGN.md on scaling).
 	PVictim float64
-	// BBuckets is the number of CIT heat-map buckets (Table 2: 28; the
-	// finest level is 1 ms and bucket i covers [2^(i-1), 2^i) ms).
-	BBuckets int
-	// StatPeriod is the DCSC statistical scan interval (default 1 s —
-	// "frequent per-second scans", §3.2.2).
-	StatPeriod simclock.Duration
-	// TunePeriod is the interval between DCSC-based parameter updates
-	// (default 5 s).
-	TunePeriod simclock.Duration
-	// MigrateTick is the promotion-queue drain interval (default 100 ms).
-	MigrateTick simclock.Duration
-	// ProactiveDemotion enables the pro-watermark demotion scheme
-	// (default on; disable for ablation).
-	DisableProactiveDemotion bool
-	// ThrashMonitor enables the page-thrashing monitor (default on).
-	DisableThrashMonitor bool
-	// ThrashThreshold is the thrash/promotion ratio above which the rate
-	// limit halves (§3.3.2: 20%).
-	ThrashThreshold float64
-	// DemotionPeriod is the proactive-demotion check interval (1 s).
-	DemotionPeriod simclock.Duration
 }
 
-func (o Options) withDefaults() Options {
-	if o.Rounds == 0 {
-		o.Rounds = 2
-	}
-	if o.CITThresholdMS == 0 {
-		o.CITThresholdMS = 1000
-	}
-	if o.RateLimitMBps == 0 {
-		o.RateLimitMBps = 100
-	}
-	if o.DeltaStep == 0 {
-		o.DeltaStep = 0.5
-	}
-	if o.PVictim == 0 {
-		o.PVictim = 0.002
-	}
-	if o.BBuckets == 0 {
-		o.BBuckets = 28
-	}
-	if o.StatPeriod == 0 {
-		o.StatPeriod = simclock.Second
-	}
-	if o.TunePeriod == 0 {
-		o.TunePeriod = 5 * simclock.Second
-	}
-	if o.MigrateTick == 0 {
-		o.MigrateTick = 100 * simclock.Millisecond
-	}
-	if o.ThrashThreshold == 0 {
-		o.ThrashThreshold = 0.20
-	}
-	if o.DemotionPeriod == 0 {
-		o.DemotionPeriod = simclock.Second
-	}
-	return o
-}
+// Table 2 defaults, which Table 2 and the quickstart example print.
+const (
+	DefaultRateLimitMBps float64 = 100 // initial promotion rate limit (MB/s)
+	DefaultDeltaStep     float64 = 0.5 // threshold adaption step δ
+	// DefaultPVictim is the DCSC victim fraction. The paper's 0.003% of a
+	// 256 GB machine is ~2000 pages per scan; at simulator scale 0.002
+	// keeps the probe-fault volume a small fraction of Ticking-scan
+	// faults (matching the paper's context-switch ordering) while still
+	// collecting >600 samples per tuning window (see DESIGN.md on
+	// scaling).
+	DefaultPVictim float64 = 0.002
+	// InitialThresholdMS is the initial CIT classification threshold
+	// (ms); both tuning modes adjust it from there.
+	InitialThresholdMS float64 = 1000
+	// BBuckets is the number of CIT heat-map buckets: the finest level
+	// is 1 ms and bucket i covers [2^(i-1), 2^i) ms.
+	BBuckets int = 28
+)
+
+// §3 periods and ratios.
+const (
+	defaultRounds          = 2                          // candidate-filter depth (§3.1.2, Appendix B)
+	statPeriod             = simclock.Second            // DCSC statistical scans: "frequent per-second scans" (§3.2.2)
+	tunePeriod             = 5 * simclock.Second        // DCSC parameter updates
+	migrateTick            = 100 * simclock.Millisecond // promotion-queue drains
+	demotionPeriod         = simclock.Second            // proactive-demotion checks (§3.3.1)
+	defaultThrashThreshold = 0.20                       // thrash/promotion ratio that halves the rate limit (§3.3.2)
+)
+
+// periods are the intervals of Chrono's periodic tasks: the constants
+// above, except where an in-package test pushes them out of reach.
+type periods struct{ stat, tune, migrate, demote simclock.Duration }
 
 // candidate is the XArray entry for a page that passed at least one CIT
 // round (§3.1.2, Figure 4).
@@ -152,11 +124,21 @@ type probe struct {
 //
 //chrono:statesync checkpointState
 type Chrono struct {
-	policy.Base //chrono:rebuilt stateless method set
-	// opt is construction-time configuration except for the three
-	// sysctl-writable knobs, which are serialized.
-	opt Options       //chrono:state DeltaStep,PVictim,ThrashThreshold
-	k   policy.Kernel //chrono:rebuilt kernel handle, re-bound by Attach
+	policy.Base               //chrono:rebuilt stateless method set
+	k           policy.Kernel //chrono:rebuilt kernel handle, re-bound by Attach
+
+	// Construction-time configuration.
+	scanCfg scan.Config //chrono:rebuilt construction-time configuration; the walkers' state is Scan
+	rounds  int         //chrono:rebuilt construction-time configuration
+	tuning  Tuning      //chrono:rebuilt construction-time configuration
+	every   periods     //chrono:rebuilt constants, set by New
+
+	// The sysctl-writable knobs of §4 besides the threshold and the
+	// rate limit: the adaption step δ, the DCSC victim fraction and the
+	// thrash ratio that halves the rate limit.
+	deltaStep       float64 //chrono:state DeltaStep
+	pVictim         float64 //chrono:state PVictim
+	thrashThreshold float64 //chrono:state ThrashThreshold
 
 	scan *scan.Set //chrono:state Scan
 	// citScale converts an observed poison-to-fault gap into the CIT of
@@ -202,9 +184,9 @@ type Chrono struct {
 	ThresholdHist stats.Series //chrono:state ThresholdHist
 	RateLimitHist stats.Series //chrono:state RateLimitHist
 
-	// CITObserver, if set, receives every Ticking-scan CIT observation
+	// citObserver, if set, receives every Ticking-scan CIT observation
 	// (page, CIT in ms). Used by the Figure 10a harness.
-	CITObserver func(pg *vm.Page, citMS float64) //chrono:rebuilt harness closure; the harness reattaches it
+	citObserver func(pg *vm.Page, citMS float64) //chrono:rebuilt harness closure; the harness reattaches it
 
 	// Counters exported for tests and reports.
 	Enqueued    int64 //chrono:state Enqueued
@@ -222,27 +204,37 @@ type Chrono struct {
 
 // New returns a Chrono policy with the given options.
 func New(opt Options) *Chrono {
-	opt = opt.withDefaults()
 	c := &Chrono{
-		opt:          opt,
-		thresholdMS:  opt.CITThresholdMS,
-		rateLimitBps: opt.RateLimitMBps * 1e6,
-		cands:        &xarray.XArray{},
-		retries:      make(map[int64]int8),
+		scanCfg:         opt.Scan,
+		rounds:          orDefault(opt.Rounds, defaultRounds),
+		tuning:          opt.Tuning,
+		every:           periods{stat: statPeriod, tune: tunePeriod, migrate: migrateTick, demote: demotionPeriod},
+		deltaStep:       orDefault(opt.DeltaStep, DefaultDeltaStep),
+		pVictim:         orDefault(opt.PVictim, DefaultPVictim),
+		thrashThreshold: defaultThrashThreshold,
+		thresholdMS:     InitialThresholdMS,
+		rateLimitBps:    orDefault(opt.RateLimitMBps, DefaultRateLimitMBps) * 1e6,
+		cands:           &xarray.XArray{},
+		retries:         make(map[int64]int8),
 	}
 	for t := range c.heat {
-		c.heat[t] = make([]float64, opt.BBuckets)
+		c.heat[t] = make([]float64, BBuckets)
 	}
 	c.ThresholdHist.Name = "cit_threshold_ms"
 	c.RateLimitHist.Name = "rate_limit_mbps"
 	return c
 }
 
+// orDefault returns v, or def when v is zero.
+func orDefault[T int | float64](v, def T) T {
+	if v == 0 {
+		return def
+	}
+	return v
+}
+
 // Name implements policy.Policy.
 func (c *Chrono) Name() string { return "Chrono" }
-
-// Options returns the effective options.
-func (c *Chrono) Options() Options { return c.opt }
 
 // ThresholdMS returns the live CIT threshold in milliseconds.
 func (c *Chrono) ThresholdMS() float64 { return c.thresholdMS }
@@ -259,7 +251,7 @@ func (c *Chrono) Candidates() int { return c.cands.Len() }
 // SetCITObserver installs a callback receiving every Ticking-scan CIT
 // observation (Figure 10a instrumentation).
 func (c *Chrono) SetCITObserver(fn func(pg *vm.Page, citMS float64)) {
-	c.CITObserver = fn
+	c.citObserver = fn
 }
 
 // enabled consults the kernel/numa_tiering sysctl (§4: "We add a new
@@ -281,14 +273,14 @@ func (c *Chrono) Attach(k policy.Kernel) {
 	// timestamp. Fast-tier pages are not poisoned — their hotness is
 	// tracked by the LRU for demotion — so Chrono's hint-fault volume
 	// stays below NUMA balancing's (Figure 8's context-switch column).
-	c.scan = scan.Start(k, c.opt.Scan, func(pg *vm.Page, now simclock.Time) {
+	c.scan = scan.Start(k, c.scanCfg, func(pg *vm.Page, now simclock.Time) {
 		if pg.Tier == mem.SlowTier && c.enabled() {
 			k.Protect(pg)
 		}
 	})
 
 	// Promotion-queue migrator (§3.1.2), budgeted by the rate limit.
-	k.Clock().EveryKey("chrono/migrate", c.opt.MigrateTick, func(now simclock.Time) {
+	k.Clock().EveryKey("chrono/migrate", c.every.migrate, func(now simclock.Time) {
 		if c.enabled() {
 			c.drainQueue(now)
 		}
@@ -299,55 +291,67 @@ func (c *Chrono) Attach(k policy.Kernel) {
 		c.semiAutoTick(now)
 	})
 
-	if c.opt.Tuning == TuneDCSC {
+	if c.tuning == TuneDCSC {
 		// DCSC statistical scans and the derived parameter updates
 		// (§3.2.2).
-		k.Clock().EveryKey("chrono/stat", c.opt.StatPeriod, func(now simclock.Time) {
+		k.Clock().EveryKey("chrono/stat", c.every.stat, func(now simclock.Time) {
 			if c.enabled() {
 				c.statScan(now)
 			}
 		})
-		k.Clock().EveryKey("chrono/tune", c.opt.TunePeriod, func(now simclock.Time) {
+		k.Clock().EveryKey("chrono/tune", c.every.tune, func(now simclock.Time) {
 			if c.enabled() {
 				c.dcscTune(now)
 			}
 		})
 	}
 
-	if !c.opt.DisableProactiveDemotion {
-		k.Clock().EveryKey("chrono/demote", c.opt.DemotionPeriod, func(now simclock.Time) {
-			if c.enabled() {
-				c.demotionTick(now)
-			}
-		})
-	}
+	// Proactive demotion against the pro watermark (§3.3.1).
+	k.Clock().EveryKey("chrono/demote", c.every.demote, func(now simclock.Time) {
+		if c.enabled() {
+			c.demotionTick(now)
+		}
+	})
 
 	c.ThresholdHist.Append(0, c.thresholdMS)
 	c.RateLimitHist.Append(0, c.RateLimitMBps())
 }
 
-// registerSysctl exposes the procfs-style controllers of §4.
-func (c *Chrono) registerSysctl() {
-	t := c.k.Sysctl()
-	positive := func(v float64) error {
-		if v <= 0 {
-			return errNonPositive
-		}
-		return nil
-	}
-	t.Float64("chrono/cit_threshold_ms", "CIT classification threshold (ms)", &c.thresholdMS, positive, nil)
-	t.Float64("chrono/rate_limit_bps", "promotion rate limit (bytes/s)", &c.rateLimitBps, positive, nil)
-	t.Float64("chrono/delta_step", "threshold adaption step δ", &c.opt.DeltaStep, positive, nil)
-	t.Float64("chrono/p_victim", "DCSC victim sampling fraction", &c.opt.PVictim, positive, nil)
-	t.Float64("chrono/thrash_threshold", "thrash ratio that halves the rate limit", &c.opt.ThrashThreshold, positive, nil)
+// knob is one of Chrono's sysctl-writable values (§4) and its range.
+type knob struct {
+	path, desc, rng string
+	v               *float64
+	ok              func(float64) bool
 }
 
-// errNonPositive rejects non-positive sysctl writes.
-var errNonPositive = errorString("value must be positive")
+// knobs lists Chrono's sysctl-writable values. Each must stay finite
+// and in range: statScan draws len(pages)·p_victim victims every
+// second, so a huge or NaN value would wedge the run.
+func (c *Chrono) knobs() []knob {
+	positive := func(v float64) bool { return v > 0 && v < math.Inf(1) }
+	return []knob{
+		{"chrono/cit_threshold_ms", "CIT classification threshold (ms)", "(0, +Inf)", &c.thresholdMS, positive},
+		{"chrono/rate_limit_bps", "promotion rate limit (bytes/s)", "(0, +Inf)", &c.rateLimitBps, positive},
+		{"chrono/delta_step", "threshold adaption step δ", "(0, 1)", &c.deltaStep, func(v float64) bool { return v > 0 && v < 1 }},
+		{"chrono/p_victim", "DCSC victim sampling fraction", "(0, 1]", &c.pVictim, func(v float64) bool { return v > 0 && v <= 1 }},
+		{"chrono/thrash_threshold", "thrash ratio that halves the rate limit", "(0, +Inf)", &c.thrashThreshold, positive},
+	}
+}
 
-type errorString string
+// check returns an error unless v is in the knob's range.
+func (kb knob) check(v float64) error {
+	if !kb.ok(v) {
+		return fmt.Errorf("value %v is outside %s", v, kb.rng)
+	}
+	return nil
+}
 
-func (e errorString) Error() string { return string(e) }
+// registerSysctl exposes the knobs.
+func (c *Chrono) registerSysctl() {
+	for _, kb := range c.knobs() {
+		c.k.Sysctl().Float64(kb.path, kb.desc, kb.v, kb.check, nil)
+	}
+}
 
 // effectiveThresholdMS returns the CIT threshold for a page, scaled by its
 // size (§3.4: TH_2MB = TH_4KB / 512).
@@ -370,14 +374,14 @@ func (c *Chrono) OnFault(pg *vm.Page, now simclock.Time) {
 	c.k.ChargeKernel(units.NS(90 * c.k.CostScale())) // CIT arithmetic + candidate lookup
 
 	citMS := cit.Millis() * c.citScale
-	if c.CITObserver != nil {
-		c.CITObserver(pg, citMS)
+	if c.citObserver != nil {
+		c.citObserver(pg, citMS)
 	}
 	th := c.effectiveThresholdMS(pg)
 
 	// Thrash detection (§3.3.2): a recently demoted page re-qualifying
 	// within a scan period is a thrash event.
-	if !c.opt.DisableThrashMonitor && pg.Flags.Has(vm.FlagDemoted) {
+	if pg.Flags.Has(vm.FlagDemoted) {
 		if citMS < th && now-pg.DemoteTS <= c.scan.Config().Period {
 			c.thrashEvents++
 			c.ThrashTotal++
@@ -407,7 +411,7 @@ func (c *Chrono) OnFault(pg *vm.Page, now simclock.Time) {
 	entry.lastCIT = cit
 	entry.stamp = now
 
-	if entry.passes >= c.opt.Rounds {
+	if entry.passes >= c.rounds {
 		// Submission (Figure 4 step 5): move to the promotion queue. The
 		// queue is bounded to one scan period's worth of rate-limited
 		// migration — beyond that, additional candidates cannot possibly
@@ -452,7 +456,7 @@ const maxPromoteRetries = 3
 // retry backoff in sim time — while any other refusal (capacity,
 // bandwidth, admission) re-queues at the front and stops the drain.
 func (c *Chrono) drainQueue(now simclock.Time) {
-	budgetBytes := c.rateLimitBps * c.opt.MigrateTick.Seconds()
+	budgetBytes := c.rateLimitBps * c.every.migrate.Seconds()
 	pageBytes := float64(c.k.Node().PageSizeBytes)
 	pages := c.k.Pages()
 	// Bound the pass to the queue length at entry so a page requeued

@@ -5,27 +5,36 @@ import (
 	"testing"
 
 	"chrono/internal/mem"
+	"chrono/internal/policy/policytest"
 	"chrono/internal/policy/scan"
 	"chrono/internal/simclock"
 	"chrono/internal/vm"
 )
 
-// attach wires a quiet Chrono to a fake kernel.
+// attach wires a Chrono to a fake kernel, with its DCSC, migration and
+// demotion tasks pushed out of reach.
 func attach(t *testing.T, opt Options) (*Chrono, *fakeKernel) {
 	t.Helper()
 	k := newFakeKernel()
 	k.addPage(mem.SlowTier, 1) // ensure a process/VMA exists for the scanner
 	c := New(opt)
+	c.every = periods{stat: far, tune: far, migrate: far, demote: far}
 	c.Attach(k)
 	return c, k
 }
 
 func TestDefaults(t *testing.T) {
 	c := New(Options{})
-	opt := c.Options()
-	if opt.Rounds != 2 || opt.CITThresholdMS != 1000 || opt.RateLimitMBps != 100 ||
-		opt.DeltaStep != 0.5 || opt.BBuckets != 28 {
-		t.Fatalf("defaults: %+v", opt)
+	if c.rounds != 2 || c.tuning != TuneDCSC || c.deltaStep != 0.5 || c.pVictim != 0.002 ||
+		c.thrashThreshold != 0.2 || len(c.heat[mem.FastTier]) != 28 || len(c.heat[mem.SlowTier]) != 28 {
+		t.Fatalf("defaults: rounds %d tuning %d δ %v p_victim %v thrash %v buckets %d/%d",
+			c.rounds, c.tuning, c.deltaStep, c.pVictim, c.thrashThreshold,
+			len(c.heat[mem.FastTier]), len(c.heat[mem.SlowTier]))
+	}
+	want := periods{stat: simclock.Second, tune: 5 * simclock.Second,
+		migrate: 100 * simclock.Millisecond, demote: simclock.Second}
+	if c.every != want {
+		t.Fatalf("periods %+v, want %+v", c.every, want)
 	}
 	if c.Name() != "Chrono" {
 		t.Fatal("name")
@@ -180,7 +189,7 @@ func TestDrainQueueRateLimit(t *testing.T) {
 		c.queue = append(c.queue, pg.ID)
 	}
 	// One 100 ms tick has budget 0.1 MB = 25 pages; all 10 drain.
-	c.opt.MigrateTick = 100 * simclock.Millisecond
+	c.every.migrate = 100 * simclock.Millisecond
 	c.drainQueue(k.clock.Now())
 	if len(k.promotes) != 10 {
 		t.Fatalf("promoted %d of 10 within budget", len(k.promotes))
@@ -204,7 +213,7 @@ func TestDrainQueueSkipsStaleEntries(t *testing.T) {
 	pg := k.addPage(mem.SlowTier, 1)
 	c.queue = append(c.queue, pg.ID)
 	pg.Tier = mem.FastTier // already promoted by other means
-	c.opt.MigrateTick = 100 * simclock.Millisecond
+	c.every.migrate = 100 * simclock.Millisecond
 	c.drainQueue(k.clock.Now())
 	if len(k.promotes) != 0 || c.QueueLen() != 0 {
 		t.Fatal("stale queue entry not skipped")
@@ -216,7 +225,7 @@ func TestDrainQueueRequeuesOnFailedMigration(t *testing.T) {
 	pg := k.addPage(mem.SlowTier, 1)
 	c.queue = append(c.queue, pg.ID)
 	k.promoteOK = func(*vm.Page) bool { return false } // migration bandwidth dry
-	c.opt.MigrateTick = 100 * simclock.Millisecond
+	c.every.migrate = 100 * simclock.Millisecond
 	c.drainQueue(k.clock.Now())
 	if c.QueueLen() != 1 {
 		t.Fatal("failed promotion dropped from queue")
@@ -325,18 +334,6 @@ func TestThrashDetectionOnDemotedPage(t *testing.T) {
 	}
 }
 
-func TestThrashMonitorDisabled(t *testing.T) {
-	opt := quietOptions()
-	opt.DisableThrashMonitor = true
-	c, k := attach(t, opt)
-	pg := k.addPage(mem.FastTier, 1)
-	k.TryDemote(pg)
-	c.OnMigrated(pg, mem.FastTier, mem.SlowTier)
-	if pg.Flags.Has(vm.FlagDemoted) {
-		t.Fatal("thrash monitor disabled but page flagged")
-	}
-}
-
 func TestCITBuckets(t *testing.T) {
 	c := New(Options{})
 	cases := map[float64]int{
@@ -348,7 +345,7 @@ func TestCITBuckets(t *testing.T) {
 		}
 	}
 	// Clamps into the last bucket.
-	if got := c.citBucket(1e30); got != c.opt.BBuckets-1 {
+	if got := c.citBucket(1e30); got != BBuckets-1 {
 		t.Fatalf("huge CIT bucket %d", got)
 	}
 	if c.BucketUpperMS(3) != 8 {
@@ -537,6 +534,71 @@ func TestSysctlRegistration(t *testing.T) {
 	}
 	if err := k.Sysctl().Set("chrono/cit_threshold_ms", "-5"); err == nil {
 		t.Fatal("negative threshold accepted")
+	}
+
+	// Every knob rejects NaN, infinities, zero and negatives; the two
+	// fractions reject values past their range. A rejected write leaves
+	// the value as it was.
+	bad := map[string][]string{
+		"chrono/cit_threshold_ms": {"NaN", "Inf", "+Inf", "-Inf", "0", "-0"},
+		"chrono/rate_limit_bps":   {"NaN", "Inf", "-Inf", "0", "-1"},
+		"chrono/delta_step":       {"NaN", "Inf", "0", "1", "5", "-0.5"},
+		"chrono/p_victim":         {"NaN", "Inf", "0", "1.0001", "1e6", "-0"},
+		"chrono/thrash_threshold": {"NaN", "Inf", "0", "-0.2"},
+	}
+	for key, vals := range bad {
+		before, _ := k.Sysctl().Get(key)
+		for _, v := range vals {
+			if err := k.Sysctl().Set(key, v); err == nil {
+				t.Errorf("%s=%s accepted", key, v)
+			}
+			if after, _ := k.Sysctl().Get(key); after != before {
+				t.Errorf("%s=%s rejected but the value changed %s -> %s", key, v, before, after)
+			}
+		}
+	}
+	good := map[string]string{
+		"chrono/cit_threshold_ms": "1e9",
+		"chrono/rate_limit_bps":   "5e8",
+		"chrono/delta_step":       "0.99",
+		"chrono/p_victim":         "1",
+		"chrono/thrash_threshold": "3",
+	}
+	for key, v := range good {
+		if err := k.Sysctl().Set(key, v); err != nil {
+			t.Errorf("%s=%s rejected: %v", key, v, err)
+		}
+	}
+	if c.deltaStep != 0.99 || c.pVictim != 1 || c.thrashThreshold != 3 || c.rateLimitBps != 5e8 {
+		t.Fatalf("writes not applied: δ %v p_victim %v thrash %v rate %v",
+			c.deltaStep, c.pVictim, c.thrashThreshold, c.rateLimitBps)
+	}
+}
+
+// TestRestoreRejectsOutOfRangeKnobs: a checkpoint carrying a knob the
+// sysctl would refuse (p_victim 1e6 makes each DCSC scan draw a million
+// victims per page) fails to restore instead of wedging the run.
+func TestRestoreRejectsOutOfRangeKnobs(t *testing.T) {
+	c, _ := attach(t, quietOptions())
+	for _, tc := range []struct {
+		key string
+		v   any
+	}{
+		{"p_victim", 1e6},
+		{"p_victim", 0},
+		{"delta_step", 5},
+		{"thrash_threshold", -1},
+		{"threshold_ms", 0},
+		{"rate_limit_bps", -1e8},
+	} {
+		fresh, _ := attach(t, quietOptions())
+		if err := fresh.RestoreCheckpoint(policytest.StateWith(t, c, tc.key, tc.v)); err == nil {
+			t.Errorf("%s=%v restored without error", tc.key, tc.v)
+		}
+	}
+	fresh, _ := attach(t, quietOptions())
+	if err := fresh.RestoreCheckpoint(policytest.StateWith(t, c, "p_victim", 0.01)); err != nil {
+		t.Fatalf("in-range checkpoint: %v", err)
 	}
 }
 

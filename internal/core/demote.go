@@ -73,7 +73,7 @@ func (c *Chrono) demotePage(pg *vm.Page, now simclock.Time) bool {
 // Ticking-scan timestamp and it re-enters the promotion pipeline under
 // the same CIT criteria (§3.3.2).
 func (c *Chrono) OnMigrated(pg *vm.Page, from, to mem.TierID) {
-	if to != mem.SlowTier || c.opt.DisableThrashMonitor {
+	if to != mem.SlowTier {
 		return
 	}
 	pg.Flags |= vm.FlagDemoted

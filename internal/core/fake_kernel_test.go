@@ -175,15 +175,12 @@ func (k *fakeKernel) advance(d simclock.Duration) {
 	k.clock.RunUntil(k.clock.Now() + d)
 }
 
-// quietOptions returns Options whose periodic work is pushed far beyond
-// any test horizon, so white-box tests drive Chrono's handlers directly.
+// far is a period beyond any test horizon (~13 virtual days).
+const far = 1 << 50
+
+// quietOptions returns Options whose Ticking-scan is pushed far beyond
+// any test horizon; attach does the same to the other periodic tasks,
+// so white-box tests drive Chrono's handlers directly.
 func quietOptions() Options {
-	const far = 1 << 50 // ~13 virtual days
-	return Options{
-		Scan:           scan.Config{Period: far, StepPages: 1},
-		StatPeriod:     far,
-		TunePeriod:     far,
-		MigrateTick:    far,
-		DemotionPeriod: far,
-	}
+	return Options{Scan: scan.Config{Period: far, StepPages: 1}}
 }

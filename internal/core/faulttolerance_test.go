@@ -20,7 +20,7 @@ func TestDrainQueueTransientSkipsAndRequeues(t *testing.T) {
 	ok2 := k.addPage(mem.SlowTier, 1)
 	c.queue = append(c.queue, busy.ID, ok1.ID, ok2.ID)
 	k.transient = func(pg *vm.Page) bool { return pg == busy }
-	c.opt.MigrateTick = 100 * simclock.Millisecond
+	c.every.migrate = 100 * simclock.Millisecond
 
 	c.drainQueue(k.clock.Now())
 	// The busy head must not stall the siblings behind it.
@@ -52,7 +52,7 @@ func TestDrainQueueDropsAfterMaxRetries(t *testing.T) {
 	busy := k.addPage(mem.SlowTier, 1)
 	c.queue = append(c.queue, busy.ID)
 	k.transient = func(*vm.Page) bool { return true }
-	c.opt.MigrateTick = 100 * simclock.Millisecond
+	c.every.migrate = 100 * simclock.Millisecond
 
 	for i := 0; i < maxPromoteRetries; i++ {
 		if c.QueueLen() != 1 {
@@ -80,7 +80,7 @@ func TestDrainQueueNoCapacityStillStopsDrain(t *testing.T) {
 	b := k.addPage(mem.SlowTier, 1)
 	c.queue = append(c.queue, a.ID, b.ID)
 	k.promoteOK = func(*vm.Page) bool { return false } // capacity failure
-	c.opt.MigrateTick = 100 * simclock.Millisecond
+	c.every.migrate = 100 * simclock.Millisecond
 
 	c.drainQueue(k.clock.Now())
 	// Capacity exhaustion: head requeued at the FRONT, drain stopped —
@@ -100,7 +100,7 @@ func TestDrainQueueStaleClearsRetryCount(t *testing.T) {
 	pg := k.addPage(mem.SlowTier, 1)
 	c.queue = append(c.queue, pg.ID)
 	k.transient = func(*vm.Page) bool { return true }
-	c.opt.MigrateTick = 100 * simclock.Millisecond
+	c.every.migrate = 100 * simclock.Millisecond
 	c.drainQueue(k.clock.Now()) // transient: requeued with count 1
 
 	k.transient = nil

@@ -37,7 +37,7 @@ func (c *Chrono) semiAutoTick(now simclock.Time) {
 	c.enqueuedBytes = 0
 	c.expireCandidates(now)
 
-	if c.opt.Tuning == TuneSemiAuto {
+	if c.tuning == TuneSemiAuto {
 		r := 1.0
 		if enqueueRate > 0 {
 			r = c.rateLimitBps / enqueueRate
@@ -52,7 +52,7 @@ func (c *Chrono) semiAutoTick(now simclock.Time) {
 		} else if r < 0.1 {
 			r = 0.1
 		}
-		delta := c.opt.DeltaStep
+		delta := c.deltaStep
 		c.thresholdMS *= 1 - delta + delta*r
 		c.clampThreshold()
 		c.ThresholdHist.Append(now.Seconds(), c.thresholdMS)
@@ -61,9 +61,9 @@ func (c *Chrono) semiAutoTick(now simclock.Time) {
 
 	// Thrash monitor (§3.3.2): compare the thrashing rate with the
 	// promotion rate over the closing scan period.
-	if !c.opt.DisableThrashMonitor && c.promotedPages > 0 {
+	if c.promotedPages > 0 {
 		ratio := float64(c.thrashEvents) / float64(c.promotedPages)
-		if ratio > c.opt.ThrashThreshold {
+		if ratio > c.thrashThreshold {
 			c.rateLimitBps /= 2
 			c.clampRateLimit()
 			c.RateLimitHist.Append(now.Seconds(), c.RateLimitMBps())
@@ -81,7 +81,7 @@ func (c *Chrono) clampThreshold() {
 		c.thresholdMS = maxThresholdMS
 	}
 	if math.IsNaN(c.thresholdMS) || math.IsInf(c.thresholdMS, 0) {
-		c.thresholdMS = c.opt.CITThresholdMS
+		c.thresholdMS = InitialThresholdMS
 	}
 }
 
@@ -125,8 +125,8 @@ func (c *Chrono) citBucket(citMS float64) int {
 		return 0
 	}
 	b := bits.Len64(uint64(citMS))
-	if b >= c.opt.BBuckets {
-		b = c.opt.BBuckets - 1
+	if b >= BBuckets {
+		b = BBuckets - 1
 	}
 	return b
 }
@@ -144,7 +144,7 @@ func (c *Chrono) statScan(now simclock.Time) {
 		return
 	}
 	c.expireProbes(now)
-	n := int(float64(len(pages)) * c.opt.PVictim)
+	n := int(float64(len(pages)) * c.pVictim)
 	if n < 1 {
 		n = 1
 	}
@@ -224,8 +224,8 @@ func (c *Chrono) recordSample(pg *vm.Page, citMS float64) {
 	weight := 1.0
 	if pg.IsHuge() {
 		b += bits.Len32(uint32(pg.Size)) - 1
-		if b >= c.opt.BBuckets {
-			b = c.opt.BBuckets - 1
+		if b >= BBuckets {
+			b = BBuckets - 1
 		}
 		weight = float64(pg.Size)
 	}
@@ -272,9 +272,9 @@ func (c *Chrono) dcscTune(now simclock.Time) {
 
 	fastCap := float64(node.Capacity(mem.FastTier))
 	var cum, misplaced float64
-	overlap := c.opt.BBuckets - 1
+	overlap := BBuckets - 1
 	frac := 1.0
-	for b := 0; b < c.opt.BBuckets; b++ {
+	for b := 0; b < BBuckets; b++ {
 		bucketTotal := est(mem.FastTier, b) + est(mem.SlowTier, b)
 		misplaced += est(mem.SlowTier, b)
 		if cum+bucketTotal >= fastCap {

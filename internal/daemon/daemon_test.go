@@ -433,6 +433,31 @@ func TestReconfigureRollsBackOnBadValue(t *testing.T) {
 	}
 }
 
+// A knob-only reconfiguration to an out-of-range Chrono value is
+// rejected (p_victim 1e6 would make each DCSC scan draw a million
+// victims per page and wedge the run); the run keeps going and
+// completes.
+func TestReconfigureRejectsOutOfRangeKnob(t *testing.T) {
+	setBuildHook(t, pace(300*time.Microsecond))
+	d := newTestDaemon(t, t.TempDir(), `{"stall_timeout_s": -1}`)
+	spec := testSpec()
+	spec.Policy = "Chrono"
+	sub := d.Submit(spec)
+	waitRunningWithProgress(t, d, sub.ID)
+
+	resp := d.Reconfigure(sub.ID, "", map[string]string{"chrono/p_victim": "1e6"})
+	if resp.OK {
+		t.Fatal("p_victim=1e6 must reject the reconfiguration")
+	}
+	if !strings.Contains(resp.Error, "chrono/p_victim") {
+		t.Fatalf("reply should name the rejected key, got %q", resp.Error)
+	}
+	info := waitState(t, d, sub.ID, StateDone)
+	if info.Policy != "Chrono" || info.Swaps != 0 {
+		t.Fatalf("run must be untouched by the rejected write: %+v", info)
+	}
+}
+
 // Crash recovery: a daemon killed mid-run (simulated by a drain plus a
 // record rewritten to "running", exactly what kill -9 leaves behind)
 // auto-resumes the run on restart and produces a final table

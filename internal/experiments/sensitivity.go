@@ -34,19 +34,12 @@ type Param struct {
 // semi-auto configuration (as the paper's §5.1.4 notes for the semi-auto
 // scheme).
 func chronoWithParam(p Param, o RunOpts) (policy.Policy, error) {
-	// The default scan step at this scale (mirrors scan.Config defaults).
-	stepPages := int(float64(o.FastGB+o.SlowGB) * float64(o.PagesPerGB) / 1024)
-	if stepPages < 8 {
-		stepPages = 8
-	}
 	mult := p.Mult
 	opt := core.Options{}
 	switch p.Name {
 	case "Scan-Step":
-		opt.Scan = scan.Config{StepPages: int(float64(stepPages) * mult)}
-		if opt.Scan.StepPages < 1 {
-			opt.Scan.StepPages = 1
-		}
+		stepPages := scan.DefaultStepPages(o.FastGB.Pages(o.PagesPerGB) + o.SlowGB.Pages(o.PagesPerGB))
+		opt.Scan = scan.Config{StepPages: max(int(float64(stepPages)*mult), 1)}
 	case "Scan-Period":
 		opt.Scan = scan.Config{Period: simclock.Duration(float64(simclock.Minute) * mult)}
 	case "P-Victim":
@@ -54,7 +47,7 @@ func chronoWithParam(p Param, o RunOpts) (policy.Policy, error) {
 	case "Delta-Step":
 		opt.Tuning = core.TuneSemiAuto
 		opt.RateLimitMBps = 120
-		opt.DeltaStep = math.Min(0.5*mult, 0.98)
+		opt.DeltaStep = math.Min(core.DefaultDeltaStep*mult, 0.98)
 	default:
 		return nil, fmt.Errorf("experiments: unknown sensitivity parameter %q", p.Name)
 	}

@@ -22,17 +22,16 @@ func Table1() *report.Table {
 }
 
 // Table2 renders Chrono's parameter defaults (paper Table 2), pulled from
-// the live Options defaults so the table cannot drift from the code.
+// core's constants so the table cannot drift from the code.
 func Table2() *report.Table {
-	opt := core.New(core.Options{}).Options()
 	t := report.NewTable("Table 2: Chrono parameter defaults",
 		"Name", "Default", "Description")
 	t.AddRow("Scan step", "256 MB", "marked page set size of a Ticking-scan event (scaled at sim resolution)")
 	t.AddRow("Scan period", "60 sec", "period for Ticking-scan to loop over the address space")
-	t.AddRow("P-victim", opt.PVictim, "ratio of pages sampled in the DCSC scheme (paper: 0.003% at 256 GB; see DESIGN.md)")
-	t.AddRow("B-bucket", opt.BBuckets, "number of CIT levels in DCSC stats")
-	t.AddRow("delta-step", opt.DeltaStep, "adaption step for CIT threshold adjustment")
-	t.AddRow("CIT threshold", opt.CITThresholdMS, "initial value in ms; auto-tuned")
-	t.AddRow("Rate limit", opt.RateLimitMBps, "initial value in MB/s; auto-tuned")
+	t.AddRow("P-victim", core.DefaultPVictim, "ratio of pages sampled in the DCSC scheme (paper: 0.003% at 256 GB; see DESIGN.md)")
+	t.AddRow("B-bucket", core.BBuckets, "number of CIT levels in DCSC stats")
+	t.AddRow("delta-step", core.DefaultDeltaStep, "adaption step for CIT threshold adjustment")
+	t.AddRow("CIT threshold", core.InitialThresholdMS, "initial value in ms; auto-tuned")
+	t.AddRow("Rate limit", core.DefaultRateLimitMBps, "initial value in MB/s; auto-tuned")
 	return t
 }

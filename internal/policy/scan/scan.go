@@ -32,9 +32,15 @@ type Walker struct {
 type Config struct {
 	// Period is the time one full pass should take (default 60 s).
 	Period simclock.Duration
-	// StepPages is the chunk size in base pages (default: 256 MB worth,
-	// derived from the node scale as totalPages/1024).
+	// StepPages is the chunk size in base pages (default
+	// DefaultStepPages of the node).
 	StepPages int
+}
+
+// DefaultStepPages is the default scan step of a node with totalPages
+// base pages: 256 MB worth, totalPages/1024, and at least 8.
+func DefaultStepPages(totalPages int64) int {
+	return max(int(totalPages/1024), 8)
 }
 
 // WithDefaults fills zero fields from kernel state.
@@ -43,11 +49,7 @@ func (c Config) WithDefaults(k policy.Kernel) Config {
 		c.Period = simclock.Minute
 	}
 	if c.StepPages == 0 {
-		total := k.Node().Capacity(mem.FastTier) + k.Node().Capacity(mem.SlowTier)
-		c.StepPages = int(total / 1024)
-		if c.StepPages < 8 {
-			c.StepPages = 8
-		}
+		c.StepPages = DefaultStepPages(k.Node().Capacity(mem.FastTier) + k.Node().Capacity(mem.SlowTier))
 	}
 	return c
 }

@@ -19,13 +19,13 @@ package policy
 //     (Base << strikes, capped at MaxBackoff — monotone, and finite, so
 //     a genuinely hot page is always eventually re-admitted) during
 //     which its promotion is denied. A page whose transition gaps grow
-//     past QuietAfter has its strikes forgiven.
-//   - Global AIMD migration governor: promotions per GovernorPeriod are
+//     past quietAfter has its strikes forgiven.
+//   - Global AIMD migration governor: promotions per governorPeriod are
 //     budgeted; when the fraction of promotions bouncing back within
-//     Window exceeds BounceFrac the budget halves (down to MinAllow),
-//     otherwise it recovers additively. This caps system-wide migration
-//     bandwidth during pathological phases while converging back to
-//     unconstrained behaviour in stable ones.
+//     Window exceeds bounceFrac the budget halves (down to MinAllow),
+//     otherwise it recovers additively by MinAllow. This caps
+//     system-wide migration bandwidth during pathological phases while
+//     converging back to unconstrained behaviour in stable ones.
 //
 // The guard is passive: it schedules no clock events of its own and
 // draws no randomness, observing moves through OnMigrated (which the
@@ -43,42 +43,38 @@ import (
 	"chrono/internal/vm"
 )
 
-// ThrashConfig tunes the guard. Zero values take defaults.
+// ThrashConfig tunes the guard: the values GuardPresetFor varies per
+// policy. Zero values take defaults; the guard's other parameters are the
+// constants below.
 type ThrashConfig struct {
 	// Window is the ping-pong window: a demotion within Window of the
 	// page's promotion counts as a bounce (default 120 s — fault-driven
 	// policies react on scan-period timescales, so genuine ping-pong round
 	// trips land tens of seconds after the promotion, not milliseconds).
 	Window simclock.Duration
-	// QuietAfter forgives a page's strikes when it stayed fast-resident
-	// at least this long before being demoted (default 300 s).
-	QuietAfter simclock.Duration
 	// Base is the first per-page backoff after a bounce; each further
 	// strike doubles it (default 30 s).
 	Base simclock.Duration
 	// MaxBackoff caps the per-page backoff (default 240 s). The cap is
 	// what guarantees no permanent starvation.
 	MaxBackoff simclock.Duration
-	// GovernorPeriod is the AIMD accounting window (default 5 s).
-	GovernorPeriod simclock.Duration
-	// BounceFrac is the bounce ratio above which the governor halves the
-	// promotion budget (default 0.25).
-	BounceFrac float64
 	// MinAllow floors the promotion budget, in base pages per window
 	// (default 64): even a fully thrashing system keeps a trickle so the
-	// guard can observe whether the phase ended.
+	// guard can observe whether the phase ended. It is also the additive
+	// budget recovery per clean window.
 	MinAllow int64
-	// AllowStep is the additive budget recovery per clean window
-	// (default MinAllow).
-	AllowStep int64
 }
+
+// The guard's fixed parameters.
+const (
+	quietAfter     = 300 * simclock.Second // a page that stayed in one tier this long before moving is forgiven
+	governorPeriod = 5 * simclock.Second   // the AIMD accounting window
+	bounceFrac     = 0.25                  // bounce ratio above which the governor halves the budget
+)
 
 func (c *ThrashConfig) setDefaults() {
 	if c.Window == 0 {
 		c.Window = 120 * simclock.Second
-	}
-	if c.QuietAfter == 0 {
-		c.QuietAfter = 300 * simclock.Second
 	}
 	if c.Base == 0 {
 		c.Base = 30 * simclock.Second
@@ -86,17 +82,8 @@ func (c *ThrashConfig) setDefaults() {
 	if c.MaxBackoff == 0 {
 		c.MaxBackoff = 240 * simclock.Second
 	}
-	if c.GovernorPeriod == 0 {
-		c.GovernorPeriod = 5 * simclock.Second
-	}
-	if c.BounceFrac == 0 {
-		c.BounceFrac = 0.25
-	}
 	if c.MinAllow == 0 {
 		c.MinAllow = 64
-	}
-	if c.AllowStep == 0 {
-		c.AllowStep = c.MinAllow
 	}
 }
 
@@ -190,31 +177,30 @@ func (g *guarded) grow() {
 // advance rolls the governor window forward to now — a pure function of
 // (state, now), so live and resumed runs evaluate identical windows.
 func (g *guarded) advance(now simclock.Time) {
-	period := g.cfg.GovernorPeriod
-	for now-g.winStart >= period {
-		if g.winPromotes > 0 && float64(g.winBounces) > g.cfg.BounceFrac*float64(g.winPromotes) {
+	for now-g.winStart >= governorPeriod {
+		if g.winPromotes > 0 && float64(g.winBounces) > bounceFrac*float64(g.winPromotes) {
 			// Multiplicative decrease: the window thrashed.
 			g.allow /= 2
 			if g.allow < g.cfg.MinAllow {
 				g.allow = g.cfg.MinAllow
 			}
 		} else {
-			g.allow += g.cfg.AllowStep
+			g.allow += g.cfg.MinAllow
 			if g.allow > g.allowMax {
 				g.allow = g.allowMax
 			}
 		}
 		g.winPromotes, g.winBounces, g.used = 0, 0, 0
-		g.winStart += period
+		g.winStart += governorPeriod
 		// The remaining gap windows are empty: settle them arithmetically
 		// instead of iterating (long idle stretches stay O(1)).
-		if now-g.winStart >= period {
-			steps := int64((now - g.winStart) / period)
-			g.allow += steps * g.cfg.AllowStep
+		if now-g.winStart >= governorPeriod {
+			steps := int64((now - g.winStart) / governorPeriod)
+			g.allow += steps * g.cfg.MinAllow
 			if g.allow > g.allowMax {
 				g.allow = g.allowMax
 			}
-			g.winStart += simclock.Duration(steps) * period
+			g.winStart += simclock.Duration(steps) * governorPeriod
 		}
 	}
 }
@@ -270,7 +256,7 @@ func (g *guarded) OnMigrated(pg *vm.Page, from, to mem.TierID) {
 				// this leg).
 				g.winBounces++
 				g.strike(id)
-			case now-ld >= g.cfg.QuietAfter:
+			case now-ld >= quietAfter:
 				// The page stayed cold a long time before re-heating:
 				// a genuine phase change, not a bounce.
 				g.forgive(id)
@@ -286,7 +272,7 @@ func (g *guarded) OnMigrated(pg *vm.Page, from, to mem.TierID) {
 				// Short fast-tier residency: the promotion was wasted.
 				g.winBounces++
 				g.strike(id)
-			case now-lp >= g.cfg.QuietAfter:
+			case now-lp >= quietAfter:
 				// The page earned a long fast-tier residency: forgive it.
 				g.forgive(id)
 			}

@@ -87,7 +87,6 @@ func (nopPolicy) RestoreCheckpoint([]byte) error  { return nil }
 func TestGuardDeniesThenReadmits(t *testing.T) {
 	cfg := ThrashConfig{
 		Window:     10 * simclock.Second,
-		QuietAfter: 100 * simclock.Second,
 		Base:       5 * simclock.Second,
 		MaxBackoff: 40 * simclock.Second,
 		MinAllow:   1 << 30, // governor out of the picture: backoff only
@@ -129,13 +128,12 @@ func TestGuardDeniesThenReadmits(t *testing.T) {
 }
 
 // TestGuardForgivesQuietPages: strikes and backoff are cleared once the
-// page's transition gaps grow past QuietAfter — a phase change is not
+// page's transition gaps grow past quietAfter — a phase change is not
 // punished like a bounce.
 func TestGuardForgivesQuietPages(t *testing.T) {
 	cfg := ThrashConfig{
-		Window:     10 * simclock.Second,
-		QuietAfter: 60 * simclock.Second,
-		MinAllow:   1 << 30,
+		Window:   10 * simclock.Second,
+		MinAllow: 1 << 30,
 	}
 	g, k, pages := newTestGuard(cfg, 1)
 	pg := pages[0]
@@ -150,9 +148,10 @@ func TestGuardForgivesQuietPages(t *testing.T) {
 		t.Fatal("bounce not struck")
 	}
 
-	// The page then stays slow for > QuietAfter before re-heating: the
+	// The page then stays slow for > quietAfter before re-heating: the
 	// promotion forgives it.
-	k.clock.AdvanceTo(90 * simclock.Second)
+	repromote := 2*simclock.Second + quietAfter + 28*simclock.Second
+	k.clock.AdvanceTo(repromote)
 	g.OnMigrated(pg, mem.SlowTier, mem.FastTier)
 	if g.strikes[0] != 0 || g.backoffUntil[0] != 0 {
 		t.Fatalf("quiet page not forgiven: strikes=%d backoffUntil=%v", g.strikes[0], g.backoffUntil[0])
@@ -160,7 +159,7 @@ func TestGuardForgivesQuietPages(t *testing.T) {
 
 	// And a long fast residency before the next demotion also forgives.
 	g.strike(0)
-	k.clock.AdvanceTo(180 * simclock.Second)
+	k.clock.AdvanceTo(repromote + quietAfter + 30*simclock.Second)
 	g.OnMigrated(pg, mem.FastTier, mem.SlowTier)
 	if g.strikes[0] != 0 {
 		t.Fatalf("long-resident page not forgiven: strikes=%d", g.strikes[0])
@@ -171,11 +170,8 @@ func TestGuardForgivesQuietPages(t *testing.T) {
 // to MinAllow; clean windows then recover it additively to the ceiling.
 func TestGovernorClampsAndRecovers(t *testing.T) {
 	cfg := ThrashConfig{
-		Window:         10 * simclock.Second,
-		GovernorPeriod: 1 * simclock.Second,
-		BounceFrac:     0.25,
-		MinAllow:       4,
-		AllowStep:      4,
+		Window:   10 * simclock.Second,
+		MinAllow: 4,
 	}
 	g, k, pages := newTestGuard(cfg, 64)
 	g.allowMax = 64
@@ -189,7 +185,7 @@ func TestGovernorClampsAndRecovers(t *testing.T) {
 			g.OnMigrated(pg, mem.SlowTier, mem.FastTier)
 			g.OnMigrated(pg, mem.FastTier, mem.SlowTier)
 		}
-		now += cfg.GovernorPeriod
+		now += governorPeriod
 		k.clock.AdvanceTo(now)
 		g.advance(now)
 	}
@@ -197,8 +193,9 @@ func TestGovernorClampsAndRecovers(t *testing.T) {
 		t.Fatalf("allow=%d after sustained thrash, want floor %d", g.allow, cfg.MinAllow)
 	}
 
-	// Stable phase: no moves at all. The budget must climb back.
-	now += 100 * simclock.Second
+	// Stable phase: no moves at all. The budget must climb back, by
+	// MinAllow per window.
+	now += 20 * governorPeriod
 	k.clock.AdvanceTo(now)
 	g.advance(now)
 	if g.allow != g.allowMax {

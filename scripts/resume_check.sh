@@ -19,10 +19,11 @@
 set -u
 
 FLAGS=(-experiment fig8,fig9,fig13,fig12,ext -quick -seed 42 -faults aggressive -j 4)
-# On 2 vCPUs fig8 finishes after about 2 s and fig9 then runs for about
-# 2 s more: a kill at 3.5 s lands inside fig9, after several snapshots
-# that hold its probes' samples.
-KILL_AFTER="${KILL_AFTER:-3.5}"
+# The durable run is killed as soon as the first fig9 cell snapshot
+# (a .ckpt holding its probes' samples) exists, whatever the host's
+# speed, so the resume always restores a cell from probe state. The
+# deadline only bounds a run that never writes one.
+DEADLINE_S=300
 
 work="$(mktemp -d)"
 trap 'rm -rf "$work"' EXIT
@@ -39,18 +40,29 @@ echo "resume-check: reference run (uninterrupted)"
     exit 1
 }
 
-echo "resume-check: durable run, SIGKILL after ${KILL_AFTER}s"
+# fig9_snapshots counts the fig9 cell snapshots on disk.
+fig9_snapshots() {
+    grep -l '"experiment":"fig9"' "$ckpt"/cells/*.ckpt 2>/dev/null | wc -l
+}
+
+echo "resume-check: durable run, SIGKILL at the first fig9 snapshot"
 "$bin" "${FLAGS[@]}" -checkpoint-dir "$ckpt" -checkpoint-interval 300ms \
     >"$work/killed.txt" 2>"$work/killed.err" &
 victim=$!
-sleep "$KILL_AFTER"
-# The run may legitimately have finished on a fast machine; the fence
-# still validates resume-over-finished-cells in that case.
+deadline=$((SECONDS + DEADLINE_S))
+while kill -0 "$victim" 2>/dev/null && [ "$(fig9_snapshots)" -eq 0 ] && [ "$SECONDS" -lt "$deadline" ]; do
+    sleep 0.05
+done
 kill -9 "$victim" 2>/dev/null && echo "resume-check: killed pid $victim"
 wait "$victim" 2>/dev/null
 
 if [ ! -f "$ckpt/sweepinfo.json" ]; then
     echo "resume-check: no sweepinfo.json recorded before the kill" >&2
+    exit 1
+fi
+if [ "$(fig9_snapshots)" -eq 0 ]; then
+    echo "resume-check: FAIL — no fig9 snapshot existed at the kill, so the resume restores no cell from probe state" >&2
+    cat "$work/killed.err" >&2
     exit 1
 fi
 echo "resume-check: experiments finished before the kill:"
