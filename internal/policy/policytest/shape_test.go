@@ -14,11 +14,12 @@ import (
 
 // pinned are the policies whose checkpoint bytes are pinned under
 // testdata/checkpoint: the nine baselines, Chrono with DCSC and
-// semi-auto tuning, and the thrash guard around TPP.
+// semi-auto tuning, and the thrash guard around TPP (null detector
+// columns at 30 s) and around FlexMem (every detector column populated).
 var pinned = []string{
 	"Linux-NB", "AutoTiering", "Multi-Clock", "TPP", "Telescope",
 	"HeMem", "Memtis", "FlexMem", "Nomad",
-	"Chrono", "Chrono-basic", "TPP+guard",
+	"Chrono", "Chrono-basic", "TPP+guard", "FlexMem+guard",
 }
 
 // TestCheckpointShapeGolden pins each policy's CheckpointState JSON on
