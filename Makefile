@@ -19,8 +19,9 @@ race:
 
 vet:
 	$(GO) vet ./...
+	test -z "$$(gofmt -l .)"
 
-# chronolint: the repo's sixteen determinism, unit-safety, concurrency-
+# chronolint: the repo's fifteen determinism, unit-safety, concurrency-
 # safety, checkpoint-integrity, and interprocedural data-flow analyzers
 # over every package including cmd/ and examples/ — see internal/analysis
 # and DESIGN.md for the catalog. The driver binary is built once into

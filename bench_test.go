@@ -510,23 +510,14 @@ func BenchmarkEngineEpoch(b *testing.B) {
 		&workload.Pmbench{Processes: 50, WorkingSetGB: 5, ReadPct: 70, Stride: 2})
 }
 
-// BenchmarkEngineEpochShards8 is the same scenario with the fault
-// machinery sharded 8 ways: the tentpole contract says the results are
-// byte-identical, so any delta against BenchmarkEngineEpoch is pure
-// execution-strategy cost (or, on multi-core hosts, speedup).
-func BenchmarkEngineEpochShards8(b *testing.B) {
-	benchScanPeriods(b, engine.Config{Seed: 42, Shards: 8},
-		&workload.Pmbench{Processes: 50, WorkingSetGB: 5, ReadPct: 70, Stride: 2})
-}
-
 // BenchmarkEngineEpochHighFidelity runs epochs at PagesPerGB=32768 (128×
 // the default simulation resolution — every simulated page stands for two
-// real 4 KB pages per GB short of full fidelity) on 8 GB of tiers, the
-// scale the sharded engine exists for. Completing this benchmark is the
-// repo's standing proof that full-fidelity page counts are reachable.
+// real 4 KB pages per GB short of full fidelity) on 8 GB of tiers.
+// Completing this benchmark is the repo's standing proof that
+// full-fidelity page counts are reachable.
 // An op is one Chrono scan period (benchScanPeriods).
 func BenchmarkEngineEpochHighFidelity(b *testing.B) {
-	benchScanPeriods(b, engine.Config{Seed: 42, PagesPerGB: 32768, FastGB: 2, SlowGB: 6, Shards: 8},
+	benchScanPeriods(b, engine.Config{Seed: 42, PagesPerGB: 32768, FastGB: 2, SlowGB: 6},
 		&workload.Pmbench{Processes: 4, WorkingSetGB: 1.5, ReadPct: 70, Stride: 2})
 }
 

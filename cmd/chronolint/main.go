@@ -36,7 +36,7 @@ func main() {
 		baselinePath  = flag.String("baseline", "", "baseline file of acknowledged findings to suppress")
 		baselineMatch = flag.String("baseline-match", "path", "fingerprint mode: path (rule+file+message) or content (rule+message; survives file renames)")
 		writeBaseline = flag.String("write-baseline", "", "write surviving findings to this baseline file and exit 0")
-		suggest       = flag.Bool("suggest", false, "print the directive line to insert for each finding: the structural fence the analyzer suggests (//chrono:statesync, //chrono:owned, //chrono:hotpath, //chrono:merge) when it knows one, else a //chrono:allow template")
+		suggest       = flag.Bool("suggest", false, "print the directive line to insert for each finding: the structural fence the analyzer suggests (//chrono:statesync, //chrono:hotpath) when it knows one, else a //chrono:allow template")
 		severityFlag  = flag.String("severity", "", "per-analyzer severity overrides, e.g. goroscope=warn,lockorder=error")
 	)
 	flag.Usage = func() {

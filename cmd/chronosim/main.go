@@ -40,7 +40,6 @@ func main() {
 		series  = flag.Bool("series", false, "print per-process DRAM placement at the end")
 		fastGB  = flag.Float64("fast", 64, "fast tier GB")
 		slowGB  = flag.Float64("slow", 192, "slow tier GB")
-		shards  = flag.Int("shards", 1, "fault-machinery shards (multi-core single-run execution; never affects results)")
 		ppg     = flag.Int64("pages-per-gb", 0, "simulated pages per GB (0 = default 256; 262144 = full fidelity, one page per real 4 KB)")
 	)
 	flag.Parse()
@@ -54,7 +53,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "chronosim:", err)
 		os.Exit(2)
 	}
-	res, err := run(spec, *shards)
+	res, err := run(spec)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "chronosim:", err)
 		os.Exit(1)
@@ -70,8 +69,8 @@ func main() {
 	}
 }
 
-// run executes a validated spec over the given number of shards.
-func run(spec experiments.SimSpec, shards int) (*experiments.Result, error) {
+// run executes a validated spec.
+func run(spec experiments.SimSpec) (*experiments.Result, error) {
 	w, err := spec.NewWorkload()
 	if err != nil {
 		return nil, err
@@ -80,6 +79,5 @@ func run(spec experiments.SimSpec, shards int) (*experiments.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	o.Shards = shards
 	return experiments.Run(spec.Policy, w, o)
 }

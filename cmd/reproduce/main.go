@@ -82,8 +82,6 @@ func main() {
 		ckptDir  = flag.String("checkpoint-dir", "", "directory for durable sweep state (periodic cell snapshots, finished-cell records, failure manifest)")
 		resume   = flag.Bool("resume", false, "resume from -checkpoint-dir: skip finished cells, restore interrupted ones")
 		ckptIvl  = flag.Duration("checkpoint-interval", 30*time.Second, "wall-clock cadence of periodic cell snapshots (requires -checkpoint-dir)")
-		shards   = flag.Int("shards", 1, "fault-machinery shards per engine (multi-core single-run execution; never affects results)")
-		shardW   = flag.Int("shard-workers", 0, "goroutines materializing shard timers (0 = min(shards, GOMAXPROCS))")
 		stallTO  = flag.Duration("stall-timeout", 2*time.Minute, "abort a cell whose virtual time makes no progress for this wall-clock window, 0 disables (requires -checkpoint-dir)")
 	)
 	flag.Parse()
@@ -131,7 +129,6 @@ func main() {
 
 	o := experiments.RunOpts{
 		Seed: *seed, Workers: parallel.Resolve(*workers), Retries: *retries,
-		Shards: *shards, ShardWorkers: *shardW,
 	}
 	if *faults != "" {
 		plan, err := faultinject.ParsePlan(*faults)

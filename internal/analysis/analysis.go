@@ -99,9 +99,9 @@ type Diagnostic struct {
 	Analyzer string
 	// Suggest, when non-empty, is the exact directive line chronolint
 	// -suggest prints for this finding instead of the generic
-	// //chrono:allow template — e.g. a //chrono:statesync, //chrono:owned,
-	// //chrono:hotpath, or //chrono:merge fence the analyzer knows would
-	// resolve the finding structurally.
+	// //chrono:allow template — e.g. a //chrono:statesync or
+	// //chrono:hotpath fence the analyzer knows would resolve the finding
+	// structurally.
 	Suggest string
 }
 
@@ -299,8 +299,6 @@ var knownDirectives = map[string]bool{
 	"statesync":          true, // statesync: pairs a struct with its checkpoint state struct
 	"state":              true, // statesync: field -> state field(s) mapping
 	"rebuilt":            true, // statesync: field rebuilt by code, with justification
-	"owned":              true, // shardown: field is per-shard state, owner = ID mod Shards
-	"merge":              true, // shardown: function is a canonical merge/fan-out fence
 	"hotpath":            true, // hotalloc: function (and transitive callees) must not allocate
 }
 
@@ -319,7 +317,7 @@ func CheckDirectives(pkg *Package, analyzerNames map[string]bool) []Diagnostic {
 			for _, d := range Directives(pkg.Fset, cg) {
 				if !knownDirectives[d.Name] {
 					report(d.Pos, "unknown //chrono:%s directive (known: allow, wallclock, "+
-						"ordered-irrelevant, statesync, state, rebuilt, owned, merge, hotpath)", d.Name)
+						"ordered-irrelevant, statesync, state, rebuilt, hotpath)", d.Name)
 					continue
 				}
 				if d.Name != "allow" {

@@ -37,8 +37,8 @@ type Finding struct {
 	Fingerprint string `json:"fingerprint"`
 	// Suggest, when non-empty, is the exact directive line that would
 	// resolve the finding structurally (//chrono:statesync <T>,
-	// //chrono:owned, //chrono:hotpath, //chrono:merge) — printed by
-	// chronolint -suggest in place of the generic //chrono:allow template.
+	// //chrono:hotpath) — printed by chronolint -suggest in place of the
+	// generic //chrono:allow template.
 	Suggest string `json:"suggest,omitempty"`
 }
 

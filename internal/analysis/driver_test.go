@@ -1,11 +1,11 @@
 package analysis_test
 
-// Driver-level integration tests: the full 16-analyzer suite runs over
+// Driver-level integration tests: the full 15-analyzer suite runs over
 // the fixture module in testdata/fixture and the results are checked end
 // to end — finding set, suppression counts, JSON and SARIF round-trips
 // (rule IDs, positions, fingerprints), baseline semantics, baseline-match
 // modes, and severity overrides. The flowpkg fixture seeds the v4
-// interprocedural analyzers (shardown, hotalloc, detflow); detclock also
+// interprocedural analyzers (hotalloc, detflow); detclock also
 // fires there, on the raw time.Now source detflow tracks into the sink.
 
 import (
@@ -44,10 +44,9 @@ var fixtureWant = []string{
 	"dirty/dirty.go:49:directive",
 	"dirty/dirty.go:56:directive",
 	"dirty/dirty.go:63:atomicmix",
-	"flowpkg/flowpkg.go:31:shardown",
-	"flowpkg/flowpkg.go:40:hotalloc",
-	"flowpkg/flowpkg.go:45:detclock",
-	"flowpkg/flowpkg.go:50:detflow",
+	"flowpkg/flowpkg.go:19:hotalloc",
+	"flowpkg/flowpkg.go:24:detclock",
+	"flowpkg/flowpkg.go:29:detflow",
 	"state/state.go:13:statesync",
 	"state/state.go:19:statesync",
 	"state/state.go:26:snapalias",

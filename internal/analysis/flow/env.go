@@ -1,18 +1,16 @@
 package flow
 
 // The intra-function evaluation engine. One Env holds the flow-insensitive
-// facts of a single function body: per-variable taint sets, per-variable
-// parameter provenance (which parameters the value may derive from), and
-// whether a variable only ever holds the canonical owner-selected shard.
-// The engine is run in two roles:
+// facts of a single function body: per-variable taint sets and
+// per-variable parameter provenance (which parameters the value may derive
+// from). The engine is run in two roles:
 //
 //   - by the fixpoint (summarize): extract the function's summary —
-//     param→return, param→state-sink, return taint, owner-selection — from
-//     the converged local facts;
+//     param→return, param→state-sink, return taint — from the converged
+//     local facts;
 //   - by the analyzers, post-fixpoint: Env.Eval answers "what taints can
-//     this expression carry / which parameters does it derive from / is it
-//     owner-selected" for any expression of the body, so shardown and
-//     detflow report at exact sites.
+//     this expression carry / which parameters does it derive from" for
+//     any expression of the body, so detflow reports at exact sites.
 //
 // Being flow-insensitive (one fact set per variable for the whole body),
 // the engine over-approximates: a variable tainted on any path is tainted
@@ -22,7 +20,6 @@ package flow
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 )
 
@@ -30,23 +27,10 @@ import (
 type facts struct {
 	taint  TaintSet
 	params uint32 // bit i: value may derive from parameter i
-	// ownerSel: the value is the canonical owner-selected shard — obtained
-	// by indexing with an ID-mod expression or from a function summarized
-	// ReturnsOwnerSelected.
-	ownerSel bool
 }
 
 func (f facts) union(o facts) facts {
-	return facts{taint: f.taint | o.taint, params: f.params | o.params, ownerSel: false}
-}
-
-// varState tracks one variable across the body.
-type varState struct {
-	facts facts
-	// assigned records whether any assignment was seen; the first
-	// assignment sets ownerSel, later ones AND it (a variable is
-	// owner-selected only if every value it can hold is).
-	assigned bool
+	return facts{taint: f.taint | o.taint, params: f.params | o.params}
 }
 
 // Env is the converged intra-function state of one function.
@@ -54,16 +38,13 @@ type Env struct {
 	pf *PkgFlow
 	fi *FuncInfo
 
-	vars     map[types.Object]*varState
+	vars     map[types.Object]*facts
 	paramIdx map[types.Object]int
-	recv     types.Object
 
 	// summary accumulators, filled during propagation.
 	returnTaint   TaintSet
 	paramToReturn uint32
 	paramToState  uint32
-	paramOwnedUse uint32
-	returnsOwner  bool
 }
 
 // Env computes (post-fixpoint, cached) the evaluation environment of fi.
@@ -81,16 +62,13 @@ func (pf *PkgFlow) buildEnv(fi *FuncInfo) *Env {
 	env := &Env{
 		pf:       pf,
 		fi:       fi,
-		vars:     make(map[types.Object]*varState),
+		vars:     make(map[types.Object]*facts),
 		paramIdx: make(map[types.Object]int),
 	}
 	sig, _ := fi.Obj.Type().(*types.Signature)
 	if sig != nil {
 		for i := 0; i < sig.Params().Len(); i++ {
 			env.paramIdx[sig.Params().At(i)] = i
-		}
-		if r := sig.Recv(); r != nil {
-			env.recv = r
 		}
 	}
 	if fi.Decl.Body == nil {
@@ -108,7 +86,6 @@ func (pf *PkgFlow) buildEnv(fi *FuncInfo) *Env {
 	// accumulators (they are monotone too, but collecting on the last
 	// pass keeps them consistent with the final variable facts).
 	env.returnTaint, env.paramToReturn, env.paramToState = 0, 0, 0
-	env.paramOwnedUse, env.returnsOwner = 0, false
 	env.collect()
 	return env
 }
@@ -133,36 +110,6 @@ func (env *Env) Eval(e ast.Expr) (TaintSet, uint32) {
 	return f.taint, f.params
 }
 
-// OwnerSelected reports whether the expression evaluates to the canonical
-// owner-selected shard (ID-mod index, owner-returning callee, or a
-// variable holding only such values).
-func (env *Env) OwnerSelected(e ast.Expr) bool { return env.eval(e).ownerSel }
-
-// ParamIndex returns the parameter index of an expression that is a plain
-// reference to one of the function's parameters, or -1.
-func (env *Env) ParamIndex(e ast.Expr) int {
-	if id, ok := unparen(e).(*ast.Ident); ok {
-		if obj := env.pf.Pkg.TypesInfo.Uses[id]; obj != nil {
-			if i, ok := env.paramIdx[obj]; ok {
-				return i
-			}
-		}
-	}
-	return -1
-}
-
-// IsReceiver reports whether the expression is a plain reference to the
-// method's receiver.
-func (env *Env) IsReceiver(e ast.Expr) bool {
-	if env.recv == nil {
-		return false
-	}
-	if id, ok := unparen(e).(*ast.Ident); ok {
-		return env.pf.Pkg.TypesInfo.Uses[id] == env.recv
-	}
-	return false
-}
-
 // eval computes the facts of one expression.
 func (env *Env) eval(e ast.Expr) facts {
 	info := env.pf.Pkg.TypesInfo
@@ -177,10 +124,8 @@ func (env *Env) eval(e ast.Expr) facts {
 			if i, ok := env.paramIdx[obj]; ok {
 				f.params |= 1 << uint(i)
 			}
-			if vs, ok := env.vars[obj]; ok {
-				f.taint |= vs.facts.taint
-				f.params |= vs.facts.params
-				f.ownerSel = vs.assigned && vs.facts.ownerSel
+			if vf, ok := env.vars[obj]; ok {
+				f = f.union(*vf)
 			}
 		}
 		return f
@@ -189,11 +134,7 @@ func (env *Env) eval(e ast.Expr) facts {
 	case *ast.BinaryExpr:
 		return env.eval(v.X).union(env.eval(v.Y))
 	case *ast.UnaryExpr:
-		f := env.eval(v.X)
-		if v.Op != token.AND {
-			f.ownerSel = false
-		}
-		return f
+		return env.eval(v.X)
 	case *ast.StarExpr:
 		return env.eval(v.X)
 	case *ast.SelectorExpr:
@@ -203,17 +144,11 @@ func (env *Env) eval(e ast.Expr) facts {
 				return facts{}
 			}
 		}
-		f := env.eval(v.X)
-		f.ownerSel = false
-		return f
+		return env.eval(v.X)
 	case *ast.IndexExpr:
-		f := env.eval(v.X).union(env.eval(v.Index))
-		f.ownerSel = ownerSelIndex(v.Index)
-		return f
+		return env.eval(v.X).union(env.eval(v.Index))
 	case *ast.SliceExpr:
-		f := env.eval(v.X)
-		f.ownerSel = false
-		return f
+		return env.eval(v.X)
 	case *ast.CompositeLit:
 		var f facts
 		for _, el := range v.Elts {
@@ -222,9 +157,6 @@ func (env *Env) eval(e ast.Expr) facts {
 			}
 			f = f.union(env.eval(el))
 		}
-		// A freshly constructed value is unpublished — no other shard can
-		// reach it yet — so constructors may touch its owned fields freely.
-		f.ownerSel = true
 		return f
 	case *ast.TypeAssertExpr:
 		return env.eval(v.X)
@@ -244,9 +176,7 @@ func (env *Env) evalCall(call *ast.CallExpr) facts {
 	// Type conversion T(x).
 	if tv, ok := info.Types[call.Fun]; ok && tv.IsType() {
 		if len(call.Args) == 1 {
-			f := env.eval(call.Args[0])
-			f.ownerSel = false
-			return f
+			return env.eval(call.Args[0])
 		}
 		return facts{}
 	}
@@ -274,7 +204,7 @@ func (env *Env) evalCall(call *ast.CallExpr) facts {
 			return facts{taint: ts}
 		}
 		if s := env.pf.FuncInfoOf(callee); s != nil {
-			f := facts{taint: s.ReturnTaint, ownerSel: s.ReturnsOwnerSelected}
+			f := facts{taint: s.ReturnTaint}
 			for i, a := range call.Args {
 				if i < 32 && s.ParamToReturn&(1<<uint(i)) != 0 {
 					af := env.eval(a)
@@ -310,20 +240,6 @@ func (env *Env) argUnion(call *ast.CallExpr) facts {
 func isPkgName(info *types.Info, id *ast.Ident) bool {
 	_, ok := info.Uses[id].(*types.PkgName)
 	return ok
-}
-
-// ownerSelIndex reports whether an index expression is the canonical
-// owner selection: it contains a modulo (or masking AND) of an ID.
-func ownerSelIndex(e ast.Expr) bool {
-	found := false
-	ast.Inspect(e, func(n ast.Node) bool {
-		if b, ok := n.(*ast.BinaryExpr); ok && (b.Op == token.REM || b.Op == token.AND) {
-			found = true
-			return false
-		}
-		return true
-	})
-	return found
 }
 
 // StaticCallee resolves a call expression to its static callee, or nil

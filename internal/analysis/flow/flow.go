@@ -1,5 +1,5 @@
 // Package flow is the interprocedural data-flow layer under the v4
-// chronolint analyzers (shardown, hotalloc, detflow). It is stdlib-only,
+// chronolint analyzers (hotalloc, detflow). It is stdlib-only,
 // like the rest of internal/analysis, and provides:
 //
 //   - a module-local call graph: every static call site resolved through
@@ -7,11 +7,10 @@
 //     module (dynamic dispatch through interfaces is not resolved — a
 //     documented recall tradeoff, not an error);
 //   - per-function summaries: which parameters may flow to return values
-//     (param→return), which parameters reach checkpointed-state sinks or
-//     shard-owned fields (param→sink), which determinism taints a call's
-//     result can carry, which allocation sources the body contains, and
-//     whether the function is fenced //chrono:merge or rooted
-//     //chrono:hotpath;
+//     (param→return), which parameters reach checkpointed-state sinks
+//     (param→sink), which determinism taints a call's result can carry,
+//     which allocation sources the body contains, and whether the
+//     function is rooted //chrono:hotpath;
 //   - a fixpoint: summaries are iterated to a fixed point within each
 //     package (mutual recursion), and packages are resolved bottom-up in
 //     import order — Go's acyclic imports make the per-package results
@@ -169,9 +168,8 @@ type FuncInfo struct {
 	Decl *ast.FuncDecl
 	Pkg  *analysis.Package
 
-	// Hotpath and Merge record the function's fence directives.
+	// Hotpath records the function's //chrono:hotpath directive.
 	Hotpath bool
-	Merge   bool
 
 	// Calls are the statically resolved call sites in the body, in source
 	// order (module-local and stdlib callees both included).
@@ -182,17 +180,11 @@ type FuncInfo struct {
 	// Fixpoint facts. ParamToReturn bit i: parameter i may flow into a
 	// return value. ParamToState bit i: parameter i may be stored into a
 	// //chrono:state-annotated field (directly or through callees).
-	// ParamOwnedUse bit i: parameter i's //chrono:owned fields are
-	// accessed by this (non-fenced) function or its callees, so call
-	// sites owe an owner-selected argument. ReturnTaint: taints the
-	// return values can carry regardless of arguments.
-	// ReturnsOwnerSelected: the return value is the canonical
-	// owner-selected shard (selected by an ID-mod index).
-	ParamToReturn        uint32
-	ParamToState         uint32
-	ParamOwnedUse        uint32
-	ReturnTaint          TaintSet
-	ReturnsOwnerSelected bool
+	// ReturnTaint: taints the return values can carry regardless of
+	// arguments.
+	ParamToReturn uint32
+	ParamToState  uint32
+	ReturnTaint   TaintSet
 
 	// env caches the post-fixpoint evaluation environment (EnvOf).
 	env *Env
@@ -221,9 +213,6 @@ type FieldAnn struct {
 	// State: the field carries //chrono:state — it is checkpointed, so
 	// storing a determinism-tainted value into it is a detflow finding.
 	State bool
-	// Owned: the field carries //chrono:owned — it is per-shard state
-	// only its owner (ID mod Shards) or a //chrono:merge fence may touch.
-	Owned bool
 }
 
 // PkgFlow is the flow analysis of one package: its call-graph nodes,
@@ -387,11 +376,8 @@ func newPkgFlow(pkg *analysis.Package) *PkgFlow {
 				}
 				fi := &FuncInfo{Obj: obj, Decl: d, Pkg: pkg}
 				for _, dir := range analysis.Directives(pkg.Fset, d.Doc) {
-					switch dir.Name {
-					case "hotpath":
+					if dir.Name == "hotpath" {
 						fi.Hotpath = true
-					case "merge":
-						fi.Merge = true
 					}
 				}
 				pf.Funcs[obj] = fi
@@ -407,8 +393,7 @@ func newPkgFlow(pkg *analysis.Package) *PkgFlow {
 	return pf
 }
 
-// indexStructFields records //chrono:state and //chrono:owned directives
-// on struct fields, keyed by their *types.Var objects.
+// indexStructFields records //chrono:state directives on struct fields, keyed by their *types.Var objects.
 func (pf *PkgFlow) indexStructFields(gd *ast.GenDecl) {
 	for _, spec := range gd.Specs {
 		ts, ok := spec.(*ast.TypeSpec)
@@ -424,14 +409,11 @@ func (pf *PkgFlow) indexStructFields(gd *ast.GenDecl) {
 			dirs := analysis.Directives(pf.Pkg.Fset, field.Doc)
 			dirs = append(dirs, analysis.Directives(pf.Pkg.Fset, field.Comment)...)
 			for _, d := range dirs {
-				switch d.Name {
-				case "state":
+				if d.Name == "state" {
 					ann.State = true
-				case "owned":
-					ann.Owned = true
 				}
 			}
-			if !ann.State && !ann.Owned {
+			if !ann.State {
 				continue
 			}
 			for _, name := range field.Names {

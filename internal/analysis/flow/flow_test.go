@@ -79,25 +79,6 @@ func TestParamToStateSink(t *testing.T) {
 	}
 }
 
-func TestOwnerSelection(t *testing.T) {
-	topPF, _ := loadTop(t)
-	owner := fn(t, topPF, "eng.owner")
-	if !owner.ReturnsOwnerSelected {
-		t.Error("eng.owner.ReturnsOwnerSelected = false, want true (ID-mod index)")
-	}
-	enq := fn(t, topPF, "enqueue")
-	if enq.ParamOwnedUse&1 == 0 {
-		t.Errorf("enqueue.ParamOwnedUse = %b, want bit 0 (s.pending is //chrono:owned)", enq.ParamOwnedUse)
-	}
-	merge := fn(t, topPF, "mergeAll")
-	if !merge.Merge {
-		t.Error("mergeAll.Merge = false, want true")
-	}
-	if merge.ParamOwnedUse != 0 {
-		t.Errorf("mergeAll.ParamOwnedUse = %b, want 0 (merge fence clears the obligation)", merge.ParamOwnedUse)
-	}
-}
-
 func TestHotReachability(t *testing.T) {
 	topPF, _ := loadTop(t)
 	hot := topPF.HotReachable()
@@ -142,11 +123,11 @@ func TestAllocScan(t *testing.T) {
 	if !found {
 		t.Errorf("helper.Allocs = %v, want an AllocMake site", kinds)
 	}
-	// enqueue's append reuses s.pending — no AllocAppendFresh.
+	// enqueue's append reuses q.pending — no AllocAppendFresh.
 	enq := fn(t, topPF, "enqueue")
 	for _, a := range enq.Allocs {
 		if a.Kind == AllocAppendFresh {
-			t.Errorf("enqueue flagged AllocAppendFresh (%s); append reuses s.pending", a.Detail)
+			t.Errorf("enqueue flagged AllocAppendFresh (%s); append reuses q.pending", a.Detail)
 		}
 	}
 }

@@ -74,8 +74,8 @@ var allocFuncs = map[string]string{
 	"bytes.Repeat": "allocates", "bytes.Clone": "allocates",
 	"bytes.ToUpper": "allocates", "bytes.ToLower": "allocates",
 
-	"sort.Slice": "allocates via reflection and a closure",
-	"sort.SliceStable": "allocates via reflection and a closure",
+	"sort.Slice":         "allocates via reflection and a closure",
+	"sort.SliceStable":   "allocates via reflection and a closure",
 	"sort.SliceIsSorted": "allocates via reflection and a closure",
 
 	"errors.New": "allocates an error",

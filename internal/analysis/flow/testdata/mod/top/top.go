@@ -1,38 +1,21 @@
 // Package top is the upper layer of the flow-test module: it exercises
 // cross-package summaries (taint through util, state sinks through
-// util.Store), owner selection, owned-field obligations, merge fences,
-// and hot-path reachability.
+// util.Store) and hot-path reachability.
 package top
 
 import "flowmod/util"
 
-type shard struct {
-	pending []int64 //chrono:owned
-}
-
 type eng struct {
-	shards []*shard
-	store  *util.Store
+	store *util.Store
 }
 
-// owner returns the canonical owner-selected shard (ID-mod index).
-func (e *eng) owner(id int64) *shard {
-	return e.shards[id%int64(len(e.shards))]
+type queue struct {
+	pending []int64
 }
 
-// enqueue touches an owned field through its parameter: callers owe an
-// owner-selected argument (ParamOwnedUse bit 0).
-func enqueue(s *shard, id int64) {
-	s.pending = append(s.pending, id)
-}
-
-// mergeAll is fenced: cross-shard access inside it is legitimate.
-//
-//chrono:merge
-func mergeAll(e *eng) {
-	for _, s := range e.shards {
-		s.pending = s.pending[:0]
-	}
+// enqueue appends in place: no fresh allocation site.
+func enqueue(q *queue, id int64) {
+	q.pending = append(q.pending, id)
 }
 
 // stamp launders a wall-clock reading through two calls; its summary must

@@ -170,7 +170,6 @@ func (w *walker) assign(lhs, rhs []ast.Expr, tok token.Token) {
 	}
 	if len(rhs) == 1 && len(lhs) > 1 {
 		f := env.eval(rhs[0])
-		f.ownerSel = false
 		if w.selectComms > 1 {
 			f.taint = f.taint.With(TaintGoroutine)
 		}
@@ -198,23 +197,13 @@ func (w *walker) assign(lhs, rhs []ast.Expr, tok token.Token) {
 
 // update merges facts into a variable's state.
 func (w *walker) update(obj types.Object, f facts) {
-	vs := w.env.vars[obj]
-	if vs == nil {
-		vs = &varState{}
-		w.env.vars[obj] = vs
+	vf := w.env.vars[obj]
+	if vf == nil {
+		vf = &facts{}
+		w.env.vars[obj] = vf
 	}
-	old := vs.facts
-	oldAssigned := vs.assigned
-	vs.facts.taint |= f.taint
-	vs.facts.params |= f.params
-	if !vs.assigned {
-		vs.assigned = true
-		vs.facts.ownerSel = f.ownerSel
-	} else {
-		vs.facts.ownerSel = vs.facts.ownerSel && f.ownerSel
-	}
-	if vs.facts.taint != old.taint || vs.facts.params != old.params ||
-		vs.facts.ownerSel != old.ownerSel || !oldAssigned {
+	if grown := vf.union(f); grown != *vf {
+		*vf = grown
 		w.changed = true
 	}
 }
@@ -225,7 +214,6 @@ func (w *walker) rangeStmt(v *ast.RangeStmt) {
 	env := w.env
 	w.expr(v.X)
 	f := env.eval(v.X)
-	f.ownerSel = false
 	if t, ok := env.pf.Pkg.TypesInfo.Types[v.X]; ok {
 		if _, isMap := t.Type.Underlying().(*types.Map); isMap {
 			f.taint = f.taint.With(TaintMapOrder)
@@ -268,9 +256,9 @@ func (w *walker) returnStmt(v *ast.ReturnStmt) {
 			for _, field := range res.List {
 				for _, name := range field.Names {
 					if obj := env.pf.Pkg.TypesInfo.Defs[name]; obj != nil {
-						if vs, ok := env.vars[obj]; ok {
-							env.returnTaint |= vs.facts.taint
-							env.paramToReturn |= vs.facts.params
+						if vf, ok := env.vars[obj]; ok {
+							env.returnTaint |= vf.taint
+							env.paramToReturn |= vf.params
 						}
 					}
 				}
@@ -282,9 +270,6 @@ func (w *walker) returnStmt(v *ast.ReturnStmt) {
 		f := env.eval(r)
 		env.returnTaint |= f.taint
 		env.paramToReturn |= f.params
-		if len(v.Results) == 1 && f.ownerSel {
-			env.returnsOwner = true
-		}
 	}
 }
 
@@ -308,10 +293,6 @@ func (w *walker) expr(e ast.Expr) {
 			if w.mode == modeCollect {
 				w.collectCallSinks(v)
 			}
-		case *ast.SelectorExpr:
-			if w.mode == modeCollect {
-				w.collectOwnedParamUse(v)
-			}
 		}
 		return true
 	})
@@ -319,8 +300,7 @@ func (w *walker) expr(e ast.Expr) {
 
 // collectCallSinks folds callee param→sink summaries into this
 // function's: passing our parameter into a callee parameter that reaches
-// a state sink (or an owned field) transfers the obligation to our
-// callers.
+// a state sink transfers the obligation to our callers.
 func (w *walker) collectCallSinks(call *ast.CallExpr) {
 	env := w.env
 	callee := StaticCallee(env.pf.Pkg.TypesInfo, call)
@@ -335,33 +315,10 @@ func (w *walker) collectCallSinks(call *ast.CallExpr) {
 		if i >= 32 {
 			break
 		}
-		bit := uint32(1) << uint(i)
-		if s.ParamToState&bit != 0 {
+		if s.ParamToState&(1<<uint(i)) != 0 {
 			_, params := env.Eval(a)
 			env.paramToState |= params
 		}
-		if s.ParamOwnedUse&bit != 0 && !s.Merge && !env.fi.Merge {
-			if j := env.ParamIndex(a); j >= 0 && j < 32 {
-				env.paramOwnedUse |= 1 << uint(j)
-			}
-		}
-	}
-}
-
-// collectOwnedParamUse records that an owned field is accessed through
-// one of the function's own parameters — callers then owe an
-// owner-selected argument (unless this function is a merge fence).
-func (w *walker) collectOwnedParamUse(sel *ast.SelectorExpr) {
-	env := w.env
-	if env.fi.Merge {
-		return
-	}
-	field := selectedField(env.pf.Pkg.TypesInfo, sel)
-	if field == nil || !env.pf.FieldAnnOf(field).Owned {
-		return
-	}
-	if i := env.ParamIndex(sel.X); i >= 0 && i < 32 {
-		env.paramOwnedUse |= 1 << uint(i)
 	}
 }
 
@@ -402,14 +359,6 @@ func (pf *PkgFlow) summarize(fi *FuncInfo) bool {
 	}
 	if env.paramToState&^fi.ParamToState != 0 {
 		fi.ParamToState |= env.paramToState
-		changed = true
-	}
-	if env.paramOwnedUse&^fi.ParamOwnedUse != 0 {
-		fi.ParamOwnedUse |= env.paramOwnedUse
-		changed = true
-	}
-	if env.returnsOwner && !fi.ReturnsOwnerSelected {
-		fi.ReturnsOwnerSelected = true
 		changed = true
 	}
 	return changed

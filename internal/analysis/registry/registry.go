@@ -18,7 +18,6 @@ import (
 	"chrono/internal/analysis/lockorder"
 	"chrono/internal/analysis/maporder"
 	"chrono/internal/analysis/parcapture"
-	"chrono/internal/analysis/shardown"
 	"chrono/internal/analysis/snapalias"
 	"chrono/internal/analysis/statesync"
 	"chrono/internal/analysis/unitmix"
@@ -43,7 +42,6 @@ func All() []*analysis.Analyzer {
 		goroscope.Analyzer,
 		statesync.Analyzer,
 		snapalias.Analyzer,
-		shardown.Analyzer,
 		hotalloc.Analyzer,
 		detflow.Analyzer,
 	}

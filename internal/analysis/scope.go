@@ -89,8 +89,6 @@ func isAnalysisPackage(path string) bool {
 //	              packages without //chrono:statesync pairs or
 //	              Checkpointable-shaped types)
 //	snapalias   — everywhere except the analysis framework
-//	shardown    — everywhere except the analysis framework (no-op in
-//	              packages without //chrono:owned fields)
 //	hotalloc    — everywhere except the analysis framework (no-op in
 //	              packages without //chrono:hotpath roots)
 //	detflow     — everywhere except the analysis framework (no-op in
@@ -109,7 +107,7 @@ func Applies(analyzer, modPath, pkgPath string) bool {
 		return !isUnitFree(pkgPath)
 	case "parcapture", "handlecheck", "floatorder",
 		"lockorder", "atomicmix", "statesync", "snapalias",
-		"shardown", "hotalloc", "detflow":
+		"hotalloc", "detflow":
 		return !isAnalysisPackage(pkgPath)
 	case "goroscope":
 		return strings.HasPrefix(pkgPath, modPath+"/internal/") && !isAnalysisPackage(pkgPath)

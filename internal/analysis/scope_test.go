@@ -1,6 +1,6 @@
 package analysis_test
 
-// Scoping tests: where each of the sixteen analyzers applies (Applies),
+// Scoping tests: where each of the fifteen analyzers applies (Applies),
 // which directories the pattern expander refuses to descend into
 // (Expand's testdata/vendor/hidden exclusions), and the package-scope
 // directive-grammar findings (CheckDirectives) that catch misspelled
@@ -70,9 +70,6 @@ var appliesMatrix = []struct {
 	{"goroscope", "chrono/internal/analysis/goroscope", false},
 	// The v4 interprocedural wave follows the broad bucket: no-ops
 	// without their annotations, so they may run everywhere.
-	{"shardown", "chrono/internal/engine", true},
-	{"shardown", "chrono/cmd/chronosim", true},
-	{"shardown", "chrono/internal/analysis/shardown", false},
 	{"hotalloc", "chrono/internal/simclock", true},
 	{"hotalloc", "chrono/internal/analysis/flow", false},
 	{"detflow", "chrono/internal/policy/flexmem", true},
@@ -141,7 +138,6 @@ func TestExpandSkipsTestdata(t *testing.T) {
 	for _, want := range []string{
 		"chrono/internal/analysis",
 		"chrono/internal/analysis/flow",
-		"chrono/internal/analysis/shardown",
 		"chrono/internal/analysis/hotalloc",
 		"chrono/internal/analysis/detflow",
 	} {
@@ -181,14 +177,10 @@ func noReason() {}
 //chrono:hotpath
 func valid() {}
 
-//chrono:merge
-func fence() {}
-
 //chrono:allow detclock benchmarks report wall time
 func allowed() {}
 
 type s struct {
-	id int64 //chrono:owned
 	at int64 //chrono:state At
 }
 `

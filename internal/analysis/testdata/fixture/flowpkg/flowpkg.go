@@ -1,34 +1,13 @@
-// Package flowpkg seeds one finding for each v4 flow analyzer: a
-// cross-shard access outside a merge fence (shardown), an allocation
-// reachable from a //chrono:hotpath root (hotalloc), and a wall-clock
-// reading laundered through a helper into checkpointed state (detflow).
+// Package flowpkg seeds one finding for each v4 flow analyzer: an
+// allocation reachable from a //chrono:hotpath root (hotalloc) and a
+// wall-clock reading laundered through a helper into checkpointed state
+// (detflow).
 package flowpkg
 
 import "time"
 
-type shard struct {
-	pending []int64 //chrono:owned
-}
-
 type eng struct {
-	shards []*shard
-	Seen   int64 //chrono:state
-}
-
-func (e *eng) owner(id int64) *shard {
-	return e.shards[id%int64(len(e.shards))]
-}
-
-// good goes through the owner index: clean.
-func (e *eng) good(id int64) {
-	s := e.owner(id)
-	s.pending = append(s.pending, id)
-}
-
-// bad grabs shard zero regardless of the id's owner.
-func (e *eng) bad(id int64) {
-	s := e.shards[0]
-	s.pending = append(s.pending, id)
+	Seen int64 //chrono:state
 }
 
 //chrono:hotpath

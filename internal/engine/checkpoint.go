@@ -191,12 +191,10 @@ type EngineState struct {
 	AliasStructural  bool          `json:"alias_structural,omitempty"`
 	HasAlias         bool          `json:"has_alias,omitempty"`
 
-	// PendingFaults are the materialized fault timers gathered from every
-	// shard queue, sorted by (At, ID, Seq); PendingProts are deferred
-	// Protects not yet materialized, sorted by (ID, Seq). Both are stored
-	// flat — ownership is recomputed as ID mod the restoring engine's shard
-	// count — so a checkpoint round-trips bit-identically across different
-	// -shards settings.
+	// PendingFaults are the materialized fault timers, sorted by
+	// (At, ID, Seq); PendingProts are deferred Protects not yet
+	// materialized, sorted by (ID, Seq). The canonical order makes the
+	// bytes independent of the queue's heap layout.
 	PendingFaults []simclock.ShardEntry `json:"pending_faults,omitempty"`
 	PendingProts  []PendingProtRecord   `json:"pending_prots,omitempty"`
 
@@ -218,8 +216,6 @@ type EngineState struct {
 
 // Snapshot captures the engine's complete dynamic state. It fails only
 // when the attached policy cannot capture or marshal its own state.
-//
-//chrono:merge gathers every shard's fault state into one canonical list
 func (e *Engine) Snapshot() (*EngineState, error) {
 	st := &EngineState{
 		Clock:     e.clock.Snapshot(),
@@ -259,13 +255,11 @@ func (e *Engine) Snapshot() (*EngineState, error) {
 		st.KLRU[t] = e.kLRU[t].State()
 	}
 	st.Pages = e.pageTableState()
-	// Gather the sharded fault state into flat, canonically sorted lists:
-	// identical simulation state yields identical bytes no matter how many
-	// shards (or which per-queue heap layouts) produced it.
-	// Stale records (the page was re-protected, unprotected, or freed since
-	// they were queued) are filtered out: replay would drop them anyway, so
-	// omitting them is semantics-free and keeps the bytes a pure function of
-	// simulation state rather than of queue-replacement history.
+	// Stale fault records (the page was re-protected, unprotected, or
+	// freed since they were queued) are filtered out: replay would drop
+	// them anyway, so omitting them is semantics-free and keeps the bytes
+	// a pure function of simulation state rather than of queue-replacement
+	// history.
 	live := func(id int64, seq uint64) bool {
 		if id < 0 || id >= int64(len(e.pages)) {
 			return false
@@ -273,18 +267,14 @@ func (e *Engine) Snapshot() (*EngineState, error) {
 		pg := e.pages[id]
 		return pg != nil && pg.FaultSeq == seq && pg.Flags.Has(vm.FlagProtNone)
 	}
-	var gather []simclock.ShardEntry
-	for _, sh := range e.shards {
-		gather = sh.queue.AppendEntries(gather[:0])
-		for _, en := range gather {
-			if live(en.ID, en.Seq) {
-				st.PendingFaults = append(st.PendingFaults, en)
-			}
+	for _, en := range e.faultQ.AppendEntries(nil) {
+		if live(en.ID, en.Seq) {
+			st.PendingFaults = append(st.PendingFaults, en)
 		}
-		for _, pp := range sh.pending {
-			if live(pp.id, pp.seq) {
-				st.PendingProts = append(st.PendingProts, PendingProtRecord{ID: pp.id, Seq: pp.seq, DelayNS: pp.delay})
-			}
+	}
+	for _, pp := range e.pendingProts {
+		if live(pp.id, pp.seq) {
+			st.PendingProts = append(st.PendingProts, PendingProtRecord{ID: pp.id, Seq: pp.seq, DelayNS: pp.delay})
 		}
 	}
 	sort.Slice(st.PendingFaults, func(i, j int) bool {
@@ -415,8 +405,6 @@ func (m *Metrics) State() MetricsState {
 // same policy Attached, and must not have Run yet. On success the engine
 // continues with ResumeRun; on error the engine is in an undefined state
 // and must be discarded (the caller replays the run from scratch).
-//
-//chrono:merge scatters flat checkpoint state back across every shard
 func (e *Engine) Restore(st *EngineState) error {
 	_, err := e.restore(st, false)
 	return err
@@ -438,8 +426,6 @@ func (e *Engine) RestoreSwap(st *EngineState) (dropped int, err error) {
 
 // restore is the shared body of Restore and RestoreSwap; swap selects the
 // cross-policy behavior described on RestoreSwap.
-//
-//chrono:merge scatters flat checkpoint state back across every shard
 func (e *Engine) restore(st *EngineState, swap bool) (dropped int, err error) {
 	polName := ""
 	if e.pol != nil {
@@ -461,26 +447,19 @@ func (e *Engine) restore(st *EngineState, swap bool) (dropped int, err error) {
 	if err := e.restorePatterns(st.Patterns); err != nil {
 		return 0, err
 	}
-	// Scatter the flat pending-fault state back into shard ownership. The
-	// restoring engine may use a different shard count than the one that
-	// snapshotted: ownership is just ID mod the current count, and replay
-	// order is shard-independent.
-	for _, sh := range e.shards {
-		sh.queue.Reset()
-		sh.pending = sh.pending[:0]
-	}
+	e.faultQ.Reset()
+	e.pendingProts = e.pendingProts[:0]
 	for _, en := range st.PendingFaults {
 		if en.ID < 0 || en.ID >= int64(len(e.pages)) || e.pages[en.ID] == nil {
 			return 0, fmt.Errorf("engine: restore: pending fault references page %d", en.ID)
 		}
-		e.ownerShard(en.ID).queue.Push(en)
+		e.faultQ.Push(en)
 	}
 	for _, pp := range st.PendingProts {
 		if pp.ID < 0 || pp.ID >= int64(len(e.pages)) || e.pages[pp.ID] == nil {
 			return 0, fmt.Errorf("engine: restore: pending protect references page %d", pp.ID)
 		}
-		sh := e.ownerShard(pp.ID)
-		sh.pending = append(sh.pending, pendingProt{id: pp.ID, seq: pp.Seq, delay: pp.DelayNS})
+		e.pendingProts = append(e.pendingProts, pendingProt{id: pp.ID, seq: pp.Seq, delay: pp.DelayNS})
 	}
 	// The tier lists share one link family: empty every pair before any
 	// refill, or pages that changed tiers since the snapshot would still

@@ -86,9 +86,11 @@ func phasedTrace() *trace.Trace {
 	return tr
 }
 
+// buildDyn builds a dynamic-workload case. shards sets the deprecated
+// Config.Shards, which the engine ignores.
 func buildDyn(t *testing.T, c dynCase, plan faultinject.Plan, shards int) (*engine.Engine, workload.Workload) {
 	t.Helper()
-	e := engine.New(engine.Config{Seed: 7, FastGB: 2, SlowGB: 6, Faults: plan, Shards: shards, ShardWorkers: 2})
+	e := engine.New(engine.Config{Seed: 7, FastGB: 2, SlowGB: 6, Faults: plan, Shards: shards})
 	w := c.workload()
 	if err := w.Build(e); err != nil {
 		t.Fatal(err)
@@ -174,31 +176,27 @@ func TestCheckpointResumeBitIdenticalWorkloads(t *testing.T) {
 						t.Fatal(err)
 					}
 
-					// Resume under the same shard count and under a different
-					// one: both must reach the uninterrupted end state.
-					for _, n := range []int{shards, 3} {
-						var loaded engine.EngineState
-						if err := json.Unmarshal(blob, &loaded); err != nil {
-							t.Fatal(err)
-						}
-						resumed, w := buildDyn(t, c, plan, n)
-						if err := resumed.Restore(&loaded); err != nil {
-							t.Fatalf("restore (shards=%d): %v", n, err)
-						}
-						again, err := resumed.Snapshot()
-						if err != nil {
-							t.Fatal(err)
-						}
-						if got, _ := json.Marshal(again); !bytes.Equal(got, blob) {
-							t.Fatalf("restored state (shards=%d) differs from the snapshot", n)
-						}
-						if got := groundTruth(resumed, w); fmt.Sprint(got) != fmt.Sprint(snapHot) {
-							t.Fatalf("restored ground truth (shards=%d) differs from the snapshot's", n)
-						}
-						resumed.ResumeRun()
-						if got := dynEndState(t, resumed, w); !bytes.Equal(got, want) {
-							t.Fatalf("resumed run (shards=%d) diverged from the uninterrupted run", n)
-						}
+					var loaded engine.EngineState
+					if err := json.Unmarshal(blob, &loaded); err != nil {
+						t.Fatal(err)
+					}
+					resumed, w := buildDyn(t, c, plan, shards)
+					if err := resumed.Restore(&loaded); err != nil {
+						t.Fatalf("restore: %v", err)
+					}
+					again, err := resumed.Snapshot()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got, _ := json.Marshal(again); !bytes.Equal(got, blob) {
+						t.Fatal("restored state differs from the snapshot")
+					}
+					if got := groundTruth(resumed, w); fmt.Sprint(got) != fmt.Sprint(snapHot) {
+						t.Fatal("restored ground truth differs from the snapshot's")
+					}
+					resumed.ResumeRun()
+					if got := dynEndState(t, resumed, w); !bytes.Equal(got, want) {
+						t.Fatal("resumed run diverged from the uninterrupted run")
 					}
 				})
 			}

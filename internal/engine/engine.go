@@ -32,7 +32,6 @@ package engine
 
 import (
 	"fmt"
-	"runtime"
 
 	"chrono/internal/faultinject"
 	"chrono/internal/lru"
@@ -86,16 +85,8 @@ type Config struct {
 	// byte-identical to an engine without it.
 	Faults faultinject.Plan
 
-	// Shards partitions the fault machinery by page ID (owner = ID mod
-	// Shards) for multi-core execution at high page fidelity. Results are
-	// independent of the shard count: gap draws are stateless hashes and
-	// replay is a canonical (time, page, seq)-ordered merge (see shard.go).
-	// Default 1.
+	// Deprecated: ignored; the engine has one fault queue.
 	Shards int
-	// ShardWorkers caps the goroutines used for shard materialization.
-	// 0 means min(Shards, GOMAXPROCS); 1 forces inline execution. Like
-	// Shards, the setting never affects results, only wall-clock.
-	ShardWorkers int
 }
 
 // EpochNS is the metric accounting step: rates, latency histograms,
@@ -156,9 +147,6 @@ func (cfg Config) withDefaults() Config {
 	}
 	if cfg.HugeFactor == 0 {
 		cfg.HugeFactor = 64
-	}
-	if cfg.Shards <= 0 {
-		cfg.Shards = 1
 	}
 	return cfg
 }
@@ -291,18 +279,14 @@ type Engine struct {
 	aliasWeightDirty bool          //chrono:state AliasWeightDirty
 	aliasStructural  bool          //chrono:state AliasStructural
 
-	// shards own the pending-fault timers and deferred Protects, keyed by
-	// page ID mod shard count (see shard.go for the determinism argument).
-	//
-	//chrono:state PendingFaults,PendingProts
-	shards []*engineShard
-	// faultSeed keys the stateless per-(page, seq) fault-gap hash. Derived
-	// from Config.Seed only — never from the shard count — so every shard
-	// layout draws identical gaps.
+	// faultQ holds the materialized hint-fault timers and pendingProts the
+	// deferred Protects awaiting their gap draw (see faults.go for the
+	// determinism argument).
+	faultQ       simclock.ShardQueue //chrono:state PendingFaults
+	pendingProts []pendingProt       //chrono:state PendingProts
+	// faultSeed keys the stateless per-(page, seq) fault-gap hash, derived
+	// from Config.Seed only.
 	faultSeed uint64 //chrono:rebuilt derived from Config.Seed by New
-	// shardWorkers is the resolved materialization parallelism; execution
-	// strategy never affects results.
-	shardWorkers int //chrono:rebuilt derived from Config and GOMAXPROCS; wall-clock only
 
 	// flushMark/flushList are scratch for FlushPattern's page dedup and
 	// recomputeProcAggregates' VMA walk, reused across calls (indexed by
@@ -431,8 +415,6 @@ func (m *Metrics) ContextSwitchRate() float64 {
 }
 
 // New creates an engine.
-//
-//chrono:merge construction fan-out: wires every shard before any worker exists
 func New(cfg Config) *Engine {
 	cfg = cfg.withDefaults()
 	fastPages := cfg.FastGB.Pages(cfg.PagesPerGB)
@@ -469,28 +451,13 @@ func New(cfg Config) *Engine {
 	for t := mem.TierID(0); t < mem.NumTiers; t++ {
 		e.kLRU[t] = lru.NewTwoList(e.links)
 	}
-	// Sharded fault machinery (shard.go). The gap-hash seed folds in a
-	// domain constant so it never collides with another derived stream; it
-	// deliberately ignores Shards/ShardWorkers, which must not affect
-	// results.
+	// The fault-gap hash seed (faults.go) folds in a domain constant so it
+	// never collides with another derived stream.
 	e.faultSeed = rng.Hash(cfg.Seed, 0x66a0, 1)
 	// The shadow stream is hash-seeded (not forked): deriving it consumes
 	// no rMaster draws, so engines predating transactional migration
 	// reproduce bit-identically.
 	e.rShadow = rng.New(rng.Hash(cfg.Seed, 0x5ad0, 2))
-	e.shards = make([]*engineShard, cfg.Shards)
-	for i := range e.shards {
-		e.shards[i] = &engineShard{}
-		e.shards[i].queue.SetStride(int64(cfg.Shards))
-	}
-	w := cfg.ShardWorkers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > cfg.Shards {
-		w = cfg.Shards
-	}
-	e.shardWorkers = w
 	policy.RegisterBackoffBinder(e)
 	e.table.Int64("kernel/numa_tiering", "enable tiered NUMA management (Chrono)", &e.numaTiering, nil, nil)
 	// The injector's streams derive from (Seed, Plan) only — never from

@@ -21,11 +21,10 @@ import (
 const minFaultRate = 1e-4 // < one access per ~3 virtual hours
 
 // Protect poisons pg PROT_NONE and stamps the scan timestamp. The fault
-// timer is deferred: Protect records (page, seq, injected delay) on the
-// page's owner shard, and the gap draw happens at the next fault drain
-// (shard.go), possibly in parallel. The draw is a stateless hash of
-// (faultSeed, page ID, fault seq), so deferral changes neither the value
-// nor any engine RNG stream.
+// timer is deferred: Protect records (page, seq, injected delay), and the
+// gap draw happens at the next fault drain (faults.go). The draw is a
+// stateless hash of (faultSeed, page ID, fault seq), so deferral changes
+// neither the value nor any engine RNG stream.
 func (e *Engine) Protect(pg *vm.Page) {
 	if pg.Flags.Has(vm.FlagSwapped) {
 		return // non-resident: there is no PTE to poison
@@ -38,8 +37,7 @@ func (e *Engine) Protect(pg *vm.Page) {
 	// thread observes the poisoned PTE late. Drawn here — the injector
 	// stream is serial — so materialization stays stateless.
 	delay := e.inj.FaultDelay()
-	sh := e.ownerShard(pg.ID)
-	sh.pending = append(sh.pending, pendingProt{id: pg.ID, seq: pg.FaultSeq, delay: delay})
+	e.pendingProts = append(e.pendingProts, pendingProt{id: pg.ID, seq: pg.FaultSeq, delay: delay})
 }
 
 // Unprotect clears the poisoning without delivering a fault. Cancellation

@@ -125,13 +125,12 @@ func TestDifferentSeedDiverges(t *testing.T) {
 // sweeps") — and the fault injector's contract is that it stays so under
 // injection, because every injection decision draws from the run's own
 // seed-derived streams.
-func sweepFingerprint(t *testing.T, workers, shards int, plan faultinject.Plan) string {
+func sweepFingerprint(t *testing.T, workers int, plan faultinject.Plan) string {
 	t.Helper()
 	o := RunOpts{
 		Seed: 42, FastGB: 2, SlowGB: 6,
 		Duration: 45 * simclock.Second,
 		Workers:  workers,
-		Shards:   shards,
 		Faults:   plan,
 	}
 	cfg := PmbenchConfig{Label: "determinism probe", Processes: 4, WorkingSetGB: 5}
@@ -152,23 +151,10 @@ func sweepFingerprint(t *testing.T, workers, shards int, plan faultinject.Plan) 
 // experiment runner: a sweep fanned across 8 workers must produce
 // byte-identical serialized metrics to the same sweep run serially.
 func TestParallelMatchesSerial(t *testing.T) {
-	serial := sweepFingerprint(t, 1, 1, faultinject.Plan{})
-	parallel8 := sweepFingerprint(t, 8, 1, faultinject.Plan{})
+	serial := sweepFingerprint(t, 1, faultinject.Plan{})
+	parallel8 := sweepFingerprint(t, 8, faultinject.Plan{})
 	if serial != parallel8 {
 		t.Errorf("workers=1 and workers=8 diverge:\n-- serial --\n%s\n-- parallel --\n%s", serial, parallel8)
-	}
-}
-
-// TestShardedMatchesUnsharded extends the fence to single-run sharding:
-// a sweep whose engines shard their fault machinery 8 ways (stacked on
-// 8-way sweep parallelism) must be byte-identical to the serial unsharded
-// sweep. This is the experiments-level face of the tentpole contract;
-// cmd/reproduce CI byte-diffs full table output the same way.
-func TestShardedMatchesUnsharded(t *testing.T) {
-	serial := sweepFingerprint(t, 1, 1, faultinject.Plan{})
-	sharded := sweepFingerprint(t, 8, 8, faultinject.Plan{})
-	if serial != sharded {
-		t.Errorf("shards=1 and shards=8 diverge:\n-- unsharded --\n%s\n-- sharded --\n%s", serial, sharded)
 	}
 }
 
@@ -179,18 +165,18 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 // or the plan injected nothing.
 func TestFaultPlanDeterministic(t *testing.T) {
 	plan := faultinject.Aggressive()
-	serial := sweepFingerprint(t, 1, 1, plan)
-	parallel8 := sweepFingerprint(t, 8, 8, plan)
+	serial := sweepFingerprint(t, 1, plan)
+	parallel8 := sweepFingerprint(t, 8, plan)
 	if serial != parallel8 {
-		t.Errorf("faulted sweep diverges across worker/shard counts:\n-- serial --\n%s\n-- parallel --\n%s",
+		t.Errorf("faulted sweep diverges across worker counts:\n-- serial --\n%s\n-- parallel --\n%s",
 			serial, parallel8)
 	}
-	repeat := sweepFingerprint(t, 8, 8, plan)
+	repeat := sweepFingerprint(t, 8, plan)
 	if parallel8 != repeat {
 		t.Errorf("same (seed, plan) produced different sweeps:\n-- run1 --\n%s\n-- run2 --\n%s",
 			parallel8, repeat)
 	}
-	clean := sweepFingerprint(t, 1, 1, faultinject.Plan{})
+	clean := sweepFingerprint(t, 1, faultinject.Plan{})
 	if clean == serial {
 		t.Error("aggressive fault plan left the sweep identical to fault-free — injection is inert")
 	}

@@ -65,10 +65,9 @@ type cellDone struct {
 
 // specFor builds the canonical identity of a sweep cell. It must be
 // computed from the *fresh* (pre-Build) workload so the key is identical
-// across processes and attempts. Execution-strategy knobs (Workers,
-// Shards, ShardWorkers) are deliberately absent: they never affect
-// results, so a sweep checkpointed under one shard count resumes cleanly
-// under another.
+// across processes and attempts. Workers, an execution-strategy knob, is
+// deliberately absent: it never affects results, so a sweep checkpointed
+// under one worker count resumes cleanly under another.
 func specFor(c Cell, w workload.Workload, o RunOpts) RunSpec {
 	spec := RunSpec{
 		Experiment: c.Experiment,

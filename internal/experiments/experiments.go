@@ -60,15 +60,6 @@ type RunOpts struct {
 	// assembled in specification order, so the output is identical for any
 	// worker count (see DESIGN.md "Parallel sweeps").
 	Workers int
-	// Shards partitions each engine's fault machinery for multi-core
-	// execution of a single run (default 1). Like Workers, it never
-	// affects results — only wall-clock — so it is deliberately excluded
-	// from durable-sweep cell identity (see specFor) and a sweep may be
-	// resumed under a different shard count.
-	Shards int
-	// ShardWorkers caps the goroutines materializing shard timers
-	// (0 = min(Shards, GOMAXPROCS)).
-	ShardWorkers int
 	// Faults configures deterministic fault injection for every run of
 	// the experiment (zero value: disabled — runs are byte-identical to
 	// a build without the subsystem; see internal/faultinject).
@@ -255,14 +246,12 @@ func (r *Result) Compact() {
 func Build(pol policy.Policy, w workload.Workload, o RunOpts) (*engine.Engine, error) {
 	o = o.withDefaults()
 	e := engine.New(engine.Config{
-		Seed:         o.Seed,
-		PagesPerGB:   o.PagesPerGB,
-		FastGB:       o.FastGB,
-		SlowGB:       o.SlowGB,
-		Faults:       o.Faults,
-		DebugChecks:  o.DebugChecks,
-		Shards:       o.Shards,
-		ShardWorkers: o.ShardWorkers,
+		Seed:        o.Seed,
+		PagesPerGB:  o.PagesPerGB,
+		FastGB:      o.FastGB,
+		SlowGB:      o.SlowGB,
+		Faults:      o.Faults,
+		DebugChecks: o.DebugChecks,
 	})
 	if err := w.Build(e); err != nil {
 		return nil, fmt.Errorf("build %s: %w", w.Name(), err)

@@ -129,8 +129,8 @@ func (s SimSpec) Validate() error {
 	return nil
 }
 
-// Opts returns the spec's engine knobs as RunOpts. Host-side knobs that
-// never change results (Shards, Workers) are left to the caller.
+// Opts returns the spec's engine knobs as RunOpts. Workers, the one
+// host-side knob (it never changes results), is left to the caller.
 func (s SimSpec) Opts() (RunOpts, error) {
 	plan, err := faultinject.ParsePlan(s.Faults)
 	if err != nil {

@@ -68,7 +68,7 @@ func TestSimSpecValidateAccepts(t *testing.T) {
 
 // Build is the only constructor of harness engines, so every engine knob
 // of RunOpts must reach the engine's config — the Figure 9 and 10a runs
-// once dropped Faults, Shards and DebugChecks.
+// once dropped Faults and DebugChecks.
 func TestBuildCarriesRunOpts(t *testing.T) {
 	plan, err := faultinject.ParsePlan("aggressive")
 	if err != nil {
@@ -76,7 +76,7 @@ func TestBuildCarriesRunOpts(t *testing.T) {
 	}
 	o := RunOpts{
 		Seed: 9, PagesPerGB: 512, FastGB: 2, SlowGB: 6,
-		Faults: plan, DebugChecks: true, Shards: 3, ShardWorkers: 2,
+		Faults: plan, DebugChecks: true,
 	}
 	pol, err := NewPolicy("TPP")
 	if err != nil {
@@ -97,8 +97,6 @@ func TestBuildCarriesRunOpts(t *testing.T) {
 		{"SlowGB", cfg.SlowGB, o.SlowGB},
 		{"Faults", cfg.Faults, o.Faults},
 		{"DebugChecks", cfg.DebugChecks, o.DebugChecks},
-		{"Shards", cfg.Shards, o.Shards},
-		{"ShardWorkers", cfg.ShardWorkers, o.ShardWorkers},
 	} {
 		if c.got != c.want {
 			t.Errorf("Config().%s = %v, want %v", c.field, c.got, c.want)

@@ -29,10 +29,9 @@ func mix(z uint64) uint64 {
 }
 
 // Hash statelessly maps (seed, a, b) to 64 uniform bits. Unlike a Source it
-// has no stream position: the result depends only on the inputs, so
-// concurrent shard workers can each evaluate it for the keys they own and
-// obtain exactly the values a serial walk would — the foundation of the
-// engine's order-independent fault-gap draws.
+// has no stream position: the result depends only on the inputs, so the
+// value is the same whenever and in whatever order it is evaluated — the
+// foundation of the engine's deferred, order-independent fault-gap draws.
 func Hash(seed, a, b uint64) uint64 {
 	return mix(mix(mix(seed+0x9e3779b97f4a7c15)^a*0xbf58476d1ce4e5b9) ^ b*0x94d049bb133111eb)
 }

@@ -83,58 +83,8 @@ func (c *Clock) Snapshot() *State {
 // is discarded and replaced by the recorded events, each keeping its
 // original (At, Seq) position.
 func (c *Clock) Restore(st *State) error {
-	// Validate resolvability up front so a failed Restore leaves the clock
-	// untouched and the caller can fall back to a from-scratch replay.
-	for _, rec := range st.Events {
-		if rec.Period > 0 {
-			if _, ok := c.tickers[rec.Key]; !ok {
-				return fmt.Errorf("simclock: restore: no ticker registered for key %q", rec.Key)
-			}
-		} else if _, ok := c.binders[rec.Key]; !ok {
-			return fmt.Errorf("simclock: restore: no binder registered for key %q", rec.Key)
-		}
-		if rec.At < st.Now {
-			return fmt.Errorf("simclock: restore: event %q at %v precedes snapshot time %v", rec.Key, rec.At, st.Now)
-		}
-	}
-
-	// Drop the fresh queue, un-arming tickers so records can re-arm them.
-	for len(c.queue) > 0 {
-		ev := c.popMin()
-		if ev.tkr != nil {
-			ev.tkr.armed = false
-			ev.tkr.handle = Handle{}
-		}
-		c.release(ev)
-	}
-
-	c.stopped = false
-	c.now = st.Now
-	c.fired = st.Fired
-	for _, rec := range st.Events {
-		c.restoring = true
-		c.restoreSeq = rec.Seq
-		c.restoreUsed = false
-		if rec.Period > 0 {
-			t := c.tickers[rec.Key]
-			t.cancel = false
-			t.period = rec.Period
-			if t.armed {
-				c.restoring = false
-				return fmt.Errorf("simclock: restore: duplicate pending event for ticker %q", rec.Key)
-			}
-			t.rearmAt(rec.At)
-		} else {
-			c.binders[rec.Key](rec)
-		}
-		used := c.restoreUsed
-		c.restoring = false
-		if !used {
-			return fmt.Errorf("simclock: restore: binder for key %q scheduled no event", rec.Key)
-		}
-	}
-	c.seq = st.Seq
-	return nil
+	_, err := c.restore(st, false)
+	return err
 }
 
 // RestoreInto rebuilds the clock's dynamic state from a snapshot taken on
@@ -150,27 +100,46 @@ func (c *Clock) Restore(st *State) error {
 // sorted-key order, keeping the post-swap event order deterministic.
 // Returns how many recorded events were dropped.
 func (c *Clock) RestoreInto(st *State) (dropped int, err error) {
-	// Validate what will be kept up front so a failed RestoreInto leaves
-	// the clock untouched.
+	return c.restore(st, true)
+}
+
+// restore is the shared body of Restore and RestoreInto; swap selects the
+// cross-configuration behavior described on RestoreInto.
+func (c *Clock) restore(st *State, swap bool) (dropped int, err error) {
+	op := "restore"
+	if swap {
+		op = "restore-into"
+	}
+	// Validate up front so a failed restore leaves the clock untouched and
+	// the caller can fall back to a from-scratch replay.
 	seenTicker := make(map[string]bool)
 	for _, rec := range st.Events {
+		if !swap {
+			if rec.Period > 0 {
+				if _, ok := c.tickers[rec.Key]; !ok {
+					return 0, fmt.Errorf("simclock: restore: no ticker registered for key %q", rec.Key)
+				}
+			} else if _, ok := c.binders[rec.Key]; !ok {
+				return 0, fmt.Errorf("simclock: restore: no binder registered for key %q", rec.Key)
+			}
+		}
 		if rec.At < st.Now {
-			return 0, fmt.Errorf("simclock: restore-into: event %q at %v precedes snapshot time %v", rec.Key, rec.At, st.Now)
+			return 0, fmt.Errorf("simclock: %s: event %q at %v precedes snapshot time %v", op, rec.Key, rec.At, st.Now)
 		}
 		if rec.Period > 0 {
 			if seenTicker[rec.Key] {
-				return 0, fmt.Errorf("simclock: restore-into: duplicate pending event for ticker %q", rec.Key)
+				return 0, fmt.Errorf("simclock: %s: duplicate pending event for ticker %q", op, rec.Key)
 			}
 			seenTicker[rec.Key] = true
 		}
 	}
 
 	// The fresh queue is the just-built configuration's armed tickers;
-	// remember them so the ones without a recorded event can be adopted.
-	freshArmed := make(map[string]*Ticker)
+	// a swap adopts the ones without a recorded event.
+	var adopt []*Ticker
 	for _, ev := range c.queue {
-		if ev.tkr != nil {
-			freshArmed[ev.key] = ev.tkr
+		if swap && ev.tkr != nil && !seenTicker[ev.key] && ev.tkr.period > 0 {
+			adopt = append(adopt, ev.tkr)
 		}
 	}
 
@@ -188,56 +157,44 @@ func (c *Clock) RestoreInto(st *State) (dropped int, err error) {
 	c.now = st.Now
 	c.fired = st.Fired
 	for _, rec := range st.Events {
+		var t *Ticker
+		var bind BindFunc
+		var ok bool
 		if rec.Period > 0 {
-			t, ok := c.tickers[rec.Key]
-			if !ok {
-				dropped++
-				continue
-			}
-			c.restoring = true
-			c.restoreSeq = rec.Seq
-			c.restoreUsed = false
-			t.cancel = false
-			t.period = rec.Period
-			if t.armed {
-				c.restoring = false
-				return dropped, fmt.Errorf("simclock: restore-into: duplicate pending event for ticker %q", rec.Key)
-			}
-			t.rearmAt(rec.At)
-			c.restoring = false
-			continue
+			t, ok = c.tickers[rec.Key]
+		} else {
+			bind, ok = c.binders[rec.Key]
 		}
-		bind, ok := c.binders[rec.Key]
 		if !ok {
-			dropped++
+			dropped++ // swap only: the old configuration's key
 			continue
 		}
 		c.restoring = true
 		c.restoreSeq = rec.Seq
 		c.restoreUsed = false
-		bind(rec)
+		if t != nil {
+			t.cancel = false
+			t.period = rec.Period
+			if t.armed {
+				c.restoring = false
+				return dropped, fmt.Errorf("simclock: %s: duplicate pending event for ticker %q", op, rec.Key)
+			}
+			t.rearmAt(rec.At)
+		} else {
+			bind(rec)
+		}
 		used := c.restoreUsed
 		c.restoring = false
 		if !used {
-			return dropped, fmt.Errorf("simclock: restore-into: binder for key %q scheduled no event", rec.Key)
+			return dropped, fmt.Errorf("simclock: %s: binder for key %q scheduled no event", op, rec.Key)
 		}
 	}
 	c.seq = st.Seq
 
 	// Adopt the new configuration's tickers, in sorted-key order so their
 	// fresh sequence numbers are deterministic.
-	adopt := make([]string, 0, len(freshArmed))
-	for k := range freshArmed {
-		if !seenTicker[k] {
-			adopt = append(adopt, k)
-		}
-	}
-	sort.Strings(adopt)
-	for _, k := range adopt {
-		t := freshArmed[k]
-		if t.period <= 0 {
-			continue
-		}
+	sort.Slice(adopt, func(i, j int) bool { return adopt[i].key < adopt[j].key })
+	for _, t := range adopt {
 		next := Time((int64(st.Now)/int64(t.period) + 1) * int64(t.period))
 		t.cancel = false
 		t.rearmAt(next)

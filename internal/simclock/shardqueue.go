@@ -1,26 +1,24 @@
 package simclock
 
-// ShardQueue is a plain-value min-heap of timestamped fault entries, one per
-// engine shard. It deliberately does not reuse the Clock's event machinery:
-// shard queues are drained concurrently by shard workers, so entries must be
-// plain data (no callbacks, no shared free list) and the ordering must be
-// fully determined by the entry itself. Entries order by (At, ID, Seq) —
-// timestamp, then owning page, then the page's fault-sequence number — so
-// pop order is identical no matter how entries were pushed.
+// ShardQueue is a plain-value min-heap of timestamped fault entries: the
+// engine's pending hint-fault timers. It deliberately does not reuse the
+// Clock's event machinery: entries are plain data (no callbacks, no
+// shared free list) and the ordering is fully determined by the entry
+// itself. Entries order by (At, ID, Seq) — timestamp, then owning page,
+// then the page's fault-sequence number — so pop order is identical no
+// matter how entries were pushed.
 //
 // A page holds at most one live timer, so Push REPLACES any queued entry of
 // the same ID: a newer (ID, Seq) supersedes the older one, which is
 // necessarily stale (its Seq predates the page's current fault sequence).
 // This keeps the heap bounded by live pages instead of accumulating stale
-// timers — the sharded equivalent of the Clock's eager Cancel. The dense
-// position index that makes replacement O(log n) maps ID/stride (the
-// owner-shard quotient) to heap slot; with the engine's ID-mod-shards
-// ownership, those quotients are exactly the dense per-shard page index.
+// timers — the equivalent of the Clock's eager Cancel. A dense position
+// index from page ID to heap slot makes replacement O(log n).
 //
 // The queue is allocation-free in steady state: the backing arrays are
 // retained across pops and reused by later pushes.
 
-// ShardEntry is one pending page fault owned by a shard.
+// ShardEntry is one pending page fault.
 type ShardEntry struct {
 	At  Time   `json:"at"`
 	ID  int64  `json:"id"`
@@ -42,46 +40,20 @@ func entryLess(a, b ShardEntry) bool {
 }
 
 // ShardQueue is a 4-ary implicit min-heap of ShardEntry values with
-// per-page replacement. The zero value is an empty, ready-to-use queue with
-// stride 1 (position slots indexed by raw ID).
+// per-page replacement. The zero value is an empty, ready-to-use queue.
 type ShardQueue struct {
 	heap []ShardEntry
-	// pos maps ID/stride -> heap index + 1 (0 = absent).
-	pos    []int32
-	stride int64
-}
-
-// SetStride declares the ID quotient used for the position index. An engine
-// with S shards owns IDs congruent to its shard index mod S, so stride S
-// makes the quotients dense. Call before the first Push.
-func (q *ShardQueue) SetStride(s int64) {
-	if s > 0 {
-		q.stride = s
-	}
-}
-
-func (q *ShardQueue) slotOf(id int64) int64 {
-	if q.stride <= 1 {
-		return id
-	}
-	return id / q.stride
+	// pos maps ID -> heap index + 1 (0 = absent).
+	pos []int32
 }
 
 // Len returns the number of pending entries.
 func (q *ShardQueue) Len() int { return len(q.heap) }
 
-// MinAt returns the earliest pending timestamp, or MaxTime when empty.
-func (q *ShardQueue) MinAt() Time {
-	if len(q.heap) == 0 {
-		return MaxTime
-	}
-	return q.heap[0].At
-}
-
 // set places e at heap index i and updates the position index.
 func (q *ShardQueue) set(i int, e ShardEntry) {
 	q.heap[i] = e
-	q.pos[q.slotOf(e.ID)] = int32(i + 1)
+	q.pos[e.ID] = int32(i + 1)
 }
 
 // Push inserts an entry, replacing any queued entry of the same page ID
@@ -89,9 +61,8 @@ func (q *ShardQueue) set(i int, e ShardEntry) {
 //
 //chrono:hotpath
 func (q *ShardQueue) Push(e ShardEntry) {
-	slot := q.slotOf(e.ID)
-	if int64(len(q.pos)) <= slot {
-		n := slot + 1
+	if int64(len(q.pos)) <= e.ID {
+		n := e.ID + 1
 		if c := 2 * int64(len(q.pos)); c > n {
 			n = c
 		}
@@ -100,7 +71,7 @@ func (q *ShardQueue) Push(e ShardEntry) {
 		copy(grown, q.pos)
 		q.pos = grown
 	}
-	if p := q.pos[slot]; p != 0 {
+	if p := q.pos[e.ID]; p != 0 {
 		i := int(p - 1)
 		q.heap[i] = e
 		q.siftUp(i)
@@ -108,19 +79,8 @@ func (q *ShardQueue) Push(e ShardEntry) {
 		return
 	}
 	q.heap = append(q.heap, e)
-	q.pos[slot] = int32(len(q.heap)) // provisional; siftUp fixes it
+	q.pos[e.ID] = int32(len(q.heap)) // provisional; siftUp fixes it
 	q.siftUp(len(q.heap) - 1)
-}
-
-// Peek returns the earliest entry without removing it. The second return is
-// false when the queue is empty.
-//
-//chrono:hotpath
-func (q *ShardQueue) Peek() (ShardEntry, bool) {
-	if len(q.heap) == 0 {
-		return ShardEntry{}, false
-	}
-	return q.heap[0], true
 }
 
 // PopLE removes and returns the earliest entry if its timestamp is <= limit.
@@ -134,7 +94,7 @@ func (q *ShardQueue) PopLE(limit Time) (ShardEntry, bool) {
 		return ShardEntry{}, false
 	}
 	min := h[0]
-	q.pos[q.slotOf(min.ID)] = 0
+	q.pos[min.ID] = 0
 	n := len(h) - 1
 	last := h[n]
 	q.heap = h[:n]
@@ -190,15 +150,14 @@ func (q *ShardQueue) siftDown(i int) {
 // Reset empties the queue, retaining the backing arrays.
 func (q *ShardQueue) Reset() {
 	for _, e := range q.heap {
-		q.pos[q.slotOf(e.ID)] = 0
+		q.pos[e.ID] = 0
 	}
 	q.heap = q.heap[:0]
 }
 
 // AppendEntries appends every pending entry to dst in unspecified order and
-// returns the extended slice. Checkpointing sorts the concatenation of all
-// shards' entries into one canonical list, so per-queue order is
-// irrelevant here.
+// returns the extended slice. Checkpointing sorts the entries into the
+// canonical (At, ID, Seq) order, so heap order is irrelevant here.
 func (q *ShardQueue) AppendEntries(dst []ShardEntry) []ShardEntry {
 	return append(dst, q.heap...)
 }

@@ -144,8 +144,8 @@ func (c *Clock) Now() Time { return c.now }
 
 // NextAt returns the timestamp of the earliest pending event, or MaxTime
 // when the queue is empty. It lets an external sequencer (the engine's
-// sharded fault replay) interleave its own timestamped work with the event
-// queue without popping anything.
+// fault replay) interleave its own timestamped work with the event queue
+// without popping anything.
 func (c *Clock) NextAt() Time {
 	if len(c.queue) == 0 {
 		return MaxTime
@@ -476,7 +476,7 @@ func (c *Clock) Step() bool {
 
 // StepAfter fires the single earliest event and then runs the afterStep
 // hook, exactly as one iteration of RunUntil would. Callers that interleave
-// their own work between master events (the engine's sharded fault replay)
+// their own work between master events (the engine's fault replay)
 // use it to keep hook semantics identical to a plain RunUntil drain.
 //
 //chrono:hotpath

@@ -87,7 +87,7 @@ func editDistance(a, b string) int {
 			if a[i-1] == b[j-1] {
 				cost = 0
 			}
-			m := prev[j] + 1 // delete
+			m := prev[j] + 1              // delete
 			if v := cur[j-1] + 1; v < m { // insert
 				m = v
 			}

@@ -29,11 +29,11 @@ func TestEditDistance(t *testing.T) {
 		{"abc", "", 3},
 		{"", "abc", 3},
 		{"kitten", "sitting", 3},
-		{"abcd", "abdc", 1},  // transposition
-		{"ab", "ba", 1},      // transposition
-		{"abc", "abcd", 1},   // insert
-		{"abcd", "abc", 1},   // delete
-		{"abc", "axc", 1},    // substitute
+		{"abcd", "abdc", 1}, // transposition
+		{"ab", "ba", 1},     // transposition
+		{"abc", "abcd", 1},  // insert
+		{"abcd", "abc", 1},  // delete
+		{"abc", "axc", 1},   // substitute
 	}
 	for _, c := range cases {
 		if got := editDistance(c.a, c.b); got != c.want {

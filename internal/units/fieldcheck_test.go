@@ -29,10 +29,9 @@ var unitSuffixes = []string{
 // units type, a unit suffix, or an entry here.
 var dimensionless = map[string]bool{
 	// engine.Config
-	"Seed":         true,
-	"HugeFactor":   true, // pages folded per huge page
-	"Shards":       true, // fault-machinery partition count
-	"ShardWorkers": true, // materialization goroutine cap
+	"Seed":       true,
+	"HugeFactor": true, // pages folded per huge page
+	"Shards":     true, // deprecated, ignored by the engine
 	// mem.Config / mem.Node
 	"FastPages":     true,
 	"SlowPages":     true,

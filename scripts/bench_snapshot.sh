@@ -18,7 +18,7 @@ COUNT="${COUNT:-10}"
 BENCHTIME="${BENCHTIME:-1s}"
 STAMP="${STAMP:-$(date +%Y-%m)}"
 OUT="${OUT:-BENCH_${STAMP}.json}"
-BENCHES='BenchmarkSimclockEvents|BenchmarkEngineEpoch|BenchmarkEngineEpochShards8|BenchmarkEngineEpochHighFidelity|BenchmarkFaultPath|BenchmarkAdversarialOscillation|BenchmarkMemtisKmigrated'
+BENCHES='BenchmarkSimclockEvents|BenchmarkEngineEpoch|BenchmarkEngineEpochHighFidelity|BenchmarkFaultPath|BenchmarkAdversarialOscillation|BenchmarkMemtisKmigrated'
 
 raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT
