@@ -86,9 +86,12 @@ chaos:
 # writes (FuzzChronoSysctl: no panic, every accepted write reads back
 # finite and inside the knob's range), the durable
 # sweep cell's .done record (FuzzCellDone: a cell resolved from arbitrary
-# record bytes short-circuits, re-runs or errors, never panics) and a
+# record bytes short-circuits, re-runs or errors, never panics), a
 # cell probe's snapshot state (FuzzCellProbe: arbitrary bytes are
-# rejected, or attach, sample and render without a panic). Each seed
+# rejected, or attach, sample and render without a panic) and the
+# checkpoint envelope and number-column decoder (FuzzLoad: no panic,
+# every accepted file decodes like encoding/json, and a valid-JSON
+# payload is accepted exactly when encoding/json accepts it). Each seed
 # corpus lives in its package's testdata/fuzz/ and also runs as a plain
 # test under `go test`; a new crasher is written there too. Each input
 # of the two cell targets runs small simulations: minimizing a new one
@@ -99,6 +102,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzChronoSysctl$$' -fuzztime 20s ./internal/core/
 	$(GO) test -run '^$$' -fuzz '^FuzzCellDone$$' -fuzztime 20s -fuzzminimizetime 100x ./internal/experiments/
 	$(GO) test -run '^$$' -fuzz '^FuzzCellProbe$$' -fuzztime 20s -fuzzminimizetime 100x ./internal/experiments/
+	$(GO) test -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime 20s ./internal/checkpoint/
 
 # Hot-path microbenchmarks (simclock event loop, engine epoch, fault
 # path). Output is benchstat-compatible: run with COUNT=10 and feed two

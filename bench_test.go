@@ -13,15 +13,19 @@ package chrono_test
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"strconv"
 	"testing"
 
+	"chrono/internal/checkpoint"
 	"chrono/internal/core"
 	"chrono/internal/engine"
 	"chrono/internal/experiments"
 	"chrono/internal/lru"
 	"chrono/internal/mem"
 	"chrono/internal/rng"
+	"chrono/internal/run"
 	"chrono/internal/simclock"
 	"chrono/internal/units"
 	"chrono/internal/vm"
@@ -605,6 +609,50 @@ func BenchmarkMemtisKmigrated(b *testing.B) {
 			}
 			b.ReportMetric(float64(res.Metrics.Demotions), "demotions")
 		})
+	}
+}
+
+// BenchmarkCheckpointSaveLoad is chronod's pause and resume of the
+// chronod-durable job: a Nomad kvstore (redis, SET:GET 1:1) at 512
+// pages/GB on 64/192 GB tiers, snapshotted after 300 virtual seconds.
+// One op is run.Save of that engine, then checkpoint.Load of the file and
+// Restore onto a fresh build; the fresh build is outside the timer.
+func BenchmarkCheckpointSaveLoad(b *testing.B) {
+	build := func() *engine.Engine {
+		pol, err := experiments.NewPolicy("Nomad")
+		if err != nil {
+			b.Fatal(err)
+		}
+		e, err := experiments.Build(pol,
+			&workload.KVStore{Flavor: workload.Redis, SetRatio: 1, GetRatio: 1},
+			experiments.RunOpts{Seed: 1, PagesPerGB: 512})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return e
+	}
+	e := build()
+	e.Run(300 * simclock.Second)
+	path := filepath.Join(b.TempDir(), "engine.ckpt")
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := run.Save(path, e, run.Checkpoint[string]{Spec: "bench"}); err != nil {
+			b.Fatal(err)
+		}
+		var ck run.Checkpoint[string]
+		if err := checkpoint.Load(path, &ck); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		fresh := build()
+		b.StartTimer()
+		if err := fresh.Restore(ck.State); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if fi, err := os.Stat(path); err == nil {
+		b.ReportMetric(float64(fi.Size())/(1<<20), "MB")
 	}
 }
 

@@ -1,21 +1,31 @@
 // Package checkpoint is the durable-state envelope used by resumable
-// sweeps: a versioned, checksummed JSON container written with the
-// write-to-temp-then-rename discipline, so a reader never observes a
-// half-written file and a torn write is detected rather than trusted.
+// sweeps and chronod runs: a versioned, checksummed JSON container
+// written with the write-to-temp-then-rename discipline, so a reader
+// never observes a half-written file and a torn write is detected rather
+// than trusted.
 //
 // The payload format is plain JSON. Go's encoding/json is deterministic —
 // struct fields marshal in declaration order and floats use the shortest
 // round-trippable representation — so identical state produces identical
 // bytes, which the kill-and-resume fence relies on.
+//
+// Each direction makes one pass over the payload. Save marshals it once
+// and writes it behind a fixed header, which gives exactly the bytes
+// encoding/json gives for the whole envelope. Load parses that header by
+// hand, checks the CRC over the payload sub-slice and unmarshals it once;
+// any other envelope shape is ErrCorrupt. The number columns of a
+// payload (Ints, Floats) decode without reflection.
 package checkpoint
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strconv"
 )
 
 // Magic identifies a checkpoint envelope.
@@ -29,22 +39,26 @@ const Version = 2
 
 // Sentinel errors, matched with errors.Is.
 var (
-	// ErrCorrupt marks a failed magic or checksum validation: the file is
-	// truncated, torn, or not a checkpoint at all.
+	// ErrCorrupt marks a failed magic, shape or checksum validation: the
+	// file is truncated, torn, or not a checkpoint at all.
 	ErrCorrupt = errors.New("checkpoint: corrupt or not a checkpoint file")
 	// ErrVersion marks an envelope written by an incompatible format
 	// version.
 	ErrVersion = errors.New("checkpoint: incompatible format version")
 )
 
-// envelope is the on-disk container.
-type envelope struct {
-	Magic   string `json:"magic"`
-	Version int    `json:"version"`
-	// CRC is the IEEE CRC-32 of the raw payload bytes.
-	CRC     uint32          `json:"crc"`
-	Payload json.RawMessage `json:"payload"`
-}
+// The envelope is one JSON object with four fields in this order:
+//
+//	{"magic":"chrono-checkpoint","version":2,"crc":N,"payload":P}
+//
+// N is the IEEE CRC-32 of the payload bytes P, in decimal. These are
+// the bytes json.Marshal gives for the struct with those fields when P
+// is already compact json.Marshal output.
+const (
+	headMagic   = `{"magic":"` + Magic + `","version":`
+	headCRC     = `,"crc":`
+	headPayload = `,"payload":`
+)
 
 // Save marshals payload into a versioned, checksummed envelope and writes
 // it atomically: the bytes land in a temporary file in the target
@@ -55,12 +69,20 @@ func Save(path string, payload any) error {
 	if err != nil {
 		return fmt.Errorf("checkpoint: marshal payload: %w", err)
 	}
-	env := envelope{Magic: Magic, Version: Version, CRC: crc32.ChecksumIEEE(raw), Payload: raw}
-	data, err := json.Marshal(env)
-	if err != nil {
-		return fmt.Errorf("checkpoint: marshal envelope: %w", err)
-	}
-	return WriteFileAtomic(path, data)
+	return WriteFileAtomic(path, seal(raw))
+}
+
+// seal wraps raw, compact JSON, in the envelope.
+func seal(raw []byte) []byte {
+	// 32 bytes hold the two numbers and the closing brace.
+	buf := make([]byte, 0, len(headMagic)+len(headCRC)+len(headPayload)+32+len(raw))
+	buf = append(buf, headMagic...)
+	buf = strconv.AppendInt(buf, Version, 10)
+	buf = append(buf, headCRC...)
+	buf = strconv.AppendUint(buf, uint64(crc32.ChecksumIEEE(raw)), 10)
+	buf = append(buf, headPayload...)
+	buf = append(buf, raw...)
+	return append(buf, '}')
 }
 
 // Load reads an envelope, validates magic, version, and checksum, and
@@ -70,23 +92,56 @@ func Load(path string, out any) error {
 	if err != nil {
 		return err
 	}
-	var env envelope
-	if err := json.Unmarshal(data, &env); err != nil {
-		return fmt.Errorf("%w: %s: %v", ErrCorrupt, path, err)
+	payload, err := unseal(data)
+	if err != nil {
+		return fmt.Errorf("%s: %w", path, err)
 	}
-	if env.Magic != Magic {
-		return fmt.Errorf("%w: %s: bad magic %q", ErrCorrupt, path, env.Magic)
-	}
-	if env.Version != Version {
-		return fmt.Errorf("%w: %s: file version %d, supported %d", ErrVersion, path, env.Version, Version)
-	}
-	if crc := crc32.ChecksumIEEE(env.Payload); crc != env.CRC {
-		return fmt.Errorf("%w: %s: payload CRC %08x, recorded %08x", ErrCorrupt, path, crc, env.CRC)
-	}
-	if err := json.Unmarshal(env.Payload, out); err != nil {
+	if err := json.Unmarshal(payload, out); err != nil {
+		var syntax *json.SyntaxError
+		if errors.As(err, &syntax) {
+			// The CRC matched, but no Save writes a payload that is not JSON.
+			return fmt.Errorf("%w: %s: %v", ErrCorrupt, path, err)
+		}
 		return fmt.Errorf("checkpoint: unmarshal payload of %s: %w", path, err)
 	}
 	return nil
+}
+
+// unseal validates the envelope in data and returns its payload, a
+// sub-slice of data. The version is checked as soon as it is read, so a
+// file of another version is ErrVersion whatever follows it.
+func unseal(data []byte) ([]byte, error) {
+	rest, ok := bytes.CutPrefix(data, []byte(headMagic))
+	if !ok {
+		return nil, fmt.Errorf("%w: no %s header", ErrCorrupt, Magic)
+	}
+	field, rest, ok := bytes.Cut(rest, []byte(headCRC))
+	if !ok {
+		return nil, fmt.Errorf("%w: no crc field", ErrCorrupt)
+	}
+	version, err := strconv.Atoi(string(field))
+	if err != nil || strconv.Itoa(version) != string(field) {
+		return nil, fmt.Errorf("%w: bad version %.32q", ErrCorrupt, field)
+	}
+	if version != Version {
+		return nil, fmt.Errorf("%w: file version %d, supported %d", ErrVersion, version, Version)
+	}
+	field, rest, ok = bytes.Cut(rest, []byte(headPayload))
+	if !ok {
+		return nil, fmt.Errorf("%w: no payload field", ErrCorrupt)
+	}
+	crc, err := strconv.ParseUint(string(field), 10, 32)
+	if err != nil || strconv.FormatUint(crc, 10) != string(field) {
+		return nil, fmt.Errorf("%w: bad crc %.32q", ErrCorrupt, field)
+	}
+	payload, ok := bytes.CutSuffix(rest, []byte("}"))
+	if !ok || len(payload) == 0 || isSpace(payload[0]) || isSpace(payload[len(payload)-1]) {
+		return nil, fmt.Errorf("%w: payload not followed by the closing brace", ErrCorrupt)
+	}
+	if sum := crc32.ChecksumIEEE(payload); uint64(sum) != crc {
+		return nil, fmt.Errorf("%w: payload CRC %08x, recorded %08x", ErrCorrupt, sum, crc)
+	}
+	return payload, nil
 }
 
 // WriteFileAtomic writes data to path through a same-directory temporary

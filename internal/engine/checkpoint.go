@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"sort"
 
+	"chrono/internal/checkpoint"
 	"chrono/internal/faultinject"
 	"chrono/internal/lru"
 	"chrono/internal/mem"
@@ -39,35 +40,35 @@ import (
 type PageTableState struct {
 	Len int `json:"len"`
 
-	ID        []int64         `json:"id"`
-	VPN       []uint64        `json:"vpn"`
-	PID       []int           `json:"pid"`
-	Tier      []int           `json:"tier"`
-	Flags     []uint16        `json:"flags"`
-	Size      []int32         `json:"size"`
-	ProtTS    []simclock.Time `json:"prot_ts"`
-	LastFault []simclock.Time `json:"last_fault"`
-	DemoteTS  []simclock.Time `json:"demote_ts"`
-	PromoteTS []simclock.Time `json:"promote_ts"`
-	ABitTS    []simclock.Time `json:"abit_ts"`
-	Meta      []uint64        `json:"meta"`
-	Meta2     []uint64        `json:"meta2"`
-	FaultSeq  []uint64        `json:"fault_seq"`
+	ID        checkpoint.Ints[int64]         `json:"id"`
+	VPN       checkpoint.Ints[uint64]        `json:"vpn"`
+	PID       checkpoint.Ints[int]           `json:"pid"`
+	Tier      checkpoint.Ints[int]           `json:"tier"`
+	Flags     checkpoint.Ints[uint16]        `json:"flags"`
+	Size      checkpoint.Ints[int32]         `json:"size"`
+	ProtTS    checkpoint.Ints[simclock.Time] `json:"prot_ts"`
+	LastFault checkpoint.Ints[simclock.Time] `json:"last_fault"`
+	DemoteTS  checkpoint.Ints[simclock.Time] `json:"demote_ts"`
+	PromoteTS checkpoint.Ints[simclock.Time] `json:"promote_ts"`
+	ABitTS    checkpoint.Ints[simclock.Time] `json:"abit_ts"`
+	Meta      checkpoint.Ints[uint64]        `json:"meta"`
+	Meta2     checkpoint.Ints[uint64]        `json:"meta2"`
+	FaultSeq  checkpoint.Ints[uint64]        `json:"fault_seq"`
 	// W/RF are the engine's cached page weight and read fraction. They are
 	// serialized rather than recomputed because SplitHuge stores the true
 	// read fraction for zero-weight fragments while PageWeight reports 1.
-	W  []float64 `json:"w"`
-	RF []float64 `json:"rf"`
+	W  checkpoint.Floats `json:"w"`
+	RF checkpoint.Floats `json:"rf"`
 
 	// EverSlow/EverPromoted are sparse ID sets (most pages are in neither).
-	EverSlow     []int64 `json:"ever_slow,omitempty"`
-	EverPromoted []int64 `json:"ever_promoted,omitempty"`
+	EverSlow     checkpoint.Ints[int64] `json:"ever_slow,omitempty"`
+	EverPromoted checkpoint.Ints[int64] `json:"ever_promoted,omitempty"`
 
 	// Shadowed is the sparse ID set of pages holding a slow-tier shadow
 	// copy (Nomad transactional promotion); ShadowTS[i] is the shadow cut
 	// time of Shadowed[i].
-	Shadowed []int64         `json:"shadowed,omitempty"`
-	ShadowTS []simclock.Time `json:"shadow_ts,omitempty"`
+	Shadowed checkpoint.Ints[int64]         `json:"shadowed,omitempty"`
+	ShadowTS checkpoint.Ints[simclock.Time] `json:"shadow_ts,omitempty"`
 }
 
 // ProcRecord is the dynamic engine-side state of one process.
@@ -184,12 +185,12 @@ type EngineState struct {
 	// PEBS alias cache: the exact table contents are rebuilt from AliasW
 	// (construction is deterministic and draws no randomness), so only the
 	// inputs and staleness flags are stored.
-	AliasIDs         []int64       `json:"alias_ids,omitempty"`
-	AliasW           []float64     `json:"alias_w,omitempty"`
-	AliasBuiltAt     simclock.Time `json:"alias_built_at"`
-	AliasWeightDirty bool          `json:"alias_weight_dirty,omitempty"`
-	AliasStructural  bool          `json:"alias_structural,omitempty"`
-	HasAlias         bool          `json:"has_alias,omitempty"`
+	AliasIDs         checkpoint.Ints[int64] `json:"alias_ids,omitempty"`
+	AliasW           checkpoint.Floats      `json:"alias_w,omitempty"`
+	AliasBuiltAt     simclock.Time          `json:"alias_built_at"`
+	AliasWeightDirty bool                   `json:"alias_weight_dirty,omitempty"`
+	AliasStructural  bool                   `json:"alias_structural,omitempty"`
+	HasAlias         bool                   `json:"has_alias,omitempty"`
 
 	// PendingFaults are the materialized fault timers, sorted by
 	// (At, ID, Seq); PendingProts are deferred Protects not yet
@@ -200,8 +201,8 @@ type EngineState struct {
 
 	// Shadow ledger: FIFO reclaim order (may hold stale entries, filtered
 	// on pop) and total base pages held as shadow copies.
-	ShadowFIFO []int64 `json:"shadow_fifo,omitempty"`
-	ShadowBase int64   `json:"shadow_base,omitempty"`
+	ShadowFIFO checkpoint.Ints[int64] `json:"shadow_fifo,omitempty"`
+	ShadowBase int64                  `json:"shadow_base,omitempty"`
 
 	NumaTiering int64         `json:"numa_tiering"`
 	Horizon     simclock.Time `json:"horizon"`
@@ -328,6 +329,32 @@ func (e *Engine) Snapshot() (*EngineState, error) {
 
 func (e *Engine) pageTableState() PageTableState {
 	st := PageTableState{Len: len(e.pages)}
+	// Size the dense columns once; with no live page they stay nil, which
+	// marshals as null like an empty append-built column.
+	live := 0
+	for _, pg := range e.pages {
+		if pg != nil {
+			live++
+		}
+	}
+	if live > 0 {
+		st.ID = make(checkpoint.Ints[int64], 0, live)
+		st.VPN = make(checkpoint.Ints[uint64], 0, live)
+		st.PID = make(checkpoint.Ints[int], 0, live)
+		st.Tier = make(checkpoint.Ints[int], 0, live)
+		st.Flags = make(checkpoint.Ints[uint16], 0, live)
+		st.Size = make(checkpoint.Ints[int32], 0, live)
+		st.ProtTS = make(checkpoint.Ints[simclock.Time], 0, live)
+		st.LastFault = make(checkpoint.Ints[simclock.Time], 0, live)
+		st.DemoteTS = make(checkpoint.Ints[simclock.Time], 0, live)
+		st.PromoteTS = make(checkpoint.Ints[simclock.Time], 0, live)
+		st.ABitTS = make(checkpoint.Ints[simclock.Time], 0, live)
+		st.Meta = make(checkpoint.Ints[uint64], 0, live)
+		st.Meta2 = make(checkpoint.Ints[uint64], 0, live)
+		st.FaultSeq = make(checkpoint.Ints[uint64], 0, live)
+		st.W = make(checkpoint.Floats, 0, live)
+		st.RF = make(checkpoint.Floats, 0, live)
+	}
 	for id, pg := range e.pages {
 		if pg == nil {
 			continue

@@ -12,8 +12,11 @@ import (
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
+	"os"
+	"path/filepath"
 	"testing"
 
+	"chrono/internal/checkpoint"
 	"chrono/internal/core"
 	"chrono/internal/faultinject"
 	"chrono/internal/policy"
@@ -314,5 +317,45 @@ func TestSnapshotBytesPinned(t *testing.T) {
 	}
 	if got := fmt.Sprintf("%x", sha256.Sum256(raw)); got != snapshotSHA256 {
 		t.Errorf("snapshot at %v hashes to %s, want %s", snap.Clock.Now, got, snapshotSHA256)
+	}
+}
+
+// TestLoadVersion2File loads testdata/chrono-v2.ckpt, the
+// TestSnapshotBytesPinned snapshot as checkpoint.Save wrote it before
+// Save and Load stopped going through encoding/json for the envelope and
+// before the page table decoded through checkpoint.Ints and Floats.
+// Saving the loaded state again must reproduce the file byte for byte,
+// and restoring it must resume to the uninterrupted run's final state.
+func TestLoadVersion2File(t *testing.T) {
+	const path = "testdata/chrono-v2.ckpt"
+	file, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st EngineState
+	if err := checkpoint.Load(path, &st); err != nil {
+		t.Fatal(err)
+	}
+	again := filepath.Join(t.TempDir(), "again.ckpt")
+	if err := checkpoint.Save(again, &st); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(again); err != nil || !bytes.Equal(got, file) {
+		t.Fatalf("re-saved checkpoint differs from %s (err %v)", path, err)
+	}
+
+	pol, mode := newFencePolicy(t, "Chrono")
+	ref := buildCkptEngine(t, pol, mode, faultinject.Plan{}, 1)
+	ref.Run(60 * simclock.Second)
+	want := finalState(t, ref)
+
+	pol2, _ := newFencePolicy(t, "Chrono")
+	resumed := buildCkptEngine(t, pol2, mode, faultinject.Plan{}, 1)
+	if err := resumed.Restore(&st); err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+	resumed.ResumeRun()
+	if got := finalState(t, resumed); !bytes.Equal(got, want) {
+		t.Fatalf("run resumed from %s diverged (%s)", path, diffHint(got, want))
 	}
 }

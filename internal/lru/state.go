@@ -5,7 +5,11 @@ package lru
 // serializes as its exact member sequence and restores by rebuilding that
 // sequence verbatim.
 
-import "fmt"
+import (
+	"fmt"
+
+	"chrono/internal/checkpoint"
+)
 
 // IDs returns the list's members from MRU (head) to LRU (tail).
 func (s *List) IDs() []int64 {
@@ -31,8 +35,8 @@ func (s *List) SetIDs(ids []int64) {
 
 // TwoListState is the serializable order of an active/inactive pair.
 type TwoListState struct {
-	Active   []int64 `json:"active"`
-	Inactive []int64 `json:"inactive"`
+	Active   checkpoint.Ints[int64] `json:"active"`
+	Inactive checkpoint.Ints[int64] `json:"inactive"`
 }
 
 // State captures both lists' member order.
