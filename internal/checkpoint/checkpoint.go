@@ -4,17 +4,19 @@
 // never observes a half-written file and a torn write is detected rather
 // than trusted.
 //
-// The payload format is plain JSON. Go's encoding/json is deterministic —
-// struct fields marshal in declaration order and floats use the shortest
-// round-trippable representation — so identical state produces identical
-// bytes, which the kill-and-resume fence relies on.
+// The payload is JSON, with its number columns (Ints, Floats) packed
+// into one base64 string token each (columns.go). Go's encoding/json is
+// deterministic — struct fields marshal in declaration order and floats
+// use the shortest round-trippable representation — and a packed column
+// has one encoding, so identical state produces identical bytes, which
+// the kill-and-resume fence relies on.
 //
 // Each direction makes one pass over the payload. Save marshals it once
 // and writes it behind a fixed header, which gives exactly the bytes
 // encoding/json gives for the whole envelope. Load parses that header by
 // hand, checks the CRC over the payload sub-slice and unmarshals it once;
 // any other envelope shape is ErrCorrupt. The number columns of a
-// payload (Ints, Floats) decode without reflection.
+// payload decode without reflection.
 package checkpoint
 
 import (
@@ -31,11 +33,18 @@ import (
 // Magic identifies a checkpoint envelope.
 const Magic = "chrono-checkpoint"
 
-// Version is the current envelope format version. Bump it on any
-// incompatible payload change; Load rejects mismatches with ErrVersion so
-// a resumed run falls back to re-execution instead of misinterpreting old
-// state.
-const Version = 2
+// Version is the envelope format version Save writes. Bump it on any
+// incompatible payload change; Load rejects other versions with
+// ErrVersion so a resumed run falls back to re-execution instead of
+// misinterpreting old state.
+//
+// Version 3 packs the number columns (columns.go). Load also reads
+// version 2, whose columns are JSON arrays, so chronod records and
+// snapshots and durable sweep records written before it still load.
+const Version = 3
+
+// oldestVersion is the oldest envelope version Load reads.
+const oldestVersion = 2
 
 // Sentinel errors, matched with errors.Is.
 var (
@@ -49,7 +58,7 @@ var (
 
 // The envelope is one JSON object with four fields in this order:
 //
-//	{"magic":"chrono-checkpoint","version":2,"crc":N,"payload":P}
+//	{"magic":"chrono-checkpoint","version":3,"crc":N,"payload":P}
 //
 // N is the IEEE CRC-32 of the payload bytes P, in decimal. These are
 // the bytes json.Marshal gives for the struct with those fields when P
@@ -123,8 +132,8 @@ func unseal(data []byte) ([]byte, error) {
 	if err != nil || strconv.Itoa(version) != string(field) {
 		return nil, fmt.Errorf("%w: bad version %.32q", ErrCorrupt, field)
 	}
-	if version != Version {
-		return nil, fmt.Errorf("%w: file version %d, supported %d", ErrVersion, version, Version)
+	if version < oldestVersion || version > Version {
+		return nil, fmt.Errorf("%w: file version %d, supported %d to %d", ErrVersion, version, oldestVersion, Version)
 	}
 	field, rest, ok = bytes.Cut(rest, []byte(headPayload))
 	if !ok {

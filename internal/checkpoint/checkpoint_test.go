@@ -171,7 +171,7 @@ func refLoad(data []byte, out any) error {
 	if env.Magic != Magic {
 		return ErrCorrupt
 	}
-	if env.Version != Version {
+	if env.Version < oldestVersion || env.Version > Version {
 		return ErrVersion
 	}
 	if crc32.ChecksumIEEE(env.Payload) != env.CRC {

@@ -2,6 +2,8 @@ package checkpoint
 
 import (
 	"bytes"
+	"encoding/base64"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -9,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"testing"
 	"unicode/utf8"
 )
@@ -17,8 +20,8 @@ import (
 type tick int64
 
 // cols holds one column of every element kind the engine's snapshot
-// uses; mirror is the same struct with plain slices, which encoding/json
-// decodes by reflection. The column decoder must agree with it.
+// uses; mirror is the same struct decoded by the reference decoders
+// refInts and refFloats. The columns must agree with them.
 type cols struct {
 	Int  Ints[int]    `json:"int"`
 	I64  Ints[int64]  `json:"i64"`
@@ -30,13 +33,72 @@ type cols struct {
 }
 
 type mirror struct {
-	Int  []int     `json:"int"`
-	I64  []int64   `json:"i64"`
-	I32  []int32   `json:"i32"`
-	U64  []uint64  `json:"u64"`
-	U16  []uint16  `json:"u16"`
-	Tick []tick    `json:"tick"`
-	F    []float64 `json:"f"`
+	Int  refInts[int]    `json:"int"`
+	I64  refInts[int64]  `json:"i64"`
+	I32  refInts[int32]  `json:"i32"`
+	U64  refInts[uint64] `json:"u64"`
+	U16  refInts[uint16] `json:"u16"`
+	Tick refInts[tick]   `json:"tick"`
+	F    refFloats       `json:"f"`
+}
+
+// refInts and refFloats decode an array as encoding/json decodes a plain
+// slice, and a string token with refUnpack.
+type refInts[T ~int | ~int64 | ~int32 | ~uint64 | ~uint16] []T
+
+type refFloats []float64
+
+func (s *refInts[T]) UnmarshalJSON(b []byte) error {
+	if b[0] != '"' {
+		return json.Unmarshal(b, (*[]T)(s))
+	}
+	return refUnpack(b, (*[]T)(s), func(x int64) (T, error) {
+		// encoding/json's range check for T, on the value as a literal.
+		var v T
+		lit := strconv.FormatInt(x, 10)
+		if ^v > 0 { // unsigned
+			lit = strconv.FormatUint(uint64(x), 10)
+		}
+		return v, json.Unmarshal([]byte(lit), &v)
+	})
+}
+
+func (s *refFloats) UnmarshalJSON(b []byte) error {
+	if b[0] != '"' {
+		return json.Unmarshal(b, (*[]float64)(s))
+	}
+	return refUnpack(b, (*[]float64)(s), func(x int64) (float64, error) {
+		f := math.Float64frombits(uint64(x))
+		_, err := json.Marshal(f) // encoding/json refuses NaN and infinities
+		return f, err
+	})
+}
+
+// refUnpack is the packed-column grammar written plainly: the strict
+// RawStdEncoding base64 of a sequence of zigzag varints, each the
+// difference of an element from the one before it.
+func refUnpack[E any](tok []byte, dst *[]E, conv func(int64) (E, error)) error {
+	raw, err := base64.RawStdEncoding.Strict().DecodeString(string(tok[1 : len(tok)-1]))
+	if err != nil {
+		return err
+	}
+	r := bytes.NewReader(raw)
+	out := []E{}
+	var acc int64
+	for r.Len() > 0 {
+		d, err := binary.ReadVarint(r)
+		if err != nil {
+			return err
+		}
+		acc += d
+		v, err := conv(acc)
+		if err != nil {
+			return err
+		}
+		out = append(out, v)
+	}
+	*dst = out
+	return nil
 }
 
 // diff names the first column where c and m differ: nil-ness, length,
@@ -56,30 +118,39 @@ func diff(c *cols, m *mirror) error {
 		name      string
 		got, want any
 	}{
-		{"int", []int(c.Int), m.Int},
-		{"i64", []int64(c.I64), m.I64},
-		{"i32", []int32(c.I32), m.I32},
-		{"u64", []uint64(c.U64), m.U64},
-		{"u16", []uint16(c.U16), m.U16},
-		{"tick", []tick(c.Tick), m.Tick},
+		{"int", []int(c.Int), []int(m.Int)},
+		{"i64", []int64(c.I64), []int64(m.I64)},
+		{"i32", []int32(c.I32), []int32(m.I32)},
+		{"u64", []uint64(c.U64), []uint64(m.U64)},
+		{"u16", []uint16(c.U16), []uint16(m.U16)},
+		{"tick", []tick(c.Tick), []tick(m.Tick)},
 		{"f", bits(c.F), bits(m.F)},
 	} {
 		if !reflect.DeepEqual(col.got, col.want) {
-			return fmt.Errorf("column %s: decoded %#v, encoding/json gives %#v", col.name, col.got, col.want)
+			return fmt.Errorf("column %s: decoded %#v, the reference gives %#v", col.name, col.got, col.want)
 		}
 	}
 	return nil
 }
 
+// maxCap is the largest capacity of a column of c.
+func (c *cols) maxCap() int {
+	return max(cap(c.Int), cap(c.I64), cap(c.I32), cap(c.U64), cap(c.U16), cap(c.Tick), cap(c.F))
+}
+
 // sameDecode unmarshals payload into fresh cols and mirror values and
 // reports whether both accept it alike and, if so, to the same values.
+// Decoding must also allocate no column longer than the payload.
 func sameDecode(payload []byte) error {
 	var c cols
 	var m mirror
 	cerr := json.Unmarshal(payload, &c)
 	merr := json.Unmarshal(payload, &m)
 	if (cerr == nil) != (merr == nil) {
-		return fmt.Errorf("%q: columns err=%v, encoding/json err=%v", payload, cerr, merr)
+		return fmt.Errorf("%q: columns err=%v, reference err=%v", payload, cerr, merr)
+	}
+	if n := c.maxCap(); n > len(payload) {
+		return fmt.Errorf("%q: a column of capacity %d from %d bytes", payload, n, len(payload))
 	}
 	if cerr != nil {
 		return nil
@@ -103,6 +174,15 @@ func TestColumnsMatchEncodingJSON(t *testing.T) {
 		`{"int":{}}`, `{"int":"[1]"}`, `{"int":7}`, `{"int":true}`,
 		`{"INT":[3]}`, `{"int":[1,2,3],"int":[null,null]}`, `{"int":[1,2,3],"int":[]}`,
 		`{"int":[1,2,3],"int":null}`, `{"f":[1,2],"f":[null,null,null]}`,
+		// Packed tokens.
+		`{"i64":"AAICAg"}`, `{"i64":""}`, `{"f":""}`, `{"int":"AQ"}`, `{"u64":"AQ"}`,
+		`{"i64":"////////////AQ"}`, `{"i64":"ggA"}`, `{"tick":"AICwncLfAQ"}`,
+		`{"u16":"/v8H"}`, `{"u16":"gIAI"}`, `{"i32":"/////w8"}`, `{"i32":"gICAgBA"}`,
+		`{"f":"gICAgICAgPh/AA"}`, `{"f":"////////////AQ"}`,
+		`{"f":"goCAgICAgPj/AQ"}`, `{"f":"gICAgICAgPD/AQ"}`,
+		`{"i64":"gA"}`, `{"i64":"gICAgICAgICAgAE"}`, `{"i64":"AB"}`, `{"i64":"A"}`,
+		`{"i64":"AA=="}`, `{"i64":"AB*D"}`, `{"i64":"\u0041A"}`, `{"i64":"A\nA"}`,
+		`{"i64":"AAICAg","i64":[null]}`, `{"i64":[5,6,7,8,9],"i64":"AAICAg"}`,
 	} {
 		if err := sameDecode([]byte(payload)); err != nil {
 			t.Error(err)
@@ -115,7 +195,7 @@ func TestColumnsMatchEncodingJSON(t *testing.T) {
 // encoding/json does for a plain slice.
 func TestColumnsReuseLikeEncodingJSON(t *testing.T) {
 	c := cols{Int: make(Ints[int], 2, 4), F: Floats{9, 8}}
-	m := mirror{Int: make([]int, 2, 4), F: []float64{9, 8}}
+	m := mirror{Int: make(refInts[int], 2, 4), F: refFloats{9, 8}}
 	c.Int[0], c.Int[1] = 5, 6
 	m.Int[0], m.Int[1] = 5, 6
 	payload := []byte(`{"int":[null,1,null,null,null],"f":[null,null,null]}`)
@@ -130,14 +210,79 @@ func TestColumnsReuseLikeEncodingJSON(t *testing.T) {
 	}
 }
 
+// TestPackedColumns marshals each kind's extremes, -0 and an empty
+// column, and decodes them back bit for bit. A nil column writes the
+// empty token too. The packed form of a small column is pinned, and
+// decoding into a column with room reuses its backing array.
+func TestPackedColumns(t *testing.T) {
+	in := cols{
+		Int:  Ints[int]{0, 1, -1, math.MaxInt, math.MinInt, 7, 7},
+		I64:  Ints[int64]{0, 1, 2, 3},
+		I32:  Ints[int32]{math.MaxInt32, math.MinInt32, 5},
+		U64:  Ints[uint64]{math.MaxUint64, 0, 1 << 63, 12},
+		U16:  Ints[uint16]{math.MaxUint16, 0, 1},
+		Tick: Ints[tick]{},
+		F:    Floats{0, math.Copysign(0, -1), math.SmallestNonzeroFloat64, -math.MaxFloat64, 1.5, 1.5},
+	}
+	raw, err := json.Marshal(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{`"i64":"AAICAg"`, `"tick":""`} {
+		if !bytes.Contains(raw, []byte(want)) {
+			t.Errorf("%s does not hold %s", raw, want)
+		}
+	}
+	var out cols
+	if err := json.Unmarshal(raw, &out); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(out, in) {
+		t.Fatalf("decoded %+v, want %+v", out, in)
+	}
+	if again, err := json.Marshal(out); err != nil || !bytes.Equal(again, raw) {
+		t.Fatalf("re-encoded %s (err %v), want %s", again, err, raw)
+	}
+	if math.Signbit(out.F[0]) || !math.Signbit(out.F[1]) {
+		t.Fatalf("zeros decoded as %v, %v", out.F[0], out.F[1])
+	}
+
+	if raw, err := json.Marshal(cols{}); err != nil || !bytes.Equal(raw, []byte(`{"int":"","i64":"","i32":"","u64":"","u16":"","tick":"","f":""}`)) {
+		t.Fatalf("nil columns marshal to %s (err %v)", raw, err)
+	}
+
+	backing := make(Ints[int64], 1, 8)
+	col := backing
+	if err := json.Unmarshal([]byte(`"AAICAg"`), &col); err != nil {
+		t.Fatal(err)
+	}
+	if len(col) != 4 || &col[0] != &backing[0] {
+		t.Fatalf("decoded %v into new storage, want the reused backing array", col)
+	}
+}
+
+// TestFloatsRefuseNonFinite: encoding/json cannot write NaN or an
+// infinity, so neither can a packed column.
+func TestFloatsRefuseNonFinite(t *testing.T) {
+	for _, f := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		_, err := json.Marshal(cols{F: Floats{1, f}})
+		var unsupported *json.UnsupportedValueError
+		if !errors.As(err, &unsupported) {
+			t.Errorf("marshal of %v: err %v, want an UnsupportedValueError", f, err)
+		}
+	}
+}
+
 // FuzzLoad feeds arbitrary bytes to Load twice: as a checkpoint file,
 // and, without surrounding whitespace, as the payload of an envelope
-// with a correct CRC. Load must never
-// panic. A file it accepts is one the encoding/json reader it replaced
-// accepts too, and it decodes to the values encoding/json gives for
-// plain slices; a file in the canonical shape that reader accepts, Load
-// accepts. For a payload that is valid JSON the column decoder accepts
-// exactly when encoding/json does; any other payload is ErrCorrupt.
+// with a correct CRC. Load must never panic, and no column it decodes
+// may be longer than its input. A file it accepts is one the
+// encoding/json reader it replaced accepts too, and it decodes to the
+// values the reference decoders give: encoding/json's for an array,
+// refUnpack's for a packed token. A file in the canonical shape that
+// reader accepts, Load accepts. For a payload that is valid JSON the
+// column decoder accepts exactly when the reference decoders do; any
+// other payload is ErrCorrupt.
 func FuzzLoad(f *testing.F) {
 	dir := f.TempDir()
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -147,6 +292,9 @@ func FuzzLoad(f *testing.F) {
 		}
 		var c cols
 		err := Load(path, &c)
+		if n := c.maxCap(); n > len(data) {
+			t.Fatalf("a %d-byte file decoded into a column of capacity %d", len(data), n)
+		}
 		var m mirror
 		refErr := refLoad(data, &m)
 		if err == nil {
@@ -167,6 +315,9 @@ func FuzzLoad(f *testing.F) {
 		}
 		c = cols{}
 		err = Load(path, &c)
+		if n := c.maxCap(); n > len(data) {
+			t.Fatalf("a %d-byte payload decoded into a column of capacity %d", len(data), n)
+		}
 		if !json.Valid(data) {
 			if !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("payload %q is not JSON: Load = %v, want ErrCorrupt", data, err)
@@ -176,7 +327,7 @@ func FuzzLoad(f *testing.F) {
 		m = mirror{}
 		merr := json.Unmarshal(data, &m)
 		if (err == nil) != (merr == nil) {
-			t.Fatalf("payload %q: Load err=%v, encoding/json err=%v", data, err, merr)
+			t.Fatalf("payload %q: Load err=%v, reference err=%v", data, err, merr)
 		}
 		if err == nil {
 			if derr := diff(&c, &m); derr != nil {

@@ -9,10 +9,12 @@ package daemon
 
 import (
 	"bytes"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -615,5 +617,62 @@ func TestQueuedRunsRecover(t *testing.T) {
 	waitState(t, d2, r2.ID, StateDone)
 	if got := len(d2.List().Runs); got != 2 {
 		t.Fatalf("registry after recovery has %d runs, want 2", got)
+	}
+}
+
+// A state directory written before checkpoint version 3 still recovers.
+// testdata/state-v2 holds version-2 files from such a build: r0000 is a
+// done run of testSpec with its table, r0001 the same spec interrupted
+// at 0.13 s virtual with its record saying "running" (what kill -9
+// leaves) and an engine.ckpt. The restarted daemon serves r0000 from
+// its record and resumes r0001 from the snapshot, not from the start,
+// to r0000's table.
+func TestRecoversVersion2State(t *testing.T) {
+	var firstTick atomic.Int64
+	setBuildHook(t, func(e *engine.Engine) {
+		// The key the fixture's runs were paced under.
+		e.Clock().EveryKey("test/pace", 10*simclock.Millisecond, func(now simclock.Time) {
+			firstTick.CompareAndSwap(0, int64(now))
+		})
+	})
+	const fixture = "testdata/state-v2"
+	dir := t.TempDir()
+	err := filepath.WalkDir(fixture, func(path string, de fs.DirEntry, err error) error {
+		if err != nil || de.IsDir() {
+			return err
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		dst := filepath.Join(dir, strings.TrimPrefix(path, fixture))
+		if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {
+			return err
+		}
+		return os.WriteFile(dst, data, 0o644)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Hold r0001's driver until newTestDaemon has swapped the logger.
+	gate := make(chan struct{})
+	testStartGate = gate
+	t.Cleanup(func() { testStartGate = nil })
+	d := newTestDaemon(t, dir, `{"stall_timeout_s": -1}`)
+	if got := len(d.List().Runs); got != 2 {
+		t.Fatalf("registry after recovery has %d runs, want 2", got)
+	}
+	close(gate)
+	waitState(t, d, "r0000", StateDone)
+	want := d.Status("r0000").Table
+	if want == "" {
+		t.Fatal("done run r0000 lost its table")
+	}
+	waitState(t, d, "r0001", StateDone)
+	if got := d.Status("r0001").Table; got != want {
+		t.Fatalf("resumed r0001 table differs from r0000:\n--- r0000\n%s\n--- r0001\n%s", want, got)
+	}
+	if first := simclock.Time(firstTick.Load()); first <= 130*simclock.Millisecond {
+		t.Fatalf("r0001's first tick after recovery came at %v: it replayed from the start", first)
 	}
 }

@@ -103,10 +103,10 @@ type PendingProtRecord struct {
 // EnablePatternRestore, verbatim: per-base-page weights and read
 // fractions in pattern-index order, and the cached weight sum.
 type PatternRecord struct {
-	PID         int       `json:"pid"`
-	W           []float64 `json:"w"`
-	RF          []float64 `json:"rf"`
-	TotalWeight float64   `json:"total_weight"`
+	PID         int               `json:"pid"`
+	W           checkpoint.Floats `json:"w"`
+	RF          checkpoint.Floats `json:"rf"`
+	TotalWeight float64           `json:"total_weight"`
 }
 
 // MetricsState is the serializable form of Metrics (histograms as sparse
@@ -329,32 +329,29 @@ func (e *Engine) Snapshot() (*EngineState, error) {
 
 func (e *Engine) pageTableState() PageTableState {
 	st := PageTableState{Len: len(e.pages)}
-	// Size the dense columns once; with no live page they stay nil, which
-	// marshals as null like an empty append-built column.
+	// Size the dense columns once.
 	live := 0
 	for _, pg := range e.pages {
 		if pg != nil {
 			live++
 		}
 	}
-	if live > 0 {
-		st.ID = make(checkpoint.Ints[int64], 0, live)
-		st.VPN = make(checkpoint.Ints[uint64], 0, live)
-		st.PID = make(checkpoint.Ints[int], 0, live)
-		st.Tier = make(checkpoint.Ints[int], 0, live)
-		st.Flags = make(checkpoint.Ints[uint16], 0, live)
-		st.Size = make(checkpoint.Ints[int32], 0, live)
-		st.ProtTS = make(checkpoint.Ints[simclock.Time], 0, live)
-		st.LastFault = make(checkpoint.Ints[simclock.Time], 0, live)
-		st.DemoteTS = make(checkpoint.Ints[simclock.Time], 0, live)
-		st.PromoteTS = make(checkpoint.Ints[simclock.Time], 0, live)
-		st.ABitTS = make(checkpoint.Ints[simclock.Time], 0, live)
-		st.Meta = make(checkpoint.Ints[uint64], 0, live)
-		st.Meta2 = make(checkpoint.Ints[uint64], 0, live)
-		st.FaultSeq = make(checkpoint.Ints[uint64], 0, live)
-		st.W = make(checkpoint.Floats, 0, live)
-		st.RF = make(checkpoint.Floats, 0, live)
-	}
+	st.ID = make(checkpoint.Ints[int64], 0, live)
+	st.VPN = make(checkpoint.Ints[uint64], 0, live)
+	st.PID = make(checkpoint.Ints[int], 0, live)
+	st.Tier = make(checkpoint.Ints[int], 0, live)
+	st.Flags = make(checkpoint.Ints[uint16], 0, live)
+	st.Size = make(checkpoint.Ints[int32], 0, live)
+	st.ProtTS = make(checkpoint.Ints[simclock.Time], 0, live)
+	st.LastFault = make(checkpoint.Ints[simclock.Time], 0, live)
+	st.DemoteTS = make(checkpoint.Ints[simclock.Time], 0, live)
+	st.PromoteTS = make(checkpoint.Ints[simclock.Time], 0, live)
+	st.ABitTS = make(checkpoint.Ints[simclock.Time], 0, live)
+	st.Meta = make(checkpoint.Ints[uint64], 0, live)
+	st.Meta2 = make(checkpoint.Ints[uint64], 0, live)
+	st.FaultSeq = make(checkpoint.Ints[uint64], 0, live)
+	st.W = make(checkpoint.Floats, 0, live)
+	st.RF = make(checkpoint.Floats, 0, live)
 	for id, pg := range e.pages {
 		if pg == nil {
 			continue
@@ -612,6 +609,12 @@ func (e *Engine) restorePages(st *PageTableState) error {
 	if st.Len < len(e.pages) {
 		return fmt.Errorf("engine: restore: checkpoint page table (%d slots) smaller than fresh build (%d)",
 			st.Len, len(e.pages))
+	}
+	// Every slot past the fresh table is a SplitHuge fragment, and
+	// fragments are never freed, so each holds a live page.
+	if st.Len-len(e.pages) > n {
+		return fmt.Errorf("engine: restore: checkpoint page table (%d slots) has %d slots past the fresh build (%d) but %d live pages",
+			st.Len, st.Len-len(e.pages), len(e.pages), n)
 	}
 	present := make([]bool, st.Len)
 	for _, id := range st.ID {

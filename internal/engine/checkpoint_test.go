@@ -12,8 +12,10 @@ import (
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"chrono/internal/checkpoint"
@@ -286,10 +288,11 @@ func TestRestoreRejectsMismatch(t *testing.T) {
 // snapshotSHA256 pins the checkpoint bytes of the fence scenario under
 // Chrono: the first safe point at or past 30 virtual seconds that holds
 // both materialized fault timers and deferred Protects (32 s). A change
-// to the snapshot's fields, their encoding or the canonical order of the
-// pending-fault lists fails here, and so would the restore of .ckpt files
-// and chronod run records written by older builds.
-const snapshotSHA256 = "444e2a2e384b4fb426bca360dd1bc4b5f07e6020a5676a321b8c8b092abe4a7e"
+// to the snapshot's fields, their encoding (packed number columns since
+// checkpoint version 3) or the canonical order of the pending-fault lists
+// fails here, and so would the restore of .ckpt files and chronod run
+// records written by older builds.
+const snapshotSHA256 = "05377b079555f9650f501c806052c5fdaa6edad7067dc42f4b87dd998d2268cc"
 
 func TestSnapshotBytesPinned(t *testing.T) {
 	pol, mode := newFencePolicy(t, "Chrono")
@@ -321,17 +324,14 @@ func TestSnapshotBytesPinned(t *testing.T) {
 }
 
 // TestLoadVersion2File loads testdata/chrono-v2.ckpt, the
-// TestSnapshotBytesPinned snapshot as checkpoint.Save wrote it before
-// Save and Load stopped going through encoding/json for the envelope and
-// before the page table decoded through checkpoint.Ints and Floats.
-// Saving the loaded state again must reproduce the file byte for byte,
+// TestSnapshotBytesPinned snapshot as a version-2 checkpoint.Save wrote
+// it, with every number column a JSON array. Load still reads version 2
+// so chronod records and snapshots and durable sweep records written
+// before the packed columns survive an upgrade. Saving the loaded state
+// again writes version 3, which must load back to the same EngineState,
 // and restoring it must resume to the uninterrupted run's final state.
 func TestLoadVersion2File(t *testing.T) {
 	const path = "testdata/chrono-v2.ckpt"
-	file, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var st EngineState
 	if err := checkpoint.Load(path, &st); err != nil {
 		t.Fatal(err)
@@ -340,8 +340,19 @@ func TestLoadVersion2File(t *testing.T) {
 	if err := checkpoint.Save(again, &st); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := os.ReadFile(again); err != nil || !bytes.Equal(got, file) {
-		t.Fatalf("re-saved checkpoint differs from %s (err %v)", path, err)
+	file, err := os.ReadFile(again)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if head := fmt.Sprintf(`{"magic":%q,"version":%d,`, checkpoint.Magic, checkpoint.Version); !bytes.HasPrefix(file, []byte(head)) {
+		t.Fatalf("re-saved checkpoint starts %.60s, want %s", file, head)
+	}
+	var back EngineState
+	if err := checkpoint.Load(again, &back); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back, st) {
+		t.Fatal("the version-3 re-save loads to a different EngineState than the version-2 file")
 	}
 
 	pol, mode := newFencePolicy(t, "Chrono")
@@ -357,5 +368,38 @@ func TestLoadVersion2File(t *testing.T) {
 	resumed.ResumeRun()
 	if got := finalState(t, resumed); !bytes.Equal(got, want) {
 		t.Fatalf("run resumed from %s diverged (%s)", path, diffHint(got, want))
+	}
+}
+
+// TestRestoreRejectsHugePageTable: a page-table length far past what
+// the live pages can fill is an error, not an allocation of that many
+// slots.
+func TestRestoreRejectsHugePageTable(t *testing.T) {
+	pol, mode := newFencePolicy(t, "TPP")
+	e := buildCkptEngine(t, pol, mode, faultinject.Plan{}, 1)
+	e.Run(simclock.Second)
+	snap, err := e.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap.Pages.Len = 1 << 50
+	pol2, _ := newFencePolicy(t, "TPP")
+	if err := buildCkptEngine(t, pol2, mode, faultinject.Plan{}, 1).Restore(snap); err == nil {
+		t.Fatal("restore of a 1<<50-slot page table succeeded")
+	}
+}
+
+// TestSaveRefusesNaNWeight: a NaN in a float column fails the save, as
+// encoding/json refuses to write one.
+func TestSaveRefusesNaNWeight(t *testing.T) {
+	pol, mode := newFencePolicy(t, "TPP")
+	e := buildCkptEngine(t, pol, mode, faultinject.Plan{}, 1)
+	snap, err := e.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap.Pages.W[0] = math.NaN()
+	if err := checkpoint.Save(filepath.Join(t.TempDir(), "nan.ckpt"), snap); err == nil {
+		t.Fatal("Save of a NaN page weight succeeded")
 	}
 }
