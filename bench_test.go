@@ -612,6 +612,27 @@ func BenchmarkMemtisKmigrated(b *testing.B) {
 	}
 }
 
+// BenchmarkBuild is one adv cell's setup, the cost every sweep cell and
+// every chronod job pays before its first event: engine.New, the rotation
+// scenario's Build (its 52k base pages mapped) and attaching Memtis, at
+// the adv engine config. allocs/op counts page-table allocations.
+func BenchmarkBuild(b *testing.B) {
+	b.ReportAllocs()
+	var pages int
+	for i := 0; i < b.N; i++ {
+		pol, err := experiments.NewPolicy("Memtis")
+		if err != nil {
+			b.Fatal(err)
+		}
+		e, err := experiments.Build(pol, &workload.Rotation{}, experiments.RunOpts{Seed: 42})
+		if err != nil {
+			b.Fatal(err)
+		}
+		pages = len(e.Pages())
+	}
+	b.ReportMetric(float64(pages), "pages")
+}
+
 // BenchmarkCheckpointSaveLoad is chronod's pause and resume of the
 // chronod-durable job: a Nomad kvstore (redis, SET:GET 1:1) at 512
 // pages/GB on 64/192 GB tiers, snapshotted after 300 virtual seconds.

@@ -12,7 +12,7 @@
 // the kill-and-resume fence relies on.
 //
 // Each direction makes one pass over the payload. Save marshals it once
-// and writes it behind a fixed header, which gives exactly the bytes
+// and writes a fixed header in front of it, which gives exactly the bytes
 // encoding/json gives for the whole envelope. Load parses that header by
 // hand, checks the CRC over the payload sub-slice and unmarshals it once;
 // any other envelope shape is ErrCorrupt. The number columns of a
@@ -69,29 +69,43 @@ const (
 	headPayload = `,"payload":`
 )
 
+// headRoom is the most bytes the header takes: its three fixed parts
+// plus the version and the CRC in decimal (20 digits hold both).
+const headRoom = len(headMagic) + len(headCRC) + len(headPayload) + 20
+
 // Save marshals payload into a versioned, checksummed envelope and writes
 // it atomically: the bytes land in a temporary file in the target
 // directory, are synced, and are renamed over path. A crash at any point
 // leaves either the previous file or the complete new one.
+//
+// The payload is marshalled once, into a buffer that starts with
+// headRoom bytes of space for the header, so the envelope is built in
+// place and never copied.
 func Save(path string, payload any) error {
-	raw, err := json.Marshal(payload)
-	if err != nil {
+	buf := bytes.NewBuffer(make([]byte, headRoom))
+	// Encode writes exactly json.Marshal's bytes, then a newline.
+	if err := json.NewEncoder(buf).Encode(payload); err != nil {
 		return fmt.Errorf("checkpoint: marshal payload: %w", err)
 	}
-	return WriteFileAtomic(path, seal(raw))
+	return WriteFileAtomic(path, seal(buf.Bytes()))
 }
 
-// seal wraps raw, compact JSON, in the envelope.
-func seal(raw []byte) []byte {
-	// 32 bytes hold the two numbers and the closing brace.
-	buf := make([]byte, 0, len(headMagic)+len(headCRC)+len(headPayload)+32+len(raw))
-	buf = append(buf, headMagic...)
-	buf = strconv.AppendInt(buf, Version, 10)
-	buf = append(buf, headCRC...)
-	buf = strconv.AppendUint(buf, uint64(crc32.ChecksumIEEE(raw)), 10)
-	buf = append(buf, headPayload...)
-	buf = append(buf, raw...)
-	return append(buf, '}')
+// seal turns buf into the envelope in place and returns it, a sub-slice
+// of buf. buf holds headRoom bytes of space, the compact JSON payload and
+// one byte of slack: the header is written right in front of the
+// payload, and the slack byte becomes the closing brace.
+func seal(buf []byte) []byte {
+	payload := buf[headRoom : len(buf)-1]
+	head := make([]byte, 0, headRoom)
+	head = append(head, headMagic...)
+	head = strconv.AppendInt(head, Version, 10)
+	head = append(head, headCRC...)
+	head = strconv.AppendUint(head, uint64(crc32.ChecksumIEEE(payload)), 10)
+	head = append(head, headPayload...)
+	start := headRoom - len(head)
+	copy(buf[start:], head)
+	buf[len(buf)-1] = '}'
+	return buf[start:]
 }
 
 // Load reads an envelope, validates magic, version, and checksum, and

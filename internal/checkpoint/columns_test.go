@@ -310,7 +310,8 @@ func FuzzLoad(f *testing.F) {
 
 		// Save never pads a payload with whitespace.
 		data = bytes.TrimFunc(data, func(r rune) bool { return r < utf8.RuneSelf && isSpace(byte(r)) })
-		if err := os.WriteFile(path, seal(data), 0o644); err != nil {
+		buf := append(append(make([]byte, headRoom), data...), 0)
+		if err := os.WriteFile(path, seal(buf), 0o644); err != nil {
 			t.Fatal(err)
 		}
 		c = cols{}

@@ -84,6 +84,7 @@ func (k *fakeKernel) Clock() *simclock.Clock       { return k.clock }
 func (k *fakeKernel) Node() *mem.Node              { return k.node }
 func (k *fakeKernel) Processes() []*vm.Process     { return k.procs }
 func (k *fakeKernel) Pages() []*vm.Page            { return k.pages }
+func (k *fakeKernel) PageGeneration() uint64       { return uint64(len(k.pages)) } // pages are only added
 func (k *fakeKernel) RNG() *rng.Source             { return k.r }
 func (k *fakeKernel) Sysctl() *sysctl.Table        { return k.table }
 func (k *fakeKernel) CostScale() float64           { return 1 }

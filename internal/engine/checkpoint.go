@@ -626,6 +626,9 @@ func (e *Engine) restorePages(st *PageTableState) error {
 		}
 		present[id] = true
 	}
+	// Pages are created and freed below: no grouping of the old page set
+	// survives a restore.
+	e.pageGen++
 	// Retire fresh pages the snapshot freed (mirrors SplitHuge's retire).
 	for id := range e.pages {
 		if e.pages[id] != nil && !present[id] {
@@ -635,6 +638,7 @@ func (e *Engine) restorePages(st *PageTableState) error {
 			e.pageW[id] = 0
 		}
 	}
+	e.reservePages(st.Len - len(e.pages))
 	for len(e.pages) < st.Len {
 		e.pages = append(e.pages, nil)
 		e.pageW = append(e.pageW, 0)
@@ -642,7 +646,6 @@ func (e *Engine) restorePages(st *PageTableState) error {
 		e.everSlow = append(e.everSlow, false)
 		e.everPromoted = append(e.everPromoted, false)
 	}
-	e.links.Grow(len(e.pages))
 	for i, id := range st.ID {
 		pg := e.pages[id]
 		ps := e.byPID[st.PID[i]]
@@ -653,7 +656,8 @@ func (e *Engine) restorePages(st *PageTableState) error {
 			return fmt.Errorf("engine: restore: page %d has tier %d", id, st.Tier[i])
 		}
 		if pg == nil {
-			pg = &vm.Page{ID: id, VPN: st.VPN[i], Proc: ps.proc, Size: st.Size[i]}
+			pg = e.newPage()
+			*pg = vm.Page{ID: id, VPN: st.VPN[i], Proc: ps.proc, Size: st.Size[i]}
 			e.pages[id] = pg
 			ps.proc.InsertPage(pg)
 		} else if pg.VPN != st.VPN[i] || pg.Proc.PID != st.PID[i] {

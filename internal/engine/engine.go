@@ -32,6 +32,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 
 	"chrono/internal/faultinject"
 	"chrono/internal/lru"
@@ -218,6 +219,13 @@ type Engine struct {
 	procs        []*procState       //chrono:state Procs
 	byPID        map[int]*procState //chrono:rebuilt index over procs, rebuilt by AddProcess during Build
 
+	// arena is the chunk new pages are carved from (newPage).
+	arena []vm.Page //chrono:rebuilt page storage behind pages; Build and restorePages carve every page from it
+	// pageGen is the page-set generation: it advances whenever a page is
+	// created or freed, so a policy may keep a grouping of the page table
+	// until it changes (PageGeneration).
+	pageGen uint64 //chrono:rebuilt not simulation state; restorePages advances it
+
 	// Nomad-style transactional shadow state (kernel.go): a shadowed page
 	// is fast-tier resident while its old slow-tier frames are retained as
 	// a clean copy, making a later clean demotion a zero-copy remap. The
@@ -288,9 +296,8 @@ type Engine struct {
 	// from Config.Seed only.
 	faultSeed uint64 //chrono:rebuilt derived from Config.Seed by New
 
-	// flushMark/flushList are scratch for FlushPattern's page dedup and
-	// recomputeProcAggregates' VMA walk, reused across calls (indexed by
-	// page ID).
+	// flushMark/flushList are scratch for FlushPattern's page dedup,
+	// reused across calls (flushMark is indexed by page ID).
 	flushMark []bool  //chrono:rebuilt scratch buffer, dead between events
 	flushList []int64 //chrono:rebuilt scratch buffer, dead between events
 
@@ -501,7 +508,7 @@ func (e *Engine) Processes() []*vm.Process {
 func (e *Engine) Config() Config { return e.cfg }
 
 // AddProcess registers a process with the given thread count. Its pages
-// are not yet resident; call MapProcess after setting the access pattern.
+// are not yet resident; call MapAll after setting the access pattern.
 func (e *Engine) AddProcess(p *vm.Process, threads int) {
 	if threads <= 0 {
 		threads = 1
@@ -514,7 +521,7 @@ func (e *Engine) AddProcess(p *vm.Process, threads int) {
 	e.byPID[p.PID] = ps
 }
 
-// PageSizeMode selects base- or huge-page mapping for MapProcess.
+// PageSizeMode selects base- or huge-page mapping for MapAll.
 type PageSizeMode int
 
 // Mapping granularities (Figure 11 compares -base vs -huge).
@@ -523,35 +530,41 @@ const (
 	HugePages
 )
 
-// MapProcess makes every VMA page of p resident. Allocation fills the fast
-// tier down to its high watermark first (demand paging with kswapd
-// headroom), then falls back to the slow tier — matching the initial
-// placement the paper's workloads see after sequential initialization.
-// With interleave > 1, residency is granted in chunks round-robin across
-// processes mapped in the same call batch; callers wanting concurrent-init
-// behaviour should use MapAll.
-func (e *Engine) MapProcess(p *vm.Process, mode PageSizeMode) error {
-	return e.mapRange(e.byPID[p.PID], mode)
-}
-
-// MapAll maps every registered process, interleaving allocation in chunks
-// across processes so concurrent initialization shares the fast tier
+// MapAll makes every VMA page of every registered process resident.
+// Allocation fills the fast tier down to its high watermark first (demand
+// paging with kswapd headroom), then falls back to the slow tier —
+// matching the initial placement the paper's workloads see after
+// sequential initialization. Residency is granted in chunks round-robin
+// across processes, so concurrent initialization shares the fast tier
 // proportionally.
 func (e *Engine) MapAll(mode PageSizeMode) error {
+	// Size the per-page columns once for every page this call creates.
+	n := 0
+	for _, ps := range e.procs {
+		for _, v := range ps.proc.VMAs() {
+			if mode == HugePages {
+				n += int((v.Len + uint64(e.cfg.HugeFactor) - 1) / uint64(e.cfg.HugeFactor))
+			} else {
+				n += int(v.Len)
+			}
+		}
+	}
+	e.reservePages(n)
 	type cursor struct {
 		ps   *procState
 		vma  int
 		next uint64
 	}
-	var cur []*cursor
+	cur := make([]cursor, 0, len(e.procs))
 	for _, ps := range e.procs {
 		if len(ps.proc.VMAs()) > 0 {
-			cur = append(cur, &cursor{ps: ps, next: ps.proc.VMAs()[0].Start})
+			cur = append(cur, cursor{ps: ps, next: ps.proc.VMAs()[0].Start})
 		}
 	}
 	const chunk = 64 // base pages granted per process per round
 	for len(cur) > 0 {
-		var live []*cursor
+		// Keep the unfinished cursors in order, in place.
+		live := cur[:0]
 		for _, c := range cur {
 			vmas := c.ps.proc.VMAs()
 			granted := uint64(0)
@@ -591,29 +604,40 @@ func (e *Engine) MapAll(mode PageSizeMode) error {
 	return nil
 }
 
-func (e *Engine) mapRange(ps *procState, mode PageSizeMode) error {
-	for _, v := range ps.proc.VMAs() {
-		for vpn := v.Start; vpn < v.End(); {
-			n := uint64(1)
-			if mode == HugePages {
-				n = uint64(e.cfg.HugeFactor)
-				if vpn+n > v.End() {
-					n = v.End() - vpn
-				}
-			}
-			if _, err := e.mapPage(ps, vpn, int32(n), mode == HugePages && n == uint64(e.cfg.HugeFactor)); err != nil {
-				return err
-			}
-			vpn += n
-		}
+// pageChunk is the number of pages one page-arena chunk holds: 26 KB,
+// which keeps a chunk within the runtime's small-object size classes.
+// 1024-page chunks built no faster.
+const pageChunk = 256
+
+// newPage returns a zeroed page from the page arena: pages are carved out
+// of fixed-size chunks that are never reallocated, so every *vm.Page stays
+// valid for the engine's lifetime. A full chunk is kept alive by the pages
+// that point into it.
+func (e *Engine) newPage() *vm.Page {
+	if len(e.arena) == cap(e.arena) {
+		e.arena = make([]vm.Page, 0, pageChunk)
 	}
-	ps.proc.RecomputeTotalWeight()
-	e.recomputeProcAggregates(ps)
-	e.aliasStructural = true
-	return nil
+	e.arena = e.arena[:len(e.arena)+1]
+	return &e.arena[len(e.arena)-1]
 }
 
-// mapPage creates one resident page of size n base pages.
+// reservePages sizes the per-page columns for n more pages, so the pages
+// that follow append without regrowing them.
+func (e *Engine) reservePages(n int) {
+	e.pages = slices.Grow(e.pages, n)
+	e.pageW = slices.Grow(e.pageW, n)
+	e.pageRF = slices.Grow(e.pageRF, n)
+	e.everSlow = slices.Grow(e.everSlow, n)
+	e.everPromoted = slices.Grow(e.everPromoted, n)
+	e.links.Grow(len(e.pages) + n)
+}
+
+// PageGeneration implements policy.Kernel: it changes whenever a page is
+// created or freed (mapped, split or restored).
+func (e *Engine) PageGeneration() uint64 { return e.pageGen }
+
+// mapPage creates one resident page of size n base pages. The caller has
+// reserved its slot in every per-page column (reservePages).
 func (e *Engine) mapPage(ps *procState, vpn uint64, n int32, huge bool) (*vm.Page, error) {
 	tier := mem.FastTier
 	// Fill DRAM down to the high watermark, then overflow to slow; when
@@ -628,7 +652,8 @@ func (e *Engine) mapPage(ps *procState, vpn uint64, n int32, huge bool) (*vm.Pag
 			return nil, fmt.Errorf("engine: map pid %d vpn %#x: %w", ps.proc.PID, vpn, err2)
 		}
 	}
-	pg := &vm.Page{
+	pg := e.newPage()
+	*pg = vm.Page{
 		ID:   int64(len(e.pages)),
 		VPN:  vpn,
 		Proc: ps.proc,
@@ -644,8 +669,8 @@ func (e *Engine) mapPage(ps *procState, vpn uint64, n int32, huge bool) (*vm.Pag
 	e.everSlow = append(e.everSlow, tier == mem.SlowTier)
 	e.everPromoted = append(e.everPromoted, false)
 	ps.proc.InsertPage(pg)
-	e.links.Grow(len(e.pages))
 	e.kLRU[tier].AddNew(pg.ID)
+	e.pageGen++
 	if tier == mem.FastTier {
 		ps.residentFast += int64(n)
 	} else {
@@ -727,16 +752,17 @@ func (e *Engine) recomputeProcAggregates(ps *procState) {
 	}
 	ps.wTot = 0
 	ps.wSwap = 0
-	e.growScratch()
-	seen := e.flushMark
+	// A page's covered VPNs are contiguous and inside one VMA, so the walk
+	// meets each page first at pg.VPN and skips the rest of its span: no
+	// seen-set is needed to count a huge page once.
 	for _, v := range ps.proc.VMAs() {
-		for vpn := v.Start; vpn < v.End(); vpn++ {
+		for vpn := v.Start; vpn < v.End(); {
 			pg := ps.proc.PageAt(vpn)
-			if pg == nil || seen[pg.ID] {
+			if pg == nil {
+				vpn++
 				continue
 			}
-			seen[pg.ID] = true
-			e.flushList = append(e.flushList, pg.ID)
+			vpn = pg.VPN + uint64(pg.Size)
 			w, rf := ps.proc.PageWeight(pg)
 			e.pageW[pg.ID] = w
 			e.pageRF[pg.ID] = rf
@@ -749,12 +775,9 @@ func (e *Engine) recomputeProcAggregates(ps *procState) {
 			ps.wTot += w
 		}
 	}
-	for _, id := range e.flushList {
-		seen[id] = false
-	}
-	e.flushList = e.flushList[:0]
-	// A full rebuild subsumes any pending incremental work.
-	ps.proc.ClearDirty()
+	// A full rebuild subsumes any pending incremental work, and releases
+	// the dirty list the initial pattern fill grew to every page.
+	ps.proc.DropDirty()
 }
 
 // PageWeightCached returns the cached access weight of a page.

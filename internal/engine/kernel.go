@@ -594,14 +594,17 @@ func (e *Engine) SplitHuge(pg *vm.Page) []*vm.Page {
 	ps.wWrite[pg.Tier] -= w * (1 - rf)
 	e.pages[pg.ID] = nil
 	e.pageW[pg.ID] = 0
+	e.pageGen++
 
 	// Split cost: 512 PTE writes + TLB shootdown.
 	e.ChargeKernel(units.NS(25000 * e.costScale))
 
+	e.reservePages(int(pg.Size))
 	out := make([]*vm.Page, 0, pg.Size)
 	for i := int32(0); i < pg.Size; i++ {
 		vpn := pg.VPN + uint64(i)
-		np := &vm.Page{
+		np := e.newPage()
+		*np = vm.Page{
 			ID:     int64(len(e.pages)),
 			VPN:    vpn,
 			Proc:   pg.Proc,
@@ -619,7 +622,6 @@ func (e *Engine) SplitHuge(pg *vm.Page) []*vm.Page {
 		ps.wRead[np.Tier] += bw * brf
 		ps.wWrite[np.Tier] += bw * (1 - brf)
 		pg.Proc.InsertPage(np)
-		e.links.Grow(len(e.pages))
 		e.kLRU[np.Tier].AddNew(np.ID)
 		if e.pol != nil {
 			e.pol.OnPageMapped(np)

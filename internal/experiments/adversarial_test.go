@@ -160,3 +160,33 @@ func TestAdversarialSweepSmoke(t *testing.T) {
 		}
 	}
 }
+
+// TestBuildAllocsPerChunk: building an adv cell allocates its page table
+// in bulk. Pages come from the engine's 256-page arena chunks and every
+// per-page column is sized once, so the allocation count of a Build is
+// bounded by its chunk count plus a constant for the engine, processes
+// and policy, not by its page count (one allocation per page before).
+func TestBuildAllocsPerChunk(t *testing.T) {
+	const (
+		pageChunk = 256 // engine's page-arena chunk
+		fixed     = 250 // engine, processes, tickers and policy
+	)
+	for _, pol := range []string{"Memtis", "Chrono+guard"} {
+		var pages int
+		allocs := testing.AllocsPerRun(3, func() {
+			p, err := NewPolicy(pol)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e, err := Build(p, &workload.Rotation{}, RunOpts{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			pages = len(e.Pages())
+		})
+		if limit := float64(pages/pageChunk + fixed); allocs > limit {
+			t.Fatalf("%s: Build of %d pages allocates %.0f times, want at most %.0f", pol, pages, allocs, limit)
+		}
+		t.Logf("%s: %d pages, %.0f allocations", pol, pages, allocs)
+	}
+}

@@ -9,6 +9,8 @@
 // list_head economics of the kernel implementation.
 package lru
 
+import "slices"
+
 // nilIdx marks the absence of a neighbour.
 const nilIdx = int64(-1)
 
@@ -32,25 +34,25 @@ type Links struct {
 
 // NewLinks creates link storage for n pages.
 func NewLinks(n int) *Links {
-	l := &Links{
-		next: make([]int64, n),
-		prev: make([]int64, n),
-		list: make([]int32, n),
-	}
-	for i := range l.next {
-		l.next[i] = nilIdx
-		l.prev[i] = nilIdx
-		l.list[i] = -1
-	}
+	l := &Links{}
+	l.Grow(n)
 	return l
 }
 
-// Grow extends the link storage to cover at least n pages.
+// Grow extends the link storage to cover at least n pages, off every list.
+// Each array grows at most once per call, with append's amortized slack.
 func (l *Links) Grow(n int) {
-	for len(l.next) < n {
-		l.next = append(l.next, nilIdx)
-		l.prev = append(l.prev, nilIdx)
-		l.list = append(l.list, -1)
+	old := len(l.next)
+	if n <= old {
+		return
+	}
+	l.next = slices.Grow(l.next, n-old)[:n]
+	l.prev = slices.Grow(l.prev, n-old)[:n]
+	l.list = slices.Grow(l.list, n-old)[:n]
+	for i := old; i < n; i++ {
+		l.next[i] = nilIdx
+		l.prev[i] = nilIdx
+		l.list[i] = -1
 	}
 }
 
@@ -283,6 +285,14 @@ func (t *TwoList) Age(accessed func(id int64) bool) {
 type MultiClock struct {
 	Levels []*List
 	level  []int8 // per-page current level, -1 if absent
+	moves  []clockMove
+}
+
+// clockMove is one page's level change from a Scan, applied after the
+// pass so a page moves at most one level per Scan.
+type clockMove struct {
+	id    int64
+	level int
 }
 
 // NewMultiClock builds n CLOCK levels over a fresh link family sized for
@@ -338,11 +348,7 @@ func (m *MultiClock) Level(id int64) int { return int(m.level[id]) }
 // pages whose accessed bit (reported and cleared by the callback) is set
 // climb one level; others descend one level.
 func (m *MultiClock) Scan(budget int, accessed func(id int64) bool) {
-	type move struct {
-		id    int64
-		level int
-	}
-	var moves []move
+	moves := m.moves[:0]
 	for li, l := range m.Levels {
 		n := budget
 		if n > l.Len() {
@@ -362,13 +368,14 @@ func (m *MultiClock) Scan(budget int, accessed func(id int64) bool) {
 			} else if target > 0 {
 				target--
 			}
-			moves = append(moves, move{id, target})
+			moves = append(moves, clockMove{id, target})
 		}
 	}
 	for _, mv := range moves {
 		m.Levels[mv.level].PushFront(mv.id)
 		m.level[mv.id] = int8(mv.level)
 	}
+	m.moves = moves
 }
 
 // Top returns up to n pages from the highest non-empty level (hot

@@ -2,6 +2,7 @@ package lru
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -257,6 +258,59 @@ func TestMultiClockClimbAndDescend(t *testing.T) {
 	for _, id := range bottom {
 		if id < 5 {
 			t.Fatalf("hot page %d in Bottom", id)
+		}
+	}
+}
+
+// TestMultiClockScanAllocFree: a steady-state Scan reuses its move
+// scratch, and the level order it leaves matches a pass that applies
+// each level's moves in pop order.
+func TestMultiClockScanAllocFree(t *testing.T) {
+	const n = 256
+	m := NewMultiClock(4, n)
+	for i := int64(0); i < n; i++ {
+		m.Add(i, int(i%4))
+	}
+	pass := 0
+	accessed := func(id int64) bool { return (id+int64(pass))%3 == 0 }
+	m.Scan(n, accessed) // sizes the scratch
+	if allocs := testing.AllocsPerRun(20, func() {
+		pass++
+		m.Scan(n, accessed)
+	}); allocs != 0 {
+		t.Fatalf("Scan allocates %.1f times per pass, want 0", allocs)
+	}
+
+	// Reference: one pass over level i pops its tail first, and every
+	// page is pushed to the front of its target in pop order, lowest
+	// level first.
+	want := make([][]int64, len(m.Levels))
+	var popped []clockMove
+	for li, l := range m.Levels {
+		for id := l.Back(); id >= 0; id = l.links.prev[id] {
+			target := li
+			if accessed(id) {
+				target = min(li+1, len(m.Levels)-1)
+			} else if li > 0 {
+				target = li - 1
+			}
+			popped = append(popped, clockMove{id, target})
+		}
+	}
+	for li, l := range m.Levels {
+		want[li] = l.IDs()
+	}
+	for _, mv := range popped {
+		src := int(m.Level(mv.id))
+		want[src] = slices.DeleteFunc(want[src], func(id int64) bool { return id == mv.id })
+	}
+	for _, mv := range popped {
+		want[mv.level] = append([]int64{mv.id}, want[mv.level]...)
+	}
+	m.Scan(n, accessed)
+	for li, l := range m.Levels {
+		if got := l.IDs(); !slices.Equal(got, want[li]) {
+			t.Fatalf("level %d after Scan = %v, want %v", li, got, want[li])
 		}
 	}
 }

@@ -42,9 +42,19 @@ type PEBS struct {
 	Batch   int //chrono:rebuilt derived from the machine by StartPEBS
 	periods int //chrono:state Periods
 
+	// The ByProcess grouping: the resident pages by vm.Process.Slot and
+	// the processes holding any, by PID. It is rebuilt only when the
+	// kernel's page generation or process count has moved since groupGen
+	// and groupProcs were taken; grouped is false until the first
+	// grouping and after SetState.
+	bySlot        [][]*vm.Page  //chrono:rebuilt regrouped from the page table after a restore
+	procs         []*vm.Process //chrono:rebuilt regrouped from the page table after a restore
+	totalResident int64         //chrono:rebuilt regrouped from the page table after a restore
+	groupGen      uint64        //chrono:rebuilt regrouped from the page table after a restore
+	groupProcs    int           //chrono:rebuilt regrouped from the page table after a restore
+	grouped       bool          //chrono:rebuilt SetState clears it
+
 	// Scratch refilled by every ByProcess pass.
-	bySlot  [][]*vm.Page    //chrono:rebuilt per-cycle grouping, indexed by vm.Process.Slot
-	procs   []*vm.Process   //chrono:rebuilt per-cycle service order
 	hist    *pebs.Histogram //chrono:rebuilt fixed-depth threshold scan
 	binSize []int64         //chrono:rebuilt per-process bin footprints
 }
@@ -105,6 +115,7 @@ func (c *PEBS) SetState(st PEBSState) error {
 		return err
 	}
 	c.periods = st.Periods
+	c.grouped = false
 	return nil
 }
 
@@ -118,10 +129,46 @@ func (c *PEBS) OnPageFreed(pg *vm.Page) { c.Sampler.Clear(pg.ID) }
 // process's share of the fast tier, proportional to its resident size.
 // A pass over an empty page table visits nothing and leaves *cycles
 // alone; otherwise it advances *cycles.
+//
+// The grouping is kept from pass to pass until a page is created or
+// freed (the kernel's PageGeneration moves) or a process is added: until
+// then a regroup would give the same pages in the same order. A visit
+// that splits a page still sees the grouping the pass started with. A
+// visit must not reorder or overwrite pages: later passes hand it out
+// again.
 func (c *PEBS) ByProcess(cycles *int, visit func(proc *vm.Process, pages []*vm.Page, hotBin int)) {
-	// Group the pages by the engine's dense process slot, refilling last
-	// cycle's slices in place.
 	all := c.k.Processes()
+	if gen := c.k.PageGeneration(); !c.grouped || gen != c.groupGen || len(all) != c.groupProcs {
+		c.group(all)
+		c.grouped, c.groupGen, c.groupProcs = true, gen, len(all)
+	}
+	if c.totalResident == 0 {
+		return
+	}
+	fastCap := c.k.Node().Capacity(mem.FastTier)
+	procs := c.procs
+	*cycles++
+	start := *cycles % len(procs)
+
+	sizeOf := func(b int) int64 { return c.binSize[b] }
+	for i := range procs {
+		proc := procs[(start+i)%len(procs)]
+		pages := c.bySlot[proc.Slot]
+		clear(c.binSize)
+		var resident int64
+		for _, pg := range pages {
+			b := min(pebs.BinOf(c.Sampler.Counter(pg.ID)), pebsBins-1)
+			c.binSize[b] += int64(pg.Size)
+			resident += int64(pg.Size)
+		}
+		share := fastCap * resident / c.totalResident
+		visit(proc, pages, c.hist.HotThresholdBin(share, sizeOf))
+	}
+}
+
+// group rebuilds the ByProcess grouping from the page table, refilling
+// the previous grouping's slices in place.
+func (c *PEBS) group(all []*vm.Process) {
 	for len(c.bySlot) < len(all) {
 		c.bySlot = append(c.bySlot, nil)
 	}
@@ -129,25 +176,20 @@ func (c *PEBS) ByProcess(cycles *int, visit func(proc *vm.Process, pages []*vm.P
 	for i := range bySlot {
 		bySlot[i] = bySlot[i][:0]
 	}
-	var totalResident int64
+	c.totalResident = 0
 	for _, pg := range c.k.Pages() {
 		if pg == nil {
 			continue
 		}
 		bySlot[pg.Proc.Slot] = append(bySlot[pg.Proc.Slot], pg)
-		totalResident += int64(pg.Size)
+		c.totalResident += int64(pg.Size)
 	}
-	if totalResident == 0 {
-		return
-	}
-	fastCap := c.k.Node().Capacity(mem.FastTier)
-
 	// A caller's migration budget is consumed in process order, so the
 	// order must be fixed: take the processes with resident pages by
-	// PID, then rotate the starting point each cycle so no process is
-	// systematically first in line (kernel cgroup walks resume
-	// round-robin the same way; unrotated, the lowest PID would hoard
-	// the budget).
+	// PID; ByProcess rotates the starting point each cycle so no process
+	// is systematically first in line (kernel cgroup walks resume
+	// round-robin the same way; unrotated, the lowest PID would hoard the
+	// budget).
 	c.procs = c.procs[:0]
 	for _, proc := range all {
 		if len(bySlot[proc.Slot]) > 0 {
@@ -156,21 +198,4 @@ func (c *PEBS) ByProcess(cycles *int, visit func(proc *vm.Process, pages []*vm.P
 	}
 	procs := c.procs
 	sort.Slice(procs, func(i, j int) bool { return procs[i].PID < procs[j].PID })
-	*cycles++
-	start := *cycles % len(procs)
-
-	sizeOf := func(b int) int64 { return c.binSize[b] }
-	for i := range procs {
-		proc := procs[(start+i)%len(procs)]
-		pages := bySlot[proc.Slot]
-		clear(c.binSize)
-		var resident int64
-		for _, pg := range pages {
-			b := min(pebs.BinOf(c.Sampler.Counter(pg.ID)), pebsBins-1)
-			c.binSize[b] += int64(pg.Size)
-			resident += int64(pg.Size)
-		}
-		share := fastCap * resident / totalResident
-		visit(proc, pages, c.hist.HotThresholdBin(share, sizeOf))
-	}
 }

@@ -81,6 +81,11 @@ type Kernel interface {
 	// Pages returns the dense page table: Pages()[id] is the page with
 	// ID id, nil if freed. Policies may size side arrays by len(Pages()).
 	Pages() []*vm.Page
+	// PageGeneration changes whenever a page is created or freed. While
+	// it holds, Pages() holds the same pages in the same slots, each of
+	// the same process and size, so a grouping built from them is still
+	// valid. It is not part of any checkpoint.
+	PageGeneration() uint64
 
 	// Protect poisons the page PROT_NONE and stamps pg.ProtTS, causing a
 	// fault to be delivered at the page's next access. Protecting an

@@ -6,6 +6,7 @@ package policytest
 
 import (
 	"encoding/json"
+	"slices"
 	"testing"
 
 	"chrono/internal/engine"
@@ -103,4 +104,48 @@ func StateWith(t *testing.T, pol policy.Policy, key string, v any) []byte {
 		t.Fatal(err)
 	}
 	return out
+}
+
+// CheckGrouping runs one ByProcess pass of core outside its policy's
+// schedule and fails t unless each process holding pages is visited once,
+// with exactly the pages a fresh regroup of k's page table gives it, in ID
+// order. The pass only reads counters, so calling it between events
+// changes nothing about the run; a grouping kept past a page-set change
+// (a page generation that failed to move) fails it.
+func CheckGrouping(t testing.TB, core *policy.PEBS, k policy.Kernel) {
+	t.Helper()
+	want := map[*vm.Process][]*vm.Page{}
+	for _, pg := range k.Pages() {
+		if pg != nil {
+			want[pg.Proc] = append(want[pg.Proc], pg)
+		}
+	}
+	var cycles, visits int
+	core.ByProcess(&cycles, func(proc *vm.Process, pages []*vm.Page, _ int) {
+		visits++
+		if !slices.Equal(pages, want[proc]) {
+			t.Fatalf("pid %d: ByProcess hands %d pages, a fresh regroup %d", proc.PID, len(pages), len(want[proc]))
+		}
+	})
+	if visits != len(want) {
+		t.Fatalf("ByProcess visited %d processes, %d hold pages", visits, len(want))
+	}
+}
+
+// CheckGroupingEachSecond arms CheckGrouping after the first event of
+// every virtual second on e's clock, which covers every PEBS sampling
+// period and classification pass. It returns the number of checks run so
+// far.
+func CheckGroupingEachSecond(t testing.TB, e *engine.Engine, core func() *policy.PEBS) func() int {
+	checks, last := 0, simclock.Time(-1)
+	e.Clock().SetAfterStep(func() {
+		sec := e.Clock().Now() / simclock.Second * simclock.Second
+		if sec == last {
+			return
+		}
+		last = sec
+		CheckGrouping(t, core(), e)
+		checks++
+	})
+	return func() int { return checks }
 }

@@ -235,6 +235,14 @@ func (p *Process) ClearDirty() {
 	p.dirty = p.dirty[:0]
 }
 
+// DropDirty is ClearDirty that also releases the list's storage, for a
+// consumer that has just rebuilt everything the list covers: the initial
+// pattern fill marks every page, and later flushes touch far fewer.
+func (p *Process) DropDirty() {
+	p.ClearDirty()
+	p.dirty = nil
+}
+
 // IndexVPN is the inverse of PatternIndex: it maps a pattern index back to
 // its VPN. It panics on an out-of-range index.
 func (p *Process) IndexVPN(i int) uint64 {

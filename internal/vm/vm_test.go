@@ -227,3 +227,21 @@ func TestPropertyPageWeightPartition(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestDropDirty: DropDirty empties the dirty list and its marks like
+// ClearDirty, so a page changed afterwards is listed again.
+func TestDropDirty(t *testing.T) {
+	p := NewProcess(1, "t", 8)
+	start := p.VMAs()[0].Start
+	for i := uint64(0); i < 8; i++ {
+		p.SetPattern(start+i, 1, 0.5)
+	}
+	p.DropDirty()
+	if n := len(p.DirtyIndexes()); n != 0 {
+		t.Fatalf("%d dirty indexes after DropDirty", n)
+	}
+	p.SetPattern(start+3, 2, 0.5)
+	if got := p.DirtyIndexes(); len(got) != 1 || got[0] != 3 {
+		t.Fatalf("dirty indexes %v after one change, want [3]", got)
+	}
+}

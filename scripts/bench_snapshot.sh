@@ -2,8 +2,8 @@
 # bench_snapshot.sh — record the tier-1 hot-path benchmark baseline.
 #
 # Runs the tier-1 hot-path benchmarks (simclock event loop, engine
-# epoch, fault path, adversarial oscillation, Memtis kmigrated,
-# checkpoint save and load) COUNT
+# epoch, fault path, adversarial oscillation, Memtis kmigrated, an adv
+# cell's build, checkpoint save and load) COUNT
 # times each with -benchmem and writes every sample into a dated JSON
 # snapshot (BENCH_YYYY-MM.json) alongside the toolchain/host metadata
 # needed to interpret it later. The raw `go test` output is
@@ -19,7 +19,7 @@ COUNT="${COUNT:-10}"
 BENCHTIME="${BENCHTIME:-1s}"
 STAMP="${STAMP:-$(date +%Y-%m)}"
 OUT="${OUT:-BENCH_${STAMP}.json}"
-BENCHES='BenchmarkSimclockEvents|BenchmarkEngineEpoch|BenchmarkEngineEpochHighFidelity|BenchmarkFaultPath|BenchmarkAdversarialOscillation|BenchmarkMemtisKmigrated|BenchmarkCheckpointSaveLoad'
+BENCHES='BenchmarkSimclockEvents|BenchmarkEngineEpoch|BenchmarkEngineEpochHighFidelity|BenchmarkFaultPath|BenchmarkAdversarialOscillation|BenchmarkMemtisKmigrated|BenchmarkBuild|BenchmarkCheckpointSaveLoad'
 
 raw="$(mktemp)"
 trap 'rm -f "$raw"' EXIT
