@@ -1,22 +1,24 @@
 // Package checkpoint is the durable-state envelope used by resumable
-// sweeps and chronod runs: a versioned, checksummed JSON container
-// written with the write-to-temp-then-rename discipline, so a reader
-// never observes a half-written file and a torn write is detected rather
-// than trusted.
+// sweeps and chronod runs: a versioned, checksummed container written
+// with the write-to-temp-then-rename discipline, so a reader never
+// observes a half-written file and a torn write is detected rather than
+// trusted.
 //
-// The payload is JSON, with its number columns (Ints, Floats) packed
-// into one base64 string token each (columns.go). Go's encoding/json is
-// deterministic — struct fields marshal in declaration order and floats
-// use the shortest round-trippable representation — and a packed column
-// has one encoding, so identical state produces identical bytes, which
-// the kill-and-resume fence relies on.
+// The payload is JSON, except for its number columns (Ints, Floats),
+// which follow it as one binary section of zigzag-delta varints
+// (section.go). Go's encoding/json is deterministic — struct fields
+// marshal in declaration order and floats use the shortest
+// round-trippable representation — and a column has one encoding, so
+// identical state produces identical bytes, which the kill-and-resume
+// fence relies on.
 //
 // Each direction makes one pass over the payload. Save marshals it once
-// and writes a fixed header in front of it, which gives exactly the bytes
-// encoding/json gives for the whole envelope. Load parses that header by
-// hand, checks the CRC over the payload sub-slice and unmarshals it once;
-// any other envelope shape is ErrCorrupt. The number columns of a
-// payload decode without reflection.
+// with its columns set aside, writes a fixed header in front of it and
+// the columns' section after it. Load parses that header by hand, checks
+// the CRC over the payload and section sub-slices, unmarshals the
+// payload once and fills the columns from the section; any other
+// envelope shape is ErrCorrupt. The columns are found by one walk per
+// payload, and each element decodes without reflection.
 package checkpoint
 
 import (
@@ -38,10 +40,12 @@ const Magic = "chrono-checkpoint"
 // ErrVersion so a resumed run falls back to re-execution instead of
 // misinterpreting old state.
 //
-// Version 3 packs the number columns (columns.go). Load also reads
-// version 2, whose columns are JSON arrays, so chronod records and
-// snapshots and durable sweep records written before it still load.
-const Version = 3
+// Version 4 moves the number columns out of the JSON into the binary
+// section. Load also reads version 3, whose columns are packed string
+// tokens, and version 2, whose columns are JSON arrays (columns.go), so
+// chronod records and snapshots and durable sweep records written
+// before it still load.
+const Version = 4
 
 // oldestVersion is the oldest envelope version Load reads.
 const oldestVersion = 2
@@ -56,66 +60,91 @@ var (
 	ErrVersion = errors.New("checkpoint: incompatible format version")
 )
 
-// The envelope is one JSON object with four fields in this order:
+// The envelope is one JSON object with five fields in this order,
+// followed by the section:
 //
-//	{"magic":"chrono-checkpoint","version":3,"crc":N,"payload":P}
+//	{"magic":"chrono-checkpoint","version":4,"crc":N,"columns":L,"payload":P}S
 //
-// N is the IEEE CRC-32 of the payload bytes P, in decimal. These are
-// the bytes json.Marshal gives for the struct with those fields when P
-// is already compact json.Marshal output.
+// P is compact json.Marshal output, S is exactly L bytes, and N is the
+// IEEE CRC-32 of P followed by S, in decimal. Versions 2 and 3 have no
+// columns field and no section, and their CRC covers P alone.
 const (
 	headMagic   = `{"magic":"` + Magic + `","version":`
 	headCRC     = `,"crc":`
+	headColumns = `,"columns":`
 	headPayload = `,"payload":`
 )
 
-// headRoom is the most bytes the header takes: its three fixed parts
-// plus the version and the CRC in decimal (20 digits hold both).
-const headRoom = len(headMagic) + len(headCRC) + len(headPayload) + 20
+// headRoom is the most bytes the header takes: its fixed parts plus the
+// version, the CRC and the section length in decimal (20 digits hold
+// each).
+const headRoom = len(headMagic) + len(headCRC) + len(headColumns) + len(headPayload) + 3*20
 
 // Save marshals payload into a versioned, checksummed envelope and writes
 // it atomically: the bytes land in a temporary file in the target
 // directory, are synced, and are renamed over path. A crash at any point
 // leaves either the previous file or the complete new one.
 //
-// The payload is marshalled once, into a buffer that starts with
-// headRoom bytes of space for the header, so the envelope is built in
-// place and never copied.
+// The envelope is built in one buffer: headRoom bytes of space for the
+// header, the payload, marshalled once with its columns set to nil, and
+// then the section. The columns are put back before Save returns, so the
+// caller's value is unchanged.
 func Save(path string, payload any) error {
-	buf := bytes.NewBuffer(make([]byte, headRoom))
-	// Encode writes exactly json.Marshal's bytes, then a newline.
-	if err := json.NewEncoder(buf).Encode(payload); err != nil {
+	root, cols, err := findColumns(payload)
+	if err != nil {
 		return fmt.Errorf("checkpoint: marshal payload: %w", err)
 	}
-	return WriteFileAtomic(path, seal(buf.Bytes()))
+	buf := bytes.NewBuffer(make([]byte, headRoom))
+	// Encode writes exactly json.Marshal's bytes, then a newline.
+	err = withColumnsCleared(cols, func() error {
+		if len(cols) > 0 {
+			// A copy taken now, with the columns cleared.
+			payload = root.Interface()
+		}
+		return json.NewEncoder(buf).Encode(payload)
+	})
+	if err != nil {
+		return fmt.Errorf("checkpoint: marshal payload: %w", err)
+	}
+	data := buf.Bytes()
+	payloadEnd := len(data) - 1
+	if data, err = appendColumns(data, cols); err != nil {
+		return fmt.Errorf("checkpoint: marshal payload: %w", err)
+	}
+	return WriteFileAtomic(path, seal(data, payloadEnd))
 }
 
 // seal turns buf into the envelope in place and returns it, a sub-slice
-// of buf. buf holds headRoom bytes of space, the compact JSON payload and
-// one byte of slack: the header is written right in front of the
-// payload, and the slack byte becomes the closing brace.
-func seal(buf []byte) []byte {
-	payload := buf[headRoom : len(buf)-1]
+// of buf. buf holds headRoom bytes of space, the compact JSON payload,
+// one byte of slack at payloadEnd and the section: the header is written
+// right in front of the payload, and the slack byte becomes the closing
+// brace.
+func seal(buf []byte, payloadEnd int) []byte {
+	payload, section := buf[headRoom:payloadEnd], buf[payloadEnd+1:]
+	crc := crc32.Update(crc32.ChecksumIEEE(payload), crc32.IEEETable, section)
 	head := make([]byte, 0, headRoom)
 	head = append(head, headMagic...)
 	head = strconv.AppendInt(head, Version, 10)
 	head = append(head, headCRC...)
-	head = strconv.AppendUint(head, uint64(crc32.ChecksumIEEE(payload)), 10)
+	head = strconv.AppendUint(head, uint64(crc), 10)
+	head = append(head, headColumns...)
+	head = strconv.AppendInt(head, int64(len(section)), 10)
 	head = append(head, headPayload...)
 	start := headRoom - len(head)
 	copy(buf[start:], head)
-	buf[len(buf)-1] = '}'
+	buf[payloadEnd] = '}'
 	return buf[start:]
 }
 
-// Load reads an envelope, validates magic, version, and checksum, and
-// unmarshals the payload into out.
+// Load reads an envelope, validates magic, version, and checksum,
+// unmarshals the payload into out and fills out's columns from the
+// section.
 func Load(path string, out any) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
 	}
-	payload, err := unseal(data)
+	version, payload, section, err := unseal(data)
 	if err != nil {
 		return fmt.Errorf("%s: %w", path, err)
 	}
@@ -127,44 +156,77 @@ func Load(path string, out any) error {
 		}
 		return fmt.Errorf("checkpoint: unmarshal payload of %s: %w", path, err)
 	}
+	if version < 4 {
+		return nil
+	}
+	_, cols, err := findColumns(out)
+	if err == nil {
+		err = fillColumns(cols, section)
+	}
+	if err != nil {
+		return fmt.Errorf("%w: %s: %v", ErrCorrupt, path, err)
+	}
 	return nil
 }
 
-// unseal validates the envelope in data and returns its payload, a
-// sub-slice of data. The version is checked as soon as it is read, so a
-// file of another version is ErrVersion whatever follows it.
-func unseal(data []byte) ([]byte, error) {
+// unseal validates the envelope in data and returns its version, its
+// payload and its section, sub-slices of data. The version is checked
+// as soon as it is read, so a file of another version is ErrVersion
+// whatever follows it.
+func unseal(data []byte) (version int, payload, section []byte, err error) {
 	rest, ok := bytes.CutPrefix(data, []byte(headMagic))
 	if !ok {
-		return nil, fmt.Errorf("%w: no %s header", ErrCorrupt, Magic)
+		return 0, nil, nil, fmt.Errorf("%w: no %s header", ErrCorrupt, Magic)
 	}
 	field, rest, ok := bytes.Cut(rest, []byte(headCRC))
 	if !ok {
-		return nil, fmt.Errorf("%w: no crc field", ErrCorrupt)
+		return 0, nil, nil, fmt.Errorf("%w: no crc field", ErrCorrupt)
 	}
-	version, err := strconv.Atoi(string(field))
+	version, err = strconv.Atoi(string(field))
 	if err != nil || strconv.Itoa(version) != string(field) {
-		return nil, fmt.Errorf("%w: bad version %.32q", ErrCorrupt, field)
+		return 0, nil, nil, fmt.Errorf("%w: bad version %.32q", ErrCorrupt, field)
 	}
 	if version < oldestVersion || version > Version {
-		return nil, fmt.Errorf("%w: file version %d, supported %d to %d", ErrVersion, version, oldestVersion, Version)
+		return 0, nil, nil, fmt.Errorf("%w: file version %d, supported %d to %d", ErrVersion, version, oldestVersion, Version)
 	}
-	field, rest, ok = bytes.Cut(rest, []byte(headPayload))
+	next := headPayload
+	if version >= 4 {
+		next = headColumns
+	}
+	field, rest, ok = bytes.Cut(rest, []byte(next))
 	if !ok {
-		return nil, fmt.Errorf("%w: no payload field", ErrCorrupt)
+		return 0, nil, nil, fmt.Errorf("%w: no %s field after the crc", ErrCorrupt, next)
 	}
-	crc, err := strconv.ParseUint(string(field), 10, 32)
-	if err != nil || strconv.FormatUint(crc, 10) != string(field) {
-		return nil, fmt.Errorf("%w: bad crc %.32q", ErrCorrupt, field)
+	crc, ok := parseDecimal(field, 32)
+	if !ok {
+		return 0, nil, nil, fmt.Errorf("%w: bad crc %.32q", ErrCorrupt, field)
 	}
-	payload, ok := bytes.CutSuffix(rest, []byte("}"))
+	if version >= 4 {
+		field, rest, ok = bytes.Cut(rest, []byte(headPayload))
+		if !ok {
+			return 0, nil, nil, fmt.Errorf("%w: no payload field", ErrCorrupt)
+		}
+		n, ok := parseDecimal(field, 63)
+		if !ok || n > uint64(len(rest)) {
+			return 0, nil, nil, fmt.Errorf("%w: bad section length %.32q", ErrCorrupt, field)
+		}
+		rest, section = rest[:len(rest)-int(n)], rest[len(rest)-int(n):]
+	}
+	payload, ok = bytes.CutSuffix(rest, []byte("}"))
 	if !ok || len(payload) == 0 || isSpace(payload[0]) || isSpace(payload[len(payload)-1]) {
-		return nil, fmt.Errorf("%w: payload not followed by the closing brace", ErrCorrupt)
+		return 0, nil, nil, fmt.Errorf("%w: payload not followed by the closing brace", ErrCorrupt)
 	}
-	if sum := crc32.ChecksumIEEE(payload); uint64(sum) != crc {
-		return nil, fmt.Errorf("%w: payload CRC %08x, recorded %08x", ErrCorrupt, sum, crc)
+	if sum := crc32.Update(crc32.ChecksumIEEE(payload), crc32.IEEETable, section); uint64(sum) != crc {
+		return 0, nil, nil, fmt.Errorf("%w: CRC %08x, recorded %08x", ErrCorrupt, sum, crc)
 	}
-	return payload, nil
+	return version, payload, section, nil
+}
+
+// parseDecimal parses field as an unsigned decimal of at most bits bits,
+// written the one way strconv writes it (no sign, no leading zeros).
+func parseDecimal(field []byte, bits int) (uint64, bool) {
+	n, err := strconv.ParseUint(string(field), 10, bits)
+	return n, err == nil && strconv.FormatUint(n, 10) == string(field)
 }
 
 // WriteFileAtomic writes data to path through a same-directory temporary

@@ -2,12 +2,15 @@ package checkpoint
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -137,47 +140,75 @@ func TestWriteFileAtomicReplacesAndCleansUp(t *testing.T) {
 	}
 }
 
-// envelope is the on-disk container as encoding/json sees it. refSeal,
-// json.Marshal of it, is the writer Save replaced: every file Save writes
-// must be byte-identical to its output, so files written before and after
-// that change load alike.
+// envelope is the container's JSON object as encoding/json sees it;
+// Columns is absent before version 4. refSeal, json.Marshal of it
+// followed by the section, is the reference writer: every file Save
+// writes must be byte-identical to its output.
 type envelope struct {
 	Magic   string          `json:"magic"`
 	Version int             `json:"version"`
 	CRC     uint32          `json:"crc"`
+	Columns *int            `json:"columns,omitempty"`
 	Payload json.RawMessage `json:"payload"`
 }
 
-func refSeal(t testing.TB, payload any) []byte {
+// refSeal is the version-4 envelope of cleared, the payload with its
+// columns set to nil, and of cols, its columns in field order, each an
+// integer or float64 slice.
+func refSeal(t testing.TB, cleared any, cols ...any) []byte {
 	t.Helper()
-	raw, err := json.Marshal(payload)
+	raw, err := json.Marshal(cleared)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := json.Marshal(envelope{Magic: Magic, Version: Version, CRC: crc32.ChecksumIEEE(raw), Payload: raw})
+	section := refSection(cols...)
+	n := len(section)
+	crc := crc32.Update(crc32.ChecksumIEEE(raw), crc32.IEEETable, section)
+	data, err := json.Marshal(envelope{Magic: Magic, Version: Version, CRC: crc, Columns: &n, Payload: raw})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return data
+	return append(data, section...)
 }
 
-// refLoad is the reader Load replaced: the whole file through
-// encoding/json, then magic, version and CRC.
-func refLoad(data []byte, out any) error {
-	var env envelope
-	if err := json.Unmarshal(data, &env); err != nil {
-		return fmt.Errorf("%w: %v", ErrCorrupt, err)
+// refSection is the section grammar written plainly: per column a
+// uvarint count, then binary.AppendVarint of each element's wrapped
+// difference from the one before it.
+func refSection(cols ...any) []byte {
+	var sec []byte
+	for _, c := range cols {
+		var vals []uint64
+		switch c := c.(type) {
+		case []int64:
+			for _, v := range c {
+				vals = append(vals, uint64(v))
+			}
+		case []float64:
+			for _, v := range c {
+				vals = append(vals, math.Float64bits(v))
+			}
+		default:
+			panic(fmt.Sprintf("refSection: column of type %T", c))
+		}
+		sec = binary.AppendUvarint(sec, uint64(len(vals)))
+		var prev uint64
+		for _, v := range vals {
+			sec = binary.AppendVarint(sec, int64(v-prev))
+			prev = v
+		}
 	}
-	if env.Magic != Magic {
-		return ErrCorrupt
+	return sec
+}
+
+// sealVersion is the envelope of a payload and section as version v
+// writes it; before version 4 there is no section.
+func sealVersion(v int, payload, section []byte) []byte {
+	crc := crc32.Update(crc32.ChecksumIEEE(payload), crc32.IEEETable, section)
+	if v < 4 {
+		return []byte(fmt.Sprintf(`{"magic":%q,"version":%d,"crc":%d,"payload":%s}`, Magic, v, crc, payload))
 	}
-	if env.Version < oldestVersion || env.Version > Version {
-		return ErrVersion
-	}
-	if crc32.ChecksumIEEE(env.Payload) != env.CRC {
-		return ErrCorrupt
-	}
-	return json.Unmarshal(env.Payload, out)
+	head := fmt.Sprintf(`{"magic":%q,"version":%d,"crc":%d,"columns":%d,"payload":%s}`, Magic, v, crc, len(section), payload)
+	return append([]byte(head), section...)
 }
 
 func TestSaveMatchesEnvelopeMarshal(t *testing.T) {
@@ -188,31 +219,43 @@ func TestSaveMatchesEnvelopeMarshal(t *testing.T) {
 		I   Ints[int64]     `json:"i"`
 		F   Floats          `json:"f,omitempty"`
 	}
-	payloads := map[string]any{
-		"html":         nested{S: "<a href=\"x\">&amp;</a>"},
-		"line-sep":     nested{S: "a\u2028b\u2029c", Raw: json.RawMessage("\"\u2028\"")},
-		"invalid-utf8": nested{S: "bad \xff\xfe byte"},
-		"nested-raw":   nested{Raw: json.RawMessage(` { "k" : [1, 2,	3], "h": "<&> " } `)},
-		"raw-bad-utf8": nested{Raw: json.RawMessage("\"\xff<\"")},
-		"columns":      nested{I: Ints[int64]{-1, 0, 1 << 62}, F: Floats{-0.0, 1e-300, 0.1}},
-		"null":         nil,
-		"raw-null":     json.RawMessage("null"),
+	type tc struct {
+		payload, cleared any
+		cols             []any
+	}
+	plain := func(n nested) tc { return tc{n, n, []any{[]int64(nil), []float64(nil)}} }
+	cases := map[string]tc{
+		"html":         plain(nested{S: "<a href=\"x\">&amp;</a>"}),
+		"line-sep":     plain(nested{S: "a\u2028b\u2029c", Raw: json.RawMessage("\"\u2028\"")}),
+		"invalid-utf8": plain(nested{S: "bad \xff\xfe byte"}),
+		"nested-raw":   plain(nested{Raw: json.RawMessage(` { "k" : [1, 2,	3], "h": "<&> " } `)}),
+		"raw-bad-utf8": plain(nested{Raw: json.RawMessage("\"\xff<\"")}),
+		"columns": {
+			nested{I: Ints[int64]{-1, 0, 1 << 62}, F: Floats{-0.0, 1e-300, 0.1}},
+			nested{},
+			[]any{[]int64{-1, 0, 1 << 62}, []float64{-0.0, 1e-300, 0.1}},
+		},
+		"null":     {nil, nil, nil},
+		"raw-null": {json.RawMessage("null"), json.RawMessage("null"), nil},
 	}
 	dir := t.TempDir()
-	for name, p := range payloads {
+	for name, c := range cases {
 		path := filepath.Join(dir, name+".ckpt")
-		if err := Save(path, p); err != nil {
+		if err := Save(path, c.payload); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		got, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := refSeal(t, p); !bytes.Equal(got, want) {
-			t.Errorf("%s: Save wrote\n%s\nencoding/json writes\n%s", name, got, want)
+		if want := refSeal(t, c.cleared, c.cols...); !bytes.Equal(got, want) {
+			t.Errorf("%s: Save wrote\n%q\nthe reference writes\n%q", name, got, want)
 		}
-		var out json.RawMessage
-		if err := Load(path, &out); err != nil {
+		out := reflect.ValueOf(new(json.RawMessage))
+		if c.payload != nil {
+			out = reflect.New(reflect.TypeOf(c.payload))
+		}
+		if err := Load(path, out.Interface()); err != nil {
 			t.Errorf("%s: Load: %v", name, err)
 		}
 	}
@@ -227,7 +270,8 @@ func TestLoadRejectsOtherShapes(t *testing.T) {
 		t.Fatal(err)
 	}
 	crc := crc32.ChecksumIEEE(raw)
-	env := envelope{Magic: Magic, Version: Version, CRC: crc, Payload: raw}
+	zero := 0
+	env := envelope{Magic: Magic, Version: Version, CRC: crc, Columns: &zero, Payload: raw}
 	indented, err := json.MarshalIndent(env, "", "  ")
 	if err != nil {
 		t.Fatal(err)
@@ -236,11 +280,16 @@ func TestLoadRejectsOtherShapes(t *testing.T) {
 	for name, data := range map[string][]byte{
 		"indented":         indented,
 		"trailing-newline": append(append([]byte(nil), good...), '\n'),
-		"field-order":      []byte(fmt.Sprintf(`{"version":%d,"magic":%q,"crc":%d,"payload":%s}`, Version, Magic, crc, raw)),
-		"padded-payload":   []byte(fmt.Sprintf(`{"magic":%q,"version":%d,"crc":%d,"payload": %s}`, Magic, Version, crc32.ChecksumIEEE(append([]byte(" "), raw...)), raw)),
-		"padded-crc":       []byte(fmt.Sprintf(`{"magic":%q,"version":%d,"crc":0%d,"payload":%s}`, Magic, Version, crc, raw)),
-		"no-payload":       []byte(fmt.Sprintf(`{"magic":%q,"version":%d,"crc":0,"payload":}`, Magic, Version)),
-		"payload-not-json": []byte(fmt.Sprintf(`{"magic":%q,"version":%d,"crc":%d,"payload":{x}}`, Magic, Version, crc32.ChecksumIEEE([]byte("{x}")))),
+		"field-order":      []byte(fmt.Sprintf(`{"version":%d,"magic":%q,"crc":%d,"columns":0,"payload":%s}`, Version, Magic, crc, raw)),
+		"no-columns":       []byte(fmt.Sprintf(`{"magic":%q,"version":%d,"crc":%d,"payload":%s}`, Magic, Version, crc, raw)),
+		"padded-payload":   []byte(fmt.Sprintf(`{"magic":%q,"version":%d,"crc":%d,"columns":0,"payload": %s}`, Magic, Version, crc32.ChecksumIEEE(append([]byte(" "), raw...)), raw)),
+		"padded-crc":       []byte(fmt.Sprintf(`{"magic":%q,"version":%d,"crc":0%d,"columns":0,"payload":%s}`, Magic, Version, crc, raw)),
+		"padded-columns":   []byte(fmt.Sprintf(`{"magic":%q,"version":%d,"crc":%d,"columns":00,"payload":%s}`, Magic, Version, crc, raw)),
+		"huge-columns":     []byte(fmt.Sprintf(`{"magic":%q,"version":%d,"crc":%d,"columns":18446744073709551615,"payload":%s}`, Magic, Version, crc, raw)),
+		"section-too-long": []byte(fmt.Sprintf(`{"magic":%q,"version":%d,"crc":%d,"columns":999,"payload":%s}`, Magic, Version, crc, raw)),
+		"no-payload":       []byte(fmt.Sprintf(`{"magic":%q,"version":%d,"crc":0,"columns":0,"payload":}`, Magic, Version)),
+		"payload-not-json": sealVersion(Version, []byte("{x}"), nil),
+		"stray-section":    sealVersion(Version, raw, []byte{0}),
 		"empty":            nil,
 	} {
 		if err := os.WriteFile(path, data, 0o644); err != nil {

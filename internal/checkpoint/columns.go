@@ -1,9 +1,13 @@
 package checkpoint
 
 // Number columns. A checkpoint payload is mostly long columns of numbers
-// (the engine's page table alone is over 90% of a large snapshot). Ints
-// and Floats write a column as one JSON string token, a packed column,
-// and read either that token or a JSON array.
+// (the engine's page table alone is over 90% of a large snapshot). Save
+// writes the columns it can reach to the section (section.go). Marshalled
+// as JSON, Ints and Floats write a column as one JSON string token, a
+// packed column: that is how version-3 files hold them, and how the
+// columns inside a self-marshalling value, such as a policy's
+// checkpoint state, are still written. They read either that token or a
+// JSON array.
 //
 // A packed column is the base64 (RawStdEncoding, no padding, unused
 // bits zero) of one varint per element. The varint of element i is the
@@ -30,10 +34,8 @@ package checkpoint
 import (
 	"bytes"
 	"encoding/base64"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"math"
 	"reflect"
 	"strconv"
 )
@@ -50,60 +52,62 @@ var packing = base64.RawStdEncoding.Strict()
 
 // MarshalText packs s.
 func (s Ints[T]) MarshalText() ([]byte, error) {
-	raw := make([]byte, 0, 2*len(s))
-	var prev uint64
-	for _, v := range s {
-		raw = appendDelta(raw, uint64(v)-prev)
-		prev = uint64(v)
-	}
-	return encode(raw), nil
+	return encode(s.appendDeltas(make([]byte, 0, 2*len(s)))), nil
 }
 
 // MarshalText packs s. Like encoding/json, it refuses NaN and
 // infinities.
 func (s Floats) MarshalText() ([]byte, error) {
-	raw := make([]byte, 0, 4*len(s))
-	var prev uint64
-	for _, f := range s {
-		if math.IsNaN(f) || math.IsInf(f, 0) {
-			return nil, &json.UnsupportedValueError{Value: reflect.ValueOf(f), Str: strconv.FormatFloat(f, 'g', -1, 64)}
-		}
-		bits := math.Float64bits(f)
-		raw = appendDelta(raw, bits-prev)
-		prev = bits
+	raw, err := s.appendDeltas(make([]byte, 0, 4*len(s)))
+	if err != nil {
+		return nil, err
 	}
 	return encode(raw), nil
+}
+
+// unsupportedFloat is encoding/json's error for a NaN or an infinity.
+func unsupportedFloat(f float64) error {
+	return &json.UnsupportedValueError{Value: reflect.ValueOf(f), Str: strconv.FormatFloat(f, 'g', -1, 64)}
 }
 
 // UnmarshalJSON decodes a packed column, or an array like encoding/json
 // decodes a []T.
 func (s *Ints[T]) UnmarshalJSON(b []byte) error {
-	if packed(b) {
-		return unpack(b, (*[]T)(s), func(u uint64) (T, bool) { return T(u), uint64(T(u)) == u })
+	if !packed(b) {
+		return decodeColumn(b, (*[]T)(s), parseInt[T])
 	}
-	return decodeColumn(b, (*[]T)(s), parseInt[T])
+	raw, out, err := unpack(b, *s)
+	if err == nil {
+		var p int
+		if p, err = decodeInts(raw, 0, out); err == nil && p != len(raw) {
+			err = errVarint
+		}
+	}
+	if err != nil {
+		return fmt.Errorf("checkpoint: packed column: %w", err)
+	}
+	*s = out
+	return nil
 }
 
 // UnmarshalJSON decodes a packed column, or an array like encoding/json
 // decodes a []float64.
 func (s *Floats) UnmarshalJSON(b []byte) error {
-	if packed(b) {
-		return unpack(b, (*[]float64)(s), func(u uint64) (float64, bool) {
-			f := math.Float64frombits(u)
-			return f, !math.IsNaN(f) && !math.IsInf(f, 0)
-		})
+	if !packed(b) {
+		return decodeColumn(b, (*[]float64)(s), parseFloat)
 	}
-	return decodeColumn(b, (*[]float64)(s), parseFloat)
-}
-
-// appendDelta appends the zigzag varint of the wrapped difference d.
-func appendDelta(raw []byte, d uint64) []byte {
-	u := d<<1 ^ uint64(int64(d)>>63)
-	for u >= 0x80 {
-		raw = append(raw, byte(u)|0x80)
-		u >>= 7
+	raw, out, err := unpack(b, *s)
+	if err == nil {
+		var p int
+		if p, err = decodeFloats(raw, 0, out); err == nil && p != len(raw) {
+			err = errVarint
+		}
 	}
-	return append(raw, byte(u))
+	if err != nil {
+		return fmt.Errorf("checkpoint: packed column: %w", err)
+	}
+	*s = out
+	return nil
 }
 
 // encode returns the base64 of raw.
@@ -119,18 +123,18 @@ func packed(b []byte) bool {
 	return len(b) > 0 && b[0] == '"'
 }
 
-// unpack decodes the packed column tok into *dst, reusing its backing
-// array when it is large enough; conv turns an accumulated value into an
-// element and reports whether the element type holds it.
-func unpack[E any](tok []byte, dst *[]E, conv func(uint64) (E, bool)) error {
+// unpack decodes the base64 of the packed column tok and returns its
+// varints and a column with one element per varint, which reuses dst's
+// backing array when it is large enough.
+func unpack[E any](tok []byte, dst []E) ([]byte, []E, error) {
 	tok = trimSpace(tok)
 	if len(tok) < 2 || tok[len(tok)-1] != '"' {
-		return fmt.Errorf("checkpoint: unterminated packed column %.20q", tok)
+		return nil, nil, fmt.Errorf("unterminated token %.20q", tok)
 	}
 	raw := make([]byte, packing.DecodedLen(len(tok)-2))
 	m, err := packing.Decode(raw, tok[1:len(tok)-1])
 	if err != nil {
-		return fmt.Errorf("checkpoint: packed column: %w", err)
+		return nil, nil, err
 	}
 	raw = raw[:m]
 	n := 0
@@ -139,34 +143,13 @@ func unpack[E any](tok []byte, dst *[]E, conv func(uint64) (E, bool)) error {
 			n++
 		}
 	}
-	out := *dst
 	switch {
 	case n == 0:
-		out = []E{}
-	case n > cap(out):
-		out = make([]E, n)
-	default:
-		out = out[:n]
+		return raw, []E{}, nil
+	case n > cap(dst):
+		return raw, make([]E, n), nil
 	}
-	var acc uint64
-	for i := range out {
-		u, k := binary.Uvarint(raw)
-		if k <= 0 {
-			return fmt.Errorf("checkpoint: packed column holds a varint over 64 bits")
-		}
-		raw = raw[k:]
-		acc += u>>1 ^ -(u & 1)
-		v, ok := conv(acc)
-		if !ok {
-			return fmt.Errorf("checkpoint: packed value %#x does not fit %T", acc, v)
-		}
-		out[i] = v
-	}
-	if len(raw) > 0 {
-		return fmt.Errorf("checkpoint: packed column ends inside a varint")
-	}
-	*dst = out
-	return nil
+	return raw, dst[:n], nil
 }
 
 // parseInt is encoding/json's conversion of a number literal to an

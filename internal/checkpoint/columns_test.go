@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
@@ -52,26 +53,31 @@ func (s *refInts[T]) UnmarshalJSON(b []byte) error {
 	if b[0] != '"' {
 		return json.Unmarshal(b, (*[]T)(s))
 	}
-	return refUnpack(b, (*[]T)(s), func(x int64) (T, error) {
-		// encoding/json's range check for T, on the value as a literal.
-		var v T
-		lit := strconv.FormatInt(x, 10)
-		if ^v > 0 { // unsigned
-			lit = strconv.FormatUint(uint64(x), 10)
-		}
-		return v, json.Unmarshal([]byte(lit), &v)
-	})
+	return refUnpack(b, (*[]T)(s), refIntConv[T])
+}
+
+// refIntConv is encoding/json's range check for T, on the value as a
+// literal.
+func refIntConv[T ~int | ~int64 | ~int32 | ~uint64 | ~uint16](x int64) (T, error) {
+	var v T
+	lit := strconv.FormatInt(x, 10)
+	if ^v > 0 { // unsigned
+		lit = strconv.FormatUint(uint64(x), 10)
+	}
+	return v, json.Unmarshal([]byte(lit), &v)
 }
 
 func (s *refFloats) UnmarshalJSON(b []byte) error {
 	if b[0] != '"' {
 		return json.Unmarshal(b, (*[]float64)(s))
 	}
-	return refUnpack(b, (*[]float64)(s), func(x int64) (float64, error) {
-		f := math.Float64frombits(uint64(x))
-		_, err := json.Marshal(f) // encoding/json refuses NaN and infinities
-		return f, err
-	})
+	return refUnpack(b, (*[]float64)(s), refFloatConv)
+}
+
+func refFloatConv(x int64) (float64, error) {
+	f := math.Float64frombits(uint64(x))
+	_, err := json.Marshal(f) // encoding/json refuses NaN and infinities
+	return f, err
 }
 
 // refUnpack is the packed-column grammar written plainly: the strict
@@ -273,16 +279,107 @@ func TestFloatsRefuseNonFinite(t *testing.T) {
 	}
 }
 
-// FuzzLoad feeds arbitrary bytes to Load twice: as a checkpoint file,
-// and, without surrounding whitespace, as the payload of an envelope
-// with a correct CRC. Load must never panic, and no column it decodes
-// may be longer than its input. A file it accepts is one the
-// encoding/json reader it replaced accepts too, and it decodes to the
-// values the reference decoders give: encoding/json's for an array,
-// refUnpack's for a packed token. A file in the canonical shape that
-// reader accepts, Load accepts. For a payload that is valid JSON the
-// column decoder accepts exactly when the reference decoders do; any
-// other payload is ErrCorrupt.
+// refFill is the section grammar for one mirror column, written on
+// binary.ReadUvarint and binary.ReadVarint: the JSON left the column
+// empty, a count follows, then that many deltas. A column of no elements
+// keeps what the JSON gave it.
+func refFill[E any](r *bytes.Reader, dst *[]E, conv func(int64) (E, error)) error {
+	if len(*dst) != 0 {
+		return errors.New("a moved column has elements in the JSON")
+	}
+	n, err := binary.ReadUvarint(r)
+	if err != nil || n == 0 {
+		return err
+	}
+	out := make([]E, 0, min(n, uint64(r.Len())))
+	var acc int64
+	for range n {
+		d, err := binary.ReadVarint(r)
+		if err != nil {
+			return err
+		}
+		acc += d
+		v, err := conv(acc)
+		if err != nil {
+			return err
+		}
+		out = append(out, v)
+	}
+	*dst = out
+	return nil
+}
+
+// refLoad is the reference reader: the envelope object through
+// encoding/json's Decoder, then magic, version, section length and CRC;
+// the payload through encoding/json into m; and for version 4 the
+// section through refFill, one mirror column after another in field
+// order. It returns the section's length, 0 before version 4.
+func refLoad(data []byte, m *mirror) (int, error) {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	var env envelope
+	if err := dec.Decode(&env); err != nil {
+		return 0, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	}
+	section := data[dec.InputOffset():]
+	switch {
+	case env.Magic != Magic:
+		return 0, ErrCorrupt
+	case env.Version < oldestVersion || env.Version > Version:
+		return 0, ErrVersion
+	case env.Version < 4:
+		if env.Columns != nil || len(bytes.TrimLeft(section, " \t\r\n")) > 0 {
+			return 0, ErrCorrupt
+		}
+		section = nil
+	case env.Columns == nil || *env.Columns != len(section):
+		return 0, ErrCorrupt
+	}
+	if crc32.Update(crc32.ChecksumIEEE(env.Payload), crc32.IEEETable, section) != env.CRC {
+		return 0, ErrCorrupt
+	}
+	if err := json.Unmarshal(env.Payload, m); err != nil {
+		return 0, err
+	}
+	if env.Version < 4 {
+		return 0, nil
+	}
+	r := bytes.NewReader(section)
+	for _, fill := range []func() error{
+		func() error { return refFill(r, (*[]int)(&m.Int), refIntConv[int]) },
+		func() error { return refFill(r, (*[]int64)(&m.I64), refIntConv[int64]) },
+		func() error { return refFill(r, (*[]int32)(&m.I32), refIntConv[int32]) },
+		func() error { return refFill(r, (*[]uint64)(&m.U64), refIntConv[uint64]) },
+		func() error { return refFill(r, (*[]uint16)(&m.U16), refIntConv[uint16]) },
+		func() error { return refFill(r, (*[]tick)(&m.Tick), refIntConv[tick]) },
+		func() error { return refFill(r, (*[]float64)(&m.F), refFloatConv) },
+	} {
+		if err := fill(); err != nil {
+			return 0, fmt.Errorf("%w: %v", ErrCorrupt, err)
+		}
+	}
+	if r.Len() > 0 {
+		return 0, ErrCorrupt
+	}
+	return len(section), nil
+}
+
+// emptySection is the section of a cols value whose columns are all
+// empty: seven zero counts.
+var emptySection = make([]byte, 7)
+
+// FuzzLoad feeds arbitrary bytes to Load three times: as a checkpoint
+// file, and, without surrounding whitespace, as the payload of a
+// version-3 envelope and of a version-4 envelope with an all-empty
+// section, both with a correct CRC. Load must never panic, and no column
+// it decodes may be longer than its input. A file it accepts is one the
+// reference reader refLoad accepts too, and it decodes to the values the
+// reference decoders give: encoding/json's for an array, refUnpack's for
+// a packed token, refFill's for a section column, none of which may be
+// longer than the section. A file in the canonical shape refLoad
+// accepts, Load accepts. For a payload that is valid JSON the version-3
+// decoder accepts exactly when the reference decoders do, and the
+// version-4 decoder exactly when, besides, every column decodes empty;
+// any other payload is ErrCorrupt.
 func FuzzLoad(f *testing.F) {
 	dir := f.TempDir()
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -296,55 +393,74 @@ func FuzzLoad(f *testing.F) {
 			t.Fatalf("a %d-byte file decoded into a column of capacity %d", len(data), n)
 		}
 		var m mirror
-		refErr := refLoad(data, &m)
+		secLen, refErr := refLoad(data, &m)
 		if err == nil {
 			if refErr != nil {
-				t.Fatalf("Load accepted a file the encoding/json reader rejects: %v", refErr)
+				t.Fatalf("Load accepted a file the reference reader rejects: %v", refErr)
 			}
 			if derr := diff(&c, &m); derr != nil {
 				t.Fatal(derr)
 			}
+			if n := c.maxCap(); secLen > 0 && n > secLen {
+				t.Fatalf("a %d-byte section decoded into a column of capacity %d", secLen, n)
+			}
 		} else if refErr == nil && canonical(data) {
-			t.Fatalf("Load rejected a canonical file the encoding/json reader accepts: %v", err)
+			t.Fatalf("Load rejected a canonical file the reference reader accepts: %v", err)
 		}
 
 		// Save never pads a payload with whitespace.
 		data = bytes.TrimFunc(data, func(r rune) bool { return r < utf8.RuneSelf && isSpace(byte(r)) })
-		buf := append(append(make([]byte, headRoom), data...), 0)
-		if err := os.WriteFile(path, seal(buf), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		c = cols{}
-		err = Load(path, &c)
-		if n := c.maxCap(); n > len(data) {
-			t.Fatalf("a %d-byte payload decoded into a column of capacity %d", len(data), n)
-		}
-		if !json.Valid(data) {
-			if !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("payload %q is not JSON: Load = %v, want ErrCorrupt", data, err)
+		for _, version := range []int{3, 4} {
+			var section []byte
+			if version == 4 {
+				section = emptySection
 			}
-			return
-		}
-		m = mirror{}
-		merr := json.Unmarshal(data, &m)
-		if (err == nil) != (merr == nil) {
-			t.Fatalf("payload %q: Load err=%v, reference err=%v", data, err, merr)
-		}
-		if err == nil {
-			if derr := diff(&c, &m); derr != nil {
-				t.Fatal(derr)
+			if err := os.WriteFile(path, sealVersion(version, data, section), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			c = cols{}
+			err = Load(path, &c)
+			if n := c.maxCap(); n > len(data) {
+				t.Fatalf("a %d-byte payload decoded into a column of capacity %d", len(data), n)
+			}
+			if !json.Valid(data) {
+				if !errors.Is(err, ErrCorrupt) {
+					t.Fatalf("payload %q is not JSON: version-%d Load = %v, want ErrCorrupt", data, version, err)
+				}
+				continue
+			}
+			m = mirror{}
+			merr := json.Unmarshal(data, &m)
+			if version == 4 && merr == nil && m.maxLen() > 0 {
+				merr = errors.New("a column has elements in the JSON")
+			}
+			if (err == nil) != (merr == nil) {
+				t.Fatalf("payload %q in version %d: Load err=%v, reference err=%v", data, version, err, merr)
+			}
+			if err == nil {
+				if derr := diff(&c, &m); derr != nil {
+					t.Fatal(derr)
+				}
 			}
 		}
 	})
 }
 
+// maxLen is the length of the longest column of m.
+func (m *mirror) maxLen() int {
+	return max(len(m.Int), len(m.I64), len(m.I32), len(m.U64), len(m.U16), len(m.Tick), len(m.F))
+}
+
 // canonical reports whether data is the envelope encoding/json writes
-// for its own fields: the only shape Save produces.
+// for its own fields, followed by a section from version 4 on: the only
+// shape Save produces.
 func canonical(data []byte) bool {
+	dec := json.NewDecoder(bytes.NewReader(data))
 	var env envelope
-	if json.Unmarshal(data, &env) != nil {
+	if dec.Decode(&env) != nil {
 		return false
 	}
+	end := int(dec.InputOffset())
 	out, err := json.Marshal(env)
-	return err == nil && string(out) == string(data)
+	return err == nil && string(out) == string(data[:end]) && (env.Version >= 4 || end == len(data))
 }

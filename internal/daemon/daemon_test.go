@@ -620,14 +620,20 @@ func TestQueuedRunsRecover(t *testing.T) {
 	}
 }
 
-// A state directory written before checkpoint version 3 still recovers.
-// testdata/state-v2 holds version-2 files from such a build: r0000 is a
-// done run of testSpec with its table, r0001 the same spec interrupted
-// at 0.13 s virtual with its record saying "running" (what kill -9
-// leaves) and an engine.ckpt. The restarted daemon serves r0000 from
-// its record and resumes r0001 from the snapshot, not from the start,
-// to r0000's table.
+// A state directory written before checkpoint version 4 still recovers.
+// testdata/state-v2 and testdata/state-v3 hold version-2 and version-3
+// files from such builds: r0000 is a done run of testSpec with its
+// table, r0001 the same spec interrupted at 0.13 s virtual with its
+// record saying "running" (what kill -9 leaves) and an engine.ckpt. The
+// restarted daemon serves r0000 from its record and resumes r0001 from
+// the snapshot, not from the start, to r0000's table.
 func TestRecoversVersion2State(t *testing.T) {
+	for _, fixture := range []string{"testdata/state-v2", "testdata/state-v3"} {
+		t.Run(filepath.Base(fixture), func(t *testing.T) { recoverFixture(t, fixture) })
+	}
+}
+
+func recoverFixture(t *testing.T, fixture string) {
 	var firstTick atomic.Int64
 	setBuildHook(t, func(e *engine.Engine) {
 		// The key the fixture's runs were paced under.
@@ -635,7 +641,6 @@ func TestRecoversVersion2State(t *testing.T) {
 			firstTick.CompareAndSwap(0, int64(now))
 		})
 	})
-	const fixture = "testdata/state-v2"
 	dir := t.TempDir()
 	err := filepath.WalkDir(fixture, func(path string, de fs.DirEntry, err error) error {
 		if err != nil || de.IsDir() {

@@ -325,50 +325,65 @@ func TestSnapshotBytesPinned(t *testing.T) {
 
 // TestLoadVersion2File loads testdata/chrono-v2.ckpt, the
 // TestSnapshotBytesPinned snapshot as a version-2 checkpoint.Save wrote
-// it, with every number column a JSON array. Load still reads version 2
-// so chronod records and snapshots and durable sweep records written
-// before the packed columns survive an upgrade. Saving the loaded state
-// again writes version 3, which must load back to the same EngineState,
-// and restoring it must resume to the uninterrupted run's final state.
+// it, with every number column a JSON array, and testdata/chrono-v3.ckpt,
+// the same state as a version-3 Save wrote it, with every column a
+// packed token. Load still reads both, so chronod records and snapshots
+// and durable sweep records written before the section survive an
+// upgrade. Saving the loaded state again writes the current version,
+// which must load back to the same EngineState, and restoring it must
+// resume to the uninterrupted run's final state.
 func TestLoadVersion2File(t *testing.T) {
-	const path = "testdata/chrono-v2.ckpt"
-	var st EngineState
-	if err := checkpoint.Load(path, &st); err != nil {
-		t.Fatal(err)
-	}
-	again := filepath.Join(t.TempDir(), "again.ckpt")
-	if err := checkpoint.Save(again, &st); err != nil {
-		t.Fatal(err)
-	}
-	file, err := os.ReadFile(again)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if head := fmt.Sprintf(`{"magic":%q,"version":%d,`, checkpoint.Magic, checkpoint.Version); !bytes.HasPrefix(file, []byte(head)) {
-		t.Fatalf("re-saved checkpoint starts %.60s, want %s", file, head)
-	}
-	var back EngineState
-	if err := checkpoint.Load(again, &back); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(back, st) {
-		t.Fatal("the version-3 re-save loads to a different EngineState than the version-2 file")
-	}
-
 	pol, mode := newFencePolicy(t, "Chrono")
 	ref := buildCkptEngine(t, pol, mode, faultinject.Plan{}, 1)
 	ref.Run(60 * simclock.Second)
 	want := finalState(t, ref)
 
-	pol2, _ := newFencePolicy(t, "Chrono")
-	resumed := buildCkptEngine(t, pol2, mode, faultinject.Plan{}, 1)
-	if err := resumed.Restore(&st); err != nil {
-		t.Fatalf("restore: %v", err)
+	for _, version := range []int{2, 3} {
+		t.Run(fmt.Sprintf("v%d", version), func(t *testing.T) {
+			path := fmt.Sprintf("testdata/chrono-v%d.ckpt", version)
+			if head := fmt.Sprintf(`{"magic":%q,"version":%d,`, checkpoint.Magic, version); !fileStartsWith(t, path, head) {
+				t.Fatalf("%s does not start with %s", path, head)
+			}
+			var st EngineState
+			if err := checkpoint.Load(path, &st); err != nil {
+				t.Fatal(err)
+			}
+			again := filepath.Join(t.TempDir(), "again.ckpt")
+			if err := checkpoint.Save(again, &st); err != nil {
+				t.Fatal(err)
+			}
+			if head := fmt.Sprintf(`{"magic":%q,"version":%d,`, checkpoint.Magic, checkpoint.Version); !fileStartsWith(t, again, head) {
+				t.Fatalf("re-saved checkpoint does not start with %s", head)
+			}
+			var back EngineState
+			if err := checkpoint.Load(again, &back); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(back, st) {
+				t.Fatalf("the version-%d re-save loads to a different EngineState than the version-%d file", checkpoint.Version, version)
+			}
+
+			pol2, _ := newFencePolicy(t, "Chrono")
+			resumed := buildCkptEngine(t, pol2, mode, faultinject.Plan{}, 1)
+			if err := resumed.Restore(&st); err != nil {
+				t.Fatalf("restore: %v", err)
+			}
+			resumed.ResumeRun()
+			if got := finalState(t, resumed); !bytes.Equal(got, want) {
+				t.Fatalf("run resumed from %s diverged (%s)", path, diffHint(got, want))
+			}
+		})
 	}
-	resumed.ResumeRun()
-	if got := finalState(t, resumed); !bytes.Equal(got, want) {
-		t.Fatalf("run resumed from %s diverged (%s)", path, diffHint(got, want))
+}
+
+// fileStartsWith reports whether the file at path starts with head.
+func fileStartsWith(t *testing.T, path, head string) bool {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return bytes.HasPrefix(data, []byte(head))
 }
 
 // TestRestoreRejectsHugePageTable: a page-table length far past what
