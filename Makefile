@@ -21,12 +21,12 @@ vet:
 	$(GO) vet ./...
 	test -z "$$(gofmt -l .)"
 
-# chronolint: the repo's fifteen determinism, unit-safety, concurrency-
-# safety, checkpoint-integrity, and interprocedural data-flow analyzers
-# over every package including cmd/ and examples/ — see internal/analysis
-# and DESIGN.md for the catalog. The driver binary is built once into
-# bin/ so repeated lint runs (and the CI cache) skip the compile. Exits
-# non-zero on any unsuppressed error-severity finding.
+# chronolint: the repo's ten determinism, concurrency-safety,
+# checkpoint-integrity, and hot-path allocation analyzers over every
+# package including cmd/ and examples/ — see internal/analysis and
+# DESIGN.md for the catalog. The driver binary is built once into bin/
+# so repeated lint runs (and the CI cache) skip the compile. Exits
+# non-zero on any finding not suppressed by //chrono:allow.
 CHRONOLINT_SRCS := $(shell find internal/analysis cmd/chronolint -name '*.go' -not -path '*/testdata/*' 2>/dev/null)
 
 bin/chronolint: $(CHRONOLINT_SRCS)

@@ -40,36 +40,12 @@ import (
 	"strings"
 )
 
-// Severity classifies how the driver treats an analyzer's findings:
-// errors fail the build, warnings are reported but do not. The zero
-// value is SevError, so existing analyzers stay gating by default.
-type Severity int
-
-const (
-	// SevError findings fail chronolint (non-zero exit).
-	SevError Severity = iota
-	// SevWarn findings are reported but never fail the build — the
-	// warn-first rollout mode for analyzers landing over legacy code.
-	SevWarn
-)
-
-// String renders the severity in the SARIF level vocabulary.
-func (s Severity) String() string {
-	if s == SevWarn {
-		return "warning"
-	}
-	return "error"
-}
-
 // Analyzer describes one static-analysis pass.
 type Analyzer struct {
 	// Name identifies the analyzer in diagnostics and annotations.
 	Name string
-	// Doc is the one-paragraph description shown by chronolint -help.
+	// Doc is the one-paragraph description shown by chronolint -list.
 	Doc string
-	// Severity is the default severity of the analyzer's findings
-	// (overridable per run via Options.Severities). Zero value: SevError.
-	Severity Severity
 	// Run applies the analyzer to one package, reporting findings through
 	// pass.Reportf.
 	Run func(pass *Pass) error

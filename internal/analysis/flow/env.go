@@ -10,7 +10,7 @@ package flow
 //     local facts;
 //   - by the analyzers, post-fixpoint: Env.Eval answers "what taints can
 //     this expression carry / which parameters does it derive from" for
-//     any expression of the body, so detflow reports at exact sites.
+//     any expression of the body, so an analyzer can report at exact sites.
 //
 // Being flow-insensitive (one fact set per variable for the whole body),
 // the engine over-approximates: a variable tainted on any path is tainted

@@ -1,5 +1,5 @@
-// Package flow is the interprocedural data-flow layer under the v4
-// chronolint analyzers (hotalloc, detflow). It is stdlib-only,
+// Package flow is the interprocedural data-flow layer under chronolint's
+// hotalloc analyzer. It is stdlib-only,
 // like the rest of internal/analysis, and provides:
 //
 //   - a module-local call graph: every static call site resolved through
@@ -15,9 +15,9 @@
 //     package (mutual recursion), and packages are resolved bottom-up in
 //     import order — Go's acyclic imports make the per-package results
 //     exact and independently cacheable;
-//   - a per-package cache: PackageFlow memoizes by *types.Package, so the
-//     three analyzers (and repeated driver runs in one process) share one
-//     call graph and one summary table per package.
+//   - a per-package cache: PackageFlow memoizes by *types.Package, so
+//     repeated driver runs in one process share one call graph and one
+//     summary table per package.
 //
 // Standard-library callees have no source here; their effects come from
 // small explicit models in stdlib.go (time.Now is a wall-clock taint
@@ -37,7 +37,7 @@ import (
 	"chrono/internal/analysis"
 )
 
-// Taint enumerates the nondeterminism sources detflow tracks.
+// Taint enumerates the nondeterminism sources the taint summaries track.
 type Taint uint8
 
 const (
@@ -210,8 +210,8 @@ func (fi *FuncInfo) Name() string {
 
 // FieldAnn records the flow-relevant directives on one struct field.
 type FieldAnn struct {
-	// State: the field carries //chrono:state — it is checkpointed, so
-	// storing a determinism-tainted value into it is a detflow finding.
+	// State: the field carries //chrono:state — it is checkpointed, and
+	// a parameter stored into it sets its function's ParamToState bit.
 	State bool
 }
 

@@ -1,12 +1,12 @@
 package flow
 
 // Models for standard-library callees, which have no module-local source
-// to summarize. Two tables: determinism-taint sources (detflow) and
-// allocating calls (hotalloc). Anything absent from both tables is
-// treated as a pure, allocation-unknown function — its arguments' taints
-// pass through to the result, and hotalloc does not flag it (recall
-// tradeoff: the table lists the calls that matter on simulator hot
-// paths, not the whole standard library).
+// to summarize. Two tables: determinism-taint sources (the taint
+// summaries) and allocating calls (hotalloc). Anything absent from both
+// tables is treated as a pure, allocation-unknown function — its
+// arguments' taints pass through to the result, and hotalloc does not
+// flag it (recall tradeoff: the table lists the calls that matter on
+// simulator hot paths, not the whole standard library).
 
 import (
 	"go/types"
@@ -22,8 +22,7 @@ var taintSources = map[string]Taint{
 
 	// Global generators: every package-level draw. Seeded *rand.Rand
 	// methods resolve to (*rand.Rand).X, not rand.X, so they are not
-	// matched here — detrand bans the import outright in simulation
-	// packages anyway; detflow tracks leaks elsewhere.
+	// matched here.
 	"math/rand.Int": TaintGlobalRand, "math/rand.Intn": TaintGlobalRand,
 	"math/rand.Int31": TaintGlobalRand, "math/rand.Int31n": TaintGlobalRand,
 	"math/rand.Int63": TaintGlobalRand, "math/rand.Int63n": TaintGlobalRand,

@@ -4,7 +4,8 @@ package analysis
 // code scanning upload: one run, one rule per analyzer (plus the
 // directive-grammar rule), results carrying module-relative locations
 // under %SRCROOT% and the line-insensitive chronolint fingerprint as a
-// partial fingerprint so alert identity survives code motion.
+// partial fingerprint so alert identity survives code motion. Every
+// finding gates, so every rule and result has level "error".
 
 import "encoding/json"
 
@@ -16,6 +17,9 @@ const sarifSchema = "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/mast
 // SARIFFingerprintKey names the partialFingerprints entry carrying the
 // chronolint fingerprint.
 const SARIFFingerprintKey = "chronoFingerprint/v1"
+
+// sarifLevel is the level of every rule and result.
+const sarifLevel = "error"
 
 type sarifLog struct {
 	Schema  string     `json:"$schema"`
@@ -91,7 +95,7 @@ func SARIFReport(analyzers []*Analyzer, res *Result) ([]byte, error) {
 		rules = append(rules, sarifRule{
 			ID:                   a.Name,
 			ShortDescription:     sarifText{Text: a.Doc},
-			DefaultConfiguration: sarifDefault{Level: a.Severity.String()},
+			DefaultConfiguration: sarifDefault{Level: sarifLevel},
 		})
 	}
 	index[DirectiveRule] = len(rules)
@@ -99,7 +103,7 @@ func SARIFReport(analyzers []*Analyzer, res *Result) ([]byte, error) {
 		ID: DirectiveRule,
 		ShortDescription: sarifText{Text: "validate //chrono: directive grammar: unknown directives, " +
 			"typo'd or reasonless //chrono:allow suppressions"},
-		DefaultConfiguration: sarifDefault{Level: SevError.String()},
+		DefaultConfiguration: sarifDefault{Level: sarifLevel},
 	})
 
 	results := make([]sarifResult, 0, len(res.Findings))
@@ -107,7 +111,7 @@ func SARIFReport(analyzers []*Analyzer, res *Result) ([]byte, error) {
 		results = append(results, sarifResult{
 			RuleID:    f.Rule,
 			RuleIndex: index[f.Rule],
-			Level:     f.Severity,
+			Level:     sarifLevel,
 			Message:   sarifText{Text: f.Message},
 			Locations: []sarifLocation{{
 				PhysicalLocation: sarifPhysical{

@@ -42,26 +42,6 @@ func IsExamplePackage(modPath, path string) bool {
 	return strings.HasPrefix(path, modPath+"/examples/")
 }
 
-// unitFreePackages neither produce nor consume dimensioned quantities, or
-// define the unit vocabulary itself: the units package (its conversion
-// helpers mix units by design), the simclock internals, and the analysis
-// framework plus the linters themselves.
-var unitFreePackages = []string{
-	"chrono/internal/units",
-	"chrono/internal/simclock",
-	"chrono/internal/analysis",
-}
-
-// isUnitFree reports whether path is exempt from unitmix.
-func isUnitFree(path string) bool {
-	for _, p := range unitFreePackages {
-		if path == p || strings.HasPrefix(path, p+"/") {
-			return true
-		}
-	}
-	return false
-}
-
 // isAnalysisPackage reports whether path is the analysis framework or one
 // of the linters (whose fixtures and self-referential code the behavioural
 // linters must not police).
@@ -74,15 +54,11 @@ func isAnalysisPackage(path string) bool {
 //
 //	detclock    — simulation packages, cmd/ drivers, and examples/
 //	              (drivers exempt intentional wall-clock uses line-by-line)
-//	detrand     — simulation packages, cmd/ drivers, and examples/
 //	maporder    — simulation packages
 //	errsink     — cmd/ drivers, examples/, and the engine
-//	unitmix     — everywhere except the units/simclock/analysis packages
 //	parcapture  — everywhere except the analysis framework
-//	handlecheck — everywhere except the analysis framework
 //	floatorder  — everywhere except the analysis framework
 //	lockorder   — everywhere except the analysis framework
-//	atomicmix   — everywhere except the analysis framework
 //	goroscope   — internal/ only (the daemon/engine code whose goroutines
 //	              must have lifecycle owners), excluding the framework
 //	statesync   — everywhere except the analysis framework (no-op in
@@ -91,11 +67,9 @@ func isAnalysisPackage(path string) bool {
 //	snapalias   — everywhere except the analysis framework
 //	hotalloc    — everywhere except the analysis framework (no-op in
 //	              packages without //chrono:hotpath roots)
-//	detflow     — everywhere except the analysis framework (no-op in
-//	              packages where no //chrono:state sink is reachable)
 func Applies(analyzer, modPath, pkgPath string) bool {
 	switch analyzer {
-	case "detclock", "detrand":
+	case "detclock":
 		return IsSimPackage(pkgPath) || IsCmdPackage(modPath, pkgPath) ||
 			IsExamplePackage(modPath, pkgPath)
 	case "maporder":
@@ -103,11 +77,8 @@ func Applies(analyzer, modPath, pkgPath string) bool {
 	case "errsink":
 		return IsCmdPackage(modPath, pkgPath) || IsExamplePackage(modPath, pkgPath) ||
 			pkgPath == "chrono/internal/engine"
-	case "unitmix":
-		return !isUnitFree(pkgPath)
-	case "parcapture", "handlecheck", "floatorder",
-		"lockorder", "atomicmix", "statesync", "snapalias",
-		"hotalloc", "detflow":
+	case "parcapture", "floatorder", "lockorder", "statesync",
+		"snapalias", "hotalloc":
 		return !isAnalysisPackage(pkgPath)
 	case "goroscope":
 		return strings.HasPrefix(pkgPath, modPath+"/internal/") && !isAnalysisPackage(pkgPath)

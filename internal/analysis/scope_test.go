@@ -1,8 +1,8 @@
 package analysis_test
 
-// Scoping tests: where each of the fifteen analyzers applies (Applies),
-// which directories the pattern expander refuses to descend into
-// (Expand's testdata/vendor/hidden exclusions), and the package-scope
+// Scoping tests: where each analyzer applies (Applies), which
+// directories the pattern expander refuses to descend into (Expand's
+// testdata/vendor/hidden exclusions), and the package-scope
 // directive-grammar findings (CheckDirectives) that catch misspelled
 // suppressions before they become silent no-ops.
 
@@ -27,14 +27,12 @@ var appliesMatrix = []struct {
 	pkg      string
 	want     bool
 }{
-	// Determinism analyzers run on simulation code, drivers, and examples.
+	// detclock runs on simulation code, drivers, and examples.
 	{"detclock", "chrono/internal/engine", true},
 	{"detclock", "chrono/internal/policy/memtis", true},
 	{"detclock", "chrono/cmd/chronosim", true},
 	{"detclock", "chrono/examples/quickstart", true},
 	{"detclock", "chrono/internal/trace", false},
-	{"detrand", "chrono/internal/workload", true},
-	{"detrand", "chrono/internal/analysis/flow", false},
 	// maporder is sim-only: drivers may range maps for display.
 	{"maporder", "chrono/internal/mem", true},
 	{"maporder", "chrono/cmd/chronosim", false},
@@ -45,21 +43,12 @@ var appliesMatrix = []struct {
 	{"errsink", "chrono/examples/quickstart", true},
 	{"errsink", "chrono/internal/engine", true},
 	{"errsink", "chrono/internal/mem", false},
-	// unitmix runs everywhere but the unit vocabulary, simclock, and the
-	// linters themselves.
-	{"unitmix", "chrono/internal/engine", true},
-	{"unitmix", "chrono/internal/units", false},
-	{"unitmix", "chrono/internal/simclock", false},
-	{"unitmix", "chrono/internal/analysis", false},
 	// The broad concurrency/correctness wave: everywhere except the
 	// analysis framework (self-referential fixtures).
 	{"parcapture", "chrono/cmd/chronosim", true},
-	{"handlecheck", "chrono/internal/vm", true},
 	{"floatorder", "chrono/internal/policy/tpp", true},
 	{"lockorder", "chrono/internal/engine", true},
 	{"lockorder", "chrono/internal/analysis/lockorder", false},
-	{"atomicmix", "chrono/internal/engine", true},
-	{"atomicmix", "chrono/internal/analysis", false},
 	{"statesync", "chrono/internal/engine", true},
 	{"snapalias", "chrono/internal/core", true},
 	{"snapalias", "chrono/internal/analysis/snapalias", false},
@@ -68,13 +57,10 @@ var appliesMatrix = []struct {
 	{"goroscope", "chrono/cmd/chronosim", false},
 	{"goroscope", "chrono/examples/quickstart", false},
 	{"goroscope", "chrono/internal/analysis/goroscope", false},
-	// The v4 interprocedural wave follows the broad bucket: no-ops
-	// without their annotations, so they may run everywhere.
+	// hotalloc follows the broad bucket: a no-op without //chrono:hotpath
+	// roots, so it may run everywhere.
 	{"hotalloc", "chrono/internal/simclock", true},
 	{"hotalloc", "chrono/internal/analysis/flow", false},
-	{"detflow", "chrono/internal/policy/flexmem", true},
-	{"detflow", "chrono/examples/quickstart", true},
-	{"detflow", "chrono/internal/analysis", false},
 }
 
 func TestApplies(t *testing.T) {
@@ -139,7 +125,6 @@ func TestExpandSkipsTestdata(t *testing.T) {
 		"chrono/internal/analysis",
 		"chrono/internal/analysis/flow",
 		"chrono/internal/analysis/hotalloc",
-		"chrono/internal/analysis/detflow",
 	} {
 		if !got[want] {
 			t.Errorf("Expand missed %s (got %v)", want, paths)

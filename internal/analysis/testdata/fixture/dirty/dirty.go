@@ -3,14 +3,9 @@
 // exactly, including positions and the suppression count.
 package dirty
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 var mu sync.Mutex
-
-var hits int64
 
 // doubleLock seeds a lockorder self-deadlock.
 func doubleLock() {
@@ -20,24 +15,17 @@ func doubleLock() {
 	mu.Unlock()
 }
 
-func bump() {
-	atomic.AddInt64(&hits, 1)
-}
-
-// plainRead seeds an atomicmix mixed access.
-func plainRead() int64 {
-	return hits
-}
-
-// allowedRead is the same mix, suppressed: it must count as suppressed,
-// not reported.
-func allowedRead() int64 {
-	//chrono:allow atomicmix fixture demonstrates an acknowledged mix
-	return hits
-}
-
 // leak seeds a goroscope unowned goroutine.
 func leak(ch chan int) {
+	go func() {
+		ch <- 1
+	}()
+}
+
+// allowedLeak is the same leak, suppressed: it must count as suppressed,
+// not reported.
+func allowedLeak(ch chan int) {
+	//chrono:allow goroscope fixture demonstrates an acknowledged fire-and-forget
 	go func() {
 		ch <- 1
 	}()
@@ -56,9 +44,11 @@ func typo() {}
 //chrono:allow lockordering suppressing a rule that is not registered
 func ghost() {}
 
-// plainReadAgain duplicates plainRead's mix exactly — same rule, file,
-// and message — so the driver must assign it a distinct fingerprint or
-// a baseline entry for one would silently swallow the other.
-func plainReadAgain() int64 {
-	return hits
+// leakAgain duplicates leak's finding exactly — same rule, file, and
+// message — so the driver must assign it a distinct fingerprint or code
+// scanning would fold the two alerts into one.
+func leakAgain(ch chan int) {
+	go func() {
+		ch <- 1
+	}()
 }

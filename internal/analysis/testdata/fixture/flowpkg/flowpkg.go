@@ -1,14 +1,11 @@
-// Package flowpkg seeds one finding for each v4 flow analyzer: an
-// allocation reachable from a //chrono:hotpath root (hotalloc) and a
-// wall-clock reading laundered through a helper into checkpointed state
-// (detflow).
+// Package flowpkg seeds a finding for the flow layer's analyzer: an
+// allocation reachable from a //chrono:hotpath root through a static
+// call (hotalloc). It also reads the wall clock (detclock).
 package flowpkg
 
 import "time"
 
-type eng struct {
-	Seen int64 //chrono:state
-}
+type eng struct{}
 
 //chrono:hotpath
 func (e *eng) hot(id int64) {
@@ -22,9 +19,4 @@ func (e *eng) grow() {
 
 func stamp() int64 {
 	return time.Now().UnixNano()
-}
-
-// record launders the wall clock into checkpointed state.
-func (e *eng) record() {
-	e.Seen = stamp()
 }

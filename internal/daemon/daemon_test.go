@@ -460,6 +460,44 @@ func TestReconfigureRejectsOutOfRangeKnob(t *testing.T) {
 	}
 }
 
+// kernel/numa_tiering is a 0/1 switch: a reconfiguration to any other
+// value is rejected, the live value stays 1, and the run completes
+// untouched.
+func TestReconfigureRejectsNumaTieringOutOfRange(t *testing.T) {
+	var mu sync.Mutex
+	var live *engine.Engine
+	paced := pace(300 * time.Microsecond)
+	setBuildHook(t, func(e *engine.Engine) {
+		paced(e)
+		mu.Lock()
+		live = e
+		mu.Unlock()
+	})
+	d := newTestDaemon(t, t.TempDir(), `{"stall_timeout_s": -1}`)
+	sub := d.Submit(testSpec())
+	waitRunningWithProgress(t, d, sub.ID)
+
+	for _, bad := range []string{"7", "-1"} {
+		resp := d.Reconfigure(sub.ID, "", map[string]string{"kernel/numa_tiering": bad})
+		if resp.OK {
+			t.Fatalf("numa_tiering=%s must reject the reconfiguration", bad)
+		}
+		if !strings.Contains(resp.Error, "kernel/numa_tiering") {
+			t.Fatalf("reply should name the rejected key, got %q", resp.Error)
+		}
+		mu.Lock()
+		e := live
+		mu.Unlock()
+		if v, err := e.Sysctl().Get("kernel/numa_tiering"); err != nil || v != "1" {
+			t.Fatalf("after rejecting %s: numa_tiering=%q err=%v, want 1", bad, v, err)
+		}
+	}
+	info := waitState(t, d, sub.ID, StateDone)
+	if info.Policy != "TPP" || info.Swaps != 0 {
+		t.Fatalf("run must be untouched by the rejected writes: %+v", info)
+	}
+}
+
 // Crash recovery: a daemon killed mid-run (simulated by a drain plus a
 // record rewritten to "running", exactly what kill -9 leaves behind)
 // auto-resumes the run on restart and produces a final table

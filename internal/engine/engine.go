@@ -466,7 +466,12 @@ func New(cfg Config) *Engine {
 	// reproduce bit-identically.
 	e.rShadow = rng.New(rng.Hash(cfg.Seed, 0x5ad0, 2))
 	policy.RegisterBackoffBinder(e)
-	e.table.Int64("kernel/numa_tiering", "enable tiered NUMA management (Chrono)", &e.numaTiering, nil, nil)
+	e.table.Int64("kernel/numa_tiering", "enable tiered NUMA management (Chrono)", &e.numaTiering, func(v int64) error {
+		if v != 0 && v != 1 {
+			return fmt.Errorf("value %d is not 0 or 1", v)
+		}
+		return nil
+	}, nil)
 	// The injector's streams derive from (Seed, Plan) only — never from
 	// rMaster — so enabling injection shifts no engine stream, and a
 	// disabled plan builds no injector at all.

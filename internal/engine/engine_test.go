@@ -529,6 +529,14 @@ func TestSysctlNumaTiering(t *testing.T) {
 	if err != nil || v != "1" {
 		t.Fatalf("numa_tiering=%q err=%v", v, err)
 	}
+	for _, bad := range []string{"7", "-1"} {
+		if err := e.Sysctl().Set("kernel/numa_tiering", bad); err == nil {
+			t.Fatalf("numa_tiering=%s accepted, want only 0 or 1", bad)
+		}
+	}
+	if v, _ := e.Sysctl().Get("kernel/numa_tiering"); v != "1" {
+		t.Fatalf("rejected writes changed numa_tiering to %q", v)
+	}
 }
 
 func TestDRAMPagePercent(t *testing.T) {

@@ -281,9 +281,8 @@ func Exec(s Segment) Result {
 	}
 
 	// out is buffered so an abandoned goroutine can still deliver and
-	// exit; done closes after the delivery. Receiving the result after
-	// the select, not in a case, keeps detflow from marking it as
-	// dependent on which case won.
+	// exit; done closes after the delivery. The result is received after
+	// the select, not in a case, so it does not depend on which case won.
 	out := make(chan runOut, 1)
 	done := make(chan struct{})
 	//chrono:allow goroscope deliberately abandonable: a hard-stalled run goroutine is parked by the AfterStep hook and its engine discarded (see the hardStall arm below)

@@ -148,7 +148,6 @@ func (c *Clock) restore(st *State, swap bool) (dropped int, err error) {
 		ev := c.popMin()
 		if ev.tkr != nil {
 			ev.tkr.armed = false
-			ev.tkr.handle = Handle{}
 		}
 		c.release(ev)
 	}

@@ -7,50 +7,44 @@ import (
 )
 
 // The queue recycles event structs through a free list; these tests pin
-// down the hazards that introduces: a Handle held across a recycle must
-// read as cancelled (generation fencing), cancellation must never touch a
+// down the hazards that introduces: cancellation must never touch a
 // recycled slot's new occupant, and a recycled slot must carry the exact
 // payload of its new event.
 
-func TestHandleStaleAfterFire(t *testing.T) {
-	c := New()
-	h := at(c, 10, func(Time) {})
-	if h.Cancelled() {
-		t.Fatal("fresh handle reads cancelled")
-	}
-	c.Run()
-	if !h.Cancelled() {
-		t.Fatal("handle still live after its event fired")
-	}
-	// The slot is recycled by a new event; the old handle must stay stale
-	// and cancelling through it must not disturb the new occupant.
-	fired := false
-	at(c, 20, func(Time) { fired = true })
-	if !h.Cancelled() {
-		t.Fatal("stale handle revived by slot reuse")
-	}
-	c.Cancel(h)
-	c.Run()
-	if !fired {
-		t.Fatal("cancelling a stale handle killed the slot's new event")
-	}
-}
-
-func TestHandleStaleAfterCancel(t *testing.T) {
-	c := New()
-	h := at(c, 10, func(Time) { t.Fatal("cancelled event fired") })
-	c.Cancel(h)
-	if !h.Cancelled() {
-		t.Fatal("handle live after Cancel")
-	}
-	// Double-cancel through the stale handle is a no-op even after the
-	// slot is reused.
-	n := 0
-	at(c, 5, func(Time) { n++ })
-	c.Cancel(h)
-	c.Run()
-	if n != 1 {
-		t.Fatalf("fired %d events, want 1", n)
+// A ticker's callback runs after its fired event went back to the free
+// list, so a one-shot scheduled inside the callback takes that very slot.
+// Cancelling or resetting the ticker from there must leave the one-shot
+// queued: a ticker removes its own firing only while it is armed.
+func TestTickerCancelAfterRecycleKeepsOtherEvent(t *testing.T) {
+	for _, op := range []string{"Cancel", "Reset"} {
+		c := New()
+		var tk *Ticker
+		var fired []Time
+		tk = c.EveryKey("tick", 10, func(now Time) {
+			fired = append(fired, now)
+			if now != 10 {
+				return
+			}
+			if ev := at(c, 15, func(now Time) { fired = append(fired, now) }); ev != tk.ev {
+				t.Fatalf("%s: the one-shot did not reuse the ticker's fired slot", op)
+			}
+			if op == "Cancel" {
+				tk.Cancel()
+			} else {
+				tk.Reset(100)
+			}
+			if c.Pending() != 1 {
+				t.Fatalf("%s: %d events queued after the ticker's %s, want the one-shot", op, c.Pending(), op)
+			}
+		})
+		c.RunUntil(200)
+		want := []Time{10, 15}
+		if op == "Reset" {
+			want = append(want, 110)
+		}
+		if !reflect.DeepEqual(fired, want) {
+			t.Fatalf("%s: fired at %v, want %v", op, fired, want)
+		}
 	}
 }
 
@@ -70,7 +64,7 @@ func TestRecyclingPreservesOrdering(t *testing.T) {
 			h := at(c, c.Now()+3, func(Time) { t.Fatal("cancelled event fired") })
 			at(c, c.Now()+2, self)
 			at(c, c.Now()+1, func(now Time) { got = append(got, now) })
-			c.Cancel(h)
+			c.cancel(h)
 		}
 	}
 	at(c, 0, self)
@@ -103,22 +97,19 @@ func TestAtKeyRecordsPayload(t *testing.T) {
 // it must not fire and must leave no record in the snapshot.
 func TestAtArgCancel(t *testing.T) {
 	c := New()
-	h := c.AtKey(10, "arg", 3, 4, func(Time) { t.Fatal("cancelled payload event fired") })
-	c.Cancel(h)
+	c.AtKey(10, "arg", 3, 4, func(Time) { t.Fatal("cancelled payload event fired") })
+	c.cancel(c.queue[0])
 	if got := c.Snapshot().Events; len(got) != 0 {
 		t.Fatalf("cancelled event still recorded: %+v", got)
 	}
 	c.Run()
-	if !h.Cancelled() {
-		t.Fatal("handle live after Cancel")
-	}
 }
 
 func TestCancelMiddleOfLargeHeap(t *testing.T) {
 	// Removal from interior positions exercises the 4-ary siftDown/siftUp
 	// pair; verify the survivors still fire in order.
 	c := New()
-	var handles []Handle
+	var handles []*event
 	var got []Time
 	for i := 100; i > 0; i-- {
 		h := at(c, Time(i), func(now Time) { got = append(got, now) })
@@ -128,7 +119,7 @@ func TestCancelMiddleOfLargeHeap(t *testing.T) {
 	want := 0
 	for i, h := range handles {
 		if i%3 == 0 {
-			c.Cancel(h)
+			c.cancel(h)
 		} else {
 			want++
 		}

@@ -16,9 +16,9 @@
 // how a Restore re-creates the one-shot events of a key.
 //
 // The queue is allocation-free in steady state: fired and cancelled events
-// return to a free list and are recycled by later schedules. Handles carry
-// a generation counter so a stale handle to a recycled event is correctly
-// reported as cancelled instead of aliasing the new occupant.
+// return to a free list and are recycled by later schedules. Only a Ticker
+// cancels an event, and only its own pending one while it is armed, so no
+// reference to a recycled slot outlives the event that held it.
 package simclock
 
 import (
@@ -77,20 +77,6 @@ type event struct {
 	tkr *Ticker
 	// index in the heap; -1 once fired or cancelled (i.e. on the free list).
 	index int32
-	// gen increments every time the event is released to the free list, so
-	// stale Handles to a recycled slot read as cancelled.
-	gen uint32
-}
-
-// Handle identifies a scheduled event so it can be cancelled.
-type Handle struct {
-	ev  *event
-	gen uint32
-}
-
-// Cancelled reports whether the handle's event was cancelled or already fired.
-func (h Handle) Cancelled() bool {
-	return h.ev == nil || h.ev.gen != h.gen || h.ev.index < 0
 }
 
 // freeChunk is how many events one backing array holds; chunked allocation
@@ -188,11 +174,9 @@ func (c *Clock) alloc() *event {
 	return ev
 }
 
-// release returns a fired or cancelled event to the free list, bumping its
-// generation so outstanding Handles go stale, and dropping callback/arg
-// references so recycled slots don't pin dead objects.
+// release returns a fired or cancelled event to the free list, dropping
+// callback/arg references so recycled slots don't pin dead objects.
 func (c *Clock) release(ev *event) {
-	ev.gen++
 	ev.index = -1
 	ev.fn = nil
 	ev.key = ""
@@ -301,7 +285,7 @@ func (c *Clock) remove(i int) {
 }
 
 // schedule validates t and enqueues a freshly filled event.
-func (c *Clock) schedule(t Time, ev *event) Handle {
+func (c *Clock) schedule(t Time, ev *event) {
 	if t < c.now {
 		panic(fmt.Sprintf("simclock: scheduling event at %v before now %v", t, c.now))
 	}
@@ -320,7 +304,6 @@ func (c *Clock) schedule(t Time, ev *event) Handle {
 		c.seq++
 	}
 	c.push(ev)
-	return Handle{ev: ev, gen: ev.gen}
 }
 
 // AtKey schedules fn at absolute time t under a checkpoint key with a
@@ -328,7 +311,7 @@ func (c *Clock) schedule(t Time, ev *event) Handle {
 // binder registered for key re-creates the callback from them at Restore.
 // Scheduling in the past (t < Now) panics: the simulator has no causality
 // violations by design.
-func (c *Clock) AtKey(t Time, key string, argI int64, n uint64, fn EventFunc) Handle {
+func (c *Clock) AtKey(t Time, key string, argI int64, n uint64, fn EventFunc) {
 	if key == "" {
 		panic("simclock: AtKey with empty key")
 	}
@@ -337,7 +320,7 @@ func (c *Clock) AtKey(t Time, key string, argI int64, n uint64, fn EventFunc) Ha
 	ev.key = key
 	ev.argI = argI
 	ev.n = n
-	return c.schedule(t, ev)
+	c.schedule(t, ev)
 }
 
 // EveryKey schedules fn to run every period, starting one period from
@@ -387,7 +370,9 @@ type Ticker struct {
 	period Duration
 	fn     EventFunc
 	tick   EventFunc
-	handle Handle
+	// ev is the pending firing; it names a live queue slot only while
+	// armed, since the slot is recycled once the event fires.
+	ev     *event
 	cancel bool
 	armed  bool
 }
@@ -405,14 +390,22 @@ func (t *Ticker) rearmAt(at Time) {
 	ev.fn = t.tick
 	ev.key = t.key
 	ev.tkr = t
-	t.handle = c.schedule(at, ev)
+	t.ev = ev
+	c.schedule(at, ev)
+}
+
+// disarm removes the ticker's pending firing, if any.
+func (t *Ticker) disarm() {
+	if t.armed {
+		t.clock.cancel(t.ev)
+		t.armed = false
+	}
 }
 
 // Cancel stops the ticker after any in-flight callback.
 func (t *Ticker) Cancel() {
 	t.cancel = true
-	t.clock.Cancel(t.handle)
-	t.armed = false
+	t.disarm()
 }
 
 // Period returns the ticker's current period.
@@ -439,22 +432,18 @@ func (t *Ticker) Reset(period Duration) {
 	}
 	t.period = period
 	if t.armed {
-		t.clock.Cancel(t.handle)
-		t.armed = false
+		t.disarm()
 		if !t.cancel {
 			t.schedule()
 		}
 	}
 }
 
-// Cancel removes a scheduled event. Cancelling an already-fired or
-// already-cancelled event is a no-op.
-func (c *Clock) Cancel(h Handle) {
-	if h.ev == nil || h.ev.gen != h.gen || h.ev.index < 0 {
-		return
-	}
-	c.remove(int(h.ev.index))
-	c.release(h.ev)
+// cancel removes a queued event and recycles its slot. ev must still be
+// queued: a Ticker only cancels its own firing while it is armed.
+func (c *Clock) cancel(ev *event) {
+	c.remove(int(ev.index))
+	c.release(ev)
 }
 
 // Step fires the single earliest event, advancing the clock to it.

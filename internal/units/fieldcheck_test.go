@@ -44,9 +44,8 @@ var dimensionless = map[string]bool{
 // TestConfigFieldsDeclareUnits walks every exported numeric field of the
 // engine, mem, and policy configuration structs and asserts its unit is
 // visible: a units/simclock type, a unit-suffixed name, or an explicit
-// dimensionless entry above. This is the reflective twin of the unitmix
-// analyzer — it keeps new config knobs from reintroducing anonymous
-// float64 quantities.
+// dimensionless entry above. It keeps new config knobs from
+// reintroducing anonymous float64 quantities.
 func TestConfigFieldsDeclareUnits(t *testing.T) {
 	structs := []any{
 		engine.Config{},
@@ -89,8 +88,8 @@ func isNumericKind(k reflect.Kind) bool {
 	return false
 }
 
-// hasUnitSuffix mirrors the unitmix analyzer's suffix rule: the suffix
-// must follow a lowercase letter or digit.
+// hasUnitSuffix reports whether name ends in a unit suffix that follows
+// a lowercase letter or digit.
 func hasUnitSuffix(name string) bool {
 	for _, suf := range unitSuffixes {
 		if !strings.HasSuffix(name, suf) || len(name) == len(suf) {

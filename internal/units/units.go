@@ -1,8 +1,7 @@
 // Package units defines dimension-carrying numeric types for the
 // quantities the simulator mixes constantly — nanoseconds, milliseconds,
 // seconds, event rates, byte counts, and bandwidths — so that a ns/s slip
-// is a compile error (mismatched defined types) or a chronolint unitmix
-// finding (suffix-mismatched bare identifiers) instead of a silently
+// is a compile error (mismatched defined types) instead of a silently
 // skewed FMAR figure.
 //
 // Every type is a defined type over float64, so the migration is
@@ -15,10 +14,7 @@
 //
 // Crossing units goes through the explicit helpers below (Sec.NS,
 // MS.Seconds, Bytes.Over, ...), never through a direct type conversion
-// like NS(someSec): that reinterprets the number at the wrong scale. The
-// unitmix analyzer (internal/analysis/unitmix) flags direct conversions
-// between unit types, as well as any +, -, comparison, or assignment
-// mixing two different units.
+// like NS(someSec): that reinterprets the number at the wrong scale.
 //
 // Scaling a unit by a dimensionless factor uses Mul (cost per page ×
 // pages × CostScale); the helpers preserve the evaluation order of the

@@ -39,30 +39,47 @@ func Watch(timeout time.Duration, progress *atomic.Int64, soft *atomic.Bool, har
 	}
 	t := time.NewTicker(tick) //chrono:wallclock stall detection is host-side
 	defer t.Stop()
-	last := progress.Load()
-	lastChange := time.Now() //chrono:wallclock stall detection is host-side
+	start := time.Now() //chrono:wallclock stall detection is host-side
+	w := watch{timeout: timeout, last: progress.Load()}
 	for {
 		select {
 		case <-stop:
 			return
 		case <-t.C:
-			cur := progress.Load()
-			if cur != last {
-				last = cur
-				lastChange = time.Now() //chrono:wallclock stall detection is host-side
-				continue
-			}
 			//chrono:wallclock stall detection is host-side
-			frozen := time.Since(lastChange)
-			if frozen >= timeout {
+			isSoft, isHard := w.step(progress.Load(), time.Since(start))
+			if isSoft {
 				soft.Store(true)
 			}
-			if frozen >= 2*timeout {
+			if isHard {
 				close(hard)
 				return
 			}
 		}
 	}
+}
+
+// watch is Watch's escalation state, kept apart from the ticker so the
+// escalation rule is a pure function of the polled watermarks and their
+// times.
+type watch struct {
+	timeout time.Duration
+	// last is the watermark at the previous poll; changed is the elapsed
+	// time at which it last moved.
+	last    int64
+	changed time.Duration
+}
+
+// step folds in one poll: the watermark cur read at elapsed since Watch
+// began. It reports a soft stall once the watermark has been frozen for
+// timeout and a hard stall once frozen for 2×timeout.
+func (w *watch) step(cur int64, elapsed time.Duration) (soft, hard bool) {
+	if cur != w.last {
+		w.last, w.changed = cur, elapsed
+		return false, false
+	}
+	frozen := elapsed - w.changed
+	return frozen >= w.timeout, frozen >= 2*w.timeout
 }
 
 // abandonedRuns counts run goroutines abandoned after hard stalls,

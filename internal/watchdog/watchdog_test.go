@@ -27,27 +27,39 @@ func TestWatchEscalates(t *testing.T) {
 	}
 }
 
-// An advancing watermark must never trip.
+// An advancing watermark must never trip, however long the run, and a
+// freeze escalates soft at Timeout and hard at 2×Timeout from the last
+// change. The escalation step runs on synthetic poll times, so no
+// assertion depends on how the host schedules the polling goroutine.
 func TestWatchQuietWhileProgressing(t *testing.T) {
-	var progress atomic.Int64
-	var soft atomic.Bool
-	hard := make(chan struct{})
-	stop := make(chan struct{})
-	go Watch(25*time.Millisecond, &progress, &soft, hard, stop)
-
-	deadline := time.Now().Add(150 * time.Millisecond) //chrono:wallclock test pacing
-	for time.Now().Before(deadline) {                  //chrono:wallclock test pacing
-		progress.Add(1)
-		select {
-		case <-hard:
-			t.Fatal("hard stall declared while the watermark was advancing")
-		case <-time.After(2 * time.Millisecond): //chrono:wallclock test pacing
+	const timeout = 25 * time.Millisecond
+	w := watch{timeout: timeout}
+	var at time.Duration
+	for i := int64(1); i <= 1000; i++ {
+		at += timeout // one advance per window: slow, but progressing
+		if soft, hard := w.step(i, at); soft || hard {
+			t.Fatalf("poll %d at %v: soft=%v hard=%v while the watermark was advancing", i, at, soft, hard)
 		}
 	}
-	if soft.Load() {
-		t.Fatal("soft stall flagged while the watermark was advancing")
+	// Freeze the watermark at its last value.
+	changed := at
+	for _, c := range []struct {
+		frozen     time.Duration
+		soft, hard bool
+	}{
+		{timeout - 1, false, false},
+		{timeout, true, false},
+		{2*timeout - 1, true, false},
+		{2 * timeout, true, true},
+	} {
+		if soft, hard := w.step(1000, changed+c.frozen); soft != c.soft || hard != c.hard {
+			t.Fatalf("frozen %v: soft=%v hard=%v, want %v/%v", c.frozen, soft, hard, c.soft, c.hard)
+		}
 	}
-	close(stop)
+	// One advance resets the freeze.
+	if soft, hard := w.step(1001, changed+3*timeout); soft || hard {
+		t.Fatalf("advance after a stall: soft=%v hard=%v, want quiet", soft, hard)
+	}
 }
 
 // Closing stop must win over escalation.
